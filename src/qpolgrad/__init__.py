@@ -11,8 +11,8 @@ Subpackages:
 - config / cli: experiment configuration, presets, and the command line
 """
 
-from .errors import ConfigError, ContractError, NumericalError
+from .errors import ConfigError, ContractError
 
-__all__ = ["ConfigError", "ContractError", "NumericalError"]
+__all__ = ["ConfigError", "ContractError"]
 
 __version__ = "0.1.0"

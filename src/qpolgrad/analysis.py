@@ -3,9 +3,8 @@
 The empirical Fisher information matrix of a policy is the average outer
 product of its log-policy gradients over visited state-action pairs; a
 spectrum concentrated at zero signals a flat (barren) optimization
-landscape. Eigenvalues come from a cyclic Jacobi sweep, which is provably
-convergent for symmetric matrices and comfortably handles the largest
-policy here (768 parameters).
+landscape. Eigenvalues come from LAPACK's symmetric solver
+(`numpy.linalg.eigvalsh`).
 
 The closed-form calculators bound (a) how many sampled trajectories make
 the policy-gradient estimate epsilon-accurate with probability 1 - delta,
@@ -16,13 +15,13 @@ checks bound (b) empirically against exact expectations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import qsim
-from .errors import ContractError, NumericalError
-from .vqpolicy import CircuitSpec, PolicyParams, QuantumPolicy, preferences
+from .errors import ContractError
+from .vqpolicy import CircuitSpec, PolicyParams, shift_gradients
 
 
 @dataclass
@@ -70,62 +69,6 @@ def fisher_matrix(policy, states, actions, include_beta: bool = True) -> FisherM
     return FisherMatrix((f + f.T) / 2)
 
 
-def jacobi_eigenvalues(matrix: np.ndarray, tol: float = 1e-10,
-                       max_sweeps: int = 100) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
-
-    Sweeps annihilate each off-diagonal entry in turn until the
-    off-diagonal Frobenius norm drops below `tol`. Returns eigenvalues
-    sorted in descending order.
-    """
-    a = np.array(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ContractError("jacobi_eigenvalues needs a square matrix")
-    if not np.allclose(a, a.T, atol=1e-10):
-        raise ContractError("jacobi_eigenvalues needs a symmetric matrix")
-    n = a.shape[0]
-    if n == 1:
-        return a[0, :1].copy()
-    sqrt = math.sqrt
-    off_diag = ~np.eye(n, dtype=bool)
-    for _ in range(max_sweeps):
-        off2 = float(np.sum(a[off_diag] ** 2))
-        if sqrt(off2) < tol:
-            return np.sort(np.diag(a))[::-1].copy()
-        # annihilating entries below this threshold cannot move the sweep
-        # forward meaningfully; skipping them is the classic speedup
-        skip = sqrt(off2) / (n * n) * 1e-2
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= skip:
-                    continue
-                app, aqq = a[p, p], a[q, q]
-                diff = aqq - app
-                if abs(apq) < 1e-36 * abs(diff):
-                    t = apq / diff
-                else:
-                    phi = diff / (2.0 * apq)
-                    t = 1.0 / (abs(phi) + sqrt(phi * phi + 1.0))
-                    if phi < 0.0:
-                        t = -t
-                c = 1.0 / sqrt(t * t + 1.0)
-                s = t * c
-                tau = s / (1.0 + c)
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                new_p = col_p - s * (col_q + tau * col_p)
-                new_q = col_q + s * (col_p - tau * col_q)
-                a[:, p] = new_p
-                a[p, :] = new_p
-                a[:, q] = new_q
-                a[q, :] = new_q
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                a[p, q] = a[q, p] = 0.0
-    raise NumericalError(f"Jacobi iteration did not converge in {max_sweeps} sweeps")
-
-
 def spectrum(f: FisherMatrix, n_bins: int = 50) -> SpectrumReport:
     """Eigenvalues, trace, and a log-binned eigenvalue density.
 
@@ -133,7 +76,7 @@ def spectrum(f: FisherMatrix, n_bins: int = 50) -> SpectrumReport:
     (numerically) zero eigenvalues; the remaining `n_bins` bins are
     logarithmic up to the largest eigenvalue.
     """
-    eigenvalues = jacobi_eigenvalues(f.matrix)
+    eigenvalues = np.linalg.eigvalsh(f.matrix)[::-1]
     top = max(float(eigenvalues[0]) if eigenvalues.size else 0.0, 1e-11)
     edges = np.concatenate([[0.0], np.geomspace(1e-12, top, n_bins + 1)])
     clipped = np.clip(eigenvalues, 0.0, top)
@@ -249,31 +192,18 @@ def hoeffding_validate(b: BoundInputs, trials: int, rng: np.random.Generator,
     """
     if spec is None or params is None or state is None:
         spec, params, state = _default_probe()
+    if state.n_qubits != spec.n_qubits:
+        raise ContractError("probe state qubit count does not match the circuit")
     per_observable, _ = lemma2_shots(b, 1.0)
     shots_total = int(math.ceil(per_observable))
     shots_side = max(1, int(math.ceil(shots_total / 2)))
-    reference = np.empty(spec.n_params)
-    for j in range(spec.n_params):
-        shifted = params.theta.copy()
-        shifted[j] += np.pi / 2
-        plus = preferences(spec, PolicyParams(shifted, params.beta), state)[action]
-        shifted[j] -= np.pi
-        minus = preferences(spec, PolicyParams(shifted, params.beta), state)[action]
-        reference[j] = 0.5 * (plus - minus)
+    enc = state.amplitudes[None, :]
+    reference = shift_gradients(spec, params, enc)[0, :, action]
 
     failures = 0
     max_dev = 0.0
     for _ in range(trials):
-        estimate = np.empty(spec.n_params)
-        for j in range(spec.n_params):
-            shifted = params.theta.copy()
-            shifted[j] += np.pi / 2
-            plus = preferences(spec, PolicyParams(shifted, params.beta), state,
-                               shots=shots_side, rng=rng)[action]
-            shifted[j] -= np.pi
-            minus = preferences(spec, PolicyParams(shifted, params.beta), state,
-                                shots=shots_side, rng=rng)[action]
-            estimate[j] = 0.5 * (plus - minus)
+        estimate = shift_gradients(spec, params, enc, shots_side, rng)[0, :, action]
         dev = float(np.max(np.abs(estimate - reference)))
         max_dev = max(max_dev, dev)
         if dev > b.epsilon:

@@ -8,7 +8,7 @@ ReLU and, optionally, inverted dropout; the output layer is linear.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,11 +18,10 @@ from .vqpolicy import softmax_policy
 
 @dataclass(frozen=True)
 class MlpSpec:
-    """Network shape: (input, hidden..., output), all layers bias-free by default."""
+    """Network shape: (input, hidden..., output); every layer is bias-free."""
 
     layer_sizes: tuple[int, ...]
     dropout_p: float = 0.0
-    use_bias: bool = False
 
     def __post_init__(self):
         if len(self.layer_sizes) < 2:
@@ -36,19 +35,18 @@ class MlpSpec:
     def n_params(self) -> int:
         total = 0
         for n_in, n_out in zip(self.layer_sizes, self.layer_sizes[1:]):
-            total += n_in * n_out + (n_out if self.use_bias else 0)
+            total += n_in * n_out
         return total
 
     def to_dict(self) -> dict:
         return {
             "layer_sizes": list(self.layer_sizes),
             "dropout_p": self.dropout_p,
-            "use_bias": self.use_bias,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "MlpSpec":
-        return cls(tuple(d["layer_sizes"]), d.get("dropout_p", 0.0), d.get("use_bias", False))
+        return cls(tuple(d["layer_sizes"]), d.get("dropout_p", 0.0))
 
 
 def preset(name: str) -> MlpSpec:
@@ -68,8 +66,6 @@ class MlpParams:
     @classmethod
     def glorot(cls, spec: MlpSpec, rng: np.random.Generator, gain: float = 1.0) -> "MlpParams":
         """Draw each weight from N(0, std^2), std = gain*sqrt(6/(fan_in+fan_out))."""
-        if spec.use_bias:
-            raise ContractError("bias terms are not supported by this initializer")
         weights = []
         for n_in, n_out in zip(spec.layer_sizes, spec.layer_sizes[1:]):
             std = gain * np.sqrt(6.0 / (n_in + n_out))
@@ -190,9 +186,6 @@ class MlpPolicy:
     @property
     def n_actions(self) -> int:
         return self.spec.layer_sizes[-1]
-
-    def parameter_count(self) -> int:
-        return self.n_trainable
 
     def get_vector(self) -> np.ndarray:
         return self.params.flatten()

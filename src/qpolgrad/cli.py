@@ -30,7 +30,7 @@ import numpy as np
 
 from . import analysis, config as cfg, envs, reinforce
 from .classical import MlpPolicy
-from .errors import ConfigError, ContractError, NumericalError
+from .errors import ConfigError, ContractError
 from .vqpolicy import QuantumPolicy
 
 METRICS_COLUMNS = ("episode", "total_reward", "discounted_return",
@@ -82,22 +82,21 @@ def _fmt(x: float) -> str:
 # run
 # ---------------------------------------------------------------------------
 
-def _fisher_checkpoint_episodes(episodes: int) -> list[int]:
-    return sorted({int(np.ceil(episodes * f / 10)) for f in range(1, 11)}) if episodes else []
+def fisher_spectrum(policy, environment: str, rollouts: int, rng: np.random.Generator,
+                    gamma: float, include_beta: bool) -> analysis.SpectrumReport:
+    """Fisher spectrum over fresh on-policy rollouts on a side stream.
 
-
-def _harvest_fisher(config, state, episodes_done: int):
-    """On-policy (state, action) pairs from dedicated rollouts on a side stream."""
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed,
-                                                       spawn_key=(2, episodes_done)))
+    Rollouts and gradients run on a normalizer snapshot, as a training
+    episode does, so observing a policy leaves it unchanged.
+    """
+    view = reinforce.episode_view(policy)
     states, actions = [], []
-    for _ in range(config.batch_size):
-        env = envs.make_env(config.environment)
-        traj = reinforce.rollout(env, state.policy, rng, config.gamma)
+    for _ in range(rollouts):
+        traj = reinforce.rollout(envs.make_env(environment), view, rng, gamma)
         states.extend(traj.observations)
         actions.extend(traj.actions)
-    return analysis.fisher_matrix(state.policy, states, actions,
-                                  include_beta=not config.fisher_theta_only)
+    return analysis.spectrum(analysis.fisher_matrix(view, states, actions,
+                                                    include_beta=include_beta))
 
 
 def _write_spectrum(report: analysis.SpectrumReport, csv_path: Path, json_path: Path,
@@ -133,7 +132,7 @@ def run(config) -> int:
     if config.fisher_checkpoints:
         artifacts["fisher"] = [
             [f"fisher_ck_{ep}.csv", f"fisher_ck_{ep}.json"]
-            for ep in _fisher_checkpoint_episodes(config.episodes)
+            for ep in reinforce.checkpoint_episodes(config.episodes)
         ]
     manifest = {
         "name": config.label(),
@@ -147,8 +146,10 @@ def run(config) -> int:
     state = reinforce.prepare(config)
 
     def fisher_hook(episodes_done, run_state):
-        fisher = _harvest_fisher(config, run_state, episodes_done)
-        report = analysis.spectrum(fisher)
+        rng = np.random.default_rng(np.random.SeedSequence(config.seed,
+                                                           spawn_key=(2, episodes_done)))
+        report = fisher_spectrum(run_state.policy, config.environment, config.batch_size, rng,
+                                 config.gamma, include_beta=not config.fisher_theta_only)
         _write_spectrum(report, out / f"fisher_ck_{episodes_done}.csv",
                         out / f"fisher_ck_{episodes_done}.json", episodes_done)
 
@@ -429,15 +430,8 @@ def _fisher_command(args) -> int:
     policy = (QuantumPolicy.from_checkpoint(data) if "theta" in data
               else MlpPolicy.from_checkpoint(data))
     rng = np.random.default_rng(np.random.SeedSequence(args.seed, spawn_key=(2, 0)))
-    states, actions = [], []
-    for _ in range(args.rollouts):
-        env = envs.make_env(args.env)
-        traj = reinforce.rollout(env, policy, rng, args.gamma)
-        states.extend(traj.observations)
-        actions.extend(traj.actions)
-    fisher = analysis.fisher_matrix(policy, states, actions,
-                                    include_beta=not args.theta_only)
-    report = analysis.spectrum(fisher)
+    report = fisher_spectrum(policy, args.env, args.rollouts, rng, args.gamma,
+                             include_beta=not args.theta_only)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     label = args.episode_label
@@ -499,7 +493,7 @@ def main(argv=None) -> int:
         if args.command == "validate-hoeffding":
             return _hoeffding_command(args)
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, ContractError, NumericalError) as exc:
+    except (ConfigError, ContractError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

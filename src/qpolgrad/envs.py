@@ -8,7 +8,7 @@ to the target state |1>.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +38,6 @@ class EnvSpec:
     n_features: int
     n_actions: int
     max_steps: int
-    gamma: float = 0.99
 
 
 ENV_SPECS = {

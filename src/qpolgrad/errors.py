@@ -7,7 +7,3 @@ class ContractError(ValueError):
 
 class ConfigError(ValueError):
     """A configuration value (or combination) is invalid."""
-
-
-class NumericalError(RuntimeError):
-    """A numerical routine failed to converge."""

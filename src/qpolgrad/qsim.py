@@ -10,12 +10,15 @@ Conventions, fixed once for the whole package:
   (matrix product, rightmost factor acts first).
 
 Array helpers (suffix ``_array``) operate on raw complex arrays whose last
-axis has length 2**n; leading axes are treated as a batch. The dataclass
-API wraps single states.
+axis has length 2**n; leading axes are treated as a batch. The policy engine
+runs on them alone: it pushes row-stacked states through one circuit row
+operator and reads them out with `measure_z_array`. The gate-by-gate
+`Statevector` API serves the environments and is the tests' independent
+reference for the batched path.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -172,18 +175,27 @@ def circuit_row_operator(gates, n_qubits: int) -> np.ndarray:
     return apply_circuit_array(np.eye(dim, dtype=complex), gates, n_qubits)
 
 
-def zprob_array(amps: np.ndarray, qubit: int, n_qubits: int) -> np.ndarray:
-    """Probability of measuring 0 on `qubit`; batch shape preserved."""
-    batch_shape = amps.shape[:-1]
-    nb = len(batch_shape)
-    probs = np.abs(amps.reshape(*batch_shape, *([2] * n_qubits))) ** 2
-    other = tuple(i for i in range(nb, nb + n_qubits) if i != nb + qubit)
-    marg = probs.sum(axis=other) if other else probs
-    return marg[..., 0]
+def measure_z_array(rows: np.ndarray, qubits, n_qubits: int, shots: int = 0,
+                    rng: np.random.Generator | None = None) -> np.ndarray:
+    """<sigma_z> of each listed qubit for row-stacked states, shape (T, len(qubits)).
 
-
-def expectation_z_array(amps: np.ndarray, qubit: int, n_qubits: int) -> np.ndarray:
-    return 2.0 * zprob_array(amps, qubit, n_qubits) - 1.0
+    shots = 0 gives the exact value P(0) - P(1). shots > 0 draws one
+    Binomial(shots, P(0)) count of zeros per row and qubit, in row-major
+    order, and returns the estimate 2 * zeros / shots - 1.
+    """
+    if shots < 0:
+        raise ContractError(f"shots must be >= 0 (0 = exact), got {shots}")
+    if shots and rng is None:
+        raise ContractError("shot mode needs an rng")
+    probs = (np.abs(rows) ** 2).reshape(rows.shape[0], *([2] * n_qubits))
+    margs = []
+    for q in qubits:
+        other = tuple(i for i in range(1, n_qubits + 1) if i != 1 + q)
+        margs.append(probs.sum(axis=other) if other else probs)
+    if not shots:
+        return np.stack([m[:, 0] - m[:, 1] for m in margs], axis=1)
+    p0 = np.stack([m[:, 0] for m in margs], axis=1)
+    return 2.0 * rng.binomial(shots, np.clip(p0, 0.0, 1.0)) / shots - 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -207,17 +219,7 @@ def apply_circuit(state: Statevector, gates) -> Statevector:
 def expectation_z(state: Statevector, qubit: int) -> float:
     """Exact <sigma_z> on one qubit: P(bit=0) - P(bit=1)."""
     _check_qubit(qubit, state.n_qubits)
-    return float(expectation_z_array(state.amplitudes, qubit, state.n_qubits))
-
-
-def sample_z(state: Statevector, qubit: int, shots: int, rng: np.random.Generator) -> float:
-    """Finite-shot estimate of <sigma_z>: 2 * (#zeros / shots) - 1."""
-    _check_qubit(qubit, state.n_qubits)
-    if shots < 1:
-        raise ContractError(f"shots must be >= 1, got {shots}")
-    p0 = float(np.clip(zprob_array(state.amplitudes, qubit, state.n_qubits), 0.0, 1.0))
-    zeros = rng.binomial(shots, p0)
-    return 2.0 * zeros / shots - 1.0
+    return float(measure_z_array(state.amplitudes[None], [qubit], state.n_qubits)[0, 0])
 
 
 def evolve_hamiltonian(state: Statevector, h: TwoLevelHamiltonian, dt: float) -> Statevector:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import copy
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -197,7 +197,7 @@ def _episode_rng(seed: int, episode: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1, episode)))
 
 
-def _episode_view(policy):
+def episode_view(policy):
     """Per-episode policy view with its own normalizer copy (if any)."""
     normalizer = getattr(policy, "normalizer", None)
     if normalizer is None:
@@ -214,7 +214,7 @@ def collect_batch(config, policy, first_episode: int, n_episodes: int) -> list[T
     snapshots are merged back afterwards, so sequential and parallel
     execution produce identical batches.
     """
-    views = [_episode_view(policy) for _ in range(n_episodes)]
+    views = [episode_view(policy) for _ in range(n_episodes)]
 
     def run(i: int) -> Trajectory:
         env = make_env(config.environment)
@@ -248,6 +248,11 @@ def prepare(config) -> RunState:
     return RunState(config, policy, AdamState.fresh(policy.n_trainable, config.learning_rate))
 
 
+def checkpoint_episodes(episodes: int) -> list[int]:
+    """Episode counts at which each further 10% of a budget completes."""
+    return sorted({int(np.ceil(episodes * f / 10)) for f in range(1, 11)}) if episodes else []
+
+
 def train(config, state: RunState | None = None, checkpoint_hook=None,
           trajectory_sink=None):
     """Generator: runs the full budget, yielding one MetricsRecord per episode.
@@ -259,8 +264,7 @@ def train(config, state: RunState | None = None, checkpoint_hook=None,
     if state is None:
         state = prepare(config)
     policy, adam = state.policy, state.adam
-    boundaries = sorted({int(np.ceil(config.episodes * f / 10)) for f in range(1, 11)}
-                        if checkpoint_hook and config.episodes else set())
+    boundaries = checkpoint_episodes(config.episodes) if checkpoint_hook else []
     episodes_done = 0
     batch_index = 0
     while episodes_done < config.episodes:

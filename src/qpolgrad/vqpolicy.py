@@ -5,6 +5,10 @@ quantum state is consumed directly), a layered hardware-efficient ansatz (or
 a single U3 gate) is applied, per-action preferences are read out as Pauli-Z
 expectations, and a trainable inverse temperature sharpens the softmax.
 
+There is one engine for exact and shot mode alike: a batch of input states
+is stacked as rows and pushed through the ansatz's 2**n x 2**n row operator,
+and the rows are read out exactly or with a finite number of shots.
+
 Gradients with respect to circuit angles use the two-term parameter-shift
 rule: every trainable angle sits in exactly one Pauli rotation (the U3 gate
 is a Z-Y-Z chain, so its three angles qualify), hence
@@ -14,7 +18,7 @@ The inverse-temperature gradient is analytic.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -139,18 +143,6 @@ class FeatureNormalizer:
         self.running_abs_max = np.maximum(self.running_abs_max, other.running_abs_max)
 
 
-def encode(features: np.ndarray, normalizer: FeatureNormalizer) -> qsim.Statevector:
-    """Angle-encode one feature vector: RX(normalized feature) per qubit."""
-    features = np.asarray(features, dtype=float)
-    if features.shape != (normalizer.n_features,):
-        raise ContractError("encode expects one feature per qubit")
-    angles = normalizer.normalize(features)
-    state = qsim.init_zero(len(angles))
-    for i, angle in enumerate(angles):
-        state = qsim.apply_gate(state, qsim.Gate("RX", (float(angle),), i))
-    return state
-
-
 def encoded_rows(angles: np.ndarray) -> np.ndarray:
     """Product states for a batch of RX-encoding angle rows, shape (T, 2**n).
 
@@ -201,60 +193,25 @@ def _measured_qubits(spec: CircuitSpec) -> range:
     return range(spec.n_actions if spec.architecture == "layered" else 1)
 
 
-def _z_values_rows(rows: np.ndarray, spec: CircuitSpec) -> np.ndarray:
-    """<sigma_z> per measured qubit for row-batched states, shape (T, |A|)."""
-    n = spec.n_qubits
-    probs = (np.abs(rows) ** 2).reshape(rows.shape[0], *([2] * n))
-    zs = []
-    for q in _measured_qubits(spec):
-        other = tuple(i for i in range(1, n + 1) if i != 1 + q)
-        marg = probs.sum(axis=other) if other else probs
-        zs.append(marg[:, 0] - marg[:, 1])
-    z = np.stack(zs, axis=1)
+def _readout(spec: CircuitSpec, rows: np.ndarray, shots: int,
+             rng: np.random.Generator | None) -> np.ndarray:
+    """Preferences of ansatz-output rows, shape (T, |A|); the single_u3 pair
+    is one measurement with its sign flipped."""
+    z = qsim.measure_z_array(rows, _measured_qubits(spec), spec.n_qubits, shots, rng)
     if spec.architecture == "single_u3":
         return np.concatenate([z, -z], axis=1)
     return z
 
 
-def _prepare_input(spec, x, normalizer):
-    """Resolve the policy input to a Statevector ready for the ansatz."""
-    if spec.encoding == "angle_rx":
-        if normalizer is None:
-            raise ContractError("angle_rx encoding requires a FeatureNormalizer")
-        return encode(np.asarray(x, dtype=float), normalizer)
-    if not isinstance(x, qsim.Statevector):
-        raise ContractError("encoding 'none' expects a Statevector input")
-    if x.n_qubits != spec.n_qubits:
-        raise ContractError("input state qubit count does not match the circuit")
-    return x
-
-
-def preferences(
-    spec: CircuitSpec,
-    params: PolicyParams,
-    x,
-    *,
-    normalizer: FeatureNormalizer | None = None,
-    shots: int = 0,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Per-action preferences <a_i>: Z expectations of the measured qubits.
+def row_preferences(spec: CircuitSpec, params: PolicyParams, enc: np.ndarray,
+                    shots: int = 0, rng: np.random.Generator | None = None) -> np.ndarray:
+    """Per-action preferences <a_i> of row-stacked input states, shape (T, |A|).
 
     shots = 0 gives exact expectations; shots > 0 draws finite-shot
-    estimates (one Z estimate per measured qubit; the single_u3 pair is one
-    measurement with its sign flipped).
+    estimates, one per measured qubit and row.
     """
-    state = _prepare_input(spec, x, normalizer)
-    out = qsim.apply_circuit(state, build_ansatz(spec, params))
-    if shots:
-        if rng is None:
-            raise ContractError("shot mode needs an rng")
-        vals = np.array([qsim.sample_z(out, q, shots, rng) for q in _measured_qubits(spec)])
-    else:
-        vals = np.array([qsim.expectation_z(out, q) for q in _measured_qubits(spec)])
-    if spec.architecture == "single_u3":
-        return np.array([vals[0], -vals[0]])
-    return vals
+    rowop = qsim.circuit_row_operator(build_ansatz(spec, params), spec.n_qubits)
+    return _readout(spec, enc @ rowop, shots, rng)
 
 
 def softmax_policy(prefs: np.ndarray, beta: float) -> np.ndarray:
@@ -265,68 +222,31 @@ def softmax_policy(prefs: np.ndarray, beta: float) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _all_action_grads(spec, params, x, normalizer, shots, rng) -> np.ndarray:
-    """Parameter-shift gradients of every action preference, shape (k, |A|)."""
-    grads = np.empty((spec.n_params, spec.n_actions))
+def shift_gradients(spec: CircuitSpec, params: PolicyParams, enc: np.ndarray,
+                    shots: int = 0, rng: np.random.Generator | None = None) -> np.ndarray:
+    """Parameter-shift gradients d<a>/d(theta) of every action preference for
+    row-stacked input states, shape (T, k, |A|).
+
+    Each of the 2k shifted circuits is built once for the whole batch; in
+    shot mode the plus and minus evaluations of each angle draw in turn.
+    """
+    grads = np.empty((enc.shape[0], spec.n_params, spec.n_actions))
     for j in range(spec.n_params):
         shifted = params.theta.copy()
         shifted[j] += np.pi / 2
-        plus = preferences(spec, PolicyParams(shifted, params.beta), x,
-                           normalizer=normalizer, shots=shots, rng=rng)
+        plus = row_preferences(spec, PolicyParams(shifted, params.beta), enc, shots, rng)
         shifted[j] -= np.pi
-        minus = preferences(spec, PolicyParams(shifted, params.beta), x,
-                            normalizer=normalizer, shots=shots, rng=rng)
-        grads[j] = 0.5 * (plus - minus)
+        minus = row_preferences(spec, PolicyParams(shifted, params.beta), enc, shots, rng)
+        grads[:, j, :] = 0.5 * (plus - minus)
     return grads
-
-
-def grad_preference(
-    spec: CircuitSpec,
-    params: PolicyParams,
-    x,
-    action: int,
-    *,
-    normalizer: FeatureNormalizer | None = None,
-    shots: int = 0,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """d<a>/d(theta) via the parameter-shift rule, length k."""
-    if not 0 <= action < spec.n_actions:
-        raise ContractError(f"action {action} out of range")
-    return _all_action_grads(spec, params, x, normalizer, shots, rng)[:, action]
-
-
-def grad_log_policy(
-    spec: CircuitSpec,
-    params: PolicyParams,
-    x,
-    action: int,
-    *,
-    normalizer: FeatureNormalizer | None = None,
-    shots: int = 0,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Gradient of log pi(action | x) over (theta, beta), length k + 1.
-
-    theta block: beta * (g_a - sum_b pi_b g_b); beta entry (analytic):
-    <a> - sum_b pi_b <b>.
-    """
-    if not 0 <= action < spec.n_actions:
-        raise ContractError(f"action {action} out of range")
-    prefs = preferences(spec, params, x, normalizer=normalizer, shots=shots, rng=rng)
-    probs = softmax_policy(prefs, params.beta)
-    grads = _all_action_grads(spec, params, x, normalizer, shots, rng)
-    gtheta = params.beta * (grads[:, action] - grads @ probs)
-    gbeta = prefs[action] - prefs @ probs
-    return np.append(gtheta, gbeta)
 
 
 class QuantumPolicy:
     """Trainable policy bundling circuit spec, parameters, and normalizer.
 
-    Exact mode (shots = 0) is the training default and has a fast batched
-    path: the ansatz is a fixed unitary per parameter vector, so batches of
-    encoded states are pushed through cached 2**n x 2**n operators.
+    Exact mode (shots = 0) is the training default; shot mode reads the same
+    batched rows out with `shots` measurements. The ansatz is a fixed unitary
+    per parameter vector, so inference reuses a cached 2**n x 2**n operator.
     """
 
     kind = "quantum"
@@ -358,17 +278,11 @@ class QuantumPolicy:
     def n_actions(self) -> int:
         return self.spec.n_actions
 
-    def parameter_count(self) -> int:
-        return self.n_trainable
-
     # -- evaluation ---------------------------------------------------------
-    def _row_operator(self, theta: np.ndarray) -> np.ndarray:
-        gates = build_ansatz(self.spec, PolicyParams(theta, self.params.beta))
-        return qsim.circuit_row_operator(gates, self.spec.n_qubits)
-
     def _cached_row_operator(self) -> np.ndarray:
         if self._rowop is None or not np.array_equal(self._rowop_theta, self.params.theta):
-            self._rowop = self._row_operator(self.params.theta)
+            self._rowop = qsim.circuit_row_operator(build_ansatz(self.spec, self.params),
+                                                    self.spec.n_qubits)
             self._rowop_theta = self.params.theta.copy()
         return self._rowop
 
@@ -379,6 +293,8 @@ class QuantumPolicy:
         state = obs.quantum_state if hasattr(obs, "quantum_state") else obs
         if not isinstance(state, qsim.Statevector):
             raise ContractError("policy with encoding 'none' needs a quantum state observation")
+        if state.n_qubits != self.spec.n_qubits:
+            raise ContractError("input state qubit count does not match the circuit")
         return state
 
     def _encode_batch(self, observations) -> np.ndarray:
@@ -389,51 +305,30 @@ class QuantumPolicy:
         self.normalizer.observe(feats)
         return encoded_rows(feats * (np.pi / self.normalizer.running_abs_max))
 
-    def _prefs_rows(self, enc: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        return _z_values_rows(enc @ self._row_operator(theta), self.spec)
-
-    def preferences_for(self, obs, rng: np.random.Generator | None = None) -> np.ndarray:
-        x = self._obs_features(obs) if self.spec.encoding == "angle_rx" else self._obs_state(obs)
-        if self.shots:
-            return preferences(self.spec, self.params, x,
-                               normalizer=self.normalizer, shots=self.shots, rng=rng)
-        # exact fast path through the cached ansatz operator
-        enc = self._encode_batch([obs])
-        return _z_values_rows(enc @ self._cached_row_operator(), self.spec)[0]
-
     def probabilities(self, obs, rng: np.random.Generator | None = None) -> np.ndarray:
-        return softmax_policy(self.preferences_for(obs, rng), self.params.beta)
+        enc = self._encode_batch([obs])
+        prefs = _readout(self.spec, enc @ self._cached_row_operator(), self.shots, rng)[0]
+        return softmax_policy(prefs, self.params.beta)
 
     def grad_log(self, obs, action: int, rng: np.random.Generator | None = None) -> np.ndarray:
-        x = self._obs_features(obs) if self.spec.encoding == "angle_rx" else self._obs_state(obs)
-        return grad_log_policy(self.spec, self.params, x, action,
-                               normalizer=self.normalizer, shots=self.shots, rng=rng)
+        return self.grad_log_batch([obs], [action], rng)[0]
 
     def grad_log_batch(self, observations, actions, rng: np.random.Generator | None = None) -> np.ndarray:
         """Log-policy gradients for T (observation, action) pairs: (T, k+1).
 
-        Exact mode evaluates each of the 2k shifted circuits once for the
-        whole batch. Observations are assumed already seen by the
+        theta block: beta * (g_a - sum_b pi_b g_b); beta entry (analytic):
+        <a> - sum_b pi_b <b>. Observations are assumed already seen by the
         normalizer (true after a rollout); unseen features are folded in
         before scaling.
         """
         actions = np.asarray(actions, dtype=int)
-        if self.shots:
-            return np.stack([self.grad_log(o, int(a), rng) for o, a in zip(observations, actions)])
+        if np.any(actions < 0) or np.any(actions >= self.spec.n_actions):
+            raise ContractError("action index out of range")
         enc = self._encode_batch(observations)
-        t = enc.shape[0]
-        k = self.spec.n_params
-        prefs = self._prefs_rows(enc, self.params.theta)
+        prefs = row_preferences(self.spec, self.params, enc, self.shots, rng)
         probs = softmax_policy(prefs, self.params.beta)
-        grads = np.empty((t, k, self.spec.n_actions))
-        for j in range(k):
-            shifted = self.params.theta.copy()
-            shifted[j] += np.pi / 2
-            plus = self._prefs_rows(enc, shifted)
-            shifted[j] -= np.pi
-            minus = self._prefs_rows(enc, shifted)
-            grads[:, j, :] = 0.5 * (plus - minus)
-        rows = np.arange(t)
+        grads = shift_gradients(self.spec, self.params, enc, self.shots, rng)
+        rows = np.arange(enc.shape[0])
         g_taken = grads[rows, :, actions]
         g_mean = np.einsum("tka,ta->tk", grads, probs)
         gtheta = self.params.beta * (g_taken - g_mean)

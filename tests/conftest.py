@@ -1,12 +1,14 @@
-"""Shared test helpers: independent matrix oracles and random circuit draws.
+"""Shared test helpers: independent oracles and random circuit draws.
 
-The oracles here build full 2**n x 2**n unitaries with np.kron and explicit
+The matrix oracles build full 2**n x 2**n unitaries with np.kron and explicit
 basis-state permutation, deliberately avoiding the package's gate-application
-code path.
+code path. The preference oracle evaluates the policy gate by gate through
+the `Statevector` API, independently of the batched row-operator engine.
 """
 import numpy as np
 
 from qpolgrad import qsim
+from qpolgrad.vqpolicy import build_ansatz
 
 I2 = np.eye(2, dtype=complex)
 
@@ -70,3 +72,23 @@ def random_state(rng: np.random.Generator, n: int) -> qsim.Statevector:
     amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
     amps /= np.linalg.norm(amps)
     return qsim.Statevector(n, amps)
+
+
+def encode_gates(features, normalizer) -> qsim.Statevector:
+    """Angle-encode one feature vector gate by gate: RX(normalized feature) per qubit."""
+    angles = normalizer.normalize(np.asarray(features, dtype=float))
+    state = qsim.init_zero(len(angles))
+    for i, angle in enumerate(angles):
+        state = qsim.apply_gate(state, qsim.Gate("RX", (float(angle),), i))
+    return state
+
+
+def oracle_preferences(spec, params, x, normalizer=None) -> np.ndarray:
+    """Per-action preferences gate by gate: encode (or take the input state),
+    apply the ansatz, then read <sigma_z> of each measured qubit."""
+    state = encode_gates(x, normalizer) if spec.encoding == "angle_rx" else x
+    out = qsim.apply_circuit(state, build_ansatz(spec, params))
+    if spec.architecture == "single_u3":
+        z = qsim.expectation_z(out, 0)
+        return np.array([z, -z])
+    return np.array([qsim.expectation_z(out, q) for q in range(spec.n_actions)])

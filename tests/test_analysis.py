@@ -10,7 +10,6 @@ from qpolgrad.analysis import (
     bernoulli_hoeffding_failure_rate,
     fisher_matrix,
     hoeffding_validate,
-    jacobi_eigenvalues,
     lemma1_samples,
     lemma2_shots,
     spectrum,
@@ -50,7 +49,7 @@ def test_fisher_rank_bounded_by_samples():
     rng = np.random.default_rng(0)
     grads = rng.normal(size=(3, 6))
     f = fisher_matrix(StubPolicy(grads), [0] * 3, [0] * 3)
-    eigs = jacobi_eigenvalues(f.matrix)
+    eigs = spectrum(f).eigenvalues
     assert np.sum(eigs > 1e-12) <= 3
 
 
@@ -76,7 +75,7 @@ def test_fisher_psd_for_real_policies(make_policy):
             states = [rng.normal(size=4) for _ in range(6)]
         actions = rng.integers(2, size=6)
         f = fisher_matrix(policy, states, actions)
-        eigs = jacobi_eigenvalues(f.matrix)
+        eigs = spectrum(f).eigenvalues
         assert np.all(eigs >= -1e-8)
         assert np.sum(eigs) == pytest.approx(f.trace, abs=1e-8)
 
@@ -92,41 +91,33 @@ def test_fisher_theta_only_mode_drops_beta_coordinate():
 
 
 # ---------------------------------------------------------------------------
-# Jacobi eigenvalues and spectrum
+# spectrum
 # ---------------------------------------------------------------------------
 
 def test_jacobi_diagonal_matrix():
-    np.testing.assert_allclose(jacobi_eigenvalues(np.diag([3.0, 1.0, 0.0])), [3, 1, 0])
+    report = spectrum(FisherMatrix(np.diag([1.0, 3.0, 0.0])))
+    np.testing.assert_allclose(report.eigenvalues, [3, 1, 0], atol=1e-12)
 
 
 def test_jacobi_2x2_characteristic_polynomial():
     # [[2,1],[1,2]]: lambda^2 - 4 lambda + 3 = 0 -> 3, 1
-    np.testing.assert_allclose(
-        jacobi_eigenvalues(np.array([[2.0, 1.0], [1.0, 2.0]])), [3.0, 1.0], atol=1e-10
-    )
+    report = spectrum(FisherMatrix(np.array([[2.0, 1.0], [1.0, 2.0]])))
+    np.testing.assert_allclose(report.eigenvalues, [3.0, 1.0], atol=1e-10)
 
 
 def test_jacobi_3x3_analytic_tridiagonal():
     # [[2,1,0],[1,2,1],[0,1,2]]: (2-l)((2-l)^2 - 2) = 0 -> 2 +/- sqrt(2), 2
     a = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]])
     np.testing.assert_allclose(
-        jacobi_eigenvalues(a), [2 + np.sqrt(2), 2.0, 2 - np.sqrt(2)], atol=1e-6
+        spectrum(FisherMatrix(a)).eigenvalues, [2 + np.sqrt(2), 2.0, 2 - np.sqrt(2)], atol=1e-10
     )
-
-
-def test_jacobi_matches_numpy_on_random_symmetric():
-    rng = np.random.default_rng(3)
-    for n in (4, 10, 25):
-        g = rng.normal(size=(n, n))
-        a = (g + g.T) / 2
-        np.testing.assert_allclose(
-            jacobi_eigenvalues(a), np.sort(np.linalg.eigvalsh(a))[::-1], atol=1e-8
-        )
 
 
 def test_jacobi_rejects_asymmetric():
     with pytest.raises(ContractError):
-        jacobi_eigenvalues(np.array([[1.0, 2.0], [0.0, 1.0]]))
+        FisherMatrix(np.array([[1.0, 2.0], [0.0, 1.0]]))
+    with pytest.raises(ContractError):
+        FisherMatrix(np.ones((2, 3)))
 
 
 def test_spectrum_trace_consistency():

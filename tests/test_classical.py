@@ -188,3 +188,21 @@ def test_checkpoint_roundtrip(tmp_path):
 
     data = json.loads(path.read_text())
     assert set(data) == {"weights", "spec"}
+
+
+def test_checkpoint_with_use_bias_key_still_loads(tmp_path):
+    # Checkpoints written before MlpSpec dropped its never-supported
+    # use_bias field carry "use_bias": false in their spec.
+    import json
+
+    rng = np.random.default_rng(11)
+    spec = preset("qcontrol")
+    policy = MlpPolicy(spec, MlpParams.glorot(spec, rng))
+    data = policy.to_checkpoint()
+    data["spec"]["use_bias"] = False
+    path = tmp_path / "legacy.json"
+    path.write_text(json.dumps(data))
+    loaded = MlpPolicy.load(path)
+    assert loaded.spec == spec
+    x = rng.normal(size=4)
+    np.testing.assert_array_equal(loaded.probabilities(x), policy.probabilities(x))

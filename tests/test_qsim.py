@@ -4,7 +4,7 @@ import pytest
 from qpolgrad import qsim
 from qpolgrad.errors import ConfigError, ContractError
 
-from conftest import circuit_full, random_gates, random_state
+from conftest import circuit_full, kron_single, random_gates, random_state
 
 
 def test_init_zero_single_qubit():
@@ -78,38 +78,46 @@ def test_expectation_z_closed_form(theta):
     assert got == pytest.approx(oracle, abs=1e-12)
 
 
+# Shot readout: measure_z_array with shots > 0.
+
 def test_sample_z_deterministic_on_eigenstates():
     rng = np.random.default_rng(0)
-    zero = qsim.init_zero(1)
-    one = qsim.Statevector(1, np.array([0, 1], dtype=complex))
+    rows = np.array([[1, 0], [0, 1]], dtype=complex)  # |0>, |1>
     for shots in (1, 7, 1000):
-        assert qsim.sample_z(zero, 0, shots, rng) == 1.0
-        assert qsim.sample_z(one, 0, shots, rng) == -1.0
+        np.testing.assert_array_equal(qsim.measure_z_array(rows, [0], 1, shots, rng),
+                                      [[1.0], [-1.0]])
 
 
 def test_sample_z_converges_at_high_shots():
     state = qsim.apply_gate(qsim.init_zero(1), qsim.Gate("RX", (np.pi / 2,), 0))
     for seed in range(8):
         rng = np.random.default_rng(seed)
-        est = qsim.sample_z(state, 0, 10**5, rng)
+        est = qsim.measure_z_array(state.amplitudes[None], [0], 1, 10**5, rng)[0, 0]
         assert abs(est - 0.0) < 0.02
 
 
 def test_sample_z_rejects_zero_shots():
+    # shots = 0 selects the exact readout, so only negative counts are invalid
+    rows = qsim.init_zero(1).amplitudes[None]
     with pytest.raises(ContractError):
-        qsim.sample_z(qsim.init_zero(1), 0, 0, np.random.default_rng(0))
+        qsim.measure_z_array(rows, [0], 1, -1, np.random.default_rng(0))
+    with pytest.raises(ContractError):
+        qsim.measure_z_array(rows, [0], 1, 10)  # shot mode without an rng
 
 
 def test_sample_z_matches_expectation_within_binomial_band():
-    # 3-sigma band around the exact value at 1e5 shots.
+    # 3-sigma band around the exact value at 1e5 shots, one row per angle.
     rng = np.random.default_rng(42)
     shots = 10**5
-    for theta in (0.4, 1.3, 2.0):
-        state = qsim.apply_gate(qsim.init_zero(1), qsim.Gate("RX", (theta,), 0))
+    states = [qsim.apply_gate(qsim.init_zero(1), qsim.Gate("RX", (theta,), 0))
+              for theta in (0.4, 1.3, 2.0)]
+    rows = np.stack([s.amplitudes for s in states])
+    estimates = qsim.measure_z_array(rows, [0], 1, shots, rng)[:, 0]
+    for state, est in zip(states, estimates):
         exact = qsim.expectation_z(state, 0)
         p0 = (1 + exact) / 2
         sigma = 2 * np.sqrt(p0 * (1 - p0) / shots)
-        assert abs(qsim.sample_z(state, 0, shots, rng) - exact) < 3 * sigma
+        assert abs(est - exact) < 3 * sigma
 
 
 def test_evolve_rabi_flip():
@@ -229,11 +237,15 @@ def test_batched_application_matches_single():
 
 
 def test_expectation_z_array_batched():
+    # exact batched readout against <psi| Z_q |psi> with a kron-built Z_q
     rng = np.random.default_rng(8)
     n = 3
+    z = np.diag([1.0, -1.0]).astype(complex)
     states = [random_state(rng, n) for _ in range(6)]
     batch = np.stack([s.amplitudes for s in states])
-    for q in range(n):
-        vals = qsim.expectation_z_array(batch, q, n)
-        for v, s in zip(vals, states):
-            assert v == pytest.approx(qsim.expectation_z(s, q), abs=1e-12)
+    vals = qsim.measure_z_array(batch, range(n), n)
+    assert vals.shape == (6, n)
+    for row, s in zip(vals, states):
+        for q in range(n):
+            oracle = np.vdot(s.amplitudes, kron_single(z, q, n) @ s.amplitudes).real
+            assert row[q] == pytest.approx(oracle, abs=1e-12)

@@ -278,6 +278,20 @@ def test_parallel_rollouts_match_sequential():
     assert rows_seq == rows_par
 
 
+def test_shot_mode_training_is_finite_and_deterministic():
+    def rows(shots):
+        cfg_run = cfg.preset_config("cartpole-quantum",
+                                    {"episodes": 20, "seed": 3, "shots": shots})
+        return [(r.total_reward, r.discounted_return, r.beta, r.grad_norm)
+                for r in train(cfg_run)]
+
+    shot_rows = rows(200)
+    assert len(shot_rows) == 20
+    assert np.all(np.isfinite(shot_rows))
+    assert rows(200) == shot_rows
+    assert rows(0) != shot_rows
+
+
 @pytest.mark.parametrize("preset", ["cartpole-quantum", "cartpole-classical",
                                     "qcontrol-quantum", "qcontrol-classical"])
 def test_gradient_norms_finite_over_presets(preset):

@@ -20,7 +20,18 @@ from .errors import ConfigError
 from .vqpolicy import CircuitSpec
 
 POLICY_KINDS = ("quantum", "classical")
-INIT_KINDS = ("glorot_normal", "normal", "uniform")
+INIT_KEYS = {
+    "glorot_normal": {"kind", "gain"},
+    "normal": {"kind", "mu", "sigma"},
+    "uniform": {"kind", "a", "b"},
+}
+INIT_KINDS = tuple(INIT_KEYS)
+
+
+def _circuit_width(environment: str) -> int:
+    """Qubits of the quantum policy: qcontrol's single U3 acts on one, the
+    layered ansatz angle-encodes one feature per qubit."""
+    return 1 if environment == "qcontrol" else ENV_SPECS[environment].n_features
 
 
 @dataclass
@@ -61,7 +72,7 @@ class ExperimentConfig:
     def resolved_n_qubits(self) -> int:
         if self.n_qubits is not None:
             return self.n_qubits
-        return 1 if self.architecture == "single_u3" else self.env_spec.n_features
+        return _circuit_width(self.environment)
 
     def circuit_spec(self) -> CircuitSpec:
         if self.policy != "quantum":
@@ -151,11 +162,26 @@ def _validate(data: dict) -> list[str]:
     check_range("parallel_rollouts", lambda v: isinstance(v, int) and v >= 1,
                 "must be an integer >= 1")
 
+    if pol == "classical" and data.get("shots"):
+        errors.append("shots: only a quantum policy is read out with shots")
+    if pol == "quantum":
+        if data.get("hidden_sizes") is not None:
+            errors.append("hidden_sizes: a quantum policy has no hidden layers")
+        if data.get("dropout_p"):
+            errors.append("dropout_p: a quantum policy has no dropout")
+        n_qubits = data.get("n_qubits")
+        if n_qubits is not None and env in ENV_SPECS and n_qubits != _circuit_width(env):
+            errors.append(f"n_qubits: the {env} circuit has {_circuit_width(env)} qubit(s)"
+                          f" (got {n_qubits!r})")
+
     init = data.get("init")
     if init is not None:
         kind = init.get("kind") if isinstance(init, dict) else None
         if kind not in INIT_KINDS:
             errors.append(f"init.kind must be one of {INIT_KINDS}")
+        elif set(init) - INIT_KEYS[kind]:
+            unused = ", ".join(sorted(set(init) - INIT_KEYS[kind]))
+            errors.append(f"init: {kind} takes no key(s) {unused}")
         elif kind == "normal" and not init.get("sigma", 1.0) > 0:
             errors.append("init.sigma: must be positive")
         elif kind == "uniform" and not init.get("a", -1.0) < init.get("b", 1.0):

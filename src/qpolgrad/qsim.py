@@ -12,9 +12,11 @@ Conventions, fixed once for the whole package:
 Array helpers (suffix ``_array``) operate on raw complex arrays whose last
 axis has length 2**n; leading axes are treated as a batch. The policy engine
 runs on them alone: it pushes row-stacked states through one circuit row
-operator and reads them out with `measure_z_array`. The gate-by-gate
-`Statevector` API serves the environments and is the tests' independent
-reference for the batched path.
+operator, reads them out with `measure_z_array`, and walks them back gate by
+gate for its adjoint gradient. The row-operator build and that sweep share
+one single-qubit kernel, `apply_1q_array`. The gate-by-gate `Statevector` API
+serves the environments and is the tests' independent reference for the
+batched path.
 """
 from __future__ import annotations
 
@@ -131,25 +133,26 @@ def _check_qubit(qubit: int, n_qubits: int) -> None:
 # ---------------------------------------------------------------------------
 
 def apply_1q_array(amps: np.ndarray, matrix: np.ndarray, qubit: int, n_qubits: int) -> np.ndarray:
-    batch_shape = amps.shape[:-1]
-    nb = len(batch_shape)
-    x = amps.reshape(*batch_shape, *([2] * n_qubits))
-    x = np.moveaxis(x, nb + qubit, -1)
-    x = x @ matrix.T
-    x = np.moveaxis(x, -1, nb + qubit)
-    return np.ascontiguousarray(x).reshape(amps.shape)
+    """Apply a 2x2 matrix to `qubit` of every row.
+
+    On the (B, 2**q, 2, 2**(n-q-1)) view of the rows the gate mixes only the
+    two halves of the middle axis, so each output half is written directly as
+    m[i, 0] * half_0 + m[i, 1] * half_1.
+    """
+    x = amps.reshape(-1, 2**qubit, 2, 2 ** (n_qubits - qubit - 1))
+    out = np.empty(x.shape, dtype=np.result_type(amps, matrix))
+    x0, x1 = x[:, :, 0], x[:, :, 1]
+    np.add(matrix[0, 0] * x0, matrix[0, 1] * x1, out=out[:, :, 0])
+    np.add(matrix[1, 0] * x0, matrix[1, 1] * x1, out=out[:, :, 1])
+    return out.reshape(amps.shape)
 
 
 def apply_cnot_array(amps: np.ndarray, control: int, target: int, n_qubits: int) -> np.ndarray:
-    batch_shape = amps.shape[:-1]
-    nb = len(batch_shape)
-    x = amps.reshape(*batch_shape, *([2] * n_qubits)).copy()
-    sel10 = [slice(None)] * (nb + n_qubits)
-    sel10[nb + control], sel10[nb + target] = 1, 0
-    sel11 = list(sel10)
-    sel11[nb + target] = 1
-    x[tuple(sel10)], x[tuple(sel11)] = x[tuple(sel11)].copy(), x[tuple(sel10)].copy()
-    return x.reshape(amps.shape)
+    """CNOT as a gather: basis states with the control bit set take the
+    amplitude of their target-flipped partner."""
+    index = np.arange(2**n_qubits)
+    flipped = index ^ (1 << (n_qubits - 1 - target))
+    return amps[..., np.where(index >> (n_qubits - 1 - control) & 1, flipped, index)]
 
 
 def apply_gate_array(amps: np.ndarray, gate: Gate, n_qubits: int) -> np.ndarray:

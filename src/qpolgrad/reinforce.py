@@ -212,8 +212,12 @@ def collect_batch(config, policy, first_episode: int, n_episodes: int) -> list[T
 
     Every episode uses a snapshot of the policy's feature normalizer;
     snapshots are merged back afterwards, so sequential and parallel
-    execution produce identical batches.
+    execution produce identical batches. A quantum policy builds its row
+    operator once, before the views copy it, and the batch's gradient
+    reuses it because theta does not change during the rollouts.
     """
+    if policy.kind == "quantum":
+        policy.row_operator()
     views = [episode_view(policy) for _ in range(n_episodes)]
 
     def run(i: int) -> Trajectory:

@@ -9,10 +9,20 @@ There is one engine for exact and shot mode alike: a batch of input states
 is stacked as rows and pushed through the ansatz's 2**n x 2**n row operator,
 and the rows are read out exactly or with a finite number of shots.
 
-Gradients with respect to circuit angles use the two-term parameter-shift
-rule: every trainable angle sits in exactly one Pauli rotation (the U3 gate
-is a Z-Y-Z chain, so its three angles qualify), hence
-d<a>/d(theta_j) = (<a>(theta_j + pi/2) - <a>(theta_j - pi/2)) / 2 exactly.
+Every trainable angle sits in exactly one Pauli rotation (the U3 gate is a
+Z-Y-Z chain, so its three angles qualify). Gradients with respect to them
+come from one of two places:
+
+- Exact mode (shots = 0) uses the adjoint method (Jones & Gacon 2020): the
+  log-policy gradient of a row needs only d<O>/d(theta) for the weighted
+  observable O = sum_a w_a Z_a, so one co-state lambda = O psi per row is
+  walked back through the circuit next to psi, and each rotation
+  exp(-i theta P / 2) contributes Im<lambda|P psi>.
+- Shot mode uses the two-term parameter-shift rule,
+  d<a>/d(theta_j) = (<a>(theta_j + pi/2) - <a>(theta_j - pi/2)) / 2, which
+  needs only measured expectations. It is also the tests' exact oracle for
+  the adjoint sweep.
+
 The inverse-temperature gradient is analytic.
 """
 from __future__ import annotations
@@ -241,6 +251,68 @@ def shift_gradients(spec: CircuitSpec, params: PolicyParams, enc: np.ndarray,
     return grads
 
 
+ADJOINT_CHUNK_ROWS = 256  # rows per sweep; bounds the co-state memory and stays cache-sized
+
+
+def _rotation_steps(gates: list[qsim.Gate]) -> list[tuple[qsim.Gate, int | None]]:
+    """Circuit as (gate, angle index) in application order, each U3 split into
+    its RZ(lam) RY(theta) RZ(phi) chain; CNOTs carry no angle index."""
+    steps: list[tuple[qsim.Gate, int | None]] = []
+    idx = 0
+    for gate in gates:
+        if gate.kind == "U3":
+            theta, phi, lam = gate.angles
+            steps += [(qsim.Gate("RZ", (lam,), gate.target), idx + 2),
+                      (qsim.Gate("RY", (theta,), gate.target), idx),
+                      (qsim.Gate("RZ", (phi,), gate.target), idx + 1)]
+        else:
+            steps.append((gate, idx if gate.angles else None))
+        idx += len(gate.angles)
+    return steps
+
+
+def _generator_overlap(psi: np.ndarray, lam: np.ndarray, gate: qsim.Gate) -> np.ndarray:
+    """Im<lam|P psi> per row for the Pauli P (Z or Y) of a rotation gate."""
+    shape = (psi.shape[0], 2**gate.target, 2, -1)
+    x, c = psi.reshape(shape), lam.reshape(shape)
+    if gate.kind == "RZ":
+        im = (c.conj() * x).imag
+        return im[:, :, 0].sum(axis=(1, 2)) - im[:, :, 1].sum(axis=(1, 2))
+    # Y x = (-i x_1, i x_0), so Im<c|Y x> = Re sum(conj(c_1) x_0 - conj(c_0) x_1)
+    return (c[:, :, 1].conj() * x[:, :, 0] - c[:, :, 0].conj() * x[:, :, 1]).real.sum(axis=(1, 2))
+
+
+def adjoint_gradients(spec: CircuitSpec, params: PolicyParams, rows: np.ndarray,
+                      weights: np.ndarray) -> np.ndarray:
+    """d/d(theta) of sum_a weights[t, a] * <a>_t for ansatz-output rows, shape (T, k).
+
+    `rows` are the circuit's output states (input rows @ row operator). Each
+    row's co-state lambda = O_t psi, with O_t = sum_a weights[t, a] Z_a, is
+    walked back through the gates next to psi: at a rotation the angle's
+    derivative is Im<lambda|P psi>, then both states are uncomputed with the
+    gate's inverse. Rows are processed ADJOINT_CHUNK_ROWS at a time and no
+    per-gate state is kept.
+    """
+    n = spec.n_qubits
+    qubits = _measured_qubits(spec)
+    coeff = weights if spec.architecture == "layered" else weights[:, :1] - weights[:, 1:]
+    basis = np.arange(2**n)
+    z_signs = np.stack([1.0 - 2.0 * (basis >> (n - 1 - q) & 1) for q in qubits])
+    steps = _rotation_steps(build_ansatz(spec, params))[::-1]
+    inverses = [g.matrix().conj().T if j is not None else None for g, j in steps]
+    grads = np.empty((rows.shape[0], spec.n_params))
+    for lo in range(0, rows.shape[0], ADJOINT_CHUNK_ROWS):
+        psi = rows[lo:lo + ADJOINT_CHUNK_ROWS]
+        pair = np.stack([psi, psi * (coeff[lo:lo + ADJOINT_CHUNK_ROWS] @ z_signs)])
+        for (gate, j), inverse in zip(steps, inverses):
+            if j is None:  # a CNOT is its own inverse
+                pair = qsim.apply_cnot_array(pair, gate.control, gate.target, n)
+                continue
+            grads[lo:lo + ADJOINT_CHUNK_ROWS, j] = _generator_overlap(pair[0], pair[1], gate)
+            pair = qsim.apply_1q_array(pair, inverse, gate.target, n)
+    return grads
+
+
 class QuantumPolicy:
     """Trainable policy bundling circuit spec, parameters, and normalizer.
 
@@ -279,7 +351,8 @@ class QuantumPolicy:
         return self.spec.n_actions
 
     # -- evaluation ---------------------------------------------------------
-    def _cached_row_operator(self) -> np.ndarray:
+    def row_operator(self) -> np.ndarray:
+        """The ansatz's row operator for the current theta, built once and cached."""
         if self._rowop is None or not np.array_equal(self._rowop_theta, self.params.theta):
             self._rowop = qsim.circuit_row_operator(build_ansatz(self.spec, self.params),
                                                     self.spec.n_qubits)
@@ -307,7 +380,7 @@ class QuantumPolicy:
 
     def probabilities(self, obs, rng: np.random.Generator | None = None) -> np.ndarray:
         enc = self._encode_batch([obs])
-        prefs = _readout(self.spec, enc @ self._cached_row_operator(), self.shots, rng)[0]
+        prefs = _readout(self.spec, enc @ self.row_operator(), self.shots, rng)[0]
         return softmax_policy(prefs, self.params.beta)
 
     def grad_log(self, obs, action: int, rng: np.random.Generator | None = None) -> np.ndarray:
@@ -316,22 +389,27 @@ class QuantumPolicy:
     def grad_log_batch(self, observations, actions, rng: np.random.Generator | None = None) -> np.ndarray:
         """Log-policy gradients for T (observation, action) pairs: (T, k+1).
 
-        theta block: beta * (g_a - sum_b pi_b g_b); beta entry (analytic):
-        <a> - sum_b pi_b <b>. Observations are assumed already seen by the
-        normalizer (true after a rollout); unseen features are folded in
-        before scaling.
+        theta block: sum_a w_a d<a>/d(theta) with w = beta * (onehot(a_t) - pi),
+        from the adjoint sweep in exact mode and parameter shift in shot mode;
+        beta entry (analytic): <a> - sum_b pi_b <b>. Observations are assumed
+        already seen by the normalizer (true after a rollout); unseen features
+        are folded in before scaling.
         """
         actions = np.asarray(actions, dtype=int)
         if np.any(actions < 0) or np.any(actions >= self.spec.n_actions):
             raise ContractError("action index out of range")
         enc = self._encode_batch(observations)
-        prefs = row_preferences(self.spec, self.params, enc, self.shots, rng)
+        out_rows = enc @ self.row_operator()
+        prefs = _readout(self.spec, out_rows, self.shots, rng)
         probs = softmax_policy(prefs, self.params.beta)
-        grads = shift_gradients(self.spec, self.params, enc, self.shots, rng)
         rows = np.arange(enc.shape[0])
-        g_taken = grads[rows, :, actions]
-        g_mean = np.einsum("tka,ta->tk", grads, probs)
-        gtheta = self.params.beta * (g_taken - g_mean)
+        weights = -self.params.beta * probs
+        weights[rows, actions] += self.params.beta
+        if self.shots:
+            grads = shift_gradients(self.spec, self.params, enc, self.shots, rng)
+            gtheta = np.einsum("tka,ta->tk", grads, weights)
+        else:
+            gtheta = adjoint_gradients(self.spec, self.params, out_rows, weights)
         gbeta = prefs[rows, actions] - np.einsum("ta,ta->t", prefs, probs)
         return np.concatenate([gtheta, gbeta[:, None]], axis=1)
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qpolgrad import config as cfg
-from qpolgrad import reinforce, vqpolicy
+from qpolgrad import qsim, reinforce, vqpolicy
 from qpolgrad.envs import EnvObservation, discounted_returns
 from qpolgrad.errors import ContractError
 from qpolgrad.reinforce import (
@@ -290,6 +290,32 @@ def test_shot_mode_training_is_finite_and_deterministic():
     assert np.all(np.isfinite(shot_rows))
     assert rows(200) == shot_rows
     assert rows(0) != shot_rows
+
+
+@pytest.mark.parametrize("parallel", [1, 2])
+def test_one_row_operator_build_per_batch(monkeypatch, parallel):
+    # The rollouts' episode views share one operator built before they are
+    # taken, and the batch gradient reuses it: theta is unchanged until Adam.
+    build, gradient = qsim.circuit_row_operator, reinforce.policy_gradient
+    builds, gradient_builds = [], []
+
+    def counting_build(*args, **kwargs):
+        builds.append(1)
+        return build(*args, **kwargs)
+
+    def watched_gradient(*args, **kwargs):
+        before = len(builds)
+        result = gradient(*args, **kwargs)
+        gradient_builds.append(len(builds) - before)
+        return result
+
+    monkeypatch.setattr(qsim, "circuit_row_operator", counting_build)
+    monkeypatch.setattr(reinforce, "policy_gradient", watched_gradient)
+    cfg_run = cfg.preset_config("cartpole-quantum",
+                                {"episodes": 10, "seed": 0, "parallel_rollouts": parallel})
+    assert len(list(train(cfg_run))) == cfg_run.batch_size
+    assert len(builds) == 1
+    assert gradient_builds == [0]
 
 
 @pytest.mark.parametrize("preset", ["cartpole-quantum", "cartpole-classical",

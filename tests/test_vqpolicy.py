@@ -303,6 +303,43 @@ def test_grad_log_beta_entry_zero_under_symmetry():
     assert g[-1] == pytest.approx(0.0, abs=1e-12)
 
 
+def adjoint_case(spec, rng, t):
+    """Random angles, T input rows and per-row observable weights."""
+    params = random_params(spec, rng)
+    if spec.encoding == "angle_rx":
+        enc = encoded_rows(rng.uniform(-np.pi, np.pi, size=(t, spec.n_qubits)))
+    else:
+        enc = np.stack([random_state(rng, spec.n_qubits).amplitudes for _ in range(t)])
+    return params, enc, rng.normal(size=(t, spec.n_actions))
+
+
+def output_rows(spec, params, enc):
+    return enc @ qsim.circuit_row_operator(build_ansatz(spec, params), spec.n_qubits)
+
+
+@pytest.mark.parametrize("spec, t", [(layered(1, 2, 1), 9), (layered(4, 3, 2), 40),
+                                     (layered(6, 4, 3), 30), (layered(8, 1, 2), 3),
+                                     (U3_SPEC, 20)])
+def test_adjoint_matches_parameter_shift(spec, t):
+    # The adjoint theta block is the shift gradient contracted with the same weights.
+    params, enc, weights = adjoint_case(spec, np.random.default_rng(40), t)
+    got = vqpolicy.adjoint_gradients(spec, params, output_rows(spec, params, enc), weights)
+    want = np.einsum("tka,ta->tk", shift_gradients(spec, params, enc), weights)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_adjoint_chunks_match_single_rows():
+    spec = layered(3, 2, 2)
+    t = vqpolicy.ADJOINT_CHUNK_ROWS + 7
+    params, enc, weights = adjoint_case(spec, np.random.default_rng(41), t)
+    rows = output_rows(spec, params, enc)
+    batch = vqpolicy.adjoint_gradients(spec, params, rows, weights)
+    assert batch.shape == (t, spec.n_params)
+    for i in range(t):
+        single = vqpolicy.adjoint_gradients(spec, params, rows[i:i + 1], weights[i:i + 1])
+        np.testing.assert_allclose(batch[i], single[0], rtol=0, atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # QuantumPolicy wrapper
 # ---------------------------------------------------------------------------

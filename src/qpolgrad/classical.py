@@ -193,22 +193,18 @@ class MlpPolicy:
     def set_vector(self, vec: np.ndarray) -> None:
         self.params = MlpParams.from_flat(self.spec, vec)
 
-    def _features(self, obs) -> np.ndarray:
-        return np.asarray(obs.features if hasattr(obs, "features") else obs, dtype=float)
-
     def probabilities(self, obs, rng: np.random.Generator | None = None) -> np.ndarray:
         # action sampling uses the eval-mode (mean) network
-        return softmax_policy(forward(self.spec, self.params, self._features(obs)), 1.0)
+        return softmax_policy(forward(self.spec, self.params, obs), 1.0)
 
     def grad_log(self, obs, action: int, rng: np.random.Generator | None = None) -> np.ndarray:
         mode = "train" if self.spec.dropout_p > 0.0 else "eval"
-        return grad_log_policy(self.spec, self.params, self._features(obs), action,
-                               mode=mode, rng=rng)
+        return grad_log_policy(self.spec, self.params, obs, action, mode=mode, rng=rng)
 
     def grad_log_batch(self, observations, actions, rng: np.random.Generator | None = None) -> np.ndarray:
-        feats = np.stack([self._features(o) for o in observations])
         mode = "train" if self.spec.dropout_p > 0.0 else "eval"
-        return grad_log_policy_batch(self.spec, self.params, feats, actions, mode=mode, rng=rng)
+        return grad_log_policy_batch(self.spec, self.params, observations, actions, mode=mode,
+                                     rng=rng)
 
     # -- persistence ----------------------------------------------------------
     def to_checkpoint(self) -> dict:

@@ -89,12 +89,13 @@ def fisher_spectrum(policy, environment: str, rollouts: int, rng: np.random.Gene
     Rollouts and gradients run on a normalizer snapshot, as a training
     episode does, so observing a policy leaves it unchanged.
     """
+    if rollouts < 1:
+        raise ContractError(f"a Fisher spectrum needs at least one rollout, got {rollouts}")
     view = reinforce.episode_view(policy)
-    states, actions = [], []
-    for _ in range(rollouts):
-        traj = reinforce.rollout(envs.make_env(environment), view, rng, gamma)
-        states.extend(traj.observations)
-        actions.extend(traj.actions)
+    trajs = [reinforce.rollout(envs.make_env(environment), view, rng, gamma)
+             for _ in range(rollouts)]
+    states = np.concatenate([traj.observations for traj in trajs])
+    actions = np.concatenate([traj.actions for traj in trajs])
     return analysis.spectrum(analysis.fisher_matrix(view, states, actions,
                                                     include_beta=include_beta))
 
@@ -167,7 +168,7 @@ def run(config) -> int:
         for step, (obs, action, reward) in enumerate(
                 zip(traj.observations, traj.actions, traj.rewards)):
             traj_writer.writerow([episode, step]
-                                 + [_fmt(f) for f in np.asarray(obs.features)]
+                                 + [_fmt(f) for f in obs]
                                  + [int(action), _fmt(reward), int(step == last)])
 
     try:
@@ -349,7 +350,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out")
     p_run.add_argument("--shots", type=int)
     p_run.add_argument("--batch-size", type=int)
-    p_run.add_argument("--parallel-rollouts", type=int)
     p_run.add_argument("--fisher", action="store_true",
                        help="collect Fisher spectra every 10%% of the budget")
     p_run.add_argument("--dump-trajectories", action="store_true")
@@ -413,7 +413,6 @@ def _run_command(args) -> int:
         "output_dir": args.out,
         "shots": args.shots,
         "batch_size": args.batch_size,
-        "parallel_rollouts": args.parallel_rollouts,
         "fisher_checkpoints": True if args.fisher else None,
         "dump_trajectories": True if args.dump_trajectories else None,
         "timing": True if args.timing else None,

@@ -26,6 +26,9 @@ INIT_KEYS = {
     "uniform": {"kind", "a", "b"},
 }
 INIT_KINDS = tuple(INIT_KEYS)
+BETA_INIT_DEFAULT = {"mean": 1.0, "std": 0.1}
+# Fields that say where and how a run reports, not what it computes.
+REPORTING_FIELDS = ("output_dir", "name", "timing", "dump_trajectories")
 
 
 def _circuit_width(environment: str) -> int:
@@ -51,11 +54,10 @@ class ExperimentConfig:
     hidden_sizes: tuple[int, ...] | None = None
     dropout_p: float = 0.0
     init: dict = field(default_factory=lambda: {"kind": "glorot_normal", "gain": 1.0})
-    beta_init: dict = field(default_factory=lambda: {"mean": 1.0, "std": 0.1})
+    beta_init: dict = field(default_factory=lambda: dict(BETA_INIT_DEFAULT))
     output_dir: str | None = None
     fisher_checkpoints: bool = False
     fisher_theta_only: bool = False
-    parallel_rollouts: int = 1
     dump_trajectories: bool = False
     timing: bool = False
     name: str | None = None
@@ -159,11 +161,16 @@ def _validate(data: dict) -> list[str]:
     check_range("seed", lambda v: isinstance(v, int), "must be an integer")
     check_range("n_qubits", lambda v: isinstance(v, int) and 1 <= v <= 8, "must be in [1, 8]")
     check_range("dropout_p", lambda v: 0 <= v < 1, "must be in [0, 1)")
-    check_range("parallel_rollouts", lambda v: isinstance(v, int) and v >= 1,
-                "must be an integer >= 1")
 
-    if pol == "classical" and data.get("shots"):
-        errors.append("shots: only a quantum policy is read out with shots")
+    if pol == "classical":
+        if data.get("shots"):
+            errors.append("shots: only a quantum policy is read out with shots")
+        if data.get("n_qubits") is not None:
+            errors.append("n_qubits: a classical policy has no qubits")
+        if data.get("n_layers") not in (None, 1):
+            errors.append("n_layers: a classical policy's layers are set by hidden_sizes")
+        if data.get("beta_init") not in (None, BETA_INIT_DEFAULT):
+            errors.append("beta_init: a classical policy has no inverse temperature")
     if pol == "quantum":
         if data.get("hidden_sizes") is not None:
             errors.append("hidden_sizes: a quantum policy has no hidden layers")
@@ -188,6 +195,7 @@ def _validate(data: dict) -> list[str]:
             errors.append("init: uniform bounds need a < b")
     beta_init = data.get("beta_init")
     if beta_init is not None and (not isinstance(beta_init, dict)
+                                  or set(beta_init) - set(BETA_INIT_DEFAULT)
                                   or not beta_init.get("std", 0.1) >= 0):
         errors.append("beta_init: expected {'mean': m, 'std': s >= 0}")
     return errors
@@ -198,7 +206,12 @@ def from_dict(data: dict, overrides: dict | None = None) -> ExperimentConfig:
     merged = dict(data)
     if overrides:
         merged.update({k: v for k, v in overrides.items() if v is not None})
+    # Legacy key: episodes run one after another, so it selects nothing. Older
+    # manifests and config files carry it, so a valid value is still accepted.
+    legacy = merged.pop("parallel_rollouts", 1)
     errors = _validate(merged)
+    if not (isinstance(legacy, int) and legacy >= 1):
+        errors.append(f"parallel_rollouts: must be an integer >= 1 (got {legacy!r})")
     if errors:
         raise ConfigError("invalid configuration: " + "; ".join(errors))
     if "hidden_sizes" in merged and merged["hidden_sizes"] is not None:
@@ -226,5 +239,8 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
 
 
 def config_hash(config: ExperimentConfig) -> str:
-    canonical = json.dumps(config.to_dict(), sort_keys=True)
+    """SHA-256 over the fields that determine a run's results; the reporting
+    fields are left out, so a rerun elsewhere or under another name matches."""
+    result_fields = {k: v for k, v in config.to_dict().items() if k not in REPORTING_FIELDS}
+    canonical = json.dumps(result_fields, sort_keys=True)
     return hashlib.sha256(canonical.encode()).hexdigest()

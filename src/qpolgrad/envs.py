@@ -5,6 +5,8 @@ constant frozen here so no external library is needed. The control task
 (QControl) evolves one qubit under H = 4*J*sigma_z + h*sigma_x, where the
 agent's binary action sets the pulse J per step; the reward is the fidelity
 to the target state |1>.
+
+An observation is a plain float feature row of length `spec.n_features`.
 """
 from __future__ import annotations
 
@@ -14,22 +16,6 @@ import numpy as np
 
 from . import qsim
 from .errors import ConfigError, ContractError
-
-
-@dataclass
-class EnvObservation:
-    """What the agent sees: a feature vector, plus the raw qubit for QControl."""
-
-    features: np.ndarray
-    quantum_state: qsim.Statevector | None = None
-
-
-@dataclass
-class StepResult:
-    observation: EnvObservation
-    reward: float
-    done: bool
-    step_index: int
 
 
 @dataclass(frozen=True)
@@ -69,12 +55,13 @@ class _EpisodicEnv:
         self._step_index = 0
         self._done = True
 
-    def reset(self, rng: np.random.Generator) -> EnvObservation:
+    def reset(self, rng: np.random.Generator) -> np.ndarray:
         self._step_index = 0
         self._done = False
         return self._reset(rng)
 
-    def step(self, action: int) -> StepResult:
+    def step(self, action: int) -> tuple[np.ndarray, float, bool]:
+        """(features, reward, done) after one action; done also at the step cap."""
         if self._done:
             raise ContractError(f"{self.spec.name}: step() on a finished episode")
         if not 0 <= action < self.spec.n_actions:
@@ -84,7 +71,7 @@ class _EpisodicEnv:
         if self._step_index >= self.spec.max_steps:
             done = True
         self._done = done
-        return StepResult(obs, reward, done, self._step_index)
+        return obs, reward, done
 
 
 class CartPole(_EpisodicEnv):
@@ -109,7 +96,7 @@ class CartPole(_EpisodicEnv):
 
     def _reset(self, rng):
         self.state = rng.uniform(-0.05, 0.05, size=4)
-        return EnvObservation(self.state.copy())
+        return self.state.copy()
 
     def _step(self, action):
         x, x_dot, theta, theta_dot = self.state
@@ -126,7 +113,7 @@ class CartPole(_EpisodicEnv):
         theta_dot = theta_dot + self.TAU * thetaacc
         self.state = np.array([x, x_dot, theta, theta_dot])
         done = bool(abs(x) > self.X_LIMIT or abs(theta) > self.THETA_LIMIT)
-        return EnvObservation(self.state.copy()), 1.0, done
+        return self.state.copy(), 1.0, done
 
 
 def _wrap(x: float, low: float, high: float) -> float:
@@ -160,7 +147,7 @@ class Acrobot(_EpisodicEnv):
 
     def _observation(self):
         t1, t2, d1, d2 = self.state
-        return EnvObservation(np.array([np.cos(t1), np.sin(t1), np.cos(t2), np.sin(t2), d1, d2]))
+        return np.array([np.cos(t1), np.sin(t1), np.cos(t2), np.sin(t2), d1, d2])
 
     def _dsdt(self, s, torque):
         m1, m2 = self.LINK_MASS_1, self.LINK_MASS_2
@@ -208,7 +195,8 @@ class QControl(_EpisodicEnv):
 
     Action a sets J = a in H = 4*J*sigma_z + sigma_x; the state evolves for
     a fixed slice pi/20, so ten pulse-free steps realize an exact pi
-    rotation onto the target. The per-step reward is the fidelity to |1>.
+    rotation onto the target. The per-step reward is the fidelity to |1>, and
+    the features are the qubit's amplitudes (`qsim.amplitude_features`).
     The spec'd terminal rule (fidelity <= 1e-4) is implemented as written;
     with this slice length it essentially never fires before the step cap.
     """
@@ -230,9 +218,7 @@ class QControl(_EpisodicEnv):
         return self._observation()
 
     def _observation(self):
-        a0, a1 = self.qubit.amplitudes
-        feats = np.array([a0.real, a0.imag, a1.real, a1.imag])
-        return EnvObservation(feats, self.qubit.copy())
+        return qsim.amplitude_features(self.qubit.amplitudes)
 
     def _step(self, action):
         h = qsim.TwoLevelHamiltonian(self.PULSE_SCALE * action, self.H_FIELD)

@@ -17,6 +17,10 @@ gate for its adjoint gradient. The row-operator build and that sweep share
 one single-qubit kernel, `apply_1q_array`. The gate-by-gate `Statevector` API
 serves the environments and is the tests' independent reference for the
 batched path.
+
+A state travels outside the simulator as a float feature row: its amplitudes
+as interleaved (re, im) pairs. `amplitude_features` and `feature_amplitudes`
+own that format and convert both ways bit for bit.
 """
 from __future__ import annotations
 
@@ -199,6 +203,18 @@ def measure_z_array(rows: np.ndarray, qubits, n_qubits: int, shots: int = 0,
         return np.stack([m[:, 0] - m[:, 1] for m in margs], axis=1)
     p0 = np.stack([m[:, 0] for m in margs], axis=1)
     return 2.0 * rng.binomial(shots, np.clip(p0, 0.0, 1.0)) / shots - 1.0
+
+
+def amplitude_features(amps: np.ndarray) -> np.ndarray:
+    """Amplitudes as a float row of interleaved (re, im) pairs, twice as long."""
+    return np.array(amps, dtype=complex).view(float)
+
+
+def feature_amplitudes(features: np.ndarray) -> np.ndarray:
+    """Complex amplitudes from rows of interleaved (re, im) pairs; the inverse
+    of `amplitude_features`."""
+    # a fresh C-ordered copy, so the complex view is aligned; an odd width raises ValueError
+    return np.array(features, dtype=float, order="C").view(complex)
 
 
 # ---------------------------------------------------------------------------

@@ -3,14 +3,15 @@
 One training iteration collects a batch of trajectories under the current
 policy, subtracts the per-timestep mean return as a baseline, averages
 (G_t - b_t) * grad log pi(a_t | s_t) over everything, and takes one Adam
-step uphill. Episode streams are seeded per episode index, so results do
-not depend on whether a batch's rollouts run sequentially or in parallel.
+step uphill. Each episode runs on its own seeded stream and its own
+snapshot of the feature normalizer, so an episode does not depend on the
+order in which a batch's episodes run. Observations travel as float feature
+rows, and a trajectory holds them as one (T, n_features) array.
 """
 from __future__ import annotations
 
 import copy
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,9 +24,10 @@ from .vqpolicy import CircuitSpec, PolicyParams, QuantumPolicy
 
 @dataclass
 class Trajectory:
-    """One episode: decision-time observations, actions, rewards, cached returns."""
+    """One episode: decision-time feature rows (T, n_features), actions,
+    rewards, cached returns."""
 
-    observations: list
+    observations: np.ndarray
     actions: np.ndarray
     rewards: np.ndarray
     returns: np.ndarray
@@ -33,6 +35,8 @@ class Trajectory:
     def __post_init__(self):
         if len(self.observations) == 0:
             raise ContractError("a trajectory cannot be empty")
+        if np.ndim(self.observations) != 2:
+            raise ContractError("trajectory observations must be one feature row per step")
         if not (len(self.observations) == len(self.actions) == len(self.rewards)
                 == len(self.returns)):
             raise ContractError("trajectory fields must have equal length")
@@ -158,13 +162,10 @@ def policy_gradient(batch: list[Trajectory], policy,
                     rng: np.random.Generator | None = None) -> np.ndarray:
     """REINFORCE-with-baseline estimate of grad J over the trainable vector."""
     b = baseline(batch)
-    observations, actions, advantages = [], [], []
-    for traj in batch:
-        observations.extend(traj.observations)
-        actions.extend(traj.actions)
-        advantages.append(traj.returns - b[: len(traj)])
-    adv = np.concatenate(advantages)
-    glog = policy.grad_log_batch(observations, np.asarray(actions), rng)
+    observations = np.concatenate([traj.observations for traj in batch])
+    actions = np.concatenate([traj.actions for traj in batch])
+    adv = np.concatenate([traj.returns - b[: len(traj)] for traj in batch])
+    glog = policy.grad_log_batch(observations, actions, rng)
     return adv @ glog / len(batch)
 
 
@@ -180,16 +181,13 @@ def rollout(env, policy, rng: np.random.Generator, gamma: float) -> Trajectory:
     observations, actions, rewards = [], [], []
     done = False
     while not done:
-        probs = policy.probabilities(obs, rng)
-        action = sample_action(probs, rng)
-        result = env.step(action)
+        action = sample_action(policy.probabilities(obs, rng), rng)
         observations.append(obs)
         actions.append(action)
-        rewards.append(result.reward)
-        obs = result.observation
-        done = result.done
+        obs, reward, done = env.step(action)
+        rewards.append(reward)
     rewards = np.asarray(rewards, dtype=float)
-    return Trajectory(observations, np.asarray(actions), rewards,
+    return Trajectory(np.stack(observations), np.asarray(actions), rewards,
                       discounted_returns(rewards, gamma))
 
 
@@ -208,28 +206,22 @@ def episode_view(policy):
 
 
 def collect_batch(config, policy, first_episode: int, n_episodes: int) -> list[Trajectory]:
-    """Roll out `n_episodes` episodes, each on its own seeded stream.
+    """Roll out `n_episodes` episodes one after another, each on its own
+    seeded stream.
 
-    Every episode uses a snapshot of the policy's feature normalizer;
-    snapshots are merged back afterwards, so sequential and parallel
-    execution produce identical batches. A quantum policy builds its row
-    operator once, before the views copy it, and the batch's gradient
-    reuses it because theta does not change during the rollouts.
+    Every episode scales its features with a snapshot of the policy's
+    normalizer taken before the batch, and the snapshots are merged back
+    afterwards, so no episode sees what another one observed and the batch
+    does not depend on the order its episodes run in. A quantum policy
+    builds its row operator once, before the views copy it, and the batch's
+    gradient reuses it because theta does not change during the rollouts.
     """
     if policy.kind == "quantum":
         policy.row_operator()
     views = [episode_view(policy) for _ in range(n_episodes)]
-
-    def run(i: int) -> Trajectory:
-        env = make_env(config.environment)
-        return rollout(env, views[i], _episode_rng(config.seed, first_episode + i),
-                       config.gamma)
-
-    if config.parallel_rollouts > 1 and n_episodes > 1:
-        with ThreadPoolExecutor(max_workers=config.parallel_rollouts) as pool:
-            batch = list(pool.map(run, range(n_episodes)))
-    else:
-        batch = [run(i) for i in range(n_episodes)]
+    batch = [rollout(make_env(config.environment), view,
+                     _episode_rng(config.seed, first_episode + i), config.gamma)
+             for i, view in enumerate(views)]
     master = getattr(policy, "normalizer", None)
     if master is not None:
         for view in views:

@@ -1,9 +1,10 @@
 """Variational softmax policy over a shallow quantum circuit.
 
 The policy pipeline: classical features are angle-encoded into qubits (or a
-quantum state is consumed directly), a layered hardware-efficient ansatz (or
-a single U3 gate) is applied, per-action preferences are read out as Pauli-Z
-expectations, and a trainable inverse temperature sharpens the softmax.
+quantum state, given as its `qsim.amplitude_features` row, is consumed
+directly), a layered hardware-efficient ansatz (or a single U3 gate) is
+applied, per-action preferences are read out as Pauli-Z expectations, and a
+trainable inverse temperature sharpens the softmax.
 
 There is one engine for exact and shot mode alike: a batch of input states
 is stacked as rows and pushed through the ansatz's 2**n x 2**n row operator,
@@ -359,22 +360,14 @@ class QuantumPolicy:
             self._rowop_theta = self.params.theta.copy()
         return self._rowop
 
-    def _obs_features(self, obs) -> np.ndarray:
-        return np.asarray(obs.features if hasattr(obs, "features") else obs, dtype=float)
-
-    def _obs_state(self, obs) -> qsim.Statevector:
-        state = obs.quantum_state if hasattr(obs, "quantum_state") else obs
-        if not isinstance(state, qsim.Statevector):
-            raise ContractError("policy with encoding 'none' needs a quantum state observation")
-        if state.n_qubits != self.spec.n_qubits:
-            raise ContractError("input state qubit count does not match the circuit")
-        return state
-
     def _encode_batch(self, observations) -> np.ndarray:
-        """Row-stacked input states, shape (T, 2**n). Updates the normalizer."""
+        """Row-stacked input states, shape (T, 2**n), from one feature row or a
+        (T, n_features) array. Updates the normalizer."""
+        feats = np.atleast_2d(np.asarray(observations, dtype=float))
         if self.spec.encoding == "none":
-            return np.stack([self._obs_state(o).amplitudes for o in observations])
-        feats = np.stack([self._obs_features(o) for o in observations])
+            if feats.shape[-1] != 2 ** (self.spec.n_qubits + 1):
+                raise ContractError("input state qubit count does not match the circuit")
+            return qsim.feature_amplitudes(feats)
         self.normalizer.observe(feats)
         return encoded_rows(feats * (np.pi / self.normalizer.running_abs_max))
 

@@ -46,9 +46,10 @@ def test_discounted_returns_edge_cases():
 def test_cartpole_reset_range_and_determinism():
     env = CartPole()
     obs = env.reset(np.random.default_rng(5))
-    assert np.all(np.abs(obs.features) < 0.05)
+    assert obs.shape == (4,)
+    assert np.all(np.abs(obs) < 0.05)
     obs2 = CartPole().reset(np.random.default_rng(5))
-    np.testing.assert_array_equal(obs.features, obs2.features)
+    np.testing.assert_array_equal(obs, obs2)
 
 
 def test_cartpole_first_step_from_rest():
@@ -58,13 +59,12 @@ def test_cartpole_first_step_from_rest():
     env = CartPole()
     env.reset(np.random.default_rng(0))
     env.state = np.zeros(4)
-    result = env.step(1)
-    x, x_dot, theta, theta_dot = result.observation.features
+    (x, x_dot, theta, theta_dot), reward, done = env.step(1)
     assert (x, theta) == (0.0, 0.0)
     assert x_dot == pytest.approx(8 / 41, abs=1e-12)
     assert theta_dot == pytest.approx(-12 / 41, abs=1e-12)
-    assert result.reward == 1.0
-    assert not result.done
+    assert reward == 1.0
+    assert not done
 
 
 def test_cartpole_reward_is_one_every_step():
@@ -73,17 +73,16 @@ def test_cartpole_reward_is_one_every_step():
     rng = np.random.default_rng(2)
     done = False
     while not done:
-        result = env.step(int(rng.integers(2)))
-        assert result.reward == 1.0
-        done = result.done
+        _, reward, done = env.step(int(rng.integers(2)))
+        assert reward == 1.0
 
 
 def test_cartpole_out_of_bounds_terminates():
     env = CartPole()
     env.reset(np.random.default_rng(0))
     env.state = np.array([2.39, 50.0, 0.0, 0.0])  # will cross x = 2.4
-    result = env.step(1)
-    assert result.done
+    _, _, done = env.step(1)
+    assert done
 
 
 def test_cartpole_episode_cap_200():
@@ -94,9 +93,8 @@ def test_cartpole_episode_cap_200():
     while not done:
         env.state[2] = 0.0  # hold the pole upright to force the cap
         env.state[3] = 0.0
-        result = env.step(steps % 2)
+        _, _, done = env.step(steps % 2)
         steps += 1
-        done = result.done
     assert steps == 200
     with pytest.raises(ContractError):
         env.step(0)
@@ -113,7 +111,7 @@ def test_cartpole_survives_at_least_eight_steps_under_constant_push():
             steps = 0
             done = False
             while not done and steps < 20:
-                done = env.step(action).done
+                _, _, done = env.step(action)
                 steps += 1
             assert steps >= 8
 
@@ -125,9 +123,9 @@ def test_cartpole_determinism_bitwise():
     env_b.reset(rng_b)
     actions = np.random.default_rng(10).integers(2, size=50)
     for a in actions:
-        ra, rb = env_a.step(int(a)), env_b.step(int(a))
-        assert np.array_equal(ra.observation.features, rb.observation.features)
-        if ra.done:
+        (obs_a, _, done), (obs_b, _, _) = env_a.step(int(a)), env_b.step(int(a))
+        assert np.array_equal(obs_a, obs_b)
+        if done:
             break
 
 
@@ -137,17 +135,18 @@ def test_cartpole_determinism_bitwise():
 
 def test_acrobot_reset_observation_bounds():
     obs = Acrobot().reset(np.random.default_rng(4))
-    assert np.all(np.abs(obs.features) <= np.array([1, 1, 1, 1, 0.1, 0.1]) + 1e-12)
+    assert obs.shape == (6,)
+    assert np.all(np.abs(obs) <= np.array([1, 1, 1, 1, 0.1, 0.1]) + 1e-12)
 
 
 def test_acrobot_hanging_rest_is_equilibrium():
     env = Acrobot()
     env.reset(np.random.default_rng(0))
     env.state = np.zeros(4)
-    result = env.step(1)  # zero torque
+    _, reward, done = env.step(1)  # zero torque
     np.testing.assert_allclose(env.state, np.zeros(4), atol=1e-12)
-    assert result.reward == -1.0
-    assert not result.done
+    assert reward == -1.0
+    assert not done
 
 
 def test_acrobot_goal_gives_zero_reward_and_done():
@@ -156,18 +155,18 @@ def test_acrobot_goal_gives_zero_reward_and_done():
     # place the system so the next step keeps the tip above the bar:
     # theta1 = pi (first link straight up), theta2 = 0, at rest
     env.state = np.array([np.pi, 0.0, 0.0, 0.0])
-    result = env.step(1)
+    _, reward, done = env.step(1)
     height = -np.cos(env.state[0]) - np.cos(env.state[0] + env.state[1])
     assert height > 1.0
-    assert result.reward == 0.0
-    assert result.done
+    assert reward == 0.0
+    assert done
 
 
 def test_acrobot_nongoal_reward_minus_one():
     env = Acrobot()
     env.reset(np.random.default_rng(11))
-    result = env.step(0)
-    assert result.reward == -1.0
+    _, reward, _ = env.step(0)
+    assert reward == -1.0
 
 
 def test_acrobot_velocity_clipping():
@@ -185,7 +184,7 @@ def test_acrobot_episode_cap_500():
     steps = 0
     done = False
     while not done:
-        done = env.step(1).done
+        _, _, done = env.step(1)
         steps += 1
         assert steps <= 500
     assert steps == 500  # zero torque never reaches the goal
@@ -199,9 +198,9 @@ def test_acrobot_determinism_bitwise():
         env.reset(np.random.default_rng(14))
         feats = []
         for a in actions:
-            r = env.step(int(a))
-            feats.append(r.observation.features)
-            if r.done:
+            obs, _, done = env.step(int(a))
+            feats.append(obs)
+            if done:
                 break
         trajs.append(np.array(feats))
     assert np.array_equal(trajs[0], trajs[1])
@@ -213,33 +212,33 @@ def test_acrobot_determinism_bitwise():
 
 def test_qcontrol_reset_is_ground_state():
     obs = QControl().reset(np.random.default_rng(0))
-    np.testing.assert_allclose(obs.features, [1, 0, 0, 0])
-    np.testing.assert_allclose(obs.quantum_state.amplitudes, [1, 0])
+    np.testing.assert_array_equal(obs, [1, 0, 0, 0])
+    np.testing.assert_array_equal(qsim.feature_amplitudes(obs), [1, 0])
 
 
 def test_qcontrol_first_pulse_free_step_reward():
     env = QControl()
     env.reset(np.random.default_rng(0))
-    result = env.step(0)
-    assert result.reward == pytest.approx(np.sin(np.pi / 20) ** 2, abs=1e-12)
-    assert result.reward == pytest.approx(0.02447174185242318, abs=1e-12)
+    _, reward, _ = env.step(0)
+    assert reward == pytest.approx(np.sin(np.pi / 20) ** 2, abs=1e-12)
+    assert reward == pytest.approx(0.02447174185242318, abs=1e-12)
 
 
 def test_qcontrol_ten_free_steps_reach_target():
     env = QControl()
     env.reset(np.random.default_rng(0))
     for _ in range(10):
-        result = env.step(0)
-    assert result.reward == pytest.approx(1.0, abs=1e-12)
-    assert result.done
+        _, reward, done = env.step(0)
+    assert reward == pytest.approx(1.0, abs=1e-12)
+    assert done
 
 
 def test_qcontrol_rotating_off_target_lowers_fidelity():
     env = QControl()
     env.reset(np.random.default_rng(0))
     env.qubit = qsim.Statevector(1, np.array([0, 1], dtype=complex))
-    result = env.step(0)
-    assert result.reward < 1.0
+    _, reward, _ = env.step(0)
+    assert reward < 1.0
 
 
 def test_qcontrol_view_consistency_and_norm():
@@ -248,14 +247,13 @@ def test_qcontrol_view_consistency_and_norm():
     rng = np.random.default_rng(2)
     done = False
     while not done:
-        result = env.step(int(rng.integers(2)))
-        amps = result.observation.quantum_state.amplitudes
-        np.testing.assert_array_equal(
-            result.observation.features,
-            [amps[0].real, amps[0].imag, amps[1].real, amps[1].imag],
-        )
+        obs, _, done = env.step(int(rng.integers(2)))
+        amps = env.qubit.amplitudes
+        np.testing.assert_array_equal(obs, [amps[0].real, amps[0].imag,
+                                            amps[1].real, amps[1].imag])
+        # the row rebuilds the qubit's amplitudes bit for bit
+        np.testing.assert_array_equal(qsim.feature_amplitudes(obs), amps)
         assert abs(np.linalg.norm(amps) - 1.0) < 1e-10
-        done = result.done
 
 
 def test_qcontrol_episode_cap_ten():
@@ -265,7 +263,7 @@ def test_qcontrol_episode_cap_ten():
     steps = 0
     done = False
     while not done:
-        done = env.step(int(rng.integers(2))).done
+        _, _, done = env.step(int(rng.integers(2)))
         steps += 1
     assert steps <= 10
 
@@ -298,7 +296,7 @@ def test_qcontrol_exhaustive_best_sequence_total():
     env.reset(np.random.default_rng(0))
     total = 0.0
     for _ in range(10):
-        total += env.step(0).reward
+        total += env.step(0)[1]
     assert total == pytest.approx(best, abs=1e-9)
 
 

@@ -249,3 +249,20 @@ def test_expectation_z_array_batched():
         for q in range(n):
             oracle = np.vdot(s.amplitudes, kron_single(z, q, n) @ s.amplitudes).real
             assert row[q] == pytest.approx(oracle, abs=1e-12)
+
+
+def test_amplitude_features_roundtrip_bit_for_bit():
+    # A state leaves the simulator as interleaved (re, im) floats and comes
+    # back unchanged, row by row, including signed zeros.
+    rng = np.random.default_rng(9)
+    batch = np.stack([random_state(rng, 2).amplitudes for _ in range(5)])
+    batch[0, 1] = complex(-0.0, 0.0)
+    feats = qsim.amplitude_features(batch)
+    assert feats.shape == (5, 8) and feats.dtype == np.float64
+    np.testing.assert_array_equal(feats[:, 0::2], batch.real)
+    np.testing.assert_array_equal(feats[:, 1::2], batch.imag)
+    back = qsim.feature_amplitudes(feats)
+    assert back.tobytes() == batch.tobytes()
+    assert qsim.feature_amplitudes(feats[3]).tobytes() == batch[3].tobytes()
+    with pytest.raises(ValueError):
+        qsim.feature_amplitudes(np.zeros(3))

@@ -1,10 +1,13 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from qpolgrad import config as cfg
 from qpolgrad import qsim, reinforce, vqpolicy
-from qpolgrad.envs import EnvObservation, discounted_returns
-from qpolgrad.errors import ContractError
+from qpolgrad.envs import discounted_returns
+from qpolgrad.errors import ConfigError, ContractError
 from qpolgrad.reinforce import (
     AdamState,
     Trajectory,
@@ -19,12 +22,13 @@ from qpolgrad.reinforce import (
 )
 from qpolgrad.vqpolicy import CircuitSpec, PolicyParams, QuantumPolicy, softmax_policy
 
+REFERENCE_MANIFEST = Path(__file__).resolve().parent.parent / "cp_s0" / "manifest.json"
 
 def make_traj(rewards, gamma=1.0, actions=None, observations=None):
     rewards = np.asarray(rewards, dtype=float)
     n = len(rewards)
     return Trajectory(
-        observations if observations is not None else [np.zeros(2)] * n,
+        np.asarray(observations) if observations is not None else np.zeros((n, 2)),
         np.asarray(actions if actions is not None else np.zeros(n, dtype=int)),
         rewards,
         discounted_returns(rewards, gamma),
@@ -57,6 +61,8 @@ def test_baseline_ragged_lengths():
 def test_empty_trajectory_rejected():
     with pytest.raises(ContractError):
         Trajectory([], np.array([]), np.array([]), np.array([]))
+    with pytest.raises(ContractError):  # one feature row per step
+        Trajectory(np.zeros(2), np.zeros(2, dtype=int), np.zeros(2), np.zeros(2))
 
 
 # ---------------------------------------------------------------------------
@@ -156,9 +162,7 @@ def bandit_policy(beta=1.2):
 
 
 def bandit_obs():
-    from qpolgrad import qsim
-
-    return EnvObservation(np.array([1.0, 0, 0, 0]), qsim.init_zero(1))
+    return qsim.amplitude_features(qsim.init_zero(1).amplitudes)
 
 
 def test_single_step_no_baseline_gradient_shape():
@@ -270,12 +274,21 @@ def test_train_is_deterministic_for_fixed_seed():
 
 
 def test_parallel_rollouts_match_sequential():
+    # `parallel_rollouts` is a legacy key: a valid value still loads and
+    # changes nothing, because episodes always run one after another.
+    manifest = json.loads(REFERENCE_MANIFEST.read_text())
+    assert cfg.from_dict(manifest["config"]) == cfg.from_dict(
+        {k: v for k, v in manifest["config"].items() if k != "parallel_rollouts"})
     base = cfg.preset_config("cartpole-quantum", {"episodes": 20, "seed": 5})
     par = cfg.preset_config("cartpole-quantum",
                             {"episodes": 20, "seed": 5, "parallel_rollouts": 4})
-    rows_seq = [(r.episode, r.total_reward, r.grad_norm) for r in train(base)]
-    rows_par = [(r.episode, r.total_reward, r.grad_norm) for r in train(par)]
+    rows_seq = [(r.episode, r.total_reward, r.discounted_return, r.beta, r.grad_norm)
+                for r in train(base)]
+    rows_par = [(r.episode, r.total_reward, r.discounted_return, r.beta, r.grad_norm)
+                for r in train(par)]
     assert rows_seq == rows_par
+    with pytest.raises(ConfigError):
+        cfg.preset_config("cartpole-quantum", {"parallel_rollouts": 0})
 
 
 def test_shot_mode_training_is_finite_and_deterministic():
@@ -292,8 +305,7 @@ def test_shot_mode_training_is_finite_and_deterministic():
     assert rows(0) != shot_rows
 
 
-@pytest.mark.parametrize("parallel", [1, 2])
-def test_one_row_operator_build_per_batch(monkeypatch, parallel):
+def test_one_row_operator_build_per_batch(monkeypatch):
     # The rollouts' episode views share one operator built before they are
     # taken, and the batch gradient reuses it: theta is unchanged until Adam.
     build, gradient = qsim.circuit_row_operator, reinforce.policy_gradient
@@ -311,8 +323,7 @@ def test_one_row_operator_build_per_batch(monkeypatch, parallel):
 
     monkeypatch.setattr(qsim, "circuit_row_operator", counting_build)
     monkeypatch.setattr(reinforce, "policy_gradient", watched_gradient)
-    cfg_run = cfg.preset_config("cartpole-quantum",
-                                {"episodes": 10, "seed": 0, "parallel_rollouts": parallel})
+    cfg_run = cfg.preset_config("cartpole-quantum", {"episodes": 10, "seed": 0})
     assert len(list(train(cfg_run))) == cfg_run.batch_size
     assert len(builds) == 1
     assert gradient_builds == [0]

@@ -37,6 +37,11 @@ def input_rows(spec, x, normalizer):
     return x.amplitudes[None]
 
 
+def feature_row(spec, x):
+    """One input as the policy observes it: features, or a state's amplitude row."""
+    return x if spec.encoding == "angle_rx" else qsim.amplitude_features(x.amplitudes)
+
+
 # ---------------------------------------------------------------------------
 # encoding
 # ---------------------------------------------------------------------------
@@ -90,6 +95,13 @@ def test_encode_rejects_length_mismatch():
     policy = QuantumPolicy(spec, PolicyParams(np.zeros(spec.n_params), 1.0))
     with pytest.raises(ContractError):
         policy.probabilities(np.zeros(3))
+    with pytest.raises(ContractError):
+        policy.grad_log_batch(np.zeros((2, 3)), [0, 1])
+    # an `encoding: none` policy reads a 1-qubit state as 4 floats
+    u3_policy = QuantumPolicy(U3_SPEC, PolicyParams(np.zeros(3), 1.0))
+    for width in (2, 3, 8):
+        with pytest.raises(ContractError):
+            u3_policy.probabilities(np.eye(width)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +284,7 @@ def test_grad_log_policy_matches_finite_differences(spec):
         else:
             norm, x = None, random_state(rng, 1)
         action = int(rng.integers(spec.n_actions))
-        got = QuantumPolicy(spec, params, norm).grad_log(x, action)
+        got = QuantumPolicy(spec, params, norm).grad_log(feature_row(spec, x), action)
         want = fd_log_policy(spec, params, x, action, norm)
         np.testing.assert_allclose(got, want, atol=1e-6)
 
@@ -291,7 +303,7 @@ def test_score_identity(spec):
             norm, x = None, random_state(rng, 1)
         probs = softmax_policy(oracle_preferences(spec, params, x, norm), params.beta)
         glogs = QuantumPolicy(spec, params, norm).grad_log_batch(
-            [x] * spec.n_actions, np.arange(spec.n_actions))
+            np.stack([feature_row(spec, x)] * spec.n_actions), np.arange(spec.n_actions))
         np.testing.assert_allclose(probs @ glogs, 0.0, atol=1e-8)
 
 
@@ -299,7 +311,7 @@ def test_grad_log_beta_entry_zero_under_symmetry():
     # identical preferences across actions make the beta derivative vanish
     params = PolicyParams(np.zeros(U3_SPEC.n_params), 1.3)
     plus = qsim.Statevector(1, np.array([1, 1], dtype=complex) / np.sqrt(2))
-    g = QuantumPolicy(U3_SPEC, params).grad_log(plus, 0)
+    g = QuantumPolicy(U3_SPEC, params).grad_log(feature_row(U3_SPEC, plus), 0)
     assert g[-1] == pytest.approx(0.0, abs=1e-12)
 
 

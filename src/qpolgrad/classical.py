@@ -193,8 +193,11 @@ class MlpPolicy:
     def set_vector(self, vec: np.ndarray) -> None:
         self.params = MlpParams.from_flat(self.spec, vec)
 
-    def probabilities(self, obs, rng: np.random.Generator | None = None) -> np.ndarray:
-        # action sampling uses the eval-mode (mean) network
+    def probabilities(self, obs, rng=None, abs_max=None) -> np.ndarray:
+        """(|A|,) for one feature row or (m, |A|) for m rows, from the eval-mode
+        network (`rng`, `abs_max` unused). BLAS rounds a row of the hidden-to-
+        output product by its place among the rows, so a row's probabilities
+        can change in the last bit with the rows around it."""
         return softmax_policy(forward(self.spec, self.params, obs), 1.0)
 
     def grad_log(self, obs, action: int, rng: np.random.Generator | None = None) -> np.ndarray:

@@ -86,17 +86,20 @@ def fisher_spectrum(policy, environment: str, rollouts: int, rng: np.random.Gene
                     gamma: float, include_beta: bool) -> analysis.SpectrumReport:
     """Fisher spectrum over fresh on-policy rollouts on a side stream.
 
-    Rollouts and gradients run on a normalizer snapshot, as a training
-    episode does, so observing a policy leaves it unchanged.
+    The rollouts run one after another as 1-episode batches on the shared
+    stream and record what they see in a copy of the normalizer, so
+    observing a policy leaves it unchanged; the gradients scale by the
+    policy's maxima widened to cover the visited states, which that copy
+    ends with.
     """
     if rollouts < 1:
         raise ContractError(f"a Fisher spectrum needs at least one rollout, got {rollouts}")
-    view = reinforce.episode_view(policy)
-    trajs = [reinforce.rollout(envs.make_env(environment), view, rng, gamma)
-             for _ in range(rollouts)]
+    snapshot = policy.normalizer.copy() if getattr(policy, "normalizer", None) else None
+    trajs = [reinforce.run_episodes(envs.make_env(environment), policy, [rng], gamma,
+                                    snapshot)[0] for _ in range(rollouts)]
     states = np.concatenate([traj.observations for traj in trajs])
     actions = np.concatenate([traj.actions for traj in trajs])
-    return analysis.spectrum(analysis.fisher_matrix(view, states, actions,
+    return analysis.spectrum(analysis.fisher_matrix(policy, states, actions,
                                                     include_beta=include_beta))
 
 

@@ -176,6 +176,8 @@ def _validate(data: dict) -> list[str]:
             errors.append("hidden_sizes: a quantum policy has no hidden layers")
         if data.get("dropout_p"):
             errors.append("dropout_p: a quantum policy has no dropout")
+        if env == "qcontrol" and data.get("n_layers") not in (None, 1):
+            errors.append("n_layers: the qcontrol circuit is a single U3 gate, without layers")
         n_qubits = data.get("n_qubits")
         if n_qubits is not None and env in ENV_SPECS and n_qubits != _circuit_width(env):
             errors.append(f"n_qubits: the {env} circuit has {_circuit_width(env)} qubit(s)"

@@ -1,12 +1,17 @@
-"""Episodic environments: CartPole, Acrobot, and single-qubit pulse control.
+"""Episodic environments as batched array dynamics: CartPole, Acrobot, and
+single-qubit pulse control.
+
+An environment holds no state: `reset` draws one start state per generator,
+`step` takes (B, state) arrays and B actions to (states, rewards,
+terminated), and `features` gives the rows the policies read, of length
+`spec.n_features`. The caller owns the arrays and the step cap.
 
 CartPole and Acrobot follow the canonical Gym/Sutton dynamics with every
-constant frozen here so no external library is needed. The control task
-(QControl) evolves one qubit under H = 4*J*sigma_z + h*sigma_x, where the
-agent's binary action sets the pulse J per step; the reward is the fidelity
-to the target state |1>.
-
-An observation is a plain float feature row of length `spec.n_features`.
+constant frozen here so no external library is needed; arrays square by
+x*x, where numpy scalar code calls libm pow. The control task (QControl)
+evolves one qubit under H = 4*J*sigma_z + h*sigma_x, where the agent's
+binary action sets the pulse J per step; the reward is the fidelity to the
+target state |1>.
 """
 from __future__ import annotations
 
@@ -46,36 +51,9 @@ def discounted_returns(rewards, gamma: float) -> np.ndarray:
     return out
 
 
-class _EpisodicEnv:
-    """Shared episode bookkeeping; subclasses implement _reset and _step."""
-
-    spec: EnvSpec
-
-    def __init__(self):
-        self._step_index = 0
-        self._done = True
-
-    def reset(self, rng: np.random.Generator) -> np.ndarray:
-        self._step_index = 0
-        self._done = False
-        return self._reset(rng)
-
-    def step(self, action: int) -> tuple[np.ndarray, float, bool]:
-        """(features, reward, done) after one action; done also at the step cap."""
-        if self._done:
-            raise ContractError(f"{self.spec.name}: step() on a finished episode")
-        if not 0 <= action < self.spec.n_actions:
-            raise ContractError(f"{self.spec.name}: action {action} out of range")
-        self._step_index += 1
-        obs, reward, done = self._step(int(action))
-        if self._step_index >= self.spec.max_steps:
-            done = True
-        self._done = done
-        return obs, reward, done
-
-
-class CartPole(_EpisodicEnv):
-    """Pole balancing on a force-driven cart; +1 reward per surviving step."""
+class CartPole:
+    """Pole balancing on a force-driven cart; +1 reward per surviving step.
+    A state row, (x, x_dot, theta, theta_dot), is also its feature row."""
 
     GRAVITY = 9.8
     MASS_CART = 1.0
@@ -90,17 +68,15 @@ class CartPole(_EpisodicEnv):
 
     spec = ENV_SPECS["cartpole"]
 
-    def __init__(self):
-        super().__init__()
-        self.state = np.zeros(4)
+    def reset(self, rngs) -> np.ndarray:
+        return np.stack([rng.uniform(-0.05, 0.05, size=4) for rng in rngs])
 
-    def _reset(self, rng):
-        self.state = rng.uniform(-0.05, 0.05, size=4)
-        return self.state.copy()
+    def features(self, states: np.ndarray) -> np.ndarray:
+        return states
 
-    def _step(self, action):
-        x, x_dot, theta, theta_dot = self.state
-        force = self.FORCE_MAG if action == 1 else -self.FORCE_MAG
+    def step(self, states: np.ndarray, actions: np.ndarray):
+        x, x_dot, theta, theta_dot = states.T
+        force = np.where(actions == 1, self.FORCE_MAG, -self.FORCE_MAG)
         costheta, sintheta = np.cos(theta), np.sin(theta)
         temp = (force + self.POLEMASS_LENGTH * theta_dot**2 * sintheta) / self.TOTAL_MASS
         thetaacc = (self.GRAVITY * sintheta - costheta * temp) / (
@@ -111,17 +87,18 @@ class CartPole(_EpisodicEnv):
         x_dot = x_dot + self.TAU * xacc
         theta = theta + self.TAU * theta_dot
         theta_dot = theta_dot + self.TAU * thetaacc
-        self.state = np.array([x, x_dot, theta, theta_dot])
-        done = bool(abs(x) > self.X_LIMIT or abs(theta) > self.THETA_LIMIT)
-        return self.state.copy(), 1.0, done
+        done = (np.abs(x) > self.X_LIMIT) | (np.abs(theta) > self.THETA_LIMIT)
+        return np.stack([x, x_dot, theta, theta_dot], axis=1), np.ones(len(states)), done
 
 
-def _wrap(x: float, low: float, high: float) -> float:
+def _wrap(x, low: float, high: float):
     return (x - low) % (high - low) + low
 
 
-class Acrobot(_EpisodicEnv):
-    """Two-link underactuated swing-up; -1 per step until the tip clears the bar."""
+class Acrobot:
+    """Two-link underactuated swing-up; -1 per step until the tip clears the bar.
+    State rows are (theta1, theta2, dtheta1, dtheta2), features their cos/sin
+    and the two velocities."""
 
     LINK_LENGTH_1 = 1.0
     LINK_MASS_1 = 1.0
@@ -137,17 +114,12 @@ class Acrobot(_EpisodicEnv):
 
     spec = ENV_SPECS["acrobot"]
 
-    def __init__(self):
-        super().__init__()
-        self.state = np.zeros(4)  # theta1, theta2, dtheta1, dtheta2
+    def reset(self, rngs) -> np.ndarray:
+        return np.stack([rng.uniform(-0.1, 0.1, size=4) for rng in rngs])
 
-    def _reset(self, rng):
-        self.state = rng.uniform(-0.1, 0.1, size=4)
-        return self._observation()
-
-    def _observation(self):
-        t1, t2, d1, d2 = self.state
-        return np.array([np.cos(t1), np.sin(t1), np.cos(t2), np.sin(t2), d1, d2])
+    def features(self, states: np.ndarray) -> np.ndarray:
+        t1, t2, d1, d2 = states.T
+        return np.stack([np.cos(t1), np.sin(t1), np.cos(t2), np.sin(t2), d1, d2], axis=1)
 
     def _dsdt(self, s, torque):
         m1, m2 = self.LINK_MASS_1, self.LINK_MASS_2
@@ -155,7 +127,7 @@ class Acrobot(_EpisodicEnv):
         lc1, lc2 = self.LINK_COM_1, self.LINK_COM_2
         i1 = i2 = self.LINK_MOI
         g = self.GRAVITY
-        theta1, theta2, dtheta1, dtheta2 = s
+        theta1, theta2, dtheta1, dtheta2 = s.T
         d1 = m1 * lc1**2 + m2 * (l1**2 + lc2**2 + 2 * l1 * lc2 * np.cos(theta2)) + i1 + i2
         d2 = m2 * (lc2**2 + l1 * lc2 * np.cos(theta2)) + i2
         phi2 = m2 * lc2 * g * np.cos(theta1 + theta2 - np.pi / 2)
@@ -169,36 +141,34 @@ class Acrobot(_EpisodicEnv):
             torque + d2 / d1 * phi1 - m2 * l1 * lc2 * dtheta1**2 * np.sin(theta2) - phi2
         ) / (m2 * lc2**2 + i2 - d2**2 / d1)
         ddtheta1 = -(d2 * ddtheta2 + phi1) / d1
-        return np.array([dtheta1, dtheta2, ddtheta1, ddtheta2])
+        return np.stack([dtheta1, dtheta2, ddtheta1, ddtheta2], axis=1)
 
-    def _step(self, action):
-        torque = self.TORQUES[action]
-        s = self.state
+    def step(self, states: np.ndarray, actions: np.ndarray):
+        torque = np.asarray(self.TORQUES)[actions]
+        s = states
         h = self.DT
         k1 = self._dsdt(s, torque)
         k2 = self._dsdt(s + h / 2 * k1, torque)
         k3 = self._dsdt(s + h / 2 * k2, torque)
         k4 = self._dsdt(s + h * k3, torque)
         s = s + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        s[0] = _wrap(s[0], -np.pi, np.pi)
-        s[1] = _wrap(s[1], -np.pi, np.pi)
-        s[2] = np.clip(s[2], -self.MAX_VEL_1, self.MAX_VEL_1)
-        s[3] = np.clip(s[3], -self.MAX_VEL_2, self.MAX_VEL_2)
-        self.state = s
-        at_goal = bool(-np.cos(s[0]) - np.cos(s[1] + s[0]) > 1.0)
-        reward = 0.0 if at_goal else -1.0
-        return self._observation(), reward, at_goal
+        s[:, 0] = _wrap(s[:, 0], -np.pi, np.pi)
+        s[:, 1] = _wrap(s[:, 1], -np.pi, np.pi)
+        s[:, 2] = np.clip(s[:, 2], -self.MAX_VEL_1, self.MAX_VEL_1)
+        s[:, 3] = np.clip(s[:, 3], -self.MAX_VEL_2, self.MAX_VEL_2)
+        at_goal = -np.cos(s[:, 0]) - np.cos(s[:, 1] + s[:, 0]) > 1.0
+        return s, np.where(at_goal, 0.0, -1.0), at_goal
 
 
-class QControl(_EpisodicEnv):
+class QControl:
     """Prepare |1> from |0> by choosing, per step, whether to apply a Z pulse.
 
     Action a sets J = a in H = 4*J*sigma_z + sigma_x; the state evolves for
     a fixed slice pi/20, so ten pulse-free steps realize an exact pi
-    rotation onto the target. The per-step reward is the fidelity to |1>, and
-    the features are the qubit's amplitudes (`qsim.amplitude_features`).
-    The spec'd terminal rule (fidelity <= 1e-4) is implemented as written;
-    with this slice length it essentially never fires before the step cap.
+    rotation onto the target. A state row holds the two amplitudes, the
+    features are `qsim.amplitude_features`, the reward is |amp_1|^2. The
+    spec'd terminal rule (fidelity <= 1e-4) is implemented as written; it
+    ends 0.7% of uniformly random episodes, all at step 9.
     """
 
     H_FIELD = 1.0
@@ -209,25 +179,29 @@ class QControl(_EpisodicEnv):
     spec = ENV_SPECS["qcontrol"]
 
     def __init__(self):
-        super().__init__()
-        self.qubit = qsim.init_zero(1)
-        self._target = qsim.Statevector(1, np.array([0, 1], dtype=complex))
+        self.propagators = np.stack([
+            qsim.hamiltonian_propagator(
+                qsim.TwoLevelHamiltonian(self.PULSE_SCALE * a, self.H_FIELD), self.DT)
+            for a in range(self.spec.n_actions)])
 
-    def _reset(self, rng):
-        self.qubit = qsim.init_zero(1)
-        return self._observation()
+    def reset(self, rngs) -> np.ndarray:
+        return np.tile(np.array([1, 0], dtype=complex), (len(rngs), 1))
 
-    def _observation(self):
-        return qsim.amplitude_features(self.qubit.amplitudes)
+    def features(self, states: np.ndarray) -> np.ndarray:
+        return qsim.amplitude_features(states)
 
-    def _step(self, action):
-        h = qsim.TwoLevelHamiltonian(self.PULSE_SCALE * action, self.H_FIELD)
-        self.qubit = qsim.evolve_hamiltonian(self.qubit, h, self.DT)
-        reward = qsim.fidelity(self.qubit, self._target)
-        return self._observation(), reward, bool(reward <= self.MIN_FIDELITY)
+    def step(self, states: np.ndarray, actions: np.ndarray):
+        # per entry, which rounds like u @ amps on one state; a batched matmul does not
+        u = self.propagators[actions]
+        x0, x1 = states[:, 0], states[:, 1]
+        states = np.stack([u[:, 0, 0] * x0 + u[:, 0, 1] * x1,
+                           u[:, 1, 0] * x0 + u[:, 1, 1] * x1], axis=1)
+        # libm pow, as in `qsim.fidelity`: x*x differs on some reachable states
+        rewards = np.array([mod ** 2 for mod in np.abs(states[:, 1]).tolist()])
+        return states, rewards, rewards <= self.MIN_FIDELITY
 
 
-def make_env(name: str) -> _EpisodicEnv:
+def make_env(name: str):
     envs = {"cartpole": CartPole, "acrobot": Acrobot, "qcontrol": QControl}
     if name not in envs:
         raise ConfigError(f"unknown environment {name!r}; expected one of {sorted(envs)}")

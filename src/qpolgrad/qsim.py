@@ -15,8 +15,9 @@ runs on them alone: it pushes row-stacked states through one circuit row
 operator, reads them out with `measure_z_array`, and walks them back gate by
 gate for its adjoint gradient. The row-operator build and that sweep share
 one single-qubit kernel, `apply_1q_array`. The gate-by-gate `Statevector` API
-serves the environments and is the tests' independent reference for the
-batched path.
+is the tests' independent reference for the batched path and builds the
+shot-bound probe state; `hamiltonian_propagator` gives the control
+environment its fixed one-step propagators.
 
 A state travels outside the simulator as a float feature row: its amplitudes
 as interleaved (re, im) pairs. `amplitude_features` and `feature_amplitudes`
@@ -98,9 +99,6 @@ class Statevector:
 
     n_qubits: int
     amplitudes: np.ndarray
-
-    def copy(self) -> "Statevector":
-        return Statevector(self.n_qubits, self.amplitudes.copy())
 
     def norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.amplitudes) ** 2)))
@@ -241,27 +239,26 @@ def expectation_z(state: Statevector, qubit: int) -> float:
     return float(measure_z_array(state.amplitudes[None], [qubit], state.n_qubits)[0, 0])
 
 
-def evolve_hamiltonian(state: Statevector, h: TwoLevelHamiltonian, dt: float) -> Statevector:
-    """Closed-form exp(-i H dt) for H = a*sigma_z + b*sigma_x on one qubit.
+def hamiltonian_propagator(h: TwoLevelHamiltonian, dt: float) -> np.ndarray:
+    """Closed-form 2x2 exp(-i H dt) for H = a*sigma_z + b*sigma_x.
 
     exp(-i (a sz + b sx) t) = cos(wt) I - i sin(wt) (a sz + b sx)/w with
     w = sqrt(a^2 + b^2); the w = 0 limit is the identity.
     """
-    if state.n_qubits != 1:
-        raise ContractError("evolve_hamiltonian acts on single-qubit states only")
     a, b = h.coeff_z, h.coeff_x
     omega = np.hypot(a, b)
     if omega == 0.0:
-        return state.copy()
+        return np.eye(2, dtype=complex)
     c, s = np.cos(omega * dt), np.sin(omega * dt)
-    u = np.array(
-        [
-            [c - 1j * s * a / omega, -1j * s * b / omega],
-            [-1j * s * b / omega, c + 1j * s * a / omega],
-        ],
-        dtype=complex,
-    )
-    return Statevector(1, u @ state.amplitudes)
+    return np.array([[c - 1j * s * a / omega, -1j * s * b / omega],
+                     [-1j * s * b / omega, c + 1j * s * a / omega]], dtype=complex)
+
+
+def evolve_hamiltonian(state: Statevector, h: TwoLevelHamiltonian, dt: float) -> Statevector:
+    """One qubit evolved for `dt` under H (see `hamiltonian_propagator`)."""
+    if state.n_qubits != 1:
+        raise ContractError("evolve_hamiltonian acts on single-qubit states only")
+    return Statevector(1, hamiltonian_propagator(h, dt) @ state.amplitudes)
 
 
 def fidelity(state_a: Statevector, state_b: Statevector) -> float:

@@ -3,14 +3,15 @@
 One training iteration collects a batch of trajectories under the current
 policy, subtracts the per-timestep mean return as a baseline, averages
 (G_t - b_t) * grad log pi(a_t | s_t) over everything, and takes one Adam
-step uphill. Each episode runs on its own seeded stream and its own
-snapshot of the feature normalizer, so an episode does not depend on the
-order in which a batch's episodes run. Observations travel as float feature
-rows, and a trajectory holds them as one (T, n_features) array.
+step uphill. A batch's episodes run in lockstep on an array environment,
+one policy inference per step for all of them. Each episode runs on its own
+seeded stream and its own snapshot of the feature normalizer, so an episode
+does not depend on which other episodes share its batch or in what order.
+Observations travel as float feature rows, and a trajectory holds them as
+one (T, n_features) array.
 """
 from __future__ import annotations
 
-import copy
 import time
 from dataclasses import dataclass
 
@@ -169,64 +170,64 @@ def policy_gradient(batch: list[Trajectory], policy,
     return adv @ glog / len(batch)
 
 
-def sample_action(probs: np.ndarray, rng: np.random.Generator) -> int:
-    """Inverse-CDF draw from a probability vector."""
-    cum = np.cumsum(probs)
-    return int(min(np.searchsorted(cum, rng.random(), side="right"), len(probs) - 1))
+def sample_actions(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draws for rows of (m, |A|) probabilities: the count of
+    cumulative sums <= u (searchsorted side="right"), capped at |A| - 1."""
+    cum = np.cumsum(probs, axis=1)
+    return np.minimum((cum <= uniforms[:, None]).sum(axis=1), probs.shape[1] - 1)
 
 
-def rollout(env, policy, rng: np.random.Generator, gamma: float) -> Trajectory:
-    """Run one episode to termination under the current policy."""
-    obs = env.reset(rng)
-    observations, actions, rewards = [], [], []
-    done = False
-    while not done:
-        action = sample_action(policy.probabilities(obs, rng), rng)
-        observations.append(obs)
-        actions.append(action)
-        obs, reward, done = env.step(action)
-        rewards.append(reward)
-    rewards = np.asarray(rewards, dtype=float)
-    return Trajectory(np.stack(observations), np.asarray(actions), rewards,
-                      discounted_returns(rewards, gamma))
+def run_episodes(env, policy, rngs, gamma: float, normalizer=None) -> list[Trajectory]:
+    """Roll out one episode per generator in `rngs`, all of them in lockstep.
+
+    Each step is one inference over the rows of the running episodes, one
+    vectorised action draw and one array `env` step. Episode i draws from
+    rngs[i] as a lone episode would: its reset, then per step its shot-mode
+    readout (if any) and one uniform. With a `normalizer`, each episode
+    scales by its own snapshot of it, a row of a (B, n) running-max array,
+    merged into it afterwards, so no episode sees what another observed.
+    """
+    spec = env.spec
+    states = env.reset(rngs)
+    n = len(rngs)
+    abs_max = None if normalizer is None else np.tile(normalizer.running_abs_max, (n, 1))
+    observations = np.empty((n, spec.max_steps, spec.n_features))
+    actions = np.zeros((n, spec.max_steps), dtype=int)
+    rewards = np.zeros((n, spec.max_steps))
+    lengths = np.full(n, spec.max_steps)
+    active = np.arange(n)
+    for t in range(spec.max_steps):
+        rows = env.features(states)
+        scale = None
+        if abs_max is not None:
+            scale = abs_max[active] = np.maximum(abs_max[active], np.abs(rows))
+        probs = policy.probabilities(rows, [rngs[i] for i in active], scale)
+        chosen = sample_actions(probs, np.array([rngs[i].random() for i in active]))
+        observations[active, t] = rows
+        actions[active, t] = chosen
+        states, rewards[active, t], done = env.step(states, chosen)
+        lengths[active[done]] = t + 1
+        states, active = states[~done], active[~done]
+        if not active.size:
+            break
+    if normalizer is not None:
+        normalizer.observe(abs_max)
+    return [Trajectory(observations[i, :steps], actions[i, :steps], rewards[i, :steps],
+                       discounted_returns(rewards[i, :steps], gamma))
+            for i, steps in enumerate(lengths)]
 
 
 def _episode_rng(seed: int, episode: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1, episode)))
 
 
-def episode_view(policy):
-    """Per-episode policy view with its own normalizer copy (if any)."""
-    normalizer = getattr(policy, "normalizer", None)
-    if normalizer is None:
-        return policy
-    view = copy.copy(policy)
-    view.normalizer = normalizer.copy()
-    return view
-
-
 def collect_batch(config, policy, first_episode: int, n_episodes: int) -> list[Trajectory]:
-    """Roll out `n_episodes` episodes one after another, each on its own
-    seeded stream.
-
-    Every episode scales its features with a snapshot of the policy's
-    normalizer taken before the batch, and the snapshots are merged back
-    afterwards, so no episode sees what another one observed and the batch
-    does not depend on the order its episodes run in. A quantum policy
-    builds its row operator once, before the views copy it, and the batch's
-    gradient reuses it because theta does not change during the rollouts.
-    """
-    if policy.kind == "quantum":
-        policy.row_operator()
-    views = [episode_view(policy) for _ in range(n_episodes)]
-    batch = [rollout(make_env(config.environment), view,
-                     _episode_rng(config.seed, first_episode + i), config.gamma)
-             for i, view in enumerate(views)]
-    master = getattr(policy, "normalizer", None)
-    if master is not None:
-        for view in views:
-            master.merge(view.normalizer)
-    return batch
+    """Roll out `n_episodes` episodes in lockstep, each on its own seeded
+    stream and normalizer snapshot. A quantum policy builds its row operator
+    once, at the first step, and the batch's gradient reuses it."""
+    rngs = [_episode_rng(config.seed, first_episode + i) for i in range(n_episodes)]
+    return run_episodes(make_env(config.environment), policy, rngs, config.gamma,
+                        getattr(policy, "normalizer", None))
 
 
 @dataclass

@@ -117,7 +117,8 @@ class FeatureNormalizer:
     """Online L-infinity feature scaling onto [-pi, pi].
 
     Keeps a per-feature running absolute maximum (floored at a small
-    constant) that never decreases over a run.
+    constant) that never decreases over a run. Rollouts record what they
+    observe; inference and gradients only read it.
     """
 
     def __init__(self, n_features: int, running_abs_max=None):
@@ -132,26 +133,30 @@ class FeatureNormalizer:
     def n_features(self) -> int:
         return len(self.running_abs_max)
 
-    def observe(self, features: np.ndarray) -> None:
+    def widened(self, features: np.ndarray) -> np.ndarray:
+        """The maxima widened to cover a row or (T, n) array, not recorded."""
         features = np.asarray(features, dtype=float)
         if features.shape[-1] != self.n_features:
             raise ContractError("feature count mismatch in normalizer")
         absmax = np.abs(features) if features.ndim == 1 else np.abs(features).max(axis=0)
-        self.running_abs_max = np.maximum(self.running_abs_max, absmax)
+        return np.maximum(self.running_abs_max, absmax)
+
+    def observe(self, features: np.ndarray) -> None:
+        self.running_abs_max = self.widened(features)
 
     def rescale(self, features: np.ndarray) -> np.ndarray:
         """Scale already-observed features to angles in [-pi, pi]."""
         return np.asarray(features, dtype=float) * (np.pi / self.running_abs_max)
 
-    def normalize(self, features: np.ndarray) -> np.ndarray:
-        self.observe(features)
-        return self.rescale(features)
-
     def copy(self) -> "FeatureNormalizer":
         return FeatureNormalizer(self.n_features, self.running_abs_max.copy())
 
-    def merge(self, other: "FeatureNormalizer") -> None:
-        self.running_abs_max = np.maximum(self.running_abs_max, other.running_abs_max)
+
+def padded(rows: np.ndarray) -> np.ndarray:
+    """`rows`, a lone row repeated to make two. A 1-row product (gemv) rounds
+    differently from gemm by about 1e-16, and complex gemm gives a row the
+    same bits whatever the number and order of the rows."""
+    return rows if len(rows) > 1 else np.concatenate([rows, rows])
 
 
 def encoded_rows(angles: np.ndarray) -> np.ndarray:
@@ -160,13 +165,11 @@ def encoded_rows(angles: np.ndarray) -> np.ndarray:
     RX(a)|0> = [cos(a/2), -i sin(a/2)]; the full register state is the
     tensor product over qubits with qubit 0 as the most significant factor.
     """
-    angles = np.atleast_2d(np.asarray(angles, dtype=float))
-    t = angles.shape[0]
-    rows = np.ones((t, 1), dtype=complex)
-    for q in range(angles.shape[1]):
-        half = angles[:, q] / 2
-        factor = np.stack([np.cos(half), -1j * np.sin(half)], axis=1)
-        rows = (rows[:, :, None] * factor[:, None, :]).reshape(t, -1)
+    half = np.atleast_2d(np.asarray(angles, dtype=float)) / 2
+    factors = np.stack([np.cos(half), -1j * np.sin(half)], axis=2)  # (T, n, 2)
+    rows = factors[:, 0]
+    for q in range(1, half.shape[1]):
+        rows = (rows[:, :, None] * factors[:, q, None, :]).reshape(len(half), -1)
     return rows
 
 
@@ -360,21 +363,34 @@ class QuantumPolicy:
             self._rowop_theta = self.params.theta.copy()
         return self._rowop
 
-    def _encode_batch(self, observations) -> np.ndarray:
+    def _encode_batch(self, observations, abs_max=None) -> np.ndarray:
         """Row-stacked input states, shape (T, 2**n), from one feature row or a
-        (T, n_features) array. Updates the normalizer."""
+        (T, n_features) array. Angle encoding divides by per-row maxima
+        `abs_max`, by default the normalizer's `widened` to cover the rows."""
         feats = np.atleast_2d(np.asarray(observations, dtype=float))
         if self.spec.encoding == "none":
             if feats.shape[-1] != 2 ** (self.spec.n_qubits + 1):
                 raise ContractError("input state qubit count does not match the circuit")
             return qsim.feature_amplitudes(feats)
-        self.normalizer.observe(feats)
-        return encoded_rows(feats * (np.pi / self.normalizer.running_abs_max))
+        if abs_max is None:
+            abs_max = self.normalizer.widened(feats)
+        return encoded_rows(feats * (np.pi / abs_max))
 
-    def probabilities(self, obs, rng: np.random.Generator | None = None) -> np.ndarray:
-        enc = self._encode_batch([obs])
-        prefs = _readout(self.spec, enc @ self.row_operator(), self.shots, rng)[0]
-        return softmax_policy(prefs, self.params.beta)
+    def probabilities(self, obs, rng=None, abs_max=None) -> np.ndarray:
+        """(|A|,) for one feature row or (m, |A|) for m rows, from one `padded`
+        product; `abs_max` as in `_encode_batch`. In shot mode each row reads
+        out with its own generator: `rng` is one, or a sequence of m."""
+        single = np.ndim(obs) == 1
+        enc = self._encode_batch(obs, abs_max)
+        out = padded(enc) @ self.row_operator()
+        if self.shots:
+            rngs = [rng] if single else rng
+            prefs = np.concatenate([_readout(self.spec, row[None], self.shots, r)
+                                    for row, r in zip(out[:len(enc)], rngs, strict=True)])
+        else:
+            prefs = _readout(self.spec, out, 0, None)[:len(enc)]
+        probs = softmax_policy(prefs, self.params.beta)
+        return probs[0] if single else probs
 
     def grad_log(self, obs, action: int, rng: np.random.Generator | None = None) -> np.ndarray:
         return self.grad_log_batch([obs], [action], rng)[0]
@@ -384,9 +400,9 @@ class QuantumPolicy:
 
         theta block: sum_a w_a d<a>/d(theta) with w = beta * (onehot(a_t) - pi),
         from the adjoint sweep in exact mode and parameter shift in shot mode;
-        beta entry (analytic): <a> - sum_b pi_b <b>. Observations are assumed
-        already seen by the normalizer (true after a rollout); unseen features
-        are folded in before scaling.
+        beta entry (analytic): <a> - sum_b pi_b <b>. The angle encoding scales
+        by the normalizer's maxima widened to cover the observations, which
+        after a rollout are the normalizer's own.
         """
         actions = np.asarray(actions, dtype=int)
         if np.any(actions < 0) or np.any(actions >= self.spec.n_actions):

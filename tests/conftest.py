@@ -4,10 +4,16 @@ The matrix oracles build full 2**n x 2**n unitaries with np.kron and explicit
 basis-state permutation, deliberately avoiding the package's gate-application
 code path. The preference oracle evaluates the policy gate by gate through
 the `Statevector` API, independently of the batched row-operator engine.
+The scalar environments step one episode at a time with numpy scalars, and
+the sequential rollout runs one episode after another with one 1-row
+inference per step: together they are the reference for the array
+environments and the lockstep rollout.
 """
 import numpy as np
 
-from qpolgrad import qsim
+from qpolgrad import envs, qsim
+from qpolgrad.errors import ContractError
+from qpolgrad.reinforce import Trajectory
 from qpolgrad.vqpolicy import build_ansatz
 
 I2 = np.eye(2, dtype=complex)
@@ -76,7 +82,9 @@ def random_state(rng: np.random.Generator, n: int) -> qsim.Statevector:
 
 def encode_gates(features, normalizer) -> qsim.Statevector:
     """Angle-encode one feature vector gate by gate: RX(normalized feature) per qubit."""
-    angles = normalizer.normalize(np.asarray(features, dtype=float))
+    features = np.asarray(features, dtype=float)
+    normalizer.observe(features)
+    angles = normalizer.rescale(features)
     state = qsim.init_zero(len(angles))
     for i, angle in enumerate(angles):
         state = qsim.apply_gate(state, qsim.Gate("RX", (float(angle),), i))
@@ -92,3 +100,197 @@ def oracle_preferences(spec, params, x, normalizer=None) -> np.ndarray:
         z = qsim.expectation_z(out, 0)
         return np.array([z, -z])
     return np.array([qsim.expectation_z(out, q) for q in range(spec.n_actions)])
+
+
+# ---------------------------------------------------------------------------
+# scalar environments and the sequential rollout
+# ---------------------------------------------------------------------------
+
+class _EpisodicEnv:
+    """One episode at a time; subclasses implement _reset and _step and take
+    their constants from the array environment of the same name.
+
+    Squares are written x * x: on a numpy scalar `x**2` calls libm pow, which
+    differs from the correctly rounded x * x (what an array `x**2` computes)
+    in the last bit on about 1 input in 1,200.
+    """
+
+    spec: envs.EnvSpec
+
+    def __init__(self):
+        self._step_index = 0
+        self._done = True
+
+    def reset(self, rng: np.random.Generator) -> np.ndarray:
+        self._step_index = 0
+        self._done = False
+        return self._reset(rng)
+
+    def step(self, action: int) -> tuple[np.ndarray, float, bool]:
+        """(features, reward, done) after one action; done also at the step cap."""
+        if self._done:
+            raise ContractError(f"{self.spec.name}: step() on a finished episode")
+        if not 0 <= action < self.spec.n_actions:
+            raise ContractError(f"{self.spec.name}: action {action} out of range")
+        self._step_index += 1
+        obs, reward, done = self._step(int(action))
+        if self._step_index >= self.spec.max_steps:
+            done = True
+        self._done = done
+        return obs, reward, done
+
+
+class CartPole(_EpisodicEnv, envs.CartPole):
+    def __init__(self):
+        super().__init__()
+        self.state = np.zeros(4)
+
+    def _reset(self, rng):
+        self.state = rng.uniform(-0.05, 0.05, size=4)
+        return self.state.copy()
+
+    def _step(self, action):
+        x, x_dot, theta, theta_dot = self.state
+        force = self.FORCE_MAG if action == 1 else -self.FORCE_MAG
+        costheta, sintheta = np.cos(theta), np.sin(theta)
+        temp = (force + self.POLEMASS_LENGTH * (theta_dot * theta_dot) * sintheta) / self.TOTAL_MASS
+        thetaacc = (self.GRAVITY * sintheta - costheta * temp) / (
+            self.LENGTH * (4.0 / 3.0 - self.MASS_POLE * (costheta * costheta) / self.TOTAL_MASS)
+        )
+        xacc = temp - self.POLEMASS_LENGTH * thetaacc * costheta / self.TOTAL_MASS
+        x = x + self.TAU * x_dot
+        x_dot = x_dot + self.TAU * xacc
+        theta = theta + self.TAU * theta_dot
+        theta_dot = theta_dot + self.TAU * thetaacc
+        self.state = np.array([x, x_dot, theta, theta_dot])
+        done = bool(abs(x) > self.X_LIMIT or abs(theta) > self.THETA_LIMIT)
+        return self.state.copy(), 1.0, done
+
+
+def _wrap(x: float, low: float, high: float) -> float:
+    return (x - low) % (high - low) + low
+
+
+class Acrobot(_EpisodicEnv, envs.Acrobot):
+    def __init__(self):
+        super().__init__()
+        self.state = np.zeros(4)  # theta1, theta2, dtheta1, dtheta2
+
+    def _reset(self, rng):
+        self.state = rng.uniform(-0.1, 0.1, size=4)
+        return self._observation()
+
+    def _observation(self):
+        t1, t2, d1, d2 = self.state
+        return np.array([np.cos(t1), np.sin(t1), np.cos(t2), np.sin(t2), d1, d2])
+
+    def _dsdt(self, s, torque):
+        m1, m2 = self.LINK_MASS_1, self.LINK_MASS_2
+        l1 = self.LINK_LENGTH_1
+        lc1, lc2 = self.LINK_COM_1, self.LINK_COM_2
+        i1 = i2 = self.LINK_MOI
+        g = self.GRAVITY
+        theta1, theta2, dtheta1, dtheta2 = s
+        d1 = m1 * lc1**2 + m2 * (l1**2 + lc2**2 + 2 * l1 * lc2 * np.cos(theta2)) + i1 + i2
+        d2 = m2 * (lc2**2 + l1 * lc2 * np.cos(theta2)) + i2
+        phi2 = m2 * lc2 * g * np.cos(theta1 + theta2 - np.pi / 2)
+        phi1 = (
+            -m2 * l1 * lc2 * (dtheta2 * dtheta2) * np.sin(theta2)
+            - 2 * m2 * l1 * lc2 * dtheta2 * dtheta1 * np.sin(theta2)
+            + (m1 * lc1 + m2 * l1) * g * np.cos(theta1 - np.pi / 2)
+            + phi2
+        )
+        ddtheta2 = (
+            torque + d2 / d1 * phi1 - m2 * l1 * lc2 * (dtheta1 * dtheta1) * np.sin(theta2) - phi2
+        ) / (m2 * lc2**2 + i2 - (d2 * d2) / d1)
+        ddtheta1 = -(d2 * ddtheta2 + phi1) / d1
+        return np.array([dtheta1, dtheta2, ddtheta1, ddtheta2])
+
+    def _step(self, action):
+        torque = self.TORQUES[action]
+        s = self.state
+        h = self.DT
+        k1 = self._dsdt(s, torque)
+        k2 = self._dsdt(s + h / 2 * k1, torque)
+        k3 = self._dsdt(s + h / 2 * k2, torque)
+        k4 = self._dsdt(s + h * k3, torque)
+        s = s + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        s[0] = _wrap(s[0], -np.pi, np.pi)
+        s[1] = _wrap(s[1], -np.pi, np.pi)
+        s[2] = np.clip(s[2], -self.MAX_VEL_1, self.MAX_VEL_1)
+        s[3] = np.clip(s[3], -self.MAX_VEL_2, self.MAX_VEL_2)
+        self.state = s
+        at_goal = bool(-np.cos(s[0]) - np.cos(s[1] + s[0]) > 1.0)
+        reward = 0.0 if at_goal else -1.0
+        return self._observation(), reward, at_goal
+
+
+class QControl(_EpisodicEnv, envs.QControl):
+    def __init__(self):
+        super().__init__()
+        self.qubit = qsim.init_zero(1)
+        self._target = qsim.Statevector(1, np.array([0, 1], dtype=complex))
+
+    def _reset(self, rng):
+        self.qubit = qsim.init_zero(1)
+        return self._observation()
+
+    def _observation(self):
+        return qsim.amplitude_features(self.qubit.amplitudes)
+
+    def _step(self, action):
+        h = qsim.TwoLevelHamiltonian(self.PULSE_SCALE * action, self.H_FIELD)
+        self.qubit = qsim.evolve_hamiltonian(self.qubit, h, self.DT)
+        reward = qsim.fidelity(self.qubit, self._target)
+        return self._observation(), reward, bool(reward <= self.MIN_FIDELITY)
+
+
+SCALAR_ENVS = {"cartpole": CartPole, "acrobot": Acrobot, "qcontrol": QControl}
+
+
+def sample_action(probs: np.ndarray, rng: np.random.Generator) -> int:
+    """Inverse-CDF draw from a probability vector."""
+    cum = np.cumsum(probs)
+    return int(min(np.searchsorted(cum, rng.random(), side="right"), len(probs) - 1))
+
+
+def rollout(env, policy, rng, gamma, normalizer=None):
+    """One episode on a scalar env, one 1-row inference per step.
+
+    With a `normalizer`, each observed row is recorded in it before the
+    row is scaled by it. Returns the trajectory and the probabilities of
+    every step, (T, |A|).
+    """
+    obs = env.reset(rng)
+    observations, actions, rewards, probabilities = [], [], [], []
+    done = False
+    while not done:
+        abs_max = None
+        if normalizer is not None:
+            normalizer.observe(obs)
+            abs_max = normalizer.running_abs_max
+        probs = policy.probabilities(obs, rng, abs_max)
+        action = sample_action(probs, rng)
+        observations.append(obs)
+        actions.append(action)
+        probabilities.append(probs)
+        obs, reward, done = env.step(action)
+        rewards.append(reward)
+    rewards = np.asarray(rewards, dtype=float)
+    traj = Trajectory(np.stack(observations), np.asarray(actions), rewards,
+                      envs.discounted_returns(rewards, gamma))
+    return traj, np.stack(probabilities)
+
+
+def sequential_batch(environment, policy, rngs, gamma):
+    """Episodes one after another, each on its own stream and its own copy of
+    the policy's normalizer; the copies are merged into it afterwards.
+    Returns the trajectories and each one's per-step probabilities."""
+    master = getattr(policy, "normalizer", None)
+    copies = [master.copy() if master is not None else None for _ in rngs]
+    results = [rollout(SCALAR_ENVS[environment](), policy, rng, gamma, copy)
+               for rng, copy in zip(rngs, copies)]
+    for copy in copies:
+        if copy is not None:
+            master.observe(copy.running_abs_max)
+    return [r[0] for r in results], [r[1] for r in results]

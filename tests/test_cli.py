@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 
+from conftest import QControl, rollout
 from qpolgrad import cli, envs, reinforce
 from qpolgrad import config as cfg
 
@@ -45,11 +46,11 @@ def test_dump_trajectories_has_one_row_per_step_and_replays_rollout(tmp_path):
         assert (np.sum([float(row["reward"]) for row in ep_rows])
                 == metrics["total_reward"][ep])
 
-    # Episode 0 replayed directly on its seeded stream gives the same rows.
+    # Episode 0 replayed on its seeded stream by the sequential reference
+    # gives the same rows.
     config = cfg.preset_config("qcontrol-quantum", {"seed": 0, "episodes": 20})
     stream = np.random.default_rng(np.random.SeedSequence(0, spawn_key=(1, 0)))
-    traj = reinforce.rollout(envs.make_env("qcontrol"), reinforce.prepare(config).policy,
-                             stream, config.gamma)
+    traj, _ = rollout(QControl(), reinforce.prepare(config).policy, stream, config.gamma)
     assert len(episodes[0]) == len(traj)
     for row, obs, action, reward in zip(episodes[0], traj.observations, traj.actions,
                                         traj.rewards):

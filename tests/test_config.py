@@ -65,6 +65,7 @@ def test_n_qubits_other_than_circuit_width_rejected(tmp_path, preset, n_qubits):
     pytest.param("cartpole-classical", {"beta_init": {"mean": 2.0, "std": 0.1}},
                  id="beta_init-classical-value"),
     pytest.param("cartpole-classical", {"n_layers": 5}, id="n_layers-classical"),
+    pytest.param("qcontrol-quantum", {"n_layers": 5}, id="n_layers-single-u3"),
 ])
 def test_init_keys_unused_by_kind_rejected(tmp_path, preset, overrides):
     assert_rejected_before_any_artifact(tmp_path, preset, overrides)

@@ -1,9 +1,13 @@
+"""Environments. The dynamics tests run on the scalar reference classes in
+conftest; the array environments the rollout steps must agree with them
+from the same states."""
 import numpy as np
 import pytest
 
+from conftest import Acrobot, CartPole, QControl
 from qpolgrad import envs, qsim
 from qpolgrad.errors import ConfigError, ContractError
-from qpolgrad.envs import Acrobot, CartPole, QControl, discounted_returns, make_env
+from qpolgrad.envs import discounted_returns, make_env
 
 
 def test_env_specs_match_frozen_table():
@@ -304,3 +308,59 @@ def test_step_before_reset_raises():
     for env in (CartPole(), Acrobot(), QControl()):
         with pytest.raises(ContractError):
             env.step(0)
+
+
+# ---------------------------------------------------------------------------
+# array environments against the scalar reference
+# ---------------------------------------------------------------------------
+
+def random_states(name, rng, n):
+    """Start states spread over (and a little past) what episodes visit."""
+    if name == "cartpole":
+        return rng.uniform(-1, 1, size=(n, 4)) * [2.5, 3.0, 0.25, 3.5]
+    if name == "acrobot":
+        return rng.uniform(-1, 1, size=(n, 4)) * [np.pi, np.pi, 4 * np.pi, 9 * np.pi]
+    amps = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+    return amps / np.linalg.norm(amps, axis=1, keepdims=True)
+
+
+def scalar_step(name, state, action):
+    env = {"cartpole": CartPole, "acrobot": Acrobot, "qcontrol": QControl}[name]()
+    env.reset(np.random.default_rng(0))
+    if name == "qcontrol":
+        env.qubit = qsim.Statevector(1, state.copy())
+    else:
+        env.state = state.copy()
+    return env.step(action)
+
+
+@pytest.mark.parametrize("name", ["cartpole", "acrobot", "qcontrol"])
+def test_array_step_matches_scalar_step(name):
+    # CartPole and Acrobot square by x*x where the scalar code calls libm
+    # pow, so they agree to rounding; QControl agrees bit for bit.
+    rng = np.random.default_rng(21)
+    env = make_env(name)
+    n = 2000
+    states = random_states(name, rng, n)
+    actions = rng.integers(env.spec.n_actions, size=n)
+    features = env.features(states)
+    assert features.shape == (n, env.spec.n_features)
+    new_states, rewards, done = env.step(states.copy(), actions)
+    new_features = env.features(new_states)
+    for i in range(n):
+        obs, reward, finished = scalar_step(name, states[i], int(actions[i]))
+        if name == "qcontrol":
+            np.testing.assert_array_equal(new_features[i], obs)
+        else:
+            np.testing.assert_array_equal(new_features[i], obs)
+        assert rewards[i] == reward
+        assert done[i] == finished
+
+
+@pytest.mark.parametrize("name", ["cartpole", "acrobot", "qcontrol"])
+def test_array_reset_matches_scalar_reset(name):
+    env = make_env(name)
+    states = env.reset([np.random.default_rng(seed) for seed in range(5)])
+    for seed, row in enumerate(env.features(states)):
+        scalar = {"cartpole": CartPole, "acrobot": Acrobot, "qcontrol": QControl}[name]()
+        np.testing.assert_array_equal(row, scalar.reset(np.random.default_rng(seed)))

@@ -4,8 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import sequential_batch
 from qpolgrad import config as cfg
-from qpolgrad import qsim, reinforce, vqpolicy
+from qpolgrad import envs, qsim, reinforce, vqpolicy
 from qpolgrad.envs import discounted_returns
 from qpolgrad.errors import ConfigError, ContractError
 from qpolgrad.reinforce import (
@@ -16,8 +17,8 @@ from qpolgrad.reinforce import (
     init_params,
     policy_gradient,
     prepare,
-    rollout,
-    sample_action,
+    run_episodes,
+    sample_actions,
     train,
 )
 from qpolgrad.vqpolicy import CircuitSpec, PolicyParams, QuantumPolicy, softmax_policy
@@ -250,8 +251,23 @@ def test_estimator_direction_on_synthetic_bandit():
 def test_sample_action_inverse_cdf():
     rng = np.random.default_rng(0)
     probs = np.array([0.2, 0.5, 0.3])
-    counts = np.bincount([sample_action(probs, rng) for _ in range(20000)], minlength=3)
-    np.testing.assert_allclose(counts / 20000, probs, atol=0.02)
+    draws = sample_actions(np.tile(probs, (20000, 1)), rng.random(20000))
+    np.testing.assert_allclose(np.bincount(draws, minlength=3) / 20000, probs, atol=0.02)
+
+    # a uniform exactly on a cumulative boundary goes past it, as
+    # searchsorted(side="right") counts
+    cum = np.cumsum(probs)
+    uniforms = np.array([0.0, cum[0], cum[1], np.nextafter(cum[0], 0.0)])
+    want = [int(np.searchsorted(cum, u, side="right")) for u in uniforms]
+    assert want == [0, 1, 2, 0]
+    assert sample_actions(np.tile(probs, (4, 1)), uniforms).tolist() == want
+
+    # probabilities summing to just under 1 leave a gap above the last
+    # cumulative value; a uniform in it takes the last action
+    short = np.array([[0.5, 0.5 - 1e-12]])
+    assert sample_actions(short, np.array([1.0 - 1e-13])).tolist() == [1]
+    assert sample_actions(np.array([[0.25, 0.25, 0.25, 0.25 - 1e-9]]),
+                          np.array([0.9999999999])).tolist() == [3]
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +322,8 @@ def test_shot_mode_training_is_finite_and_deterministic():
 
 
 def test_one_row_operator_build_per_batch(monkeypatch):
-    # The rollouts' episode views share one operator built before they are
-    # taken, and the batch gradient reuses it: theta is unchanged until Adam.
+    # The lockstep rollout builds the operator at its first inference, and
+    # the batch gradient reuses it: theta is unchanged until Adam.
     build, gradient = qsim.circuit_row_operator, reinforce.policy_gradient
     builds, gradient_builds = [], []
 
@@ -369,10 +385,138 @@ def test_checkpoint_hook_fires_every_ten_percent():
 
 
 def test_rollout_respects_episode_caps():
-    cfg_run = cfg.preset_config("qcontrol-quantum", {"seed": 4})
-    state = prepare(cfg_run)
-    from qpolgrad.envs import make_env
+    for preset, cap in (("qcontrol-quantum", 10), ("cartpole-classical", 200)):
+        state = prepare(cfg.preset_config(preset, {"seed": 4}))
+        rngs = [np.random.default_rng(seed) for seed in range(8)]
+        batch = run_episodes(envs.make_env(preset.split("-")[0]), state.policy, rngs, 0.99)
+        assert len(batch) == 8
+        for traj in batch:
+            assert 1 <= len(traj) <= cap
+            np.testing.assert_array_equal(traj.returns, discounted_returns(traj.rewards, 0.99))
 
-    traj = rollout(make_env("qcontrol"), state.policy, np.random.default_rng(0), 0.99)
-    assert 1 <= len(traj) <= 10
-    np.testing.assert_allclose(traj.returns, discounted_returns(traj.rewards, 0.99))
+
+# ---------------------------------------------------------------------------
+# lockstep rollouts against the sequential reference
+# ---------------------------------------------------------------------------
+
+def lockstep_probabilities(policy, monkeypatch):
+    """Record every (m, |A|) inference of a lockstep rollout."""
+    calls, probabilities = [], type(policy).probabilities
+
+    def recording(self, obs, rng=None, abs_max=None):
+        result = probabilities(self, obs, rng, abs_max)
+        calls.append(result)
+        return result
+
+    monkeypatch.setattr(type(policy), "probabilities", recording)
+    return calls
+
+
+def per_episode(calls, lengths):
+    """Step-major rows of the recorded inferences, split by episode: at step
+    t the rows belong to the episodes still running, in batch order."""
+    out = [[] for _ in lengths]
+    for t, rows in enumerate(calls):
+        running = [i for i, n in enumerate(lengths) if n > t]
+        assert len(rows) == len(running)
+        for i, row in zip(running, rows):
+            out[i].append(row)
+    return [np.stack(rows) for rows in out]
+
+
+@pytest.mark.parametrize("preset, overrides", [
+    ("cartpole-quantum", {}), ("acrobot-quantum", {}), ("qcontrol-quantum", {}),
+    ("cartpole-classical", {}), ("acrobot-classical", {}), ("qcontrol-classical", {}),
+    ("cartpole-quantum", {"shots": 200}),
+])
+def test_lockstep_batch_matches_sequential_reference(monkeypatch, preset, overrides):
+    # Bit for bit the episodes that run one after another on scalar envs
+    # with 1-row inference, on the same per-episode streams and normalizer
+    # snapshots. In shot mode the readout draws come from each episode's
+    # stream, so an exact readout would change the actions.
+    config = cfg.preset_config(preset, {"seed": 7, **overrides})
+    policy, reference_policy = prepare(config).policy, prepare(config).policy
+    calls = lockstep_probabilities(policy, monkeypatch)
+    batch = reinforce.collect_batch(config, policy, 30, 10)
+    monkeypatch.undo()
+    rngs = [reinforce._episode_rng(config.seed, 30 + i) for i in range(10)]
+    reference, reference_probs = sequential_batch(config.environment, reference_policy, rngs,
+                                                  config.gamma)
+    lockstep_probs = per_episode(calls, [len(traj) for traj in batch])
+    # The MLP's probabilities may differ in the last bit (see
+    # `MlpPolicy.probabilities`); the circuit's padded products agree exactly.
+    atol = 1e-14 if config.policy == "classical" else 0.0
+    for traj, ref, probs, ref_probs in zip(batch, reference, lockstep_probs, reference_probs):
+        np.testing.assert_array_equal(traj.actions, ref.actions)
+        np.testing.assert_array_equal(traj.rewards, ref.rewards)
+        np.testing.assert_array_equal(traj.returns, ref.returns)
+        np.testing.assert_array_equal(traj.observations, ref.observations)
+        np.testing.assert_allclose(probs, ref_probs, rtol=0, atol=atol)
+    if getattr(policy, "normalizer", None) is not None:
+        np.testing.assert_array_equal(policy.normalizer.running_abs_max,
+                                      reference_policy.normalizer.running_abs_max)
+    if overrides.get("shots"):
+        exact_policy = prepare(cfg.preset_config(preset, {"seed": 7})).policy
+        exact_batch = reinforce.collect_batch(config, exact_policy, 30, 10)
+        assert any(len(a) != len(b) or np.any(a.actions != b.actions)
+                   for a, b in zip(batch, exact_batch))
+
+
+def trajectory_bits(traj):
+    return [traj.observations.tobytes(), traj.actions.tobytes(), traj.rewards.tobytes(),
+            traj.returns.tobytes()]
+
+
+@pytest.mark.parametrize("preset, overrides", [
+    ("cartpole-quantum", {}), ("acrobot-quantum", {"n_layers": 1}), ("cartpole-classical", {}),
+    ("qcontrol-quantum", {}), ("cartpole-quantum", {"shots": 100}),
+])
+def test_lockstep_batch_independent_of_order_and_size(preset, overrides):
+    # A padded product rounds every row alike, so an episode's bits do not
+    # depend on which episodes share its batch, or in what order. (The MLP's
+    # probabilities can differ in the last bit, too little to move an action
+    # here.)
+    config = cfg.preset_config(preset, {"seed": 2, **overrides})
+    env = envs.make_env(config.environment)
+    policy = prepare(config).policy
+    normalizer = getattr(policy, "normalizer", None)
+
+    def run(seeds):
+        rngs = [reinforce._episode_rng(config.seed, s) for s in seeds]
+        snapshot = normalizer.copy() if normalizer is not None else None
+        batch = run_episodes(env, policy, rngs, config.gamma, snapshot)
+        return [trajectory_bits(traj) for traj in batch], snapshot
+
+    seeds = list(range(10))
+    together, merged = run(seeds)
+    order = np.random.default_rng(0).permutation(10)
+    permuted, merged_permuted = run([seeds[i] for i in order])
+    assert permuted == [together[i] for i in order]
+    for i in seeds:
+        assert run([i])[0] == [together[i]]
+    if normalizer is not None:
+        np.testing.assert_array_equal(merged.running_abs_max, merged_permuted.running_abs_max)
+
+
+def test_train_counts_steps_through_module_collect_batch(monkeypatch):
+    # The benchmark counts trained env steps by replacing
+    # `reinforce.collect_batch`; `train` must call it through the module, and
+    # the trajectories it returns must hold every step the envs took.
+    collect, step = reinforce.collect_batch, envs.CartPole.step
+    counted, stepped = [], []
+
+    def counting_collect(*args, **kwargs):
+        batch = collect(*args, **kwargs)
+        counted.append(sum(len(traj) for traj in batch))
+        return batch
+
+    def counting_step(self, states, actions):
+        stepped.append(len(actions))
+        return step(self, states, actions)
+
+    monkeypatch.setattr(reinforce, "collect_batch", counting_collect)
+    monkeypatch.setattr(envs.CartPole, "step", counting_step)
+    config = cfg.preset_config("cartpole-quantum", {"episodes": 25, "seed": 1})
+    records = list(train(config))
+    assert len(counted) == 3  # batches of 10, 10 and 5
+    assert sum(counted) == sum(stepped) == sum(r.total_reward for r in records) > 0

@@ -74,7 +74,8 @@ def test_normalizer_keeps_angles_in_range_and_is_monotone():
     prev = norm.running_abs_max.copy()
     for _ in range(200):
         feats = rng.normal(scale=rng.uniform(0.01, 50), size=4)
-        angles = norm.normalize(feats)
+        norm.observe(feats)
+        angles = norm.rescale(feats)
         assert np.all(np.abs(angles) <= np.pi + 1e-12)
         assert np.all(norm.running_abs_max >= prev)
         prev = norm.running_abs_max.copy()

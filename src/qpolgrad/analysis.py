@@ -54,15 +54,16 @@ class SpectrumReport:
     densities: np.ndarray  # histogram densities; integrate to 1
 
 
-def fisher_matrix(policy, states, actions, include_beta: bool = True) -> FisherMatrix:
+def fisher_matrix(policy, states, actions, include_beta: bool = True, rng=None) -> FisherMatrix:
     """Empirical Fisher matrix (1/T) sum_t g_t g_t^T from (state, action) pairs.
 
     `include_beta=False` restricts a quantum policy's gradient to the circuit
-    angles; classical policies always use their full weight gradient.
+    angles; classical policies always use their full weight gradient. `rng`
+    feeds shot-mode readouts and dropout masks.
     """
     if len(states) == 0 or len(states) != len(actions):
         raise ContractError("fisher_matrix needs equal-length, non-empty state/action lists")
-    g = policy.grad_log_batch(states, np.asarray(actions, dtype=int))
+    g = policy.grad_log_batch(states, np.asarray(actions, dtype=int), rng)
     if not include_beta and policy.kind == "quantum":
         g = g[:, :-1]
     f = g.T @ g / g.shape[0]

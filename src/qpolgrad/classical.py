@@ -103,7 +103,7 @@ def _forward_cached(spec, params, x, train, rng):
     a = x
     n_layers = len(params.weights)
     for i, w in enumerate(params.weights):
-        h = a @ w.T
+        h = np.einsum("ti,oi->to", a, w)  # unlike BLAS, rounds a row alike in any batch
         if i < n_layers - 1:
             pre.append(h)
             a = np.maximum(h, 0.0)
@@ -144,30 +144,38 @@ def grad_log_policy(spec: MlpSpec, params: MlpParams, features, action: int,
     return g[0]
 
 
-def grad_log_policy_batch(spec: MlpSpec, params: MlpParams, features, actions,
-                          mode: str = "eval", rng: np.random.Generator | None = None) -> np.ndarray:
-    """Row-stacked log-policy gradients, shape (T, n_params)."""
+def _backward(spec: MlpSpec, params: MlpParams, features, actions, mode: str,
+              rng: np.random.Generator | None, weights=None) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per layer, the rows' (output delta, input activation) of the backward
+    pass of log pi(a_t | x_t); `weights` scales each row's delta."""
     if mode == "train" and spec.dropout_p > 0.0 and rng is None:
         raise ContractError("train-mode dropout requires an rng")
     x = np.atleast_2d(_check_input(spec, features))
     actions = np.asarray(actions, dtype=int)
-    t = x.shape[0]
-    n_actions = spec.layer_sizes[-1]
-    if np.any(actions < 0) or np.any(actions >= n_actions):
+    if np.any(actions < 0) or np.any(actions >= spec.layer_sizes[-1]):
         raise ContractError("action index out of range")
     prefs, acts, pre, masks = _forward_cached(spec, params, x, mode == "train", rng)
-    probs = softmax_policy(prefs, 1.0)
-    delta = -probs
-    delta[np.arange(t), actions] += 1.0  # d log pi / d prefs = onehot - pi
-    grads = [None] * len(params.weights)
+    delta = -softmax_policy(prefs, 1.0)
+    delta[np.arange(x.shape[0]), actions] += 1.0  # d log pi / d prefs = onehot - pi
+    if weights is not None:
+        delta *= weights[:, None]
+    layers = []
     for i in range(len(params.weights) - 1, -1, -1):
-        grads[i] = np.einsum("to,ti->toi", delta, acts[i])
+        layers.append((delta, acts[i]))
         if i > 0:
             delta = delta @ params.weights[i]
             if masks[i - 1] is not None:
                 delta = delta * masks[i - 1]
             delta = delta * (pre[i - 1] > 0)
-    return np.concatenate([g.reshape(t, -1) for g in grads], axis=1)
+    return layers[::-1]
+
+
+def grad_log_policy_batch(spec: MlpSpec, params: MlpParams, features, actions,
+                          mode: str = "eval", rng: np.random.Generator | None = None) -> np.ndarray:
+    """Row-stacked log-policy gradients, shape (T, n_params)."""
+    layers = _backward(spec, params, features, actions, mode, rng)
+    return np.concatenate([np.einsum("to,ti->toi", delta, act).reshape(len(act), -1)
+                           for delta, act in layers], axis=1)
 
 
 class MlpPolicy:
@@ -195,9 +203,7 @@ class MlpPolicy:
 
     def probabilities(self, obs, rng=None, abs_max=None) -> np.ndarray:
         """(|A|,) for one feature row or (m, |A|) for m rows, from the eval-mode
-        network (`rng`, `abs_max` unused). BLAS rounds a row of the hidden-to-
-        output product by its place among the rows, so a row's probabilities
-        can change in the last bit with the rows around it."""
+        network (`rng`, `abs_max` unused); a row's bits do not depend on the others."""
         return softmax_policy(forward(self.spec, self.params, obs), 1.0)
 
     def grad_log(self, obs, action: int, rng: np.random.Generator | None = None) -> np.ndarray:
@@ -208,6 +214,14 @@ class MlpPolicy:
         mode = "train" if self.spec.dropout_p > 0.0 else "eval"
         return grad_log_policy_batch(self.spec, self.params, observations, actions, mode=mode,
                                      rng=rng)
+
+    def weighted_grad_log(self, observations, actions, weights,
+                          rng: np.random.Generator | None = None) -> np.ndarray:
+        """sum_t weights[t] * grad log pi(a_t | s_t), shape (n_params,), from
+        `grad_log_batch`'s passes (and dropout draws) on weighted deltas."""
+        mode = "train" if self.spec.dropout_p > 0.0 else "eval"
+        layers = _backward(self.spec, self.params, observations, actions, mode, rng, weights)
+        return np.concatenate([(delta.T @ act).ravel() for delta, act in layers])
 
     # -- persistence ----------------------------------------------------------
     def to_checkpoint(self) -> dict:

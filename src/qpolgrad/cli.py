@@ -90,7 +90,7 @@ def fisher_spectrum(policy, environment: str, rollouts: int, rng: np.random.Gene
     stream and record what they see in a copy of the normalizer, so
     observing a policy leaves it unchanged; the gradients scale by the
     policy's maxima widened to cover the visited states, which that copy
-    ends with.
+    ends with. Shot-mode gradients draw from the same stream after them.
     """
     if rollouts < 1:
         raise ContractError(f"a Fisher spectrum needs at least one rollout, got {rollouts}")
@@ -100,7 +100,7 @@ def fisher_spectrum(policy, environment: str, rollouts: int, rng: np.random.Gene
     states = np.concatenate([traj.observations for traj in trajs])
     actions = np.concatenate([traj.actions for traj in trajs])
     return analysis.spectrum(analysis.fisher_matrix(policy, states, actions,
-                                                    include_beta=include_beta))
+                                                    include_beta=include_beta, rng=rng))
 
 
 def _write_spectrum(report: analysis.SpectrumReport, csv_path: Path, json_path: Path,

@@ -161,13 +161,13 @@ def baseline(batch: list[Trajectory]) -> np.ndarray:
 
 def policy_gradient(batch: list[Trajectory], policy,
                     rng: np.random.Generator | None = None) -> np.ndarray:
-    """REINFORCE-with-baseline estimate of grad J over the trainable vector."""
+    """REINFORCE-with-baseline estimate of grad J, (1/B) sum_t A_t grad log
+    pi(a_t | s_t), contracted by the policy without per-sample gradients."""
     b = baseline(batch)
     observations = np.concatenate([traj.observations for traj in batch])
     actions = np.concatenate([traj.actions for traj in batch])
     adv = np.concatenate([traj.returns - b[: len(traj)] for traj in batch])
-    glog = policy.grad_log_batch(observations, actions, rng)
-    return adv @ glog / len(batch)
+    return policy.weighted_grad_log(observations, actions, adv, rng) / len(batch)
 
 
 def sample_actions(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
@@ -271,9 +271,8 @@ def train(config, state: RunState | None = None, checkpoint_hook=None,
         if trajectory_sink is not None:
             for i, traj in enumerate(batch):
                 trajectory_sink(episodes_done + i, traj)
-        grad_rng = (np.random.default_rng(np.random.SeedSequence(config.seed,
-                                                                 spawn_key=(3, batch_index)))
-                    if config.shots else None)
+        grad_rng = np.random.default_rng(np.random.SeedSequence(config.seed,
+                                                                spawn_key=(3, batch_index)))
         grad = policy_gradient(batch, policy, grad_rng)
         policy.set_vector(adam_step(policy.get_vector(), grad, adam))
         grad_norm = float(np.linalg.norm(grad))

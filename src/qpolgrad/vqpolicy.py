@@ -12,17 +12,17 @@ and the rows are read out exactly or with a finite number of shots.
 
 Every trainable angle sits in exactly one Pauli rotation (the U3 gate is a
 Z-Y-Z chain, so its three angles qualify). Gradients with respect to them
-come from one of two places:
+take one of three routes:
 
-- Exact mode (shots = 0) uses the adjoint method (Jones & Gacon 2020): the
-  log-policy gradient of a row needs only d<O>/d(theta) for the weighted
-  observable O = sum_a w_a Z_a, so one co-state lambda = O psi per row is
-  walked back through the circuit next to psi, and each rotation
-  exp(-i theta P / 2) contributes Im<lambda|P psi>.
-- Shot mode uses the two-term parameter-shift rule,
-  d<a>/d(theta_j) = (<a>(theta_j + pi/2) - <a>(theta_j - pi/2)) / 2, which
-  needs only measured expectations. It is also the tests' exact oracle for
-  the adjoint sweep.
+- Training in exact mode (shots = 0) needs only the advantage-weighted sum
+  of log-policy gradients, d/d(theta) of sum_t <psi_t|O_t|psi_t> with
+  O_t = sum_a w_ta Z_a: `summed_gradient` walks K = sum_t |psi_t><psi_t| O_t
+  back through the circuit; a rotation exp(-i theta P / 2) adds Im Tr(P K).
+- Per-sample gradients in exact mode (the Fisher matrix) use the adjoint
+  method (Jones & Gacon 2020): a co-state lambda = O_t psi per row is walked
+  back next to psi, and each rotation contributes Im<lambda|P psi>.
+- Shot mode uses the two-term parameter-shift rule per sample, d<a>/d(theta_j)
+  = (<a>(theta_j + pi/2) - <a>(theta_j - pi/2)) / 2, the tests' exact oracle.
 
 The inverse-temperature gradient is analytic.
 """
@@ -286,6 +286,15 @@ def _generator_overlap(psi: np.ndarray, lam: np.ndarray, gate: qsim.Gate) -> np.
     return (c[:, :, 1].conj() * x[:, :, 0] - c[:, :, 0].conj() * x[:, :, 1]).real.sum(axis=(1, 2))
 
 
+def _observable_diagonals(spec: CircuitSpec, weights: np.ndarray) -> np.ndarray:
+    """Diagonals of O_t = sum_a weights[t, a] Z_a in the computational basis,
+    shape (T, 2**n); the single_u3 pair (Z, -Z) gives coefficient w_0 - w_1."""
+    n = spec.n_qubits
+    coeff = weights if spec.architecture == "layered" else weights[:, :1] - weights[:, 1:]
+    basis = np.arange(2**n)
+    return coeff @ np.stack([1.0 - 2.0 * (basis >> (n - 1 - q) & 1) for q in _measured_qubits(spec)])
+
+
 def adjoint_gradients(spec: CircuitSpec, params: PolicyParams, rows: np.ndarray,
                       weights: np.ndarray) -> np.ndarray:
     """d/d(theta) of sum_a weights[t, a] * <a>_t for ansatz-output rows, shape (T, k).
@@ -298,16 +307,12 @@ def adjoint_gradients(spec: CircuitSpec, params: PolicyParams, rows: np.ndarray,
     per-gate state is kept.
     """
     n = spec.n_qubits
-    qubits = _measured_qubits(spec)
-    coeff = weights if spec.architecture == "layered" else weights[:, :1] - weights[:, 1:]
-    basis = np.arange(2**n)
-    z_signs = np.stack([1.0 - 2.0 * (basis >> (n - 1 - q) & 1) for q in qubits])
     steps = _rotation_steps(build_ansatz(spec, params))[::-1]
     inverses = [g.matrix().conj().T if j is not None else None for g, j in steps]
     grads = np.empty((rows.shape[0], spec.n_params))
     for lo in range(0, rows.shape[0], ADJOINT_CHUNK_ROWS):
-        psi = rows[lo:lo + ADJOINT_CHUNK_ROWS]
-        pair = np.stack([psi, psi * (coeff[lo:lo + ADJOINT_CHUNK_ROWS] @ z_signs)])
+        psi, w = rows[lo:lo + ADJOINT_CHUNK_ROWS], weights[lo:lo + ADJOINT_CHUNK_ROWS]
+        pair = np.stack([psi, psi * _observable_diagonals(spec, w)])
         for (gate, j), inverse in zip(steps, inverses):
             if j is None:  # a CNOT is its own inverse
                 pair = qsim.apply_cnot_array(pair, gate.control, gate.target, n)
@@ -315,6 +320,32 @@ def adjoint_gradients(spec: CircuitSpec, params: PolicyParams, rows: np.ndarray,
             grads[lo:lo + ADJOINT_CHUNK_ROWS, j] = _generator_overlap(pair[0], pair[1], gate)
             pair = qsim.apply_1q_array(pair, inverse, gate.target, n)
     return grads
+
+
+def summed_gradient(spec: CircuitSpec, params: PolicyParams, rows: np.ndarray,
+                    weights: np.ndarray) -> np.ndarray:
+    """d/d(theta) of sum_t sum_a weights[t, a] * <a>_t, shape (k,): the column
+    sums of `adjoint_gradients`, from one 2**n x 2**n operator, accumulated
+    over row chunks. K is held as the flat state of a 2n-qubit register (rows
+    on qubits 0..n-1, columns on n..2n-1), so the row kernels conjugate it;
+    at a rotation, Im Tr(P K) is read from K's 2x2 partial trace B."""
+    n = spec.n_qubits
+    k = np.zeros(4**n, dtype=complex)
+    for lo in range(0, rows.shape[0], ADJOINT_CHUNK_ROWS):
+        psi, w = rows[lo:lo + ADJOINT_CHUNK_ROWS], weights[lo:lo + ADJOINT_CHUNK_ROWS]
+        k += (psi.T @ (psi * _observable_diagonals(spec, w)).conj()).ravel()
+    grad = np.empty(spec.n_params)
+    for gate, j in _rotation_steps(build_ansatz(spec, params))[::-1]:
+        if j is None:  # a CNOT is real, symmetric and its own inverse
+            k = qsim.apply_cnot_array(k, gate.control, gate.target, 2 * n)
+            k = qsim.apply_cnot_array(k, gate.control + n, gate.target + n, 2 * n)
+            continue
+        b = np.einsum("axbayb->xy", k.reshape(2 * (2**gate.target, 2, 2 ** (n - gate.target - 1))))
+        grad[j] = (b[0, 0] - b[1, 1]).imag if gate.kind == "RZ" else (b[0, 1] - b[1, 0]).real
+        inverse = gate.matrix().conj().T
+        k = qsim.apply_1q_array(k, inverse, gate.target, 2 * n)
+        k = qsim.apply_1q_array(k, inverse.conj(), gate.target + n, 2 * n)
+    return grad
 
 
 class QuantumPolicy:
@@ -395,15 +426,8 @@ class QuantumPolicy:
     def grad_log(self, obs, action: int, rng: np.random.Generator | None = None) -> np.ndarray:
         return self.grad_log_batch([obs], [action], rng)[0]
 
-    def grad_log_batch(self, observations, actions, rng: np.random.Generator | None = None) -> np.ndarray:
-        """Log-policy gradients for T (observation, action) pairs: (T, k+1).
-
-        theta block: sum_a w_a d<a>/d(theta) with w = beta * (onehot(a_t) - pi),
-        from the adjoint sweep in exact mode and parameter shift in shot mode;
-        beta entry (analytic): <a> - sum_b pi_b <b>. The angle encoding scales
-        by the normalizer's maxima widened to cover the observations, which
-        after a rollout are the normalizer's own.
-        """
+    def _score_terms(self, observations, actions, rng):
+        """Input rows, output rows, readout weights and beta entries of T pairs."""
         actions = np.asarray(actions, dtype=int)
         if np.any(actions < 0) or np.any(actions >= self.spec.n_actions):
             raise ContractError("action index out of range")
@@ -414,13 +438,35 @@ class QuantumPolicy:
         rows = np.arange(enc.shape[0])
         weights = -self.params.beta * probs
         weights[rows, actions] += self.params.beta
+        gbeta = prefs[rows, actions] - np.einsum("ta,ta->t", prefs, probs)
+        return enc, out_rows, weights, gbeta
+
+    def grad_log_batch(self, observations, actions, rng: np.random.Generator | None = None) -> np.ndarray:
+        """Log-policy gradients for T (observation, action) pairs: (T, k+1).
+
+        theta block: sum_a w_a d<a>/d(theta) with w = beta * (onehot(a_t) - pi),
+        from the adjoint sweep in exact mode and parameter shift in shot mode;
+        beta entry (analytic): <a> - sum_b pi_b <b>. The angle encoding scales
+        by the normalizer's maxima widened to cover the observations, which
+        after a rollout are the normalizer's own.
+        """
+        enc, out_rows, weights, gbeta = self._score_terms(observations, actions, rng)
         if self.shots:
             grads = shift_gradients(self.spec, self.params, enc, self.shots, rng)
             gtheta = np.einsum("tka,ta->tk", grads, weights)
         else:
             gtheta = adjoint_gradients(self.spec, self.params, out_rows, weights)
-        gbeta = prefs[rows, actions] - np.einsum("ta,ta->t", prefs, probs)
         return np.concatenate([gtheta, gbeta[:, None]], axis=1)
+
+    def weighted_grad_log(self, observations, actions, weights,
+                          rng: np.random.Generator | None = None) -> np.ndarray:
+        """sum_t weights[t] * grad log pi(a_t | s_t), shape (k+1,), by one
+        `summed_gradient` sweep; shot mode draws as `grad_log_batch` does."""
+        if self.shots:
+            return weights @ self.grad_log_batch(observations, actions, rng)
+        out_rows, readout, gbeta = self._score_terms(observations, actions, rng)[1:]  # frees enc early
+        gtheta = summed_gradient(self.spec, self.params, out_rows, readout * weights[:, None])
+        return np.append(gtheta, weights @ gbeta)
 
     # -- persistence ----------------------------------------------------------
     def to_checkpoint(self) -> dict:

@@ -160,6 +160,25 @@ def test_policy_batch_grads_match_single():
         np.testing.assert_allclose(batch[i], policy.grad_log(o, int(a)), atol=1e-12)
 
 
+def test_weighted_grad_log_matches_contracted_batch_with_dropout():
+    # The weighted backward pass shares the forward pass and dropout masks:
+    # on equal streams it draws the same masks (both streams end in the same
+    # state) and contracts the same per-sample gradients.
+    rng = np.random.default_rng(10)
+    spec = MlpSpec((4, 16, 16, 3), dropout_p=0.3)
+    policy = MlpPolicy(spec, MlpParams.glorot(spec, rng))
+    obs = rng.normal(size=(40, 4))
+    actions = rng.integers(3, size=40)
+    adv = rng.normal(size=40)
+    stream, weighted_stream = np.random.default_rng(11), np.random.default_rng(11)
+    want = adv @ policy.grad_log_batch(obs, actions, stream)
+    got = policy.weighted_grad_log(obs, actions, adv, weighted_stream)
+    assert stream.bit_generator.state == weighted_stream.bit_generator.state
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+    with pytest.raises(ContractError):
+        policy.weighted_grad_log(obs, actions, adv)
+
+
 def test_score_identity_classical():
     rng = np.random.default_rng(9)
     spec = MlpSpec((4, 8, 3))

@@ -26,6 +26,17 @@ def test_fisher_checkpoints_leave_training_unchanged(tmp_path):
     assert len(promised) == 20
 
 
+def test_shot_mode_fisher_run_writes_every_spectrum(tmp_path):
+    # Shot-mode Fisher gradients read out on the spectrum's side stream.
+    out = tmp_path / "shots"
+    assert cli.main(["run", "--preset", "qcontrol-quantum", "--seed", "0", "--episodes", "20",
+                     "--shots", "100", "--fisher", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    promised = {name for pair in manifest["artifacts"]["fisher"] for name in pair}
+    assert promised == {path.name for path in out.glob("fisher_ck_*")}
+    assert len(promised) == 20
+
+
 def test_dump_trajectories_has_one_row_per_step_and_replays_rollout(tmp_path):
     out = tmp_path / "run"
     assert cli.main(["run", "--preset", "qcontrol-quantum", "--seed", "0", "--episodes", "20",

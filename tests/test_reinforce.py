@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from conftest import sequential_batch
 from qpolgrad import config as cfg
-from qpolgrad import envs, qsim, reinforce, vqpolicy
+from qpolgrad import classical, envs, qsim, reinforce, vqpolicy
 from qpolgrad.envs import discounted_returns
 from qpolgrad.errors import ConfigError, ContractError
 from qpolgrad.reinforce import (
@@ -345,6 +346,63 @@ def test_one_row_operator_build_per_batch(monkeypatch):
     assert gradient_builds == [0]
 
 
+def batch_inputs(preset):
+    """A seed-0 batch of `preset`, its prepared policy and its advantages."""
+    config = cfg.preset_config(preset, {"seed": 0})
+    policy = prepare(config).policy
+    batch = reinforce.collect_batch(config, policy, 0, config.batch_size)
+    b = baseline(batch)
+    observations = np.concatenate([traj.observations for traj in batch])
+    actions = np.concatenate([traj.actions for traj in batch])
+    adv = np.concatenate([traj.returns - b[: len(traj)] for traj in batch])
+    return batch, policy, observations, actions, adv
+
+
+@pytest.mark.parametrize("preset", sorted(cfg.PRESETS))
+def test_weighted_grad_log_matches_contracted_batch_over_presets(preset):
+    # Advantages plus noise, so that every row carries weight.
+    _, policy, observations, actions, adv = batch_inputs(preset)
+    adv = adv + np.random.default_rng(0).normal(size=len(adv))
+    want = adv @ policy.grad_log_batch(observations, actions)
+    got = policy.weighted_grad_log(observations, actions, adv)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("preset", ["cartpole-quantum", "cartpole-classical"])
+def test_training_forms_no_per_sample_gradients(monkeypatch, preset):
+    def refuse(*args, **kwargs):
+        raise AssertionError("training built per-sample gradients")
+
+    monkeypatch.setattr(vqpolicy, "adjoint_gradients", refuse)
+    monkeypatch.setattr(classical, "grad_log_policy_batch", refuse)
+    config = cfg.preset_config(preset, {"episodes": 10, "seed": 0})
+    assert all(np.isfinite(record.grad_norm) for record in train(config))
+
+
+def test_policy_gradient_memory_stays_within_three_row_arrays():
+    # T output rows of 2**n complex amplitudes are 16 T 2**n bytes; the batch
+    # gradient may hold three such arrays at once (the input rows, the output
+    # rows and one readout temporary), not a (T, 2**n) co-state per sample.
+    batch, policy, *_ = batch_inputs("acrobot-quantum")
+    rows = sum(len(traj) for traj in batch)
+    tracemalloc.start()
+    try:
+        policy_gradient(batch, policy)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * rows * 2**policy.spec.n_qubits * 16
+
+
+def test_dropout_training_is_finite_and_deterministic():
+    # Dropout masks come from the batch's gradient stream.
+    config = cfg.preset_config("cartpole-classical", {"dropout_p": 0.2, "episodes": 20})
+    rows = [(r.total_reward, r.discounted_return, r.grad_norm) for r in train(config)]
+    assert len(rows) == 20
+    assert np.all(np.isfinite(rows))
+    assert [(r.total_reward, r.discounted_return, r.grad_norm) for r in train(config)] == rows
+
+
 @pytest.mark.parametrize("preset", ["cartpole-quantum", "cartpole-classical",
                                     "qcontrol-quantum", "qcontrol-classical"])
 def test_gradient_norms_finite_over_presets(preset):
@@ -443,15 +501,12 @@ def test_lockstep_batch_matches_sequential_reference(monkeypatch, preset, overri
     reference, reference_probs = sequential_batch(config.environment, reference_policy, rngs,
                                                   config.gamma)
     lockstep_probs = per_episode(calls, [len(traj) for traj in batch])
-    # The MLP's probabilities may differ in the last bit (see
-    # `MlpPolicy.probabilities`); the circuit's padded products agree exactly.
-    atol = 1e-14 if config.policy == "classical" else 0.0
     for traj, ref, probs, ref_probs in zip(batch, reference, lockstep_probs, reference_probs):
         np.testing.assert_array_equal(traj.actions, ref.actions)
         np.testing.assert_array_equal(traj.rewards, ref.rewards)
         np.testing.assert_array_equal(traj.returns, ref.returns)
         np.testing.assert_array_equal(traj.observations, ref.observations)
-        np.testing.assert_allclose(probs, ref_probs, rtol=0, atol=atol)
+        np.testing.assert_array_equal(probs, ref_probs)
     if getattr(policy, "normalizer", None) is not None:
         np.testing.assert_array_equal(policy.normalizer.running_abs_max,
                                       reference_policy.normalizer.running_abs_max)
@@ -469,13 +524,13 @@ def trajectory_bits(traj):
 
 @pytest.mark.parametrize("preset, overrides", [
     ("cartpole-quantum", {}), ("acrobot-quantum", {"n_layers": 1}), ("cartpole-classical", {}),
-    ("qcontrol-quantum", {}), ("cartpole-quantum", {"shots": 100}),
+    ("qcontrol-quantum", {}), ("cartpole-quantum", {"shots": 100}), ("acrobot-classical", {}),
+    ("qcontrol-classical", {}),
 ])
 def test_lockstep_batch_independent_of_order_and_size(preset, overrides):
-    # A padded product rounds every row alike, so an episode's bits do not
-    # depend on which episodes share its batch, or in what order. (The MLP's
-    # probabilities can differ in the last bit, too little to move an action
-    # here.)
+    # A padded complex product and the MLP's einsum layers round every row
+    # alike, so an episode's bits do not depend on which episodes share its
+    # batch, or in what order.
     config = cfg.preset_config(preset, {"seed": 2, **overrides})
     env = envs.make_env(config.environment)
     policy = prepare(config).policy

@@ -353,6 +353,40 @@ def test_adjoint_chunks_match_single_rows():
         np.testing.assert_allclose(batch[i], single[0], rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("spec, t", [(U3_SPEC, 20), (layered(8, 4, 2), 12),
+                                     (layered(3, 2, 2), vqpolicy.ADJOINT_CHUNK_ROWS + 7)])
+def test_weighted_grad_log_matches_contracted_batch(spec, t):
+    # The operator sweep equals the advantage-weighted sum of the per-row
+    # adjoint gradients, across chunk boundaries and without an encoding.
+    rng = np.random.default_rng(42)
+    policy = QuantumPolicy(spec, random_params(spec, rng))
+    if spec.encoding == "angle_rx":
+        obs = rng.normal(size=(t, spec.n_qubits))
+        policy.normalizer.observe(obs)
+    else:
+        obs = np.stack([qsim.amplitude_features(random_state(rng, spec.n_qubits).amplitudes)
+                        for _ in range(t)])
+    actions = rng.integers(spec.n_actions, size=t)
+    adv = rng.normal(size=t)
+    want = adv @ policy.grad_log_batch(obs, actions)
+    got = policy.weighted_grad_log(obs, actions, adv)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
+def test_shot_weighted_grad_log_is_the_contracted_batch():
+    # Shot mode draws what `grad_log_batch` draws, in the same order.
+    rng = np.random.default_rng(43)
+    spec = layered(2, 2, 2)
+    policy = QuantumPolicy(spec, random_params(spec, rng), shots=100)
+    obs = rng.normal(size=(15, 2))
+    policy.normalizer.observe(obs)
+    actions = rng.integers(spec.n_actions, size=15)
+    adv = rng.normal(size=15)
+    want = adv @ policy.grad_log_batch(obs, actions, np.random.default_rng(5))
+    got = policy.weighted_grad_log(obs, actions, adv, np.random.default_rng(5))
+    assert got.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # QuantumPolicy wrapper
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import qsim
+from . import envs
 from .errors import ContractError
 from .vqpolicy import CircuitSpec, PolicyParams, shift_gradients
 
@@ -172,33 +172,37 @@ def _default_probe():
     pulse-free steps into an episode, with frozen circuit angles."""
     spec = CircuitSpec(1, 1, 2, "single_u3", "none")
     params = PolicyParams(np.array([0.8, -0.4, 0.3]), 1.0)
-    state = qsim.init_zero(1)
-    h = qsim.TwoLevelHamiltonian(0.0, 1.0)
+    env = envs.QControl()
+    states = env.reset([None])  # every episode starts in |0>; no draw
     for _ in range(3):
-        state = qsim.evolve_hamiltonian(state, h, np.pi / 20)
-    return spec, params, state
+        states = env.step(states, np.zeros(1, dtype=int))[0]
+    return spec, params, states[0]
 
 
 def hoeffding_validate(b: BoundInputs, trials: int, rng: np.random.Generator,
                        spec: CircuitSpec | None = None,
                        params: PolicyParams | None = None,
-                       state: qsim.Statevector | None = None,
+                       state: np.ndarray | None = None,
                        action: int = 0) -> HoeffdingReport:
     """Estimate the preference gradient with Lemma-prescribed shots, repeatedly.
 
     The reference is the exact parameter-shift gradient (the true mean of
     the shot estimator). A trial fails when any coordinate of the
     shot-based estimate deviates from the reference by more than epsilon;
-    the bound promises a failure rate at most delta.
+    the bound promises a failure rate at most delta. `state` is the probe's
+    (2**n,) amplitude row.
     """
+    if trials < 0:
+        raise ContractError(f"trials must be >= 0, got {trials}")
     if spec is None or params is None or state is None:
         spec, params, state = _default_probe()
-    if state.n_qubits != spec.n_qubits:
-        raise ContractError("probe state qubit count does not match the circuit")
+    enc = np.asarray(state, dtype=complex)[None, :]
+    if enc.shape != (1, 2**spec.n_qubits):
+        raise ContractError(f"probe state of shape {np.shape(state)} does not match the "
+                            f"{spec.n_qubits}-qubit circuit")
     per_observable, _ = lemma2_shots(b, 1.0)
     shots_total = int(math.ceil(per_observable))
     shots_side = max(1, int(math.ceil(shots_total / 2)))
-    enc = state.amplitudes[None, :]
     reference = shift_gradients(spec, params, enc)[0, :, action]
 
     failures = 0
@@ -219,6 +223,8 @@ def bernoulli_hoeffding_failure_rate(p: float, epsilon: float, delta: float,
     """Textbook sanity instance: estimate a coin's bias with the Hoeffding
     sample size n = ln(2/delta) / (2 eps^2) and report how often the
     estimate misses by more than epsilon."""
+    if trials < 0:
+        raise ContractError(f"trials must be >= 0, got {trials}")
     n = int(math.ceil(math.log(2.0 / delta) / (2.0 * epsilon**2)))
     failures = 0
     for _ in range(trials):

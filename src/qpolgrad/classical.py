@@ -7,7 +7,6 @@ ReLU and, optionally, inverted dropout; the output layer is linear.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,18 +131,6 @@ def forward(spec: MlpSpec, params: MlpParams, features, mode: str = "eval",
     return out[0] if np.asarray(features).ndim == 1 else out
 
 
-def grad_log_policy(spec: MlpSpec, params: MlpParams, features, action: int,
-                    mode: str = "eval", rng: np.random.Generator | None = None) -> np.ndarray:
-    """Exact gradient of log pi(action | features) over all weights, flattened.
-
-    In train mode the dropout masks are drawn once in the internal forward
-    pass and reused by the backward pass.
-    """
-    g = grad_log_policy_batch(spec, params, np.atleast_2d(_check_input(spec, features)),
-                              np.array([action]), mode=mode, rng=rng)
-    return g[0]
-
-
 def _backward(spec: MlpSpec, params: MlpParams, features, actions, mode: str,
               rng: np.random.Generator | None, weights=None) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per layer, the rows' (output delta, input activation) of the backward
@@ -206,10 +193,6 @@ class MlpPolicy:
         network (`rng`, `abs_max` unused); a row's bits do not depend on the others."""
         return softmax_policy(forward(self.spec, self.params, obs), 1.0)
 
-    def grad_log(self, obs, action: int, rng: np.random.Generator | None = None) -> np.ndarray:
-        mode = "train" if self.spec.dropout_p > 0.0 else "eval"
-        return grad_log_policy(self.spec, self.params, obs, action, mode=mode, rng=rng)
-
     def grad_log_batch(self, observations, actions, rng: np.random.Generator | None = None) -> np.ndarray:
         mode = "train" if self.spec.dropout_p > 0.0 else "eval"
         return grad_log_policy_batch(self.spec, self.params, observations, actions, mode=mode,
@@ -234,12 +217,3 @@ class MlpPolicy:
     def from_checkpoint(cls, data: dict) -> "MlpPolicy":
         spec = MlpSpec.from_dict(data["spec"])
         return cls(spec, MlpParams([np.asarray(w, dtype=float) for w in data["weights"]]))
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_checkpoint(), fh, indent=1)
-
-    @classmethod
-    def load(cls, path) -> "MlpPolicy":
-        with open(path) as fh:
-            return cls.from_checkpoint(json.load(fh))

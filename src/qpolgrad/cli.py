@@ -78,6 +78,13 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def policy_from_checkpoint(data: dict):
+    """The quantum or classical policy that a `checkpoint.json` object holds."""
+    if "theta" in data:
+        return QuantumPolicy.from_checkpoint(data)
+    return MlpPolicy.from_checkpoint(data)
+
+
 # ---------------------------------------------------------------------------
 # run
 # ---------------------------------------------------------------------------
@@ -190,7 +197,8 @@ def run(config) -> int:
                     _fmt(record.grad_norm),
                     _fmt(record.elapsed_ms) if config.timing else "0",
                 ])
-        state.policy.save(out / "checkpoint.json")
+        with open(out / "checkpoint.json", "w") as fh:
+            json.dump(state.policy.to_checkpoint(), fh, indent=1)
     finally:
         if traj_file is not None:
             traj_file.close()
@@ -270,6 +278,8 @@ def plot(metrics_paths, out_svg, window: int = 50) -> int:
     for path in metrics_paths:
         path = Path(path)
         data = read_metrics(path)
+        if not data["episode"].size:
+            raise ContractError(f"{path}: metrics CSV has no episodes to plot")
         smoothed = running_mean(data["total_reward"], window)
         series.append((_series_name(path), data["episode"], smoothed))
     out_svg = Path(out_svg)
@@ -291,13 +301,6 @@ def plot(metrics_paths, out_svg, window: int = 50) -> int:
 # compare
 # ---------------------------------------------------------------------------
 
-def _parameter_count_from_checkpoint(path: Path) -> int:
-    data = json.loads(path.read_text())
-    if "theta" in data:
-        return len(data["theta"]) + 1  # circuit angles plus inverse temperature
-    return sum(np.asarray(w).size for w in data["weights"])
-
-
 def _run_summary(run_dir: Path, threshold, window: int) -> dict:
     metrics_path = run_dir / "metrics.csv"
     checkpoint_path = run_dir / "checkpoint.json"
@@ -306,6 +309,7 @@ def _run_summary(run_dir: Path, threshold, window: int) -> dict:
         if not required.exists():
             raise ContractError(f"incomplete run: {required} is missing")
     manifest = json.loads(manifest_path.read_text())
+    checkpoint = json.loads(checkpoint_path.read_text())
     data = read_metrics(metrics_path)
     smoothed = running_mean(data["total_reward"], window)
     episodes_to_threshold = None
@@ -322,7 +326,7 @@ def _run_summary(run_dir: Path, threshold, window: int) -> dict:
         "name": manifest.get("name"),
         "final_running_mean": float(smoothed[-1]) if smoothed.size else None,
         "episodes_to_threshold": episodes_to_threshold,
-        "parameter_count": _parameter_count_from_checkpoint(checkpoint_path),
+        "parameter_count": policy_from_checkpoint(checkpoint).n_trainable,
         "fisher_trace_series": fisher_series or None,
     }
 
@@ -428,9 +432,7 @@ def _run_command(args) -> int:
 
 
 def _fisher_command(args) -> int:
-    data = json.loads(Path(args.checkpoint).read_text())
-    policy = (QuantumPolicy.from_checkpoint(data) if "theta" in data
-              else MlpPolicy.from_checkpoint(data))
+    policy = policy_from_checkpoint(json.loads(Path(args.checkpoint).read_text()))
     rng = np.random.default_rng(np.random.SeedSequence(args.seed, spawn_key=(2, 0)))
     report = fisher_spectrum(policy, args.env, args.rollouts, rng, args.gamma,
                              include_beta=not args.theta_only)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -133,6 +134,12 @@ PRESETS: dict[str, dict] = {
 }
 
 
+def _is_number(value) -> bool:
+    """A finite int or float; bools, strings and NaN are not."""
+    return not isinstance(value, bool) and (
+        isinstance(value, int) or isinstance(value, float) and math.isfinite(value))
+
+
 def _validate(data: dict) -> list[str]:
     errors = []
     unknown = sorted(set(data) - _FIELD_NAMES)
@@ -149,18 +156,19 @@ def _validate(data: dict) -> list[str]:
         errors.append(f"policy must be one of {POLICY_KINDS}, got {pol!r}")
 
     def check_range(key, ok, message):
-        if key in data and data[key] is not None and not ok(data[key]):
-            errors.append(f"{key}: {message} (got {data[key]!r})")
+        value = data.get(key)
+        if value is not None and not (_is_number(value) and ok(value)):
+            errors.append(f"{key}: {message} (got {value!r})")
 
-    check_range("learning_rate", lambda v: v > 0, "must be positive")
-    check_range("gamma", lambda v: 0 < v <= 1, "must be in (0, 1]")
+    check_range("learning_rate", lambda v: v > 0, "must be a positive number")
+    check_range("gamma", lambda v: 0 < v <= 1, "must be a number in (0, 1]")
     check_range("batch_size", lambda v: isinstance(v, int) and v >= 1, "must be an integer >= 1")
     check_range("episodes", lambda v: isinstance(v, int) and v >= 0, "must be an integer >= 0")
     check_range("n_layers", lambda v: isinstance(v, int) and v >= 1, "must be an integer >= 1")
     check_range("shots", lambda v: isinstance(v, int) and v >= 0, "must be an integer >= 0")
     check_range("seed", lambda v: isinstance(v, int), "must be an integer")
     check_range("n_qubits", lambda v: isinstance(v, int) and 1 <= v <= 8, "must be in [1, 8]")
-    check_range("dropout_p", lambda v: 0 <= v < 1, "must be in [0, 1)")
+    check_range("dropout_p", lambda v: 0 <= v < 1, "must be a number in [0, 1)")
 
     if pol == "classical":
         if data.get("shots"):
@@ -191,6 +199,8 @@ def _validate(data: dict) -> list[str]:
         elif set(init) - INIT_KEYS[kind]:
             unused = ", ".join(sorted(set(init) - INIT_KEYS[kind]))
             errors.append(f"init: {kind} takes no key(s) {unused}")
+        elif not all(_is_number(v) for k, v in init.items() if k != "kind"):
+            errors.append(f"init: {kind}'s values must be finite numbers")
         elif kind == "normal" and not init.get("sigma", 1.0) > 0:
             errors.append("init.sigma: must be positive")
         elif kind == "uniform" and not init.get("a", -1.0) < init.get("b", 1.0):
@@ -198,6 +208,7 @@ def _validate(data: dict) -> list[str]:
     beta_init = data.get("beta_init")
     if beta_init is not None and (not isinstance(beta_init, dict)
                                   or set(beta_init) - set(BETA_INIT_DEFAULT)
+                                  or not all(_is_number(v) for v in beta_init.values())
                                   or not beta_init.get("std", 0.1) >= 0):
         errors.append("beta_init: expected {'mean': m, 'std': s >= 0}")
     return errors

@@ -160,6 +160,21 @@ class Acrobot:
         return s, np.where(at_goal, 0.0, -1.0), at_goal
 
 
+def hamiltonian_propagator(coeff_z: float, coeff_x: float, dt: float) -> np.ndarray:
+    """Closed-form 2x2 exp(-i H dt) for H = a*sigma_z + b*sigma_x.
+
+    exp(-i (a sz + b sx) t) = cos(wt) I - i sin(wt) (a sz + b sx)/w with
+    w = sqrt(a^2 + b^2); the w = 0 limit is the identity.
+    """
+    a, b = coeff_z, coeff_x
+    omega = np.hypot(a, b)
+    if omega == 0.0:
+        return np.eye(2, dtype=complex)
+    c, s = np.cos(omega * dt), np.sin(omega * dt)
+    return np.array([[c - 1j * s * a / omega, -1j * s * b / omega],
+                     [-1j * s * b / omega, c + 1j * s * a / omega]], dtype=complex)
+
+
 class QControl:
     """Prepare |1> from |0> by choosing, per step, whether to apply a Z pulse.
 
@@ -180,8 +195,7 @@ class QControl:
 
     def __init__(self):
         self.propagators = np.stack([
-            qsim.hamiltonian_propagator(
-                qsim.TwoLevelHamiltonian(self.PULSE_SCALE * a, self.H_FIELD), self.DT)
+            hamiltonian_propagator(self.PULSE_SCALE * a, self.H_FIELD, self.DT)
             for a in range(self.spec.n_actions)])
 
     def reset(self, rngs) -> np.ndarray:
@@ -196,7 +210,7 @@ class QControl:
         x0, x1 = states[:, 0], states[:, 1]
         states = np.stack([u[:, 0, 0] * x0 + u[:, 0, 1] * x1,
                            u[:, 1, 0] * x0 + u[:, 1, 1] * x1], axis=1)
-        # libm pow, as in `qsim.fidelity`: x*x differs on some reachable states
+        # libm pow on each modulus: x*x differs on some reachable states
         rewards = np.array([mod ** 2 for mod in np.abs(states[:, 1]).tolist()])
         return states, rewards, rewards <= self.MIN_FIDELITY
 

@@ -10,14 +10,11 @@ Conventions, fixed once for the whole package:
   (matrix product, rightmost factor acts first).
 
 Array helpers (suffix ``_array``) operate on raw complex arrays whose last
-axis has length 2**n; leading axes are treated as a batch. The policy engine
-runs on them alone: it pushes row-stacked states through one circuit row
-operator, reads them out with `measure_z_array`, and walks them back gate by
-gate for its adjoint gradient. The row-operator build and that sweep share
-one single-qubit kernel, `apply_1q_array`. The gate-by-gate `Statevector` API
-is the tests' independent reference for the batched path and builds the
-shot-bound probe state; `hamiltonian_propagator` gives the control
-environment its fixed one-step propagators.
+axis has length 2**n; leading axes are treated as a batch. The simulator is
+batched only: the policy engine pushes row-stacked states through one circuit
+row operator, reads them out with `measure_z_array`, and walks them back gate
+by gate for its adjoint gradient. The row-operator build and that sweep share
+one single-qubit kernel, `apply_1q_array`.
 
 A state travels outside the simulator as a float feature row: its amplitudes
 as interleaved (re, im) pairs. `amplitude_features` and `feature_amplitudes`
@@ -29,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError
+from .errors import ContractError
 
 MAX_QUBITS = 8
 
@@ -93,43 +90,6 @@ class Gate:
         raise ContractError("CNOT is not a single-qubit gate")
 
 
-@dataclass
-class Statevector:
-    """Pure n-qubit state as a complex amplitude vector of length 2**n."""
-
-    n_qubits: int
-    amplitudes: np.ndarray
-
-    def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.amplitudes) ** 2)))
-
-
-@dataclass(frozen=True)
-class TwoLevelHamiltonian:
-    """H = coeff_z * sigma_z + coeff_x * sigma_x on a single qubit."""
-
-    coeff_z: float
-    coeff_x: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.coeff_z) and np.isfinite(self.coeff_x)):
-            raise ContractError("Hamiltonian coefficients must be finite")
-
-
-def init_zero(n_qubits: int) -> Statevector:
-    """The all-zeros computational basis state |0...0>."""
-    if not isinstance(n_qubits, (int, np.integer)) or not 1 <= n_qubits <= MAX_QUBITS:
-        raise ConfigError(f"n_qubits must be an integer in [1, {MAX_QUBITS}], got {n_qubits!r}")
-    amps = np.zeros(2**n_qubits, dtype=complex)
-    amps[0] = 1.0
-    return Statevector(int(n_qubits), amps)
-
-
-def _check_qubit(qubit: int, n_qubits: int) -> None:
-    if not 0 <= qubit < n_qubits:
-        raise ContractError(f"qubit index {qubit} out of range for {n_qubits} qubits")
-
-
 # ---------------------------------------------------------------------------
 # Array-level primitives. `amps` has shape (..., 2**n); leading axes = batch.
 # ---------------------------------------------------------------------------
@@ -157,27 +117,19 @@ def apply_cnot_array(amps: np.ndarray, control: int, target: int, n_qubits: int)
     return amps[..., np.where(index >> (n_qubits - 1 - control) & 1, flipped, index)]
 
 
-def apply_gate_array(amps: np.ndarray, gate: Gate, n_qubits: int) -> np.ndarray:
-    if gate.kind == "CNOT":
-        return apply_cnot_array(amps, gate.control, gate.target, n_qubits)
-    return apply_1q_array(amps, gate.matrix(), gate.target, n_qubits)
-
-
-def apply_circuit_array(amps: np.ndarray, gates, n_qubits: int) -> np.ndarray:
-    for gate in gates:
-        amps = apply_gate_array(amps, gate, n_qubits)
-    return amps
-
-
 def circuit_row_operator(gates, n_qubits: int) -> np.ndarray:
     """Matrix M such that rows_out = rows_in @ M for batched row states.
 
     M equals U.T where U is the circuit unitary; built by pushing the
-    identity's rows through the circuit, so it agrees with gate-by-gate
-    application by construction.
+    identity's rows through the circuit one gate at a time.
     """
-    dim = 2**n_qubits
-    return apply_circuit_array(np.eye(dim, dtype=complex), gates, n_qubits)
+    rows = np.eye(2**n_qubits, dtype=complex)
+    for gate in gates:
+        if gate.kind == "CNOT":
+            rows = apply_cnot_array(rows, gate.control, gate.target, n_qubits)
+        else:
+            rows = apply_1q_array(rows, gate.matrix(), gate.target, n_qubits)
+    return rows
 
 
 def measure_z_array(rows: np.ndarray, qubits, n_qubits: int, shots: int = 0,
@@ -213,56 +165,3 @@ def feature_amplitudes(features: np.ndarray) -> np.ndarray:
     of `amplitude_features`."""
     # a fresh C-ordered copy, so the complex view is aligned; an odd width raises ValueError
     return np.array(features, dtype=float, order="C").view(complex)
-
-
-# ---------------------------------------------------------------------------
-# Statevector API
-# ---------------------------------------------------------------------------
-
-def apply_gate(state: Statevector, gate: Gate) -> Statevector:
-    """Apply one gate, returning a new state (input untouched)."""
-    _check_qubit(gate.target, state.n_qubits)
-    if gate.control is not None:
-        _check_qubit(gate.control, state.n_qubits)
-    return Statevector(state.n_qubits, apply_gate_array(state.amplitudes, gate, state.n_qubits))
-
-
-def apply_circuit(state: Statevector, gates) -> Statevector:
-    for gate in gates:
-        state = apply_gate(state, gate)
-    return state
-
-
-def expectation_z(state: Statevector, qubit: int) -> float:
-    """Exact <sigma_z> on one qubit: P(bit=0) - P(bit=1)."""
-    _check_qubit(qubit, state.n_qubits)
-    return float(measure_z_array(state.amplitudes[None], [qubit], state.n_qubits)[0, 0])
-
-
-def hamiltonian_propagator(h: TwoLevelHamiltonian, dt: float) -> np.ndarray:
-    """Closed-form 2x2 exp(-i H dt) for H = a*sigma_z + b*sigma_x.
-
-    exp(-i (a sz + b sx) t) = cos(wt) I - i sin(wt) (a sz + b sx)/w with
-    w = sqrt(a^2 + b^2); the w = 0 limit is the identity.
-    """
-    a, b = h.coeff_z, h.coeff_x
-    omega = np.hypot(a, b)
-    if omega == 0.0:
-        return np.eye(2, dtype=complex)
-    c, s = np.cos(omega * dt), np.sin(omega * dt)
-    return np.array([[c - 1j * s * a / omega, -1j * s * b / omega],
-                     [-1j * s * b / omega, c + 1j * s * a / omega]], dtype=complex)
-
-
-def evolve_hamiltonian(state: Statevector, h: TwoLevelHamiltonian, dt: float) -> Statevector:
-    """One qubit evolved for `dt` under H (see `hamiltonian_propagator`)."""
-    if state.n_qubits != 1:
-        raise ContractError("evolve_hamiltonian acts on single-qubit states only")
-    return Statevector(1, hamiltonian_propagator(h, dt) @ state.amplitudes)
-
-
-def fidelity(state_a: Statevector, state_b: Statevector) -> float:
-    """|<a|b>|^2, the squared overlap of two pure states."""
-    if state_a.n_qubits != state_b.n_qubits:
-        raise ContractError("fidelity requires states of equal qubit count")
-    return float(np.abs(np.vdot(state_a.amplitudes, state_b.amplitudes)) ** 2)

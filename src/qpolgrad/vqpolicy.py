@@ -28,7 +28,6 @@ The inverse-temperature gradient is analytic.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,10 +142,6 @@ class FeatureNormalizer:
 
     def observe(self, features: np.ndarray) -> None:
         self.running_abs_max = self.widened(features)
-
-    def rescale(self, features: np.ndarray) -> np.ndarray:
-        """Scale already-observed features to angles in [-pi, pi]."""
-        return np.asarray(features, dtype=float) * (np.pi / self.running_abs_max)
 
     def copy(self) -> "FeatureNormalizer":
         return FeatureNormalizer(self.n_features, self.running_abs_max.copy())
@@ -423,9 +418,6 @@ class QuantumPolicy:
         probs = softmax_policy(prefs, self.params.beta)
         return probs[0] if single else probs
 
-    def grad_log(self, obs, action: int, rng: np.random.Generator | None = None) -> np.ndarray:
-        return self.grad_log_batch([obs], [action], rng)[0]
-
     def _score_terms(self, observations, actions, rng):
         """Input rows, output rows, readout weights and beta entries of T pairs."""
         actions = np.asarray(actions, dtype=int)
@@ -487,12 +479,3 @@ class QuantumPolicy:
             stored = data.get("norm_abs_max") or None
             normalizer = FeatureNormalizer(spec.n_qubits, stored)
         return cls(spec, params, normalizer, shots=shots)
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_checkpoint(), fh, indent=1)
-
-    @classmethod
-    def load(cls, path, shots: int = 0) -> "QuantumPolicy":
-        with open(path) as fh:
-            return cls.from_checkpoint(json.load(fh), shots=shots)

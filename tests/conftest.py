@@ -2,17 +2,21 @@
 
 The matrix oracles build full 2**n x 2**n unitaries with np.kron and explicit
 basis-state permutation, deliberately avoiding the package's gate-application
-code path. The preference oracle evaluates the policy gate by gate through
-the `Statevector` API, independently of the batched row-operator engine.
-The scalar environments step one episode at a time with numpy scalars, and
-the sequential rollout runs one episode after another with one 1-row
-inference per step: together they are the reference for the array
-environments and the lockstep rollout.
+code path. The gate-by-gate `Statevector` oracle applies one gate at a time
+to one state and reads <sigma_z> qubit by qubit; the preference oracle
+evaluates the policy through it, independently of the batched row-operator
+engine. The scalar environments step one episode at a time with numpy
+scalars and evolve a `Statevector` under the control Hamiltonian, and the
+sequential rollout runs one episode after another with one 1-row inference
+per step: together they are the reference for the array environments and
+the lockstep rollout.
 """
+from dataclasses import dataclass
+
 import numpy as np
 
 from qpolgrad import envs, qsim
-from qpolgrad.errors import ContractError
+from qpolgrad.errors import ConfigError, ContractError
 from qpolgrad.reinforce import Trajectory
 from qpolgrad.vqpolicy import build_ansatz
 
@@ -74,20 +78,95 @@ def random_gates(rng: np.random.Generator, n: int, length: int):
     return gates
 
 
-def random_state(rng: np.random.Generator, n: int) -> qsim.Statevector:
+# ---------------------------------------------------------------------------
+# gate-by-gate Statevector oracle
+# ---------------------------------------------------------------------------
+
+@dataclass
+class Statevector:
+    """Pure n-qubit state as a complex amplitude vector of length 2**n."""
+
+    n_qubits: int
+    amplitudes: np.ndarray
+
+    def norm(self) -> float:
+        return float(np.sqrt(np.sum(np.abs(self.amplitudes) ** 2)))
+
+
+def init_zero(n_qubits: int) -> Statevector:
+    """The all-zeros computational basis state |0...0>."""
+    if not isinstance(n_qubits, (int, np.integer)) or not 1 <= n_qubits <= qsim.MAX_QUBITS:
+        raise ConfigError(f"n_qubits must be an integer in [1, {qsim.MAX_QUBITS}], "
+                          f"got {n_qubits!r}")
+    amps = np.zeros(2**n_qubits, dtype=complex)
+    amps[0] = 1.0
+    return Statevector(int(n_qubits), amps)
+
+
+def _check_qubit(qubit: int, n_qubits: int) -> None:
+    if not 0 <= qubit < n_qubits:
+        raise ContractError(f"qubit index {qubit} out of range for {n_qubits} qubits")
+
+
+def apply_gate(state: Statevector, gate: qsim.Gate) -> Statevector:
+    """Apply one gate to one state, returning a new state (input untouched)."""
+    _check_qubit(gate.target, state.n_qubits)
+    if gate.control is not None:
+        _check_qubit(gate.control, state.n_qubits)
+        amps = qsim.apply_cnot_array(state.amplitudes, gate.control, gate.target,
+                                     state.n_qubits)
+    else:
+        amps = qsim.apply_1q_array(state.amplitudes, gate.matrix(), gate.target,
+                                   state.n_qubits)
+    return Statevector(state.n_qubits, amps)
+
+
+def apply_circuit(state: Statevector, gates) -> Statevector:
+    for gate in gates:
+        state = apply_gate(state, gate)
+    return state
+
+
+def expectation_z(state: Statevector, qubit: int) -> float:
+    """Exact <sigma_z> on one qubit: P(bit=0) - P(bit=1)."""
+    _check_qubit(qubit, state.n_qubits)
+    return float(qsim.measure_z_array(state.amplitudes[None], [qubit], state.n_qubits)[0, 0])
+
+
+def evolve_hamiltonian(state: Statevector, coeff_z: float, coeff_x: float,
+                       dt: float) -> Statevector:
+    """One qubit evolved for `dt` under H = coeff_z*sigma_z + coeff_x*sigma_x."""
+    if state.n_qubits != 1:
+        raise ContractError("evolve_hamiltonian acts on single-qubit states only")
+    return Statevector(1, envs.hamiltonian_propagator(coeff_z, coeff_x, dt) @ state.amplitudes)
+
+
+def fidelity(state_a: Statevector, state_b: Statevector) -> float:
+    """|<a|b>|^2, the squared overlap of two pure states."""
+    if state_a.n_qubits != state_b.n_qubits:
+        raise ContractError("fidelity requires states of equal qubit count")
+    return float(np.abs(np.vdot(state_a.amplitudes, state_b.amplitudes)) ** 2)
+
+
+def random_state(rng: np.random.Generator, n: int) -> Statevector:
     amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
     amps /= np.linalg.norm(amps)
-    return qsim.Statevector(n, amps)
+    return Statevector(n, amps)
 
 
-def encode_gates(features, normalizer) -> qsim.Statevector:
+def rescale(normalizer, features) -> np.ndarray:
+    """Scale features the normalizer has observed to angles in [-pi, pi]."""
+    return np.asarray(features, dtype=float) * (np.pi / normalizer.running_abs_max)
+
+
+def encode_gates(features, normalizer) -> Statevector:
     """Angle-encode one feature vector gate by gate: RX(normalized feature) per qubit."""
     features = np.asarray(features, dtype=float)
     normalizer.observe(features)
-    angles = normalizer.rescale(features)
-    state = qsim.init_zero(len(angles))
+    angles = rescale(normalizer, features)
+    state = init_zero(len(angles))
     for i, angle in enumerate(angles):
-        state = qsim.apply_gate(state, qsim.Gate("RX", (float(angle),), i))
+        state = apply_gate(state, qsim.Gate("RX", (float(angle),), i))
     return state
 
 
@@ -95,11 +174,16 @@ def oracle_preferences(spec, params, x, normalizer=None) -> np.ndarray:
     """Per-action preferences gate by gate: encode (or take the input state),
     apply the ansatz, then read <sigma_z> of each measured qubit."""
     state = encode_gates(x, normalizer) if spec.encoding == "angle_rx" else x
-    out = qsim.apply_circuit(state, build_ansatz(spec, params))
+    out = apply_circuit(state, build_ansatz(spec, params))
     if spec.architecture == "single_u3":
-        z = qsim.expectation_z(out, 0)
+        z = expectation_z(out, 0)
         return np.array([z, -z])
-    return np.array([qsim.expectation_z(out, q) for q in range(spec.n_actions)])
+    return np.array([expectation_z(out, q) for q in range(spec.n_actions)])
+
+
+def grad_log(policy, obs, action: int, rng=None) -> np.ndarray:
+    """Log-policy gradient of one (observation, action) pair."""
+    return policy.grad_log_batch([obs], [action], rng)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -228,20 +312,20 @@ class Acrobot(_EpisodicEnv, envs.Acrobot):
 class QControl(_EpisodicEnv, envs.QControl):
     def __init__(self):
         super().__init__()
-        self.qubit = qsim.init_zero(1)
-        self._target = qsim.Statevector(1, np.array([0, 1], dtype=complex))
+        self.qubit = init_zero(1)
+        self._target = Statevector(1, np.array([0, 1], dtype=complex))
 
     def _reset(self, rng):
-        self.qubit = qsim.init_zero(1)
+        self.qubit = init_zero(1)
         return self._observation()
 
     def _observation(self):
         return qsim.amplitude_features(self.qubit.amplitudes)
 
     def _step(self, action):
-        h = qsim.TwoLevelHamiltonian(self.PULSE_SCALE * action, self.H_FIELD)
-        self.qubit = qsim.evolve_hamiltonian(self.qubit, h, self.DT)
-        reward = qsim.fidelity(self.qubit, self._target)
+        self.qubit = evolve_hamiltonian(self.qubit, self.PULSE_SCALE * action, self.H_FIELD,
+                                        self.DT)
+        reward = fidelity(self.qubit, self._target)
         return self._observation(), reward, bool(reward <= self.MIN_FIDELITY)
 
 

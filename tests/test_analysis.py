@@ -18,6 +18,8 @@ from qpolgrad.classical import MlpParams, MlpPolicy, MlpSpec
 from qpolgrad.errors import ContractError
 from qpolgrad.vqpolicy import CircuitSpec, PolicyParams, QuantumPolicy
 
+from conftest import evolve_hamiltonian, init_zero
+
 
 class StubPolicy:
     """Policy stand-in returning prescribed log-policy gradients."""
@@ -247,3 +249,33 @@ def test_hoeffding_validate_quick_instance():
     assert report.failure_rate <= b.delta
     assert report.shots_per_observable == math.ceil(100 * math.log(80))
     assert report.max_deviation < b.epsilon
+
+
+def test_hoeffding_rejects_negative_trials():
+    b = BoundInputs(1, 1, 10, 0.99, epsilon=0.2, delta=0.1, k=4)
+    with pytest.raises(ContractError):
+        hoeffding_validate(b, -5, np.random.default_rng(0))
+    with pytest.raises(ContractError):
+        bernoulli_hoeffding_failure_rate(0.5, 0.1, 0.05, -5, np.random.default_rng(0))
+    assert bernoulli_hoeffding_failure_rate(0.5, 0.1, 0.05, 0, np.random.default_rng(0)) == 0.0
+
+
+def test_default_probe_is_three_pulse_free_steps_from_zero():
+    # the amplitude row equals the gate-by-gate oracle's three evolutions
+    # under H = sigma_x, bit for bit
+    state = init_zero(1)
+    for _ in range(3):
+        state = evolve_hamiltonian(state, 0.0, 1.0, np.pi / 20)
+    spec, _, row = analysis._default_probe()
+    assert row.shape == (2,) and spec.n_qubits == 1
+    assert row.tobytes() == state.amplitudes.tobytes()
+
+
+def test_hoeffding_rejects_probe_row_of_wrong_length():
+    b = BoundInputs(1, 1, 10, 0.99, epsilon=0.2, delta=0.1, k=4)
+    spec, params, row = analysis._default_probe()
+    for bad in (np.concatenate([row, row]), row[:1], row[None]):
+        with pytest.raises(ContractError):
+            hoeffding_validate(b, 1, np.random.default_rng(0), spec, params, bad)
+    report = hoeffding_validate(b, 1, np.random.default_rng(0), spec, params, row)
+    assert report.trials == 1

@@ -1,10 +1,20 @@
+import json
+
 import numpy as np
 import pytest
 
 from qpolgrad import classical
-from qpolgrad.classical import MlpParams, MlpPolicy, MlpSpec, forward, grad_log_policy, preset
+from qpolgrad.classical import (MlpParams, MlpPolicy, MlpSpec, forward, grad_log_policy_batch,
+                                preset)
 from qpolgrad.errors import ConfigError, ContractError
 from qpolgrad.vqpolicy import softmax_policy
+
+from conftest import grad_log
+
+
+def grad_log_one(spec, params, x, action):
+    """Eval-mode log-policy gradient of one input, as a 1-row batch."""
+    return grad_log_policy_batch(spec, params, np.atleast_2d(x), [action])[0]
 
 
 def test_preset_shapes_and_parameter_counts():
@@ -77,7 +87,7 @@ def test_backward_matches_finite_differences_small_net():
         params = MlpParams.glorot(spec, rng)
         x = rng.normal(size=4)
         action = int(rng.integers(2))
-        got = grad_log_policy(spec, params, x, action)
+        got = grad_log_one(spec, params, x, action)
         want = fd_log_policy(spec, params, x, action)
         assert np.max(np.abs(got - want)) < 1e-6
 
@@ -90,7 +100,7 @@ def test_backward_matches_finite_differences_presets(name):
         params = MlpParams.glorot(spec, rng)
         x = rng.normal(size=spec.layer_sizes[0])
         action = int(rng.integers(spec.layer_sizes[-1]))
-        got = grad_log_policy(spec, params, x, action)
+        got = grad_log_one(spec, params, x, action)
         want = fd_log_policy(spec, params, x, action)
         assert np.max(np.abs(got - want)) < 1e-6
 
@@ -104,8 +114,8 @@ def test_symmetric_output_rows_give_opposite_output_gradients():
     row = rng.normal(size=5)
     params = MlpParams([w1, np.stack([row, row])])
     x = rng.normal(size=3)
-    g0 = grad_log_policy(spec, params, x, 0)[-10:].reshape(2, 5)
-    g1 = grad_log_policy(spec, params, x, 1)[-10:].reshape(2, 5)
+    g0 = grad_log_one(spec, params, x, 0)[-10:].reshape(2, 5)
+    g1 = grad_log_one(spec, params, x, 1)[-10:].reshape(2, 5)
     np.testing.assert_allclose(g0, -g1, atol=1e-12)
 
 
@@ -113,7 +123,7 @@ def test_zero_input_zeroes_first_layer_gradient():
     rng = np.random.default_rng(4)
     spec = MlpSpec((4, 6, 2))
     params = MlpParams.glorot(spec, rng)
-    g = grad_log_policy(spec, params, np.zeros(4), 1)
+    g = grad_log_one(spec, params, np.zeros(4), 1)
     np.testing.assert_array_equal(g[: 4 * 6], np.zeros(24))
 
 
@@ -157,7 +167,7 @@ def test_policy_batch_grads_match_single():
     actions = rng.integers(2, size=6)
     batch = policy.grad_log_batch(obs, actions)
     for i, (o, a) in enumerate(zip(obs, actions)):
-        np.testing.assert_allclose(batch[i], policy.grad_log(o, int(a)), atol=1e-12)
+        np.testing.assert_allclose(batch[i], grad_log(policy, o, int(a)), atol=1e-12)
 
 
 def test_weighted_grad_log_matches_contracted_batch_with_dropout():
@@ -188,40 +198,32 @@ def test_score_identity_classical():
         probs = policy.probabilities(x)
         total = np.zeros(spec.n_params)
         for a in range(3):
-            total += probs[a] * policy.grad_log(x, a)
+            total += probs[a] * grad_log(policy, x, a)
         np.testing.assert_allclose(total, 0.0, atol=1e-8)
 
 
-def test_checkpoint_roundtrip(tmp_path):
+def test_checkpoint_roundtrip():
+    # through JSON text, as `qpolgrad run` writes checkpoint.json
     rng = np.random.default_rng(10)
     spec = preset("cartpole")
     policy = MlpPolicy(spec, MlpParams.glorot(spec, rng))
-    path = tmp_path / "classical.json"
-    policy.save(path)
-    loaded = MlpPolicy.load(path)
+    data = json.loads(json.dumps(policy.to_checkpoint(), indent=1))
+    loaded = MlpPolicy.from_checkpoint(data)
     assert loaded.spec == policy.spec
     x = rng.normal(size=4)
     np.testing.assert_allclose(loaded.probabilities(x), policy.probabilities(x), atol=1e-15)
-
-    import json
-
-    data = json.loads(path.read_text())
     assert set(data) == {"weights", "spec"}
 
 
-def test_checkpoint_with_use_bias_key_still_loads(tmp_path):
+def test_checkpoint_with_use_bias_key_still_loads():
     # Checkpoints written before MlpSpec dropped its never-supported
     # use_bias field carry "use_bias": false in their spec.
-    import json
-
     rng = np.random.default_rng(11)
     spec = preset("qcontrol")
     policy = MlpPolicy(spec, MlpParams.glorot(spec, rng))
     data = policy.to_checkpoint()
     data["spec"]["use_bias"] = False
-    path = tmp_path / "legacy.json"
-    path.write_text(json.dumps(data))
-    loaded = MlpPolicy.load(path)
+    loaded = MlpPolicy.from_checkpoint(json.loads(json.dumps(data)))
     assert loaded.spec == spec
     x = rng.normal(size=4)
     np.testing.assert_array_equal(loaded.probabilities(x), policy.probabilities(x))

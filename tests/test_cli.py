@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -68,3 +72,36 @@ def test_dump_trajectories_has_one_row_per_step_and_replays_rollout(tmp_path):
         assert [float(row[f]) for f in features] == list(obs)
         assert int(row["action"]) == action
         assert float(row["reward"]) == reward
+
+
+def test_plot_of_a_zero_episode_run_fails_without_output(tmp_path):
+    run_dir, svg = tmp_path / "run", tmp_path / "plot" / "chart.svg"
+    assert cli.main(["run", "--preset", "qcontrol-quantum", "--episodes", "0",
+                     "--out", str(run_dir)]) == 0
+    assert cli.main(["plot", str(run_dir / "metrics.csv"), "--out", str(svg)]) == 1
+    assert not svg.parent.exists()
+
+
+def test_compare_and_fisher_read_both_checkpoint_kinds(tmp_path):
+    # parameter counts: the circuit angles plus the inverse temperature, or
+    # every network weight
+    runs = {}
+    for preset in ("qcontrol-quantum", "qcontrol-classical"):
+        runs[preset] = tmp_path / preset
+        assert cli.main(["run", "--preset", preset, "--episodes", "10",
+                         "--out", str(runs[preset])]) == 0
+        assert cli.main(["fisher", "--checkpoint", str(runs[preset] / "checkpoint.json"),
+                         "--env", "qcontrol", "--rollouts", "2",
+                         "--out", str(tmp_path / f"fisher-{preset}")]) == 0
+    summary = cli.compare(runs["qcontrol-quantum"], runs["qcontrol-classical"])
+    assert summary["run_a"]["parameter_count"] == 3 + 1
+    assert summary["run_b"]["parameter_count"] == 4 * 16 + 16 * 2
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is a test-only dependency; the runtime is numpy alone
+    code = "import sys, qpolgrad.cli; print(sorted(m for m in sys.modules if 'scipy' in m))"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert done.stdout.strip() == "[]"

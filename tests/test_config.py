@@ -71,6 +71,22 @@ def test_init_keys_unused_by_kind_rejected(tmp_path, preset, overrides):
     assert_rejected_before_any_artifact(tmp_path, preset, overrides)
 
 
+# values of the wrong type: each once crashed in validation or after the
+# manifest was written
+@pytest.mark.parametrize("preset, overrides", [
+    pytest.param("cartpole-quantum", {"learning_rate": "0.1"}, id="learning_rate-str"),
+    pytest.param("cartpole-quantum", {"init": {"kind": "glorot_normal", "gain": "x"}},
+                 id="init-gain-str"),
+    pytest.param("cartpole-quantum", {"beta_init": {"mean": "a"}}, id="beta_init-mean-str"),
+    pytest.param("cartpole-quantum", {"batch_size": True}, id="batch_size-bool"),
+    pytest.param("cartpole-quantum", {"init": {"kind": "normal", "sigma": "1"}},
+                 id="init-sigma-str"),
+    pytest.param("qcontrol-quantum", {"beta_init": {"std": None}}, id="beta_init-std-null"),
+])
+def test_wrongly_typed_values_rejected(tmp_path, preset, overrides):
+    assert_rejected_before_any_artifact(tmp_path, preset, overrides)
+
+
 def test_default_and_matching_values_still_accepted():
     cfg.preset_config("cartpole-classical", {"shots": 0})
     cfg.preset_config("cartpole-quantum", {"hidden_sizes": None, "dropout_p": 0.0,

@@ -4,7 +4,7 @@ from the same states."""
 import numpy as np
 import pytest
 
-from conftest import Acrobot, CartPole, QControl
+from conftest import Acrobot, CartPole, QControl, Statevector
 from qpolgrad import envs, qsim
 from qpolgrad.errors import ConfigError, ContractError
 from qpolgrad.envs import discounted_returns, make_env
@@ -237,10 +237,25 @@ def test_qcontrol_ten_free_steps_reach_target():
     assert done
 
 
+def test_hamiltonian_propagator_matches_matrix_exponential():
+    # independent oracle: scipy's Pade expm of -i dt (a Z + b X), including
+    # the zero Hamiltonian and both pulse settings of QControl
+    from scipy.linalg import expm
+
+    z, x = np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
+    rng = np.random.default_rng(17)
+    cases = [(0.0, 0.0, 0.7), (0.0, 1.0, np.pi / 20), (4.0, 1.0, np.pi / 20)]
+    cases += [tuple(rng.normal(size=2)) + (rng.uniform(0, 3),) for _ in range(50)]
+    for a, b, dt in cases:
+        want = expm(-1j * dt * (a * z + b * x))
+        np.testing.assert_allclose(envs.hamiltonian_propagator(a, b, dt), want, rtol=0,
+                                   atol=1e-12)
+
+
 def test_qcontrol_rotating_off_target_lowers_fidelity():
     env = QControl()
     env.reset(np.random.default_rng(0))
-    env.qubit = qsim.Statevector(1, np.array([0, 1], dtype=complex))
+    env.qubit = Statevector(1, np.array([0, 1], dtype=complex))
     _, reward, _ = env.step(0)
     assert reward < 1.0
 
@@ -328,7 +343,7 @@ def scalar_step(name, state, action):
     env = {"cartpole": CartPole, "acrobot": Acrobot, "qcontrol": QControl}[name]()
     env.reset(np.random.default_rng(0))
     if name == "qcontrol":
-        env.qubit = qsim.Statevector(1, state.copy())
+        env.qubit = Statevector(1, state.copy())
     else:
         env.state = state.copy()
     return env.step(action)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,8 @@ from qpolgrad.vqpolicy import (
     softmax_policy,
 )
 
-from conftest import encode_gates, oracle_preferences, random_state
+import conftest as oracle
+from conftest import encode_gates, grad_log, oracle_preferences, random_state, rescale
 
 
 def layered(n_qubits, n_layers, n_actions):
@@ -33,7 +36,7 @@ def random_params(spec, rng, beta=None):
 def input_rows(spec, x, normalizer):
     """One already-observed input as a 1-row batch for the row-operator engine."""
     if spec.encoding == "angle_rx":
-        return encoded_rows(normalizer.rescale(x)[None])
+        return encoded_rows(rescale(normalizer, x)[None])
     return x.amplitudes[None]
 
 
@@ -56,16 +59,16 @@ def test_encode_zero_features_is_ground_state():
 def test_encode_full_scale_feature_hits_pi():
     norm = FeatureNormalizer(1)
     norm.observe(np.array([1.0]))
-    rows = encoded_rows(norm.rescale(np.array([[1.0]])))
-    assert qsim.expectation_z(qsim.Statevector(1, rows[0]), 0) == pytest.approx(-1.0, abs=1e-12)
+    rows = encoded_rows(rescale(norm, np.array([[1.0]])))
+    assert oracle.expectation_z(oracle.Statevector(1, rows[0]), 0) == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_encode_two_features_product_state():
     norm = FeatureNormalizer(2)
     norm.observe(np.array([1.0, 1.0]))
-    state = qsim.Statevector(2, encoded_rows(norm.rescale(np.array([[1.0, -1.0]])))[0])
-    assert qsim.expectation_z(state, 0) == pytest.approx(-1.0, abs=1e-12)
-    assert qsim.expectation_z(state, 1) == pytest.approx(-1.0, abs=1e-12)
+    state = oracle.Statevector(2, encoded_rows(rescale(norm, np.array([[1.0, -1.0]])))[0])
+    assert oracle.expectation_z(state, 0) == pytest.approx(-1.0, abs=1e-12)
+    assert oracle.expectation_z(state, 1) == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_normalizer_keeps_angles_in_range_and_is_monotone():
@@ -75,7 +78,7 @@ def test_normalizer_keeps_angles_in_range_and_is_monotone():
     for _ in range(200):
         feats = rng.normal(scale=rng.uniform(0.01, 50), size=4)
         norm.observe(feats)
-        angles = norm.rescale(feats)
+        angles = rescale(norm, feats)
         assert np.all(np.abs(angles) <= np.pi + 1e-12)
         assert np.all(norm.running_abs_max >= prev)
         prev = norm.running_abs_max.copy()
@@ -165,7 +168,7 @@ def test_preferences_identity_circuit():
 
 def test_preferences_single_u3_equator():
     params = PolicyParams(np.array([np.pi / 2, 0.0, 0.0]), 1.0)
-    prefs = row_preferences(U3_SPEC, params, qsim.init_zero(1).amplitudes[None])
+    prefs = row_preferences(U3_SPEC, params, oracle.init_zero(1).amplitudes[None])
     np.testing.assert_allclose(prefs, [[0.0, 0.0]], atol=1e-12)
 
 
@@ -285,7 +288,7 @@ def test_grad_log_policy_matches_finite_differences(spec):
         else:
             norm, x = None, random_state(rng, 1)
         action = int(rng.integers(spec.n_actions))
-        got = QuantumPolicy(spec, params, norm).grad_log(feature_row(spec, x), action)
+        got = grad_log(QuantumPolicy(spec, params, norm), feature_row(spec, x), action)
         want = fd_log_policy(spec, params, x, action, norm)
         np.testing.assert_allclose(got, want, atol=1e-6)
 
@@ -311,8 +314,8 @@ def test_score_identity(spec):
 def test_grad_log_beta_entry_zero_under_symmetry():
     # identical preferences across actions make the beta derivative vanish
     params = PolicyParams(np.zeros(U3_SPEC.n_params), 1.3)
-    plus = qsim.Statevector(1, np.array([1, 1], dtype=complex) / np.sqrt(2))
-    g = QuantumPolicy(U3_SPEC, params).grad_log(feature_row(U3_SPEC, plus), 0)
+    plus = oracle.Statevector(1, np.array([1, 1], dtype=complex) / np.sqrt(2))
+    g = grad_log(QuantumPolicy(U3_SPEC, params), feature_row(U3_SPEC, plus), 0)
     assert g[-1] == pytest.approx(0.0, abs=1e-12)
 
 
@@ -401,7 +404,7 @@ def test_policy_batch_grads_match_single():
     actions = rng.integers(spec.n_actions, size=7)
     batch = policy.grad_log_batch(obs, actions)
     for i, (o, a) in enumerate(zip(obs, actions)):
-        np.testing.assert_allclose(batch[i], policy.grad_log(o, int(a)), atol=1e-10)
+        np.testing.assert_allclose(batch[i], grad_log(policy, o, int(a)), atol=1e-10)
 
 
 def test_policy_probabilities_match_direct_evaluation():
@@ -425,11 +428,11 @@ def test_final_rotations_on_unmeasured_qubits_are_irrelevant():
     x = rng.normal(size=4)
     norm.observe(x)
     base = row_preferences(spec, params, input_rows(spec, x, norm))[0]
-    state = qsim.apply_circuit(encode_gates(x, norm), build_ansatz(spec, params))
+    state = oracle.apply_circuit(encode_gates(x, norm), build_ansatz(spec, params))
     for q in (2, 3):
-        state = qsim.apply_gate(state, qsim.Gate("RY", (0.7,), q))
-        state = qsim.apply_gate(state, qsim.Gate("RZ", (-0.4,), q))
-    perturbed = np.array([qsim.expectation_z(state, q) for q in range(spec.n_actions)])
+        state = oracle.apply_gate(state, qsim.Gate("RY", (0.7,), q))
+        state = oracle.apply_gate(state, qsim.Gate("RZ", (-0.4,), q))
+    perturbed = np.array([oracle.expectation_z(state, q) for q in range(spec.n_actions)])
     np.testing.assert_allclose(perturbed, base, atol=1e-10)
 
 
@@ -464,14 +467,14 @@ def test_shot_grad_log_batch_converges_to_exact():
     np.testing.assert_allclose(draws.mean(axis=0), exact, atol=5e-3)
 
 
-def test_checkpoint_roundtrip(tmp_path):
+def test_checkpoint_roundtrip():
+    # through JSON text, as `qpolgrad run` writes checkpoint.json
     rng = np.random.default_rng(38)
     spec = layered(4, 3, 2)
     policy = QuantumPolicy(spec, random_params(spec, rng))
     policy.normalizer.observe(rng.normal(size=(5, 4)))
-    path = tmp_path / "checkpoint.json"
-    policy.save(path)
-    loaded = QuantumPolicy.load(path)
+    text = json.dumps(policy.to_checkpoint(), indent=1)
+    loaded = QuantumPolicy.from_checkpoint(json.loads(text))
     np.testing.assert_allclose(loaded.params.theta, policy.params.theta)
     assert loaded.params.beta == policy.params.beta
     np.testing.assert_allclose(loaded.normalizer.running_abs_max,
@@ -481,14 +484,9 @@ def test_checkpoint_roundtrip(tmp_path):
     np.testing.assert_allclose(loaded.probabilities(x), policy.probabilities(x), atol=1e-12)
 
 
-def test_checkpoint_field_names(tmp_path):
-    import json
-
+def test_checkpoint_field_names():
     policy = QuantumPolicy(U3_SPEC, PolicyParams(np.zeros(3), 1.0))
-    path = tmp_path / "ck.json"
-    policy.save(path)
-    data = json.loads(path.read_text())
-    assert set(data) == {"theta", "beta", "norm_abs_max", "spec"}
+    assert set(policy.to_checkpoint()) == {"theta", "beta", "norm_abs_max", "spec"}
 
 
 def test_spec_validation():

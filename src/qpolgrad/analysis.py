@@ -179,36 +179,29 @@ def _default_probe():
     return spec, params, states[0]
 
 
-def hoeffding_validate(b: BoundInputs, trials: int, rng: np.random.Generator,
-                       spec: CircuitSpec | None = None,
-                       params: PolicyParams | None = None,
-                       state: np.ndarray | None = None,
-                       action: int = 0) -> HoeffdingReport:
+def hoeffding_validate(b: BoundInputs, trials: int,
+                       rng: np.random.Generator) -> HoeffdingReport:
     """Estimate the preference gradient with Lemma-prescribed shots, repeatedly.
 
     The reference is the exact parameter-shift gradient (the true mean of
     the shot estimator). A trial fails when any coordinate of the
     shot-based estimate deviates from the reference by more than epsilon;
-    the bound promises a failure rate at most delta. `state` is the probe's
-    (2**n,) amplitude row.
+    the bound promises a failure rate at most delta. The probe is
+    `_default_probe`'s state and its action 0.
     """
     if trials < 0:
         raise ContractError(f"trials must be >= 0, got {trials}")
-    if spec is None or params is None or state is None:
-        spec, params, state = _default_probe()
-    enc = np.asarray(state, dtype=complex)[None, :]
-    if enc.shape != (1, 2**spec.n_qubits):
-        raise ContractError(f"probe state of shape {np.shape(state)} does not match the "
-                            f"{spec.n_qubits}-qubit circuit")
+    spec, params, state = _default_probe()
+    enc = state[None, :]
     per_observable, _ = lemma2_shots(b, 1.0)
     shots_total = int(math.ceil(per_observable))
     shots_side = max(1, int(math.ceil(shots_total / 2)))
-    reference = shift_gradients(spec, params, enc)[0, :, action]
+    reference = shift_gradients(spec, params, enc)[0, :, 0]
 
     failures = 0
     max_dev = 0.0
     for _ in range(trials):
-        estimate = shift_gradients(spec, params, enc, shots_side, rng)[0, :, action]
+        estimate = shift_gradients(spec, params, enc, shots_side, rng)[0, :, 0]
         dev = float(np.max(np.abs(estimate - reference)))
         max_dev = max(max_dev, dev)
         if dev > b.epsilon:

@@ -270,12 +270,3 @@ def test_default_probe_is_three_pulse_free_steps_from_zero():
     assert row.shape == (2,) and spec.n_qubits == 1
     assert row.tobytes() == state.amplitudes.tobytes()
 
-
-def test_hoeffding_rejects_probe_row_of_wrong_length():
-    b = BoundInputs(1, 1, 10, 0.99, epsilon=0.2, delta=0.1, k=4)
-    spec, params, row = analysis._default_probe()
-    for bad in (np.concatenate([row, row]), row[:1], row[None]):
-        with pytest.raises(ContractError):
-            hoeffding_validate(b, 1, np.random.default_rng(0), spec, params, bad)
-    report = hoeffding_validate(b, 1, np.random.default_rng(0), spec, params, row)
-    assert report.trials == 1

@@ -4,17 +4,11 @@ import numpy as np
 import pytest
 
 from qpolgrad import classical
-from qpolgrad.classical import (MlpParams, MlpPolicy, MlpSpec, forward, grad_log_policy_batch,
-                                preset)
+from qpolgrad.classical import MlpParams, MlpPolicy, MlpSpec, forward, preset
 from qpolgrad.errors import ConfigError, ContractError
 from qpolgrad.vqpolicy import softmax_policy
 
 from conftest import grad_log
-
-
-def grad_log_one(spec, params, x, action):
-    """Eval-mode log-policy gradient of one input, as a 1-row batch."""
-    return grad_log_policy_batch(spec, params, np.atleast_2d(x), [action])[0]
 
 
 def test_preset_shapes_and_parameter_counts():
@@ -87,7 +81,7 @@ def test_backward_matches_finite_differences_small_net():
         params = MlpParams.glorot(spec, rng)
         x = rng.normal(size=4)
         action = int(rng.integers(2))
-        got = grad_log_one(spec, params, x, action)
+        got = grad_log(MlpPolicy(spec, params), x, action)
         want = fd_log_policy(spec, params, x, action)
         assert np.max(np.abs(got - want)) < 1e-6
 
@@ -100,7 +94,7 @@ def test_backward_matches_finite_differences_presets(name):
         params = MlpParams.glorot(spec, rng)
         x = rng.normal(size=spec.layer_sizes[0])
         action = int(rng.integers(spec.layer_sizes[-1]))
-        got = grad_log_one(spec, params, x, action)
+        got = grad_log(MlpPolicy(spec, params), x, action)
         want = fd_log_policy(spec, params, x, action)
         assert np.max(np.abs(got - want)) < 1e-6
 
@@ -114,8 +108,8 @@ def test_symmetric_output_rows_give_opposite_output_gradients():
     row = rng.normal(size=5)
     params = MlpParams([w1, np.stack([row, row])])
     x = rng.normal(size=3)
-    g0 = grad_log_one(spec, params, x, 0)[-10:].reshape(2, 5)
-    g1 = grad_log_one(spec, params, x, 1)[-10:].reshape(2, 5)
+    g0 = grad_log(MlpPolicy(spec, params), x, 0)[-10:].reshape(2, 5)
+    g1 = grad_log(MlpPolicy(spec, params), x, 1)[-10:].reshape(2, 5)
     np.testing.assert_allclose(g0, -g1, atol=1e-12)
 
 
@@ -123,7 +117,7 @@ def test_zero_input_zeroes_first_layer_gradient():
     rng = np.random.default_rng(4)
     spec = MlpSpec((4, 6, 2))
     params = MlpParams.glorot(spec, rng)
-    g = grad_log_one(spec, params, np.zeros(4), 1)
+    g = grad_log(MlpPolicy(spec, params), np.zeros(4), 1)
     np.testing.assert_array_equal(g[: 4 * 6], np.zeros(24))
 
 

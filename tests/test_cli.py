@@ -1,9 +1,5 @@
 import csv
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -97,11 +93,3 @@ def test_compare_and_fisher_read_both_checkpoint_kinds(tmp_path):
     assert summary["run_a"]["parameter_count"] == 3 + 1
     assert summary["run_b"]["parameter_count"] == 4 * 16 + 16 * 2
 
-
-def test_cli_import_leaves_scipy_unloaded():
-    # scipy is a test-only dependency; the runtime is numpy alone
-    code = "import sys, qpolgrad.cli; print(sorted(m for m in sys.modules if 'scipy' in m))"
-    src = str(Path(cli.__file__).resolve().parents[1])
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src}, check=True)
-    assert done.stdout.strip() == "[]"

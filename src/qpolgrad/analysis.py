@@ -154,18 +154,6 @@ class HoeffdingReport:
     max_deviation: float
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "failures": self.failures,
-            "failure_rate": self.failure_rate,
-            "epsilon": self.epsilon,
-            "delta": self.delta,
-            "shots_per_observable": self.shots_per_observable,
-            "max_deviation": self.max_deviation,
-            "passed": self.passed,
-        }
-
 
 def _default_probe():
     """Fixed small configuration: the state-preparation policy three

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -78,11 +79,18 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def policy_from_checkpoint(data: dict):
-    """The quantum or classical policy that a `checkpoint.json` object holds."""
-    if "theta" in data:
-        return QuantumPolicy.from_checkpoint(data)
-    return MlpPolicy.from_checkpoint(data)
+def policy_from_checkpoint(path):
+    """The quantum or classical policy that a `checkpoint.json` file holds; a
+    file that holds none raises ContractError naming it."""
+    try:
+        data = json.loads(Path(path).read_text())
+        if not isinstance(data, dict):
+            raise ValueError("expected a JSON object")
+        return (QuantumPolicy if "theta" in data else MlpPolicy).from_checkpoint(data)
+    except KeyError as exc:
+        raise ContractError(f"checkpoint {path} is missing {exc}") from exc
+    except (TypeError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
+        raise ContractError(f"checkpoint {path} holds no policy: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +317,6 @@ def _run_summary(run_dir: Path, threshold, window: int) -> dict:
         if not required.exists():
             raise ContractError(f"incomplete run: {required} is missing")
     manifest = json.loads(manifest_path.read_text())
-    checkpoint = json.loads(checkpoint_path.read_text())
     data = read_metrics(metrics_path)
     smoothed = running_mean(data["total_reward"], window)
     episodes_to_threshold = None
@@ -326,7 +333,7 @@ def _run_summary(run_dir: Path, threshold, window: int) -> dict:
         "name": manifest.get("name"),
         "final_running_mean": float(smoothed[-1]) if smoothed.size else None,
         "episodes_to_threshold": episodes_to_threshold,
-        "parameter_count": policy_from_checkpoint(checkpoint).n_trainable,
+        "parameter_count": policy_from_checkpoint(checkpoint_path).n_trainable,
         "fisher_trace_series": fisher_series or None,
     }
 
@@ -432,7 +439,7 @@ def _run_command(args) -> int:
 
 
 def _fisher_command(args) -> int:
-    policy = policy_from_checkpoint(json.loads(Path(args.checkpoint).read_text()))
+    policy = policy_from_checkpoint(args.checkpoint)
     rng = np.random.default_rng(np.random.SeedSequence(args.seed, spawn_key=(2, 0)))
     report = fisher_spectrum(policy, args.env, args.rollouts, rng, args.gamma,
                              include_beta=not args.theta_only)
@@ -468,7 +475,7 @@ def _hoeffding_command(args) -> int:
                                   args.epsilon, args.delta, args.k)
     rng = np.random.default_rng(args.seed)
     report = analysis.hoeffding_validate(inputs, args.trials, rng)
-    payload = report.to_dict()
+    payload = dataclasses.asdict(report)
     if args.also_bernoulli:
         payload["bernoulli_selftest_failure_rate"] = (
             analysis.bernoulli_hoeffding_failure_rate(0.5, 0.1, 0.05, 2000, rng))

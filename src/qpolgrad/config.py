@@ -51,7 +51,6 @@ class ExperimentConfig:
     gamma: float = 0.99
     seed: int = 0
     shots: int = 0  # 0 = exact expectations
-    n_qubits: int | None = None
     hidden_sizes: tuple[int, ...] | None = None
     dropout_p: float = 0.0
     init: dict = field(default_factory=lambda: {"kind": "glorot_normal", "gain": 1.0})
@@ -72,17 +71,12 @@ class ExperimentConfig:
     def architecture(self) -> str:
         return "single_u3" if self.environment == "qcontrol" else "layered"
 
-    def resolved_n_qubits(self) -> int:
-        if self.n_qubits is not None:
-            return self.n_qubits
-        return _circuit_width(self.environment)
-
     def circuit_spec(self) -> CircuitSpec:
         if self.policy != "quantum":
             raise ConfigError("circuit_spec is only defined for quantum policies")
         if self.architecture == "single_u3":
             return CircuitSpec(1, self.n_layers, 2, "single_u3", "none")
-        return CircuitSpec(self.resolved_n_qubits(), self.n_layers,
+        return CircuitSpec(_circuit_width(self.environment), self.n_layers,
                            self.env_spec.n_actions, "layered", "angle_rx")
 
     def mlp_spec(self) -> MlpSpec:
@@ -167,14 +161,11 @@ def _validate(data: dict) -> list[str]:
     check_range("n_layers", lambda v: isinstance(v, int) and v >= 1, "must be an integer >= 1")
     check_range("shots", lambda v: isinstance(v, int) and v >= 0, "must be an integer >= 0")
     check_range("seed", lambda v: isinstance(v, int), "must be an integer")
-    check_range("n_qubits", lambda v: isinstance(v, int) and 1 <= v <= 8, "must be in [1, 8]")
     check_range("dropout_p", lambda v: 0 <= v < 1, "must be a number in [0, 1)")
 
     if pol == "classical":
         if data.get("shots"):
             errors.append("shots: only a quantum policy is read out with shots")
-        if data.get("n_qubits") is not None:
-            errors.append("n_qubits: a classical policy has no qubits")
         if data.get("n_layers") not in (None, 1):
             errors.append("n_layers: a classical policy's layers are set by hidden_sizes")
         if data.get("beta_init") not in (None, BETA_INIT_DEFAULT):
@@ -186,10 +177,11 @@ def _validate(data: dict) -> list[str]:
             errors.append("dropout_p: a quantum policy has no dropout")
         if env == "qcontrol" and data.get("n_layers") not in (None, 1):
             errors.append("n_layers: the qcontrol circuit is a single U3 gate, without layers")
-        n_qubits = data.get("n_qubits")
-        if n_qubits is not None and env in ENV_SPECS and n_qubits != _circuit_width(env):
-            errors.append(f"n_qubits: the {env} circuit has {_circuit_width(env)} qubit(s)"
-                          f" (got {n_qubits!r})")
+
+    hidden = data.get("hidden_sizes")
+    if hidden is not None and not (isinstance(hidden, (list, tuple)) and all(
+            _is_number(h) and isinstance(h, int) and h >= 1 for h in hidden)):
+        errors.append(f"hidden_sizes: must be a list of integers >= 1 (got {hidden!r})")
 
     init = data.get("init")
     if init is not None:
@@ -203,6 +195,8 @@ def _validate(data: dict) -> list[str]:
             errors.append(f"init: {kind}'s values must be finite numbers")
         elif kind == "normal" and not init.get("sigma", 1.0) > 0:
             errors.append("init.sigma: must be positive")
+        elif kind == "glorot_normal" and not init.get("gain", 1.0) > 0:
+            errors.append("init.gain: must be positive")
         elif kind == "uniform" and not init.get("a", -1.0) < init.get("b", 1.0):
             errors.append("init: uniform bounds need a < b")
     beta_init = data.get("beta_init")
@@ -219,12 +213,20 @@ def from_dict(data: dict, overrides: dict | None = None) -> ExperimentConfig:
     merged = dict(data)
     if overrides:
         merged.update({k: v for k, v in overrides.items() if v is not None})
-    # Legacy key: episodes run one after another, so it selects nothing. Older
-    # manifests and config files carry it, so a valid value is still accepted.
+    # Legacy keys: episodes run one after another, so `parallel_rollouts`
+    # selects nothing, and a quantum policy's width is `_circuit_width`, so
+    # `n_qubits` has one legal value. Older manifests and config files carry
+    # them, so a valid value is still accepted and dropped.
     legacy = merged.pop("parallel_rollouts", 1)
+    n_qubits = merged.pop("n_qubits", None)
     errors = _validate(merged)
     if not (isinstance(legacy, int) and legacy >= 1):
         errors.append(f"parallel_rollouts: must be an integer >= 1 (got {legacy!r})")
+    width = (_circuit_width(merged["environment"]) if merged.get("policy") == "quantum"
+             and merged.get("environment") in ENV_SPECS else None)
+    if isinstance(n_qubits, bool) or n_qubits not in (None, width):
+        allowed = "null" if width is None else f"null or the circuit width {width}"
+        errors.append(f"n_qubits: must be {allowed} (got {n_qubits!r})")
     if errors:
         raise ConfigError("invalid configuration: " + "; ".join(errors))
     if "hidden_sizes" in merged and merged["hidden_sizes"] is not None:

@@ -12,15 +12,17 @@ and the rows are read out exactly or with a finite number of shots.
 
 Every trainable angle sits in exactly one Pauli rotation (the U3 gate is a
 Z-Y-Z chain, so its three angles qualify). Gradients with respect to them
-take one of three routes:
+take one of two routes:
 
-- Training in exact mode (shots = 0) needs only the advantage-weighted sum
-  of log-policy gradients, d/d(theta) of sum_t <psi_t|O_t|psi_t> with
-  O_t = sum_a w_ta Z_a: `summed_gradient` walks K = sum_t |psi_t><psi_t| O_t
-  back through the circuit; a rotation exp(-i theta P / 2) adds Im Tr(P K).
-- Per-sample gradients in exact mode (the Fisher matrix) use the adjoint
-  method (Jones & Gacon 2020): a co-state lambda = O_t psi per row is walked
-  back next to psi, and each rotation contributes Im<lambda|P psi>.
+- Exact mode (shots = 0) uses one adjoint sweep (Jones & Gacon 2020),
+  `adjoint_gradients`: row pairs (psi, lambda) at the circuit's output are
+  walked back through the gates together, and a rotation exp(-i theta P / 2)
+  contributes Im<lambda|P psi>. Per-sample gradients (the Fisher matrix)
+  send each row psi_t with its co-state lambda_t = O_t psi_t, where
+  O_t = sum_a w_ta Z_a. Training needs only the advantage-weighted sum over
+  the batch, so `summed_gradient` folds the T rows into the 2**n x 2**n
+  operator M = sum_t |psi_t><lambda_t| and sweeps M's 2**n rows against the
+  identity's.
 - Shot mode uses the two-term parameter-shift rule per sample, d<a>/d(theta_j)
   = (<a>(theta_j + pi/2) - <a>(theta_j - pi/2)) / 2, the tests' exact oracle.
 
@@ -290,57 +292,46 @@ def _observable_diagonals(spec: CircuitSpec, weights: np.ndarray) -> np.ndarray:
     return coeff @ np.stack([1.0 - 2.0 * (basis >> (n - 1 - q) & 1) for q in _measured_qubits(spec)])
 
 
-def adjoint_gradients(spec: CircuitSpec, params: PolicyParams, rows: np.ndarray,
-                      weights: np.ndarray) -> np.ndarray:
-    """d/d(theta) of sum_a weights[t, a] * <a>_t for ansatz-output rows, shape (T, k).
+def adjoint_gradients(spec: CircuitSpec, params: PolicyParams, psi: np.ndarray,
+                      lam: np.ndarray) -> np.ndarray:
+    """Im<lam_r|P psi_r> at every rotation for R row pairs, shape (R, k).
 
-    `rows` are the circuit's output states (input rows @ row operator). Each
-    row's co-state lambda = O_t psi, with O_t = sum_a weights[t, a] Z_a, is
-    walked back through the gates next to psi: at a rotation the angle's
-    derivative is Im<lambda|P psi>, then both states are uncomputed with the
-    gate's inverse. Rows are processed ADJOINT_CHUNK_ROWS at a time and no
-    per-gate state is kept.
+    `psi` and `lam` are (R, 2**n) states at the circuit's output. Each pair is
+    walked back through the gates together: at a rotation exp(-i theta P / 2)
+    the angle's entry is Im<lam|P psi>, then both states are uncomputed with
+    the gate's inverse. With lam = O psi the entry is d<psi|O|psi>/d(theta).
+    Rows are processed ADJOINT_CHUNK_ROWS at a time and no per-gate state is
+    kept.
     """
     n = spec.n_qubits
     steps = _rotation_steps(build_ansatz(spec, params))[::-1]
     inverses = [g.matrix().conj().T if j is not None else None for g, j in steps]
-    grads = np.empty((rows.shape[0], spec.n_params))
-    for lo in range(0, rows.shape[0], ADJOINT_CHUNK_ROWS):
-        psi, w = rows[lo:lo + ADJOINT_CHUNK_ROWS], weights[lo:lo + ADJOINT_CHUNK_ROWS]
-        pair = np.stack([psi, psi * _observable_diagonals(spec, w)])
+    grads = np.empty((psi.shape[0], spec.n_params))
+    for lo in range(0, psi.shape[0], ADJOINT_CHUNK_ROWS):
+        chunk = slice(lo, lo + ADJOINT_CHUNK_ROWS)
+        pair = np.stack([psi[chunk], lam[chunk]])
         for (gate, j), inverse in zip(steps, inverses):
             if j is None:  # a CNOT is its own inverse
                 pair = qsim.apply_cnot_array(pair, gate.control, gate.target, n)
                 continue
-            grads[lo:lo + ADJOINT_CHUNK_ROWS, j] = _generator_overlap(pair[0], pair[1], gate)
+            grads[chunk, j] = _generator_overlap(pair[0], pair[1], gate)
             pair = qsim.apply_1q_array(pair, inverse, gate.target, n)
     return grads
 
 
 def summed_gradient(spec: CircuitSpec, params: PolicyParams, rows: np.ndarray,
                     weights: np.ndarray) -> np.ndarray:
-    """d/d(theta) of sum_t sum_a weights[t, a] * <a>_t, shape (k,): the column
-    sums of `adjoint_gradients`, from one 2**n x 2**n operator, accumulated
-    over row chunks. K is held as the flat state of a 2n-qubit register (rows
-    on qubits 0..n-1, columns on n..2n-1), so the row kernels conjugate it;
-    at a rotation, Im Tr(P K) is read from K's 2x2 partial trace B."""
-    n = spec.n_qubits
-    k = np.zeros(4**n, dtype=complex)
+    """d/d(theta) of sum_t sum_a weights[t, a] * <a>_t, shape (k,), by one
+    `adjoint_gradients` sweep of 2**n row pairs whatever the batch size: M =
+    sum_t |psi_t><O_t psi_t| is accumulated over row chunks, its row j being
+    M e_j, and Im Tr(P M) is the sum over j of Im<e_j|P M e_j>; walking both
+    back keeps G^dag M G = sum_j |G^dag M e_j><G^dag e_j| exact."""
+    dim = 2**spec.n_qubits
+    m = np.zeros((dim, dim), dtype=complex)
     for lo in range(0, rows.shape[0], ADJOINT_CHUNK_ROWS):
         psi, w = rows[lo:lo + ADJOINT_CHUNK_ROWS], weights[lo:lo + ADJOINT_CHUNK_ROWS]
-        k += (psi.T @ (psi * _observable_diagonals(spec, w)).conj()).ravel()
-    grad = np.empty(spec.n_params)
-    for gate, j in _rotation_steps(build_ansatz(spec, params))[::-1]:
-        if j is None:  # a CNOT is real, symmetric and its own inverse
-            k = qsim.apply_cnot_array(k, gate.control, gate.target, 2 * n)
-            k = qsim.apply_cnot_array(k, gate.control + n, gate.target + n, 2 * n)
-            continue
-        b = np.einsum("axbayb->xy", k.reshape(2 * (2**gate.target, 2, 2 ** (n - gate.target - 1))))
-        grad[j] = (b[0, 0] - b[1, 1]).imag if gate.kind == "RZ" else (b[0, 1] - b[1, 0]).real
-        inverse = gate.matrix().conj().T
-        k = qsim.apply_1q_array(k, inverse, gate.target, 2 * n)
-        k = qsim.apply_1q_array(k, inverse.conj(), gate.target + n, 2 * n)
-    return grad
+        m += (psi * _observable_diagonals(spec, w)).conj().T @ psi
+    return adjoint_gradients(spec, params, m, np.eye(dim)).sum(axis=0)
 
 
 class QuantumPolicy:
@@ -447,7 +438,8 @@ class QuantumPolicy:
             grads = shift_gradients(self.spec, self.params, enc, self.shots, rng)
             gtheta = np.einsum("tka,ta->tk", grads, weights)
         else:
-            gtheta = adjoint_gradients(self.spec, self.params, out_rows, weights)
+            gtheta = adjoint_gradients(self.spec, self.params, out_rows,
+                                       out_rows * _observable_diagonals(self.spec, weights))
         return np.concatenate([gtheta, gbeta[:, None]], axis=1)
 
     def weighted_grad_log(self, observations, actions, weights,

@@ -93,3 +93,26 @@ def test_compare_and_fisher_read_both_checkpoint_kinds(tmp_path):
     assert summary["run_a"]["parameter_count"] == 3 + 1
     assert summary["run_b"]["parameter_count"] == 4 * 16 + 16 * 2
 
+
+def test_compare_and_fisher_reject_bad_checkpoints(tmp_path, capsys):
+    # A checkpoint without a spec, one that is not JSON and one that is not
+    # an object each fail with an error line naming the file, not a traceback.
+    good = tmp_path / "good"
+    assert cli.main(["run", "--preset", "qcontrol-quantum", "--episodes", "10",
+                     "--out", str(good)]) == 0
+    for name, text in (("no-spec", json.dumps({"theta": [0.1, 0.2, 0.3], "beta": 1.0})),
+                       ("not-json", "{theta: 0.1"), ("not-object", "[1, 2]")):
+        bad = tmp_path / name
+        bad.mkdir()
+        for artifact in ("manifest.json", "metrics.csv"):
+            (bad / artifact).write_text((good / artifact).read_text())
+        checkpoint = bad / "checkpoint.json"
+        checkpoint.write_text(text)
+        capsys.readouterr()
+        assert cli.main(["compare", str(good), str(bad)]) == 1
+        assert str(checkpoint) in capsys.readouterr().err
+        out = tmp_path / f"fisher-{name}"
+        assert cli.main(["fisher", "--checkpoint", str(checkpoint), "--env", "qcontrol",
+                         "--rollouts", "2", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: checkpoint {checkpoint}")
+        assert not out.exists()

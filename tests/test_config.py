@@ -44,7 +44,9 @@ def test_dropout_on_quantum_policy_rejected(tmp_path):
                                               ("acrobot-quantum", 4),
                                               ("qcontrol-quantum", 2),
                                               ("cartpole-classical", 7),
-                                              ("qcontrol-classical", 1)])
+                                              ("qcontrol-classical", 1),
+                                              ("qcontrol-quantum", True),
+                                              ("cartpole-quantum", "4")])
 def test_n_qubits_other_than_circuit_width_rejected(tmp_path, preset, n_qubits):
     assert_rejected_before_any_artifact(tmp_path, preset, {"n_qubits": n_qubits})
 
@@ -82,6 +84,15 @@ def test_init_keys_unused_by_kind_rejected(tmp_path, preset, overrides):
     pytest.param("cartpole-quantum", {"init": {"kind": "normal", "sigma": "1"}},
                  id="init-sigma-str"),
     pytest.param("qcontrol-quantum", {"beta_init": {"std": None}}, id="beta_init-std-null"),
+    pytest.param("cartpole-classical", {"hidden_sizes": ["a"]}, id="hidden_sizes-str"),
+    pytest.param("cartpole-classical", {"hidden_sizes": [0]}, id="hidden_sizes-zero"),
+    pytest.param("cartpole-classical", {"hidden_sizes": [True]}, id="hidden_sizes-bool"),
+    pytest.param("cartpole-classical", {"hidden_sizes": [8.0]}, id="hidden_sizes-float"),
+    pytest.param("cartpole-classical", {"hidden_sizes": 8}, id="hidden_sizes-int"),
+    pytest.param("cartpole-quantum", {"init": {"kind": "glorot_normal", "gain": -1}},
+                 id="init-gain-negative"),
+    pytest.param("cartpole-classical", {"init": {"kind": "glorot_normal", "gain": 0.0}},
+                 id="init-gain-zero"),
 ])
 def test_wrongly_typed_values_rejected(tmp_path, preset, overrides):
     assert_rejected_before_any_artifact(tmp_path, preset, overrides)
@@ -102,6 +113,18 @@ def test_default_and_matching_values_still_accepted():
                  {"kind": "normal", "mu": 0.0, "sigma": 0.5},
                  {"kind": "uniform", "a": -0.5, "b": 0.5}):
         cfg.preset_config("cartpole-quantum", {"init": init})
+
+
+def test_legacy_n_qubits_is_accepted_and_dropped():
+    # The circuit width follows from the environment; a manifest's null
+    # `n_qubits`, or the width itself, loads to the same config without it.
+    data = json.loads(REFERENCE_MANIFEST.read_text())["config"]
+    assert data["n_qubits"] is None
+    reference = cfg.from_dict(data)
+    assert reference == cfg.from_dict({k: v for k, v in data.items() if k != "n_qubits"})
+    assert reference == cfg.from_dict({**data, "n_qubits": 4})
+    assert "n_qubits" not in reference.to_dict()
+    assert reference.circuit_spec().n_qubits == 4
 
 
 def test_config_hash_covers_result_fields_only():

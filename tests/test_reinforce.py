@@ -370,13 +370,25 @@ def test_weighted_grad_log_matches_contracted_batch_over_presets(preset):
 
 @pytest.mark.parametrize("preset", ["cartpole-quantum", "cartpole-classical"])
 def test_training_forms_no_per_sample_gradients(monkeypatch, preset):
+    # The quantum batch gradient is one adjoint sweep of the 2**n rows of the
+    # folded operator, never of the batch's T rows.
     def refuse(*args, **kwargs):
         raise AssertionError("training built per-sample gradients")
 
-    monkeypatch.setattr(vqpolicy, "adjoint_gradients", refuse)
+    swept = []
+    sweep = vqpolicy.adjoint_gradients
+
+    def folded_sweep(spec, params, psi, lam):
+        swept.append((psi.shape, lam.shape, 2**spec.n_qubits))
+        return sweep(spec, params, psi, lam)
+
+    monkeypatch.setattr(vqpolicy, "adjoint_gradients", folded_sweep)
     monkeypatch.setattr(classical, "grad_log_policy_batch", refuse)
     config = cfg.preset_config(preset, {"episodes": 10, "seed": 0})
     assert all(np.isfinite(record.grad_norm) for record in train(config))
+    if preset.endswith("quantum"):
+        assert swept
+    assert all(psi == lam == (dim, dim) for psi, lam, dim in swept)
 
 
 def test_policy_gradient_memory_stays_within_three_row_arrays():

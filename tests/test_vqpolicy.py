@@ -339,7 +339,9 @@ def output_rows(spec, params, enc):
 def test_adjoint_matches_parameter_shift(spec, t):
     # The adjoint theta block is the shift gradient contracted with the same weights.
     params, enc, weights = adjoint_case(spec, np.random.default_rng(40), t)
-    got = vqpolicy.adjoint_gradients(spec, params, output_rows(spec, params, enc), weights)
+    rows = output_rows(spec, params, enc)
+    lam = rows * vqpolicy._observable_diagonals(spec, weights)
+    got = vqpolicy.adjoint_gradients(spec, params, rows, lam)
     want = np.einsum("tka,ta->tk", shift_gradients(spec, params, enc), weights)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
@@ -349,10 +351,11 @@ def test_adjoint_chunks_match_single_rows():
     t = vqpolicy.ADJOINT_CHUNK_ROWS + 7
     params, enc, weights = adjoint_case(spec, np.random.default_rng(41), t)
     rows = output_rows(spec, params, enc)
-    batch = vqpolicy.adjoint_gradients(spec, params, rows, weights)
+    lam = rows * vqpolicy._observable_diagonals(spec, weights)
+    batch = vqpolicy.adjoint_gradients(spec, params, rows, lam)
     assert batch.shape == (t, spec.n_params)
     for i in range(t):
-        single = vqpolicy.adjoint_gradients(spec, params, rows[i:i + 1], weights[i:i + 1])
+        single = vqpolicy.adjoint_gradients(spec, params, rows[i:i + 1], lam[i:i + 1])
         np.testing.assert_allclose(batch[i], single[0], rtol=0, atol=1e-12)
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import envs
 from .errors import ContractError
-from .vqpolicy import CircuitSpec, PolicyParams, shift_gradients
+from .vqpolicy import CircuitSpec, PolicyParams, serial_matmul, shift_gradients
 
 
 @dataclass
@@ -66,7 +66,7 @@ def fisher_matrix(policy, states, actions, include_beta: bool = True, rng=None) 
     g = policy.grad_log_batch(states, np.asarray(actions, dtype=int), rng)
     if not include_beta and policy.kind == "quantum":
         g = g[:, :-1]
-    f = g.T @ g / g.shape[0]
+    f = serial_matmul(g.T, g) / g.shape[0]
     return FisherMatrix((f + f.T) / 2)
 
 

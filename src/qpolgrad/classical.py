@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ContractError
-from .vqpolicy import softmax_policy
+from .vqpolicy import serial_matmul, softmax_policy
 
 
 @dataclass(frozen=True)
@@ -150,7 +150,7 @@ def _backward(spec: MlpSpec, params: MlpParams, features, actions, mode: str,
     for i in range(len(params.weights) - 1, -1, -1):
         layers.append((delta, acts[i]))
         if i > 0:
-            delta = delta @ params.weights[i]
+            delta = serial_matmul(delta, params.weights[i])
             if masks[i - 1] is not None:
                 delta = delta * masks[i - 1]
             delta = delta * (pre[i - 1] > 0)
@@ -204,7 +204,7 @@ class MlpPolicy:
         `grad_log_batch`'s passes (and dropout draws) on weighted deltas."""
         mode = "train" if self.spec.dropout_p > 0.0 else "eval"
         layers = _backward(self.spec, self.params, observations, actions, mode, rng, weights)
-        return np.concatenate([(delta.T @ act).ravel() for delta, act in layers])
+        return np.concatenate([serial_matmul(delta.T, act).ravel() for delta, act in layers])
 
     # -- persistence ----------------------------------------------------------
     def to_checkpoint(self) -> dict:

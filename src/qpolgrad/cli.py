@@ -22,6 +22,7 @@ import dataclasses
 import json
 import math
 import os
+import platform
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -62,15 +63,30 @@ def read_metrics(path) -> dict[str, np.ndarray]:
         if missing:
             raise ContractError(f"{path}: metrics CSV missing column(s) {', '.join(missing)}")
         rows = list(reader)
-    return {c: np.array([float(r[c]) for r in rows]) for c in METRICS_COLUMNS}
+    try:
+        return {c: np.array([float(r[c]) for r in rows]) for c in METRICS_COLUMNS}
+    except (TypeError, ValueError) as exc:  # a short row gives None, a text cell ValueError
+        raise ContractError(f"{path}: metrics CSV holds a non-numeric cell: {exc}") from exc
+
+
+def _read_json_object(path, kind: str) -> dict:
+    """The JSON object in the `kind` file `path`; anything else raises
+    ContractError naming the file."""
+    try:
+        data = json.loads(Path(path).read_text())
+    except ValueError as exc:  # json.JSONDecodeError, or bytes that are not UTF-8
+        raise ContractError(f"{kind} {path} is not JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ContractError(f"{kind} {path} holds a {type(data).__name__}, not a JSON object")
+    return data
 
 
 def _series_name(csv_path: Path) -> str:
     manifest = csv_path.parent / "manifest.json"
     if manifest.exists():
         try:
-            return json.loads(manifest.read_text()).get("name") or csv_path.parent.name
-        except json.JSONDecodeError:
+            return _read_json_object(manifest, "manifest").get("name") or csv_path.parent.name
+        except ContractError:
             pass
     return csv_path.stem
 
@@ -82,14 +98,12 @@ def _fmt(x: float) -> str:
 def policy_from_checkpoint(path):
     """The quantum or classical policy that a `checkpoint.json` file holds; a
     file that holds none raises ContractError naming it."""
+    data = _read_json_object(path, "checkpoint")
     try:
-        data = json.loads(Path(path).read_text())
-        if not isinstance(data, dict):
-            raise ValueError("expected a JSON object")
         return (QuantumPolicy if "theta" in data else MlpPolicy).from_checkpoint(data)
     except KeyError as exc:
         raise ContractError(f"checkpoint {path} is missing {exc}") from exc
-    except (TypeError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
+    except (TypeError, ValueError) as exc:
         raise ContractError(f"checkpoint {path} holds no policy: {exc}") from exc
 
 
@@ -132,6 +146,24 @@ def _write_spectrum(report: analysis.SpectrumReport, csv_path: Path, json_path: 
     }, indent=1))
 
 
+def provenance() -> dict:
+    """What produced a run besides its config: interpreter, numpy and its
+    BLAS, the BLAS thread settings and the platform."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas.get('name')} {blas.get('version')}"
+    except (TypeError, KeyError):  # numpy < 1.25 has no mode="dicts"
+        blas = "unknown"
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": blas,
+        **{name: os.environ.get(name, "unset") for name in ("OPENBLAS_NUM_THREADS",
+                                                            "OMP_NUM_THREADS")},
+        "platform": f"{platform.system()} {platform.release()} {platform.machine()}",
+    }
+
+
 def resolve_output_dir(config) -> Path:
     if config.output_dir:
         return Path(config.output_dir)
@@ -159,6 +191,7 @@ def run(config) -> int:
         "config_hash": cfg.config_hash(config),
         "started_at": datetime.now(timezone.utc).isoformat(),
         "artifacts": artifacts,
+        "provenance": provenance(),
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=1))
 
@@ -316,7 +349,7 @@ def _run_summary(run_dir: Path, threshold, window: int) -> dict:
     for required in (metrics_path, checkpoint_path, manifest_path):
         if not required.exists():
             raise ContractError(f"incomplete run: {required} is missing")
-    manifest = json.loads(manifest_path.read_text())
+    manifest = _read_json_object(manifest_path, "manifest")
     data = read_metrics(metrics_path)
     smoothed = running_mean(data["total_reward"], window)
     episodes_to_threshold = None
@@ -327,8 +360,11 @@ def _run_summary(run_dir: Path, threshold, window: int) -> dict:
     fisher_series = []
     for sidecar in sorted(run_dir.glob("fisher_ck_*.json"),
                           key=lambda p: int(p.stem.split("_")[-1])):
-        info = json.loads(sidecar.read_text())
-        fisher_series.append({"episode": info["checkpoint_episode"], "trace": info["trace"]})
+        info = _read_json_object(sidecar, "Fisher sidecar")
+        try:
+            fisher_series.append({"episode": info["checkpoint_episode"], "trace": info["trace"]})
+        except KeyError as exc:
+            raise ContractError(f"Fisher sidecar {sidecar} is missing {exc}") from exc
     return {
         "name": manifest.get("name"),
         "final_running_mean": float(smoothed[-1]) if smoothed.size else None,

@@ -149,11 +149,68 @@ class FeatureNormalizer:
         return FeatureNormalizer(self.n_features, self.running_abs_max.copy())
 
 
-def padded(rows: np.ndarray) -> np.ndarray:
-    """`rows`, a lone row repeated to make two. A 1-row product (gemv) rounds
-    differently from gemm by about 1e-16, and complex gemm gives a row the
-    same bits whatever the number and order of the rows."""
-    return rows if len(rows) > 1 else np.concatenate([rows, rows])
+_SERIAL_MNK = {False: 2**19 - 1, True: 2**16 - 1}  # real, complex; see `serial_matmul`
+
+
+def serial_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for 2-D operands, on the calling thread. Every matrix product in
+    the package whose size grows with the batch goes through here.
+
+    OpenBLAS hands a gemm to a worker thread once m * n * k reaches a
+    threshold. The package's products are far too small to gain from that,
+    and after each one the idle worker busy-waits for about 0.1 s, so a
+    second core spins through the next rollout. A threaded product also
+    rounds differently, so a run's bits would depend on OPENBLAS_NUM_THREADS.
+    So the output is computed in strips, written into one output array, each
+    with m * n * k below 2**19 if real and 2**16 if complex: below these,
+    OpenBLAS 0.3.31 kept every gemm on one thread over a grid of shapes like
+    the ones here, and at them it threaded some. The batch products that
+    reach them at preset sizes: the row operator on a batch, (2000 x 16) @
+    (16 x 16) on cartpole and (5000 x 64) @ (64 x 64) on acrobot; the fold in
+    `summed_gradient`, (16 x 256) @ (256 x 16) and (64 x 256) @ (256 x 64);
+    the MLP's weight gradient delta.T @ act, (128 x 2000) @ (2000 x 4) on
+    cartpole; the co-state weights of acrobot's Fisher rows,
+    (5000 x 3) @ (3 x 64); and the Fisher matrix g.T @ g.
+
+    A complex product is cut into strips of rows. Complex gemm gives a row
+    the same bits whatever the other rows, so the cut moves no bit and a
+    policy's row does not depend on its batch. A real product is cut along
+    the output's longer axis, which can move its last bits. No strip is cut
+    along k, which would reorder each entry's sum, and none is one line long,
+    because a 1-line product (gemv) rounds differently from gemm by about
+    1e-16; a lone row is repeated to make two. So where only 2-line strips
+    fit, an odd count of lines ends in one 3-line strip, over the bound by
+    half (acrobot's quantum Fisher matrix; OpenBLAS did not thread it).
+
+    Left to OpenBLAS, as one product, is one whose 2-line strip alone reaches
+    the limit: strips would not keep it on one thread, and each would repack
+    the other operand. These are the 8-qubit fold and the Fisher matrices of
+    the 768- and 288-weight cartpole and acrobot MLPs over more than 341 and
+    910 rows. Also left are the 2 x 2 gate products; the 1-D products of the
+    beta gradient and of shot mode, which stay on one thread over a preset
+    batch's at most 5,000 rows (a dot is threaded above 10,000 terms); and
+    LAPACK's `eigvalsh`, which calls a threaded BLAS internally at k >= 96.
+    """
+    lone = len(a) == 1
+    if lone:
+        a = np.concatenate([a, a])
+    (m, k), n = a.shape, b.shape[1]
+    complex_out = np.iscomplexobj(a) or np.iscomplexobj(b)
+    by_rows = m >= n or complex_out
+    length, width = (m, n) if by_rows else (n, m)
+    lines = _SERIAL_MNK[complex_out] // (k * width)  # per strip
+    n_strips = min(-(-length // lines), length // 2) if lines >= 2 else 1
+    if n_strips == 1:
+        out = a @ b
+    else:
+        out = np.empty((m, n), dtype=np.result_type(a, b))
+        edges = [length * i // n_strips for i in range(n_strips + 1)]
+        for lo, hi in zip(edges, edges[1:]):
+            if by_rows:
+                np.matmul(a[lo:hi], b, out=out[lo:hi])
+            else:
+                np.matmul(a, b[:, lo:hi], out=out[:, lo:hi])
+    return out[:1] if lone else out
 
 
 def encoded_rows(angles: np.ndarray) -> np.ndarray:
@@ -222,7 +279,7 @@ def row_preferences(spec: CircuitSpec, params: PolicyParams, enc: np.ndarray,
     estimates, one per measured qubit and row.
     """
     rowop = qsim.circuit_row_operator(build_ansatz(spec, params), spec.n_qubits)
-    return _readout(spec, enc @ rowop, shots, rng)
+    return _readout(spec, serial_matmul(enc, rowop), shots, rng)
 
 
 def softmax_policy(prefs: np.ndarray, beta: float) -> np.ndarray:
@@ -289,7 +346,8 @@ def _observable_diagonals(spec: CircuitSpec, weights: np.ndarray) -> np.ndarray:
     n = spec.n_qubits
     coeff = weights if spec.architecture == "layered" else weights[:, :1] - weights[:, 1:]
     basis = np.arange(2**n)
-    return coeff @ np.stack([1.0 - 2.0 * (basis >> (n - 1 - q) & 1) for q in _measured_qubits(spec)])
+    signs = np.stack([1.0 - 2.0 * (basis >> (n - 1 - q) & 1) for q in _measured_qubits(spec)])
+    return serial_matmul(coeff, signs)
 
 
 def adjoint_gradients(spec: CircuitSpec, params: PolicyParams, psi: np.ndarray,
@@ -330,7 +388,7 @@ def summed_gradient(spec: CircuitSpec, params: PolicyParams, rows: np.ndarray,
     m = np.zeros((dim, dim), dtype=complex)
     for lo in range(0, rows.shape[0], ADJOINT_CHUNK_ROWS):
         psi, w = rows[lo:lo + ADJOINT_CHUNK_ROWS], weights[lo:lo + ADJOINT_CHUNK_ROWS]
-        m += (psi * _observable_diagonals(spec, w)).conj().T @ psi
+        m += serial_matmul((psi * _observable_diagonals(spec, w)).conj().T, psi)
     return adjoint_gradients(spec, params, m, np.eye(dim)).sum(axis=0)
 
 
@@ -394,18 +452,17 @@ class QuantumPolicy:
         return encoded_rows(feats * (np.pi / abs_max))
 
     def probabilities(self, obs, rng=None, abs_max=None) -> np.ndarray:
-        """(|A|,) for one feature row or (m, |A|) for m rows, from one `padded`
-        product; `abs_max` as in `_encode_batch`. In shot mode each row reads
-        out with its own generator: `rng` is one, or a sequence of m."""
+        """(|A|,) for one feature row or (m, |A|) for m rows, from one
+        `serial_matmul`; `abs_max` as in `_encode_batch`. In shot mode each row
+        reads out with its own generator: `rng` is one, or a sequence of m."""
         single = np.ndim(obs) == 1
-        enc = self._encode_batch(obs, abs_max)
-        out = padded(enc) @ self.row_operator()
+        out = serial_matmul(self._encode_batch(obs, abs_max), self.row_operator())
         if self.shots:
             rngs = [rng] if single else rng
             prefs = np.concatenate([_readout(self.spec, row[None], self.shots, r)
-                                    for row, r in zip(out[:len(enc)], rngs, strict=True)])
+                                    for row, r in zip(out, rngs, strict=True)])
         else:
-            prefs = _readout(self.spec, out, 0, None)[:len(enc)]
+            prefs = _readout(self.spec, out, 0, None)
         probs = softmax_policy(prefs, self.params.beta)
         return probs[0] if single else probs
 
@@ -415,7 +472,7 @@ class QuantumPolicy:
         if np.any(actions < 0) or np.any(actions >= self.spec.n_actions):
             raise ContractError("action index out of range")
         enc = self._encode_batch(observations)
-        out_rows = enc @ self.row_operator()
+        out_rows = serial_matmul(enc, self.row_operator())
         prefs = _readout(self.spec, out_rows, self.shots, rng)
         probs = softmax_policy(prefs, self.params.beta)
         rows = np.arange(enc.shape[0])

@@ -116,3 +116,46 @@ def test_compare_and_fisher_reject_bad_checkpoints(tmp_path, capsys):
                          "--rollouts", "2", "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith(f"error: checkpoint {checkpoint}")
         assert not out.exists()
+
+
+def test_compare_and_plot_reject_malformed_run_files(tmp_path, capsys):
+    # A manifest, metrics cell or Fisher sidecar that cannot be read fails
+    # with an error line naming the file, not a traceback.
+    good = tmp_path / "good"
+    assert cli.main(["run", "--preset", "qcontrol-quantum", "--episodes", "10", "--fisher",
+                     "--out", str(good)]) == 0
+    metrics = (good / "metrics.csv").read_text()
+    sidecar = json.loads((good / "fisher_ck_10.json").read_text())
+    del sidecar["trace"]
+    cases = (("manifest.json", "{oops"), ("manifest.json", "[1]"),
+             ("metrics.csv", metrics.replace("\n1,", "\nabc,", 1)),
+             ("fisher_ck_10.json", json.dumps(sidecar)))
+    for i, (artifact, text) in enumerate(cases):
+        bad = tmp_path / f"bad{i}"
+        bad.mkdir()
+        for path in good.iterdir():
+            (bad / path.name).write_text(path.read_text())
+        (bad / artifact).write_text(text)
+        capsys.readouterr()
+        assert cli.main(["compare", str(good), str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(bad / artifact) in err
+    svg = tmp_path / "plot" / "chart.svg"
+    assert cli.main(["plot", str(tmp_path / "bad2" / "metrics.csv"), "--out", str(svg)]) == 1
+    assert str(tmp_path / "bad2" / "metrics.csv") in capsys.readouterr().err
+    assert not svg.parent.exists()
+    # plot names a series by its manifest and falls back to the file name
+    assert cli.main(["plot", str(tmp_path / "bad1" / "metrics.csv"), "--out", str(svg)]) == 0
+
+
+def test_manifest_records_provenance(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    assert cli.main(["run", "--preset", "qcontrol-quantum", "--episodes", "0",
+                     "--out", str(tmp_path)]) == 0
+    provenance = json.loads((tmp_path / "manifest.json").read_text())["provenance"]
+    assert provenance["numpy"] == np.__version__
+    assert provenance["OPENBLAS_NUM_THREADS"] == "1"
+    assert provenance["OMP_NUM_THREADS"] == "unset"
+    assert set(provenance) == {"python", "numpy", "blas", "OPENBLAS_NUM_THREADS",
+                               "OMP_NUM_THREADS", "platform"}

@@ -13,6 +13,7 @@ from qpolgrad.vqpolicy import (
     build_ansatz,
     encoded_rows,
     row_preferences,
+    serial_matmul,
     shift_gradients,
     softmax_policy,
 )
@@ -499,3 +500,26 @@ def test_spec_validation():
         CircuitSpec(2, 1, 2, "single_u3", "none")  # single_u3 is one qubit
     with pytest.raises(ContractError):
         CircuitSpec(1, 1, 2, "ring", "angle_rx")
+
+
+@pytest.mark.parametrize("m, k, n", [(1, 16, 16), (2, 64, 64), (37, 64, 64), (5000, 64, 64),
+                                     (64, 256, 64), (5, 256, 256)])
+def test_serial_matmul_keeps_every_complex_row_bit(m, k, n):
+    # Strips of rows change no bit of a complex product, and a lone row gets
+    # the bits of that row in a 2-row product.
+    rng = np.random.default_rng(m)
+    a = rng.normal(size=(m, k)) + 1j * rng.normal(size=(m, k))
+    b = rng.normal(size=(k, n)) + 1j * rng.normal(size=(k, n))
+    want = (np.concatenate([a, a]) @ b)[:1] if m == 1 else a @ b
+    assert serial_matmul(a, b).tobytes() == want.tobytes()
+    assert serial_matmul(np.asfortranarray(a), b).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("m, k, n", [(128, 2000, 4), (2, 2000, 128), (3, 2000, 128),
+                                     (5000, 2, 128), (49, 5000, 49), (1, 3, 5)])
+def test_serial_matmul_matches_the_real_product(m, k, n):
+    rng = np.random.default_rng(k)
+    a, b = rng.normal(size=(m, k)), rng.normal(size=(k, n))
+    got = serial_matmul(a, b)
+    assert got.shape == (m, n)
+    np.testing.assert_allclose(got, a @ b, rtol=0, atol=1e-14 * k * np.abs(a @ b).max())

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import html
 import json
 import math
 import os
@@ -26,7 +27,6 @@ import platform
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -115,17 +115,20 @@ def fisher_spectrum(policy, environment: str, rollouts: int, rng: np.random.Gene
                     gamma: float, include_beta: bool) -> analysis.SpectrumReport:
     """Fisher spectrum over fresh on-policy rollouts on a side stream.
 
-    The rollouts run one after another as 1-episode batches on the shared
-    stream and record what they see in a copy of the normalizer, so
+    The rollouts run as one lockstep batch of `run_episodes`, all on the
+    one stream `rng`: in exact mode rollout i draws its i-th consecutive
+    block, its reset and then `max_steps` uniforms; in shot mode the
+    rollouts' draws interleave step by step. Each rollout scales by its own
+    row of a snapshot of the normalizer, which records what they see, so
     observing a policy leaves it unchanged; the gradients scale by the
-    policy's maxima widened to cover the visited states, which that copy
-    ends with. Shot-mode gradients draw from the same stream after them.
+    policy's maxima widened to cover every visited state. Shot-mode
+    gradients draw from the same stream after the rollouts.
     """
     if rollouts < 1:
         raise ContractError(f"a Fisher spectrum needs at least one rollout, got {rollouts}")
     snapshot = policy.normalizer.copy() if getattr(policy, "normalizer", None) else None
-    trajs = [reinforce.run_episodes(envs.make_env(environment), policy, [rng], gamma,
-                                    snapshot)[0] for _ in range(rollouts)]
+    trajs = reinforce.run_episodes(envs.make_env(environment), policy, [rng] * rollouts, gamma,
+                                   snapshot)
     states = np.concatenate([traj.observations for traj in trajs])
     actions = np.concatenate([traj.actions for traj in trajs])
     return analysis.spectrum(analysis.fisher_matrix(policy, states, actions,
@@ -295,10 +298,10 @@ def _svg_line_chart(series, xlabel: str, ylabel: str) -> str:
         parts.append(f'<text x="{left - 8}" y="{sy(yv) + 4:.1f}" font-size="12" '
                      f'text-anchor="end">{yv:.5g}</text>')
     parts.append(f'<text x="{left + plot_w / 2:.1f}" y="{height - 12}" font-size="14" '
-                 f'text-anchor="middle">{escape(xlabel)}</text>')
+                 f'text-anchor="middle">{html.escape(xlabel, quote=False)}</text>')
     parts.append(f'<text x="18" y="{top + plot_h / 2:.1f}" font-size="14" '
                  f'text-anchor="middle" transform="rotate(-90 18 {top + plot_h / 2:.1f})">'
-                 f'{escape(ylabel)}</text>')
+                 f'{html.escape(ylabel, quote=False)}</text>')
     for i, (name, xs, ys) in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
         points = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))
@@ -308,7 +311,8 @@ def _svg_line_chart(series, xlabel: str, ylabel: str) -> str:
         lx = left + plot_w + 12
         parts.append(f'<line x1="{lx}" y1="{ly}" x2="{lx + 24}" y2="{ly}" '
                      f'stroke="{color}" stroke-width="2"/>')
-        parts.append(f'<text x="{lx + 30}" y="{ly + 4}" font-size="12">{escape(name)}</text>')
+        parts.append(f'<text x="{lx + 30}" y="{ly + 4}" font-size="12">'
+                     f'{html.escape(name, quote=False)}</text>')
     parts.append("</svg>")
     return "\n".join(parts)
 

@@ -182,14 +182,23 @@ def run_episodes(env, policy, rngs, gamma: float, normalizer=None) -> list[Traje
 
     Each step is one inference over the rows of the running episodes, one
     vectorised action draw and one array `env` step. Episode i draws from
-    rngs[i] as a lone episode would: its reset, then per step its shot-mode
-    readout (if any) and one uniform. With a `normalizer`, each episode
-    scales by its own snapshot of it, a row of a (B, n) running-max array,
-    merged into it afterwards, so no episode sees what another observed.
+    rngs[i]: its reset, then in exact mode all `max_steps` action uniforms
+    as one block before the first step, in shot mode per step its readout
+    and one uniform. One generator may stand in several places of `rngs`:
+    in exact mode episode i then takes its i-th consecutive block, whatever
+    the earlier episodes' lengths; in shot mode the episodes' draws
+    interleave step by step. With a `normalizer`, each episode scales by
+    its own snapshot of it, a row of a (B, n) running-max array, merged
+    into it afterwards, so no episode sees what another observed.
     """
     spec = env.spec
-    states = env.reset(rngs)
     n = len(rngs)
+    shot_mode = bool(getattr(policy, "shots", 0))
+    if shot_mode:
+        states = env.reset(rngs)
+    else:
+        starts, blocks = zip(*[(env.reset([rng]), rng.random(spec.max_steps)) for rng in rngs])
+        states, uniforms = np.concatenate(starts), np.stack(blocks)
     abs_max = None if normalizer is None else np.tile(normalizer.running_abs_max, (n, 1))
     observations = np.empty((n, spec.max_steps, spec.n_features))
     actions = np.zeros((n, spec.max_steps), dtype=int)
@@ -201,8 +210,11 @@ def run_episodes(env, policy, rngs, gamma: float, normalizer=None) -> list[Traje
         scale = None
         if abs_max is not None:
             scale = abs_max[active] = np.maximum(abs_max[active], np.abs(rows))
-        probs = policy.probabilities(rows, [rngs[i] for i in active], scale)
-        chosen = sample_actions(probs, np.array([rngs[i].random() for i in active]))
+        if shot_mode:
+            probs = policy.probabilities(rows, [rngs[i] for i in active], scale)
+            chosen = sample_actions(probs, np.array([rngs[i].random() for i in active]))
+        else:
+            chosen = sample_actions(policy.probabilities(rows, None, scale), uniforms[active, t])
         observations[active, t] = rows
         actions[active, t] = chosen
         states, rewards[active, t], done = env.step(states, chosen)

@@ -189,7 +189,8 @@ def serial_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     910 rows. Also left are the 2 x 2 gate products; the 1-D products of the
     beta gradient and of shot mode, which stay on one thread over a preset
     batch's at most 5,000 rows (a dot is threaded above 10,000 terms); and
-    LAPACK's `eigvalsh`, which calls a threaded BLAS internally at k >= 96.
+    LAPACK's `eigvalsh`, which wakes a BLAS worker from k = 65 (at k = 64 it
+    stays idle): every MLP Fisher spectrum, not the quantum ones (k <= 49).
     """
     lone = len(a) == 1
     if lone:

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -159,3 +163,28 @@ def test_manifest_records_provenance(tmp_path, monkeypatch):
     assert provenance["OMP_NUM_THREADS"] == "unset"
     assert set(provenance) == {"python", "numpy", "blas", "OPENBLAS_NUM_THREADS",
                                "OMP_NUM_THREADS", "platform"}
+
+
+def test_plot_escapes_markup_in_series_names(tmp_path):
+    # Text nodes escape &, < and >; quotes stay as they are.
+    run_dir = tmp_path / "run"
+    assert cli.main(["run", "--preset", "qcontrol-quantum", "--episodes", "10",
+                     "--out", str(run_dir)]) == 0
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    manifest["name"] = """a<b & "c" 'd'>"""
+    (run_dir / "manifest.json").write_text(json.dumps(manifest))
+    svg = tmp_path / "chart.svg"
+    assert cli.main(["plot", str(run_dir / "metrics.csv"), "--out", str(svg)]) == 0
+    assert """>a&lt;b &amp; "c" 'd'&gt;</text>""" in svg.read_text()
+
+
+def test_importing_the_cli_loads_no_network_modules():
+    # The standard library's XML helpers pull in urllib.request and with it
+    # http.client, email and ssl, tens of milliseconds in every process.
+    code = ("import sys, qpolgrad.cli; print(' '.join(m for m in ('urllib.request', "
+            "'http.client', 'ssl', 'email') if m in sys.modules))")
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []

@@ -5,9 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import grad_log, init_zero, sequential_batch
+from conftest import SCALAR_ENVS, grad_log, init_zero, rollout, sequential_batch
 from qpolgrad import config as cfg
-from qpolgrad import classical, envs, qsim, reinforce, vqpolicy
+from qpolgrad import classical, cli, envs, qsim, reinforce, vqpolicy
 from qpolgrad.envs import discounted_returns
 from qpolgrad.errors import ConfigError, ContractError
 from qpolgrad.reinforce import (
@@ -587,3 +587,90 @@ def test_train_counts_steps_through_module_collect_batch(monkeypatch):
     records = list(train(config))
     assert len(counted) == 3  # batches of 10, 10 and 5
     assert sum(counted) == sum(stepped) == sum(r.total_reward for r in records) > 0
+
+
+# ---------------------------------------------------------------------------
+# Fisher rollouts: one lockstep batch on the spectrum's side stream
+# ---------------------------------------------------------------------------
+
+def trained_policy(preset, episodes):
+    config = cfg.preset_config(preset, {"seed": 0, "episodes": episodes})
+    state = prepare(config)
+    for _ in train(config, state):
+        pass
+    return config, state.policy
+
+
+def side_stream(seed, episodes_done):
+    """The side stream of `qpolgrad run`'s spectrum at a checkpoint."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2, episodes_done)))
+
+
+def fisher_rollouts(monkeypatch, config, policy, rollouts, rng):
+    """The spectrum's `run_episodes` batches and the inferences made in them."""
+    batches, calls = [], []
+    run, probabilities = reinforce.run_episodes, type(policy).probabilities
+
+    def recording_probabilities(self, obs, rng=None, abs_max=None):
+        calls.append(probabilities(self, obs, rng, abs_max))
+        return calls[-1]
+
+    def recording_run(*args, **kwargs):
+        with monkeypatch.context() as patch:
+            patch.setattr(type(policy), "probabilities", recording_probabilities)
+            batches.append(run(*args, **kwargs))
+        return batches[-1]
+
+    monkeypatch.setattr(reinforce, "run_episodes", recording_run)
+    cli.fisher_spectrum(policy, config.environment, rollouts, rng, config.gamma,
+                        include_beta=True)
+    monkeypatch.undo()
+    return batches, calls
+
+
+@pytest.mark.parametrize("rollouts", [1, 10])
+def test_fisher_spectrum_rolls_out_in_one_lockstep_batch(monkeypatch, rollouts):
+    config, policy = trained_policy("cartpole-quantum", 0)
+    batches, _ = fisher_rollouts(monkeypatch, config, policy, rollouts, side_stream(0, 0))
+    assert [len(batch) for batch in batches] == [rollouts]
+
+
+@pytest.mark.parametrize("preset, episodes", [
+    ("cartpole-quantum", 20), ("acrobot-classical", 0), ("qcontrol-quantum", 60),
+])
+def test_fisher_rollouts_match_sequential_reference(monkeypatch, preset, episodes):
+    # Rollout i is the lone episode that starts at the i-th block of the
+    # side stream (its reset, then max_steps uniforms) and scales by a copy
+    # of the policy's own normalizer, whatever the earlier rollouts did.
+    # Cartpole rollouts differ in length, and at checkpoint 60 of seed 0 a
+    # qcontrol-quantum rollout ends before its 10th step.
+    config, policy = trained_policy(preset, episodes)
+    normalizer = getattr(policy, "normalizer", None)
+    before = None if normalizer is None else normalizer.running_abs_max.copy()
+    (batch,), calls = fisher_rollouts(monkeypatch, config, policy, config.batch_size,
+                                      side_stream(0, episodes))
+    if normalizer is not None:
+        np.testing.assert_array_equal(normalizer.running_abs_max, before)
+    max_steps = config.env_spec.max_steps
+    lockstep_probs = per_episode(calls, [len(traj) for traj in batch])
+    for i, (traj, probs) in enumerate(zip(batch, lockstep_probs)):
+        stream = side_stream(0, episodes)
+        for _ in range(i):
+            SCALAR_ENVS[config.environment]().reset(stream)
+            stream.random(max_steps)
+        ref, ref_probs = rollout(SCALAR_ENVS[config.environment](), policy, stream,
+                                 config.gamma, None if normalizer is None else normalizer.copy())
+        np.testing.assert_array_equal(traj.observations, ref.observations)
+        np.testing.assert_array_equal(traj.actions, ref.actions)
+        np.testing.assert_array_equal(traj.rewards, ref.rewards)
+        np.testing.assert_array_equal(probs, ref_probs)
+
+
+def test_fisher_rollouts_do_not_depend_on_how_many_follow(monkeypatch):
+    config, policy = trained_policy("cartpole-quantum", 20)
+
+    def bits(rollouts):
+        batches, _ = fisher_rollouts(monkeypatch, config, policy, rollouts, side_stream(0, 20))
+        return [trajectory_bits(traj) for batch in batches for traj in batch]
+
+    assert bits(10)[:3] == bits(3)

@@ -89,8 +89,8 @@ print(worker_cpu_s() - before)
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux /proc/self/task")
 def test_one_batch_of_each_workload_leaves_blas_workers_idle():
     # One batch is the rollout, the gradient and the Adam step, plus the
-    # Fisher spectrum on qcontrol-quantum. LAPACK's eigvalsh calls a threaded
-    # BLAS internally at k >= 96, so a Fisher spectrum that large would wake
-    # the workers; qcontrol-quantum's has k = 4.
+    # Fisher spectrum on qcontrol-quantum. LAPACK's eigvalsh wakes a BLAS
+    # worker from k = 65, so a Fisher spectrum that large would wake the
+    # workers; qcontrol-quantum's has k = 4.
     (worker_s,) = run_python(ONE_BATCH_EACH, OPENBLAS_NUM_THREADS=None)
     assert float(worker_s) <= 0.02

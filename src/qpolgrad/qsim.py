@@ -12,9 +12,12 @@ Conventions, fixed once for the whole package:
 Array helpers (suffix ``_array``) operate on raw complex arrays whose last
 axis has length 2**n; leading axes are treated as a batch. The simulator is
 batched only: the policy engine pushes row-stacked states through one circuit
-row operator, reads them out with `measure_z_array`, and walks them back gate
-by gate for its adjoint gradient. The row-operator build and that sweep share
-one single-qubit kernel, `apply_1q_array`.
+row operator, reads them out, and walks them back gate by gate for its
+adjoint gradient. The row-operator build and that sweep share one
+single-qubit kernel, `apply_1q_array`. The exact readout is the policy's
+own: the rows' probabilities contracted with a table of +-1 signs
+(`vqpolicy._readout`). `measure_z_array` draws the finite-shot readout from
+the measured qubits' marginals.
 
 A state travels outside the simulator as a float feature row: its amplitudes
 as interleaved (re, im) pairs. `amplitude_features` and `feature_amplitudes`
@@ -132,27 +135,25 @@ def circuit_row_operator(gates, n_qubits: int) -> np.ndarray:
     return rows
 
 
-def measure_z_array(rows: np.ndarray, qubits, n_qubits: int, shots: int = 0,
+def measure_z_array(rows: np.ndarray, qubits, n_qubits: int, shots: int,
                     rng: np.random.Generator | None = None) -> np.ndarray:
-    """<sigma_z> of each listed qubit for row-stacked states, shape (T, len(qubits)).
+    """Finite-shot <sigma_z> of each listed qubit for row-stacked states,
+    shape (T, len(qubits)).
 
-    shots = 0 gives the exact value P(0) - P(1). shots > 0 draws one
-    Binomial(shots, P(0)) count of zeros per row and qubit, in row-major
-    order, and returns the estimate 2 * zeros / shots - 1.
+    Draws one Binomial(shots, P(0)) count of zeros per row and qubit, in
+    row-major order, with P(0) the qubit's marginal, and returns the
+    estimate 2 * zeros / shots - 1.
     """
-    if shots < 0:
-        raise ContractError(f"shots must be >= 0 (0 = exact), got {shots}")
-    if shots and rng is None:
+    if shots < 1:
+        raise ContractError(f"measure_z_array draws shots >= 1, got {shots}")
+    if rng is None:
         raise ContractError("shot mode needs an rng")
     probs = (np.abs(rows) ** 2).reshape(rows.shape[0], *([2] * n_qubits))
-    margs = []
+    p0 = []
     for q in qubits:
         other = tuple(i for i in range(1, n_qubits + 1) if i != 1 + q)
-        margs.append(probs.sum(axis=other) if other else probs)
-    if not shots:
-        return np.stack([m[:, 0] - m[:, 1] for m in margs], axis=1)
-    p0 = np.stack([m[:, 0] for m in margs], axis=1)
-    return 2.0 * rng.binomial(shots, np.clip(p0, 0.0, 1.0)) / shots - 1.0
+        p0.append((probs.sum(axis=other) if other else probs)[:, 0])
+    return 2.0 * rng.binomial(shots, np.clip(np.stack(p0, axis=1), 0.0, 1.0)) / shots - 1.0
 
 
 def amplitude_features(amps: np.ndarray) -> np.ndarray:

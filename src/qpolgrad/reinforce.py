@@ -172,9 +172,11 @@ def policy_gradient(batch: list[Trajectory], policy,
 
 def sample_actions(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     """Inverse-CDF draws for rows of (m, |A|) probabilities: the count of
-    cumulative sums <= u (searchsorted side="right"), capped at |A| - 1."""
-    cum = np.cumsum(probs, axis=1)
-    return np.minimum((cum <= uniforms[:, None]).sum(axis=1), probs.shape[1] - 1)
+    cumulative sums <= u (searchsorted side="right"), capped at |A| - 1.
+    Only the first |A| - 1 sums are formed: they never decrease, so the last
+    one counts only where all the others do, and the cap cuts it there."""
+    cum = np.cumsum(probs[:, :-1], axis=1)
+    return (cum <= uniforms[:, None]).sum(axis=1)
 
 
 def run_episodes(env, policy, rngs, gamma: float, normalizer=None) -> list[Trajectory]:
@@ -204,24 +206,28 @@ def run_episodes(env, policy, rngs, gamma: float, normalizer=None) -> list[Traje
     actions = np.zeros((n, spec.max_steps), dtype=int)
     rewards = np.zeros((n, spec.max_steps))
     lengths = np.full(n, spec.max_steps)
-    active = np.arange(n)
+    running = np.arange(n)  # the episodes still running
+    active = slice(None)  # indexes them in the per-episode arrays, all until one ends
     for t in range(spec.max_steps):
         rows = env.features(states)
         scale = None
         if abs_max is not None:
             scale = abs_max[active] = np.maximum(abs_max[active], np.abs(rows))
         if shot_mode:
-            probs = policy.probabilities(rows, [rngs[i] for i in active], scale)
-            chosen = sample_actions(probs, np.array([rngs[i].random() for i in active]))
+            probs = policy.probabilities(rows, [rngs[i] for i in running], scale)
+            chosen = sample_actions(probs, np.array([rngs[i].random() for i in running]))
         else:
             chosen = sample_actions(policy.probabilities(rows, None, scale), uniforms[active, t])
         observations[active, t] = rows
         actions[active, t] = chosen
         states, rewards[active, t], done = env.step(states, chosen)
-        lengths[active[done]] = t + 1
-        states, active = states[~done], active[~done]
-        if not active.size:
-            break
+        if done.any():
+            lengths[running[done]] = t + 1
+            keep = ~done
+            states = states[keep]
+            running = active = running[keep]
+            if not running.size:
+                break
     if normalizer is not None:
         normalizer.observe(abs_max)
     return [Trajectory(observations[i, :steps], actions[i, :steps], rewards[i, :steps],

@@ -8,7 +8,12 @@ trainable inverse temperature sharpens the softmax.
 
 There is one engine for exact and shot mode alike: a batch of input states
 is stacked as rows and pushed through the ansatz's 2**n x 2**n row operator,
-and the rows are read out exactly or with a finite number of shots.
+and the rows are read out exactly or with a finite number of shots. An
+angle-encoded row is gathered from one (cos, sin) pair per qubit through a
+cached table of basis-state bits. The exact readout contracts the rows'
+probabilities with a cached (2**n, |A|) table of +-1 signs, the same table
+that gives the adjoint sweep its co-states; shot mode draws from the
+measured qubits' marginals (`qsim.measure_z_array`).
 
 Every trainable angle sits in exactly one Pauli rotation (the U3 gate is a
 Z-Y-Z chain, so its three angles qualify). Gradients with respect to them
@@ -30,6 +35,7 @@ The inverse-temperature gradient is analytic.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,16 +96,23 @@ class CircuitSpec:
         return cls(**d)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PolicyParams:
-    """Trainable state: flat angle vector plus inverse temperature."""
+    """Trainable state: flat angle vector plus inverse temperature.
+
+    Frozen, and theta is a private, read-only copy, so changed angles are
+    always a new array; `QuantumPolicy` caches its row operator on that
+    array's identity.
+    """
 
     theta: np.ndarray
     beta: float
 
     def __post_init__(self):
-        self.theta = np.asarray(self.theta, dtype=float)
-        if self.theta.ndim != 1 or not np.all(np.isfinite(self.theta)):
+        theta = np.array(self.theta, dtype=float)
+        theta.flags.writeable = False
+        object.__setattr__(self, "theta", theta)
+        if theta.ndim != 1 or not np.all(np.isfinite(theta)):
             raise ContractError("theta must be a finite 1-d vector")
         if not np.isfinite(self.beta):
             raise ContractError("beta must be finite")
@@ -111,7 +124,7 @@ class PolicyParams:
     @classmethod
     def from_vector(cls, vec: np.ndarray) -> "PolicyParams":
         vec = np.asarray(vec, dtype=float)
-        return cls(theta=vec[:-1].copy(), beta=float(vec[-1]))
+        return cls(theta=vec[:-1], beta=float(vec[-1]))
 
 
 class FeatureNormalizer:
@@ -191,27 +204,46 @@ def serial_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     batch's at most 5,000 rows (a dot is threaded above 10,000 terms); and
     LAPACK's `eigvalsh`, which wakes a BLAS worker from k = 65 (at k = 64 it
     stays idle): every MLP Fisher spectrum, not the quantum ones (k <= 49).
+
+    A product with m * n * k under both bounds is one strip whatever its
+    dtype, so it is returned as a @ b before any of the strip bookkeeping:
+    every lockstep inference product (10 x 16 x 16 on cartpole) takes this
+    path.
     """
-    lone = len(a) == 1
-    if lone:
-        a = np.concatenate([a, a])
+    if len(a) == 1:
+        return serial_matmul(np.concatenate([a, a]), b)[:1]
     (m, k), n = a.shape, b.shape[1]
+    if m * n * k <= min(_SERIAL_MNK.values()):
+        return a @ b
     complex_out = np.iscomplexobj(a) or np.iscomplexobj(b)
     by_rows = m >= n or complex_out
     length, width = (m, n) if by_rows else (n, m)
     lines = _SERIAL_MNK[complex_out] // (k * width)  # per strip
     n_strips = min(-(-length // lines), length // 2) if lines >= 2 else 1
     if n_strips == 1:
-        out = a @ b
-    else:
-        out = np.empty((m, n), dtype=np.result_type(a, b))
-        edges = [length * i // n_strips for i in range(n_strips + 1)]
-        for lo, hi in zip(edges, edges[1:]):
-            if by_rows:
-                np.matmul(a[lo:hi], b, out=out[lo:hi])
-            else:
-                np.matmul(a, b[:, lo:hi], out=out[:, lo:hi])
-    return out[:1] if lone else out
+        return a @ b
+    out = np.empty((m, n), dtype=np.result_type(a, b))
+    edges = [length * i // n_strips for i in range(n_strips + 1)]
+    for lo, hi in zip(edges, edges[1:]):
+        if by_rows:
+            np.matmul(a[lo:hi], b, out=out[lo:hi])
+        else:
+            np.matmul(a, b[:, lo:hi], out=out[:, lo:hi])
+    return out
+
+
+ADJOINT_CHUNK_ROWS = 256  # rows per encode and sweep chunk; bounds their temporaries
+
+
+@functools.cache
+def _basis_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """For n qubits: the (n, 2**n) position of each basis state's qubit-q
+    factor in a row of n (cos, sin) pairs, and the (2**n,) phase row
+    (-i)**(number of 1 bits). Read-only, built once per n."""
+    bits = np.arange(2**n) >> np.arange(n - 1, -1, -1)[:, None] & 1
+    index, phase = 2 * np.arange(n)[:, None] + bits, (-1j) ** bits.sum(axis=0)
+    index.flags.writeable = phase.flags.writeable = False
+    return index, phase
 
 
 def encoded_rows(angles: np.ndarray) -> np.ndarray:
@@ -219,12 +251,25 @@ def encoded_rows(angles: np.ndarray) -> np.ndarray:
 
     RX(a)|0> = [cos(a/2), -i sin(a/2)]; the full register state is the
     tensor product over qubits with qubit 0 as the most significant factor.
+    Amplitude j is the product, from qubit 0 on, of cos or sin of each half
+    angle as bit q of j is 0 or 1, times (-i)**(number of 1 bits). That is
+    the complex kron's arithmetic on the one nonzero part of each factor, so
+    the rows carry its bits; only the sign of a zero part can differ. Rows
+    are gathered ADJOINT_CHUNK_ROWS at a time, bounding the (rows, n, 2**n)
+    gather.
     """
     half = np.atleast_2d(np.asarray(angles, dtype=float)) / 2
-    factors = np.stack([np.cos(half), -1j * np.sin(half)], axis=2)  # (T, n, 2)
-    rows = factors[:, 0]
-    for q in range(1, half.shape[1]):
-        rows = (rows[:, :, None] * factors[:, q, None, :]).reshape(len(half), -1)
+    t, n = half.shape
+    index, phase = _basis_tables(n)
+    rows = np.empty((t, 2**n), dtype=complex)
+    for lo in range(0, t, ADJOINT_CHUNK_ROWS):
+        chunk = half[lo:lo + ADJOINT_CHUNK_ROWS]
+        pairs = np.empty(chunk.shape + (2,))
+        np.cos(chunk, out=pairs[:, :, 0])
+        np.sin(chunk, out=pairs[:, :, 1])
+        factors = pairs.reshape(len(chunk), 2 * n).take(index, axis=1)  # (rows, n, 2**n)
+        np.multiply(np.multiply.reduce(factors, axis=1), phase,
+                    out=rows[lo:lo + ADJOINT_CHUNK_ROWS])
     return rows
 
 
@@ -262,10 +307,32 @@ def _measured_qubits(spec: CircuitSpec) -> range:
     return range(spec.n_actions if spec.architecture == "layered" else 1)
 
 
+@functools.cache
+def _sign_table(spec: CircuitSpec) -> np.ndarray:
+    """(2**n, |A|) table S of the eigenvalue of each action's observable on
+    each basis state: +1 where its measured qubit is 0, -1 where it is 1. The
+    single_u3 pair reads (Z, -Z) on its one qubit. Read-only, built once per
+    spec."""
+    n = spec.n_qubits
+    qubits = np.array(_measured_qubits(spec))
+    signs = 1.0 - 2.0 * (np.arange(2**n)[:, None] >> (n - 1 - qubits) & 1)
+    if spec.architecture == "single_u3":
+        signs = np.concatenate([signs, -signs], axis=1)
+    signs.flags.writeable = False
+    return signs
+
+
 def _readout(spec: CircuitSpec, rows: np.ndarray, shots: int,
              rng: np.random.Generator | None) -> np.ndarray:
-    """Preferences of ansatz-output rows, shape (T, |A|); the single_u3 pair
-    is one measurement with its sign flipped."""
+    """Preferences of ansatz-output rows, shape (T, |A|).
+
+    Exact: |rows|**2 contracted with the sign table, by einsum, which gives
+    a row the same bits wherever it sits in the batch (a dgemm does not).
+    Shot mode: one finite-shot <Z> per measured qubit, the single_u3 pair
+    being one measurement with its sign flipped.
+    """
+    if not shots:
+        return np.einsum("tj,ja->ta", np.abs(rows) ** 2, _sign_table(spec))
     z = qsim.measure_z_array(rows, _measured_qubits(spec), spec.n_qubits, shots, rng)
     if spec.architecture == "single_u3":
         return np.concatenate([z, -z], axis=1)
@@ -284,11 +351,13 @@ def row_preferences(spec: CircuitSpec, params: PolicyParams, enc: np.ndarray,
 
 
 def softmax_policy(prefs: np.ndarray, beta: float) -> np.ndarray:
-    """Action probabilities exp(beta * pref) / sum, computed in log-space."""
+    """Action probabilities exp(beta * pref) / sum, computed in log-space, in
+    place on the one new array beta * prefs."""
     z = beta * np.asarray(prefs, dtype=float)
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    z -= np.maximum.reduce(z, axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= np.add.reduce(z, axis=-1, keepdims=True)
+    return z
 
 
 def shift_gradients(spec: CircuitSpec, params: PolicyParams, enc: np.ndarray,
@@ -308,9 +377,6 @@ def shift_gradients(spec: CircuitSpec, params: PolicyParams, enc: np.ndarray,
         minus = row_preferences(spec, PolicyParams(shifted, params.beta), enc, shots, rng)
         grads[:, j, :] = 0.5 * (plus - minus)
     return grads
-
-
-ADJOINT_CHUNK_ROWS = 256  # rows per sweep; bounds the co-state memory and stays cache-sized
 
 
 def _rotation_steps(gates: list[qsim.Gate]) -> list[tuple[qsim.Gate, int | None]]:
@@ -342,13 +408,10 @@ def _generator_overlap(psi: np.ndarray, lam: np.ndarray, gate: qsim.Gate) -> np.
 
 
 def _observable_diagonals(spec: CircuitSpec, weights: np.ndarray) -> np.ndarray:
-    """Diagonals of O_t = sum_a weights[t, a] Z_a in the computational basis,
-    shape (T, 2**n); the single_u3 pair (Z, -Z) gives coefficient w_0 - w_1."""
-    n = spec.n_qubits
-    coeff = weights if spec.architecture == "layered" else weights[:, :1] - weights[:, 1:]
-    basis = np.arange(2**n)
-    signs = np.stack([1.0 - 2.0 * (basis >> (n - 1 - q) & 1) for q in _measured_qubits(spec)])
-    return serial_matmul(coeff, signs)
+    """Diagonals of O_t = sum_a weights[t, a] O_a in the computational basis,
+    shape (T, 2**n), where O_a is action a's observable (Z_a; single_u3's
+    pair is Z and -Z): weights @ S.T with the readout's sign table S."""
+    return serial_matmul(weights, _sign_table(spec).T)
 
 
 def adjoint_gradients(spec: CircuitSpec, params: PolicyParams, psi: np.ndarray,
@@ -411,7 +474,7 @@ class QuantumPolicy:
         self.params = params
         self.normalizer = normalizer
         self.shots = shots
-        self._rowop_theta: np.ndarray | None = None
+        self._rowop_theta: np.ndarray | None = None  # the theta array `_rowop` was built for
         self._rowop: np.ndarray | None = None
 
     # -- trainable vector ---------------------------------------------------
@@ -424,7 +487,6 @@ class QuantumPolicy:
 
     def set_vector(self, vec: np.ndarray) -> None:
         self.params = PolicyParams.from_vector(vec)
-        self._rowop = None
 
     @property
     def n_actions(self) -> int:
@@ -432,11 +494,15 @@ class QuantumPolicy:
 
     # -- evaluation ---------------------------------------------------------
     def row_operator(self) -> np.ndarray:
-        """The ansatz's row operator for the current theta, built once and cached."""
-        if self._rowop is None or not np.array_equal(self._rowop_theta, self.params.theta):
+        """The ansatz's row operator for the current theta, built once and
+        cached. theta is read-only (`PolicyParams`), so the same array is the
+        same angles, and new parameters (`set_vector`, or `params` replaced)
+        bring a new array."""
+        theta = self.params.theta
+        if self._rowop_theta is not theta:
             self._rowop = qsim.circuit_row_operator(build_ansatz(self.spec, self.params),
                                                     self.spec.n_qubits)
-            self._rowop_theta = self.params.theta.copy()
+            self._rowop_theta = theta
         return self._rowop
 
     def _encode_batch(self, observations, abs_max=None) -> np.ndarray:

@@ -3,13 +3,15 @@
 The matrix oracles build full 2**n x 2**n unitaries with np.kron and explicit
 basis-state permutation, deliberately avoiding the package's gate-application
 code path. The gate-by-gate `Statevector` oracle applies one gate at a time
-to one state and reads <sigma_z> qubit by qubit; the preference oracle
-evaluates the policy through it, independently of the batched row-operator
-engine. The scalar environments step one episode at a time with numpy
-scalars and evolve a `Statevector` under the control Hamiltonian, and the
-sequential rollout runs one episode after another with one 1-row inference
-per step: together they are the reference for the array environments and
-the lockstep rollout.
+to one state and reads <sigma_z> qubit by qubit from its marginals; the
+preference oracle evaluates the policy through it, independently of the
+batched row-operator engine. The kron encoding, the marginal readout and the
+numpy-scalar discounted returns are the references for the package's
+gathered encode, sign-table readout and Python-float returns. The scalar
+environments step one episode at a time with numpy scalars and evolve a
+`Statevector` under the control Hamiltonian, and the sequential rollout runs
+one episode after another with one 1-row inference per step: together they
+are the reference for the array environments and the lockstep rollout.
 """
 from dataclasses import dataclass
 
@@ -127,10 +129,32 @@ def apply_circuit(state: Statevector, gates) -> Statevector:
     return state
 
 
+def marginal_z(rows: np.ndarray, qubits, n_qubits: int) -> np.ndarray:
+    """Exact <sigma_z> of each listed qubit for row-stacked states, shape
+    (T, len(qubits)): P(0) - P(1) of each qubit's marginal."""
+    probs = (np.abs(rows) ** 2).reshape(rows.shape[0], *([2] * n_qubits))
+    margs = []
+    for q in qubits:
+        other = tuple(i for i in range(1, n_qubits + 1) if i != 1 + q)
+        margs.append(probs.sum(axis=other) if other else probs)
+    return np.stack([m[:, 0] - m[:, 1] for m in margs], axis=1)
+
+
+def kron_encoded_rows(angles: np.ndarray) -> np.ndarray:
+    """RX(a)|0> = [cos(a/2), -i sin(a/2)] per qubit, multiplied out as complex
+    krons one qubit at a time, qubit 0 the most significant factor."""
+    half = np.atleast_2d(np.asarray(angles, dtype=float)) / 2
+    factors = np.stack([np.cos(half), -1j * np.sin(half)], axis=2)  # (T, n, 2)
+    rows = factors[:, 0]
+    for q in range(1, half.shape[1]):
+        rows = (rows[:, :, None] * factors[:, q, None, :]).reshape(len(half), -1)
+    return rows
+
+
 def expectation_z(state: Statevector, qubit: int) -> float:
     """Exact <sigma_z> on one qubit: P(bit=0) - P(bit=1)."""
     _check_qubit(qubit, state.n_qubits)
-    return float(qsim.measure_z_array(state.amplitudes[None], [qubit], state.n_qubits)[0, 0])
+    return float(marginal_z(state.amplitudes[None], [qubit], state.n_qubits)[0, 0])
 
 
 def evolve_hamiltonian(state: Statevector, coeff_z: float, coeff_x: float,
@@ -330,6 +354,17 @@ class QControl(_EpisodicEnv, envs.QControl):
 
 
 SCALAR_ENVS = {"cartpole": CartPole, "acrobot": Acrobot, "qcontrol": QControl}
+
+
+def loop_discounted_returns(rewards, gamma: float) -> np.ndarray:
+    """G_t = r_t + gamma * G_{t+1}, one reverse pass on numpy scalars."""
+    rewards = np.asarray(rewards, dtype=float)
+    out = np.empty_like(rewards)
+    acc = 0.0
+    for t in range(len(rewards) - 1, -1, -1):
+        acc = rewards[t] + gamma * acc
+        out[t] = acc
+    return out
 
 
 def sample_action(probs: np.ndarray, rng: np.random.Generator) -> int:

@@ -4,7 +4,7 @@ from the same states."""
 import numpy as np
 import pytest
 
-from conftest import Acrobot, CartPole, QControl, Statevector
+from conftest import Acrobot, CartPole, QControl, Statevector, loop_discounted_returns
 from qpolgrad import envs, qsim
 from qpolgrad.errors import ConfigError, ContractError
 from qpolgrad.envs import discounted_returns, make_env
@@ -41,6 +41,16 @@ def test_discounted_returns_edge_cases():
     assert discounted_returns([], 0.9).size == 0
     with pytest.raises(ContractError):
         discounted_returns([1.0], 0.0)
+
+
+@pytest.mark.parametrize("gamma", [0.5, 0.99, 1.0])
+@pytest.mark.parametrize("length", [0, 1, 200])
+def test_discounted_returns_match_the_numpy_scalar_loop(length, gamma):
+    # The Python-float pass does the numpy-scalar loop's operations in its order.
+    rewards = np.random.default_rng(length).normal(size=length)
+    got, want = discounted_returns(rewards, gamma), loop_discounted_returns(rewards, gamma)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +383,27 @@ def test_array_step_matches_scalar_step(name):
             np.testing.assert_array_equal(new_features[i], obs)
         assert rewards[i] == reward
         assert done[i] == finished
+
+
+def test_cartpole_step_ends_only_past_the_limits():
+    # With zero velocity a step leaves x and theta unchanged, so these states
+    # stay exactly on a limit, which does not end the episode, or one ulp
+    # past it, which does.
+    env = make_env("cartpole")
+    x_lim, th_lim = env.X_LIMIT, env.THETA_LIMIT
+    past = [np.nextafter(x_lim, np.inf), np.nextafter(th_lim, np.inf)]
+    positions = [(x_lim, 0.0), (-x_lim, 0.0), (0.0, th_lim), (0.0, -th_lim), (x_lim, th_lim),
+                 (past[0], 0.0), (-past[0], 0.0), (0.0, past[1]), (0.0, -past[1])]
+    states = np.array([[x, 0.0, theta, 0.0] for x, theta in positions])
+    for action in (0, 1):
+        actions = np.full(len(states), action)
+        new_states, rewards, done = env.step(states.copy(), actions)
+        np.testing.assert_array_equal(new_states[:, ::2], states[:, ::2])
+        assert done.tolist() == [False] * 5 + [True] * 4
+        for i, state in enumerate(states):
+            obs, reward, finished = scalar_step("cartpole", state, action)
+            np.testing.assert_array_equal(new_states[i], obs)
+            assert (rewards[i], done[i]) == (reward, finished)
 
 
 @pytest.mark.parametrize("name", ["cartpole", "acrobot", "qcontrol"])

@@ -109,6 +109,13 @@ def test_sample_z_rejects_zero_shots():
         qsim.measure_z_array(rows, [0], 1, 10)  # shot mode without an rng
 
 
+def test_measure_z_array_draws_shots_only():
+    # The exact readout is the policy's sign table; zero shots is no draw.
+    rows = oracle.init_zero(1).amplitudes[None]
+    with pytest.raises(ContractError):
+        qsim.measure_z_array(rows, [0], 1, 0, np.random.default_rng(0))
+
+
 def test_sample_z_matches_expectation_within_binomial_band():
     # 3-sigma band around the exact value at 1e5 shots, one row per angle.
     rng = np.random.default_rng(42)
@@ -236,13 +243,13 @@ def test_batched_application_matches_single():
 
 
 def test_expectation_z_array_batched():
-    # exact batched readout against <psi| Z_q |psi> with a kron-built Z_q
+    # the oracle's marginal readout against <psi| Z_q |psi> with a kron-built Z_q
     rng = np.random.default_rng(8)
     n = 3
     z = np.diag([1.0, -1.0]).astype(complex)
     states = [random_state(rng, n) for _ in range(6)]
     batch = np.stack([s.amplitudes for s in states])
-    vals = qsim.measure_z_array(batch, range(n), n)
+    vals = oracle.marginal_z(batch, range(n), n)
     assert vals.shape == (6, n)
     for row, s in zip(vals, states):
         for q in range(n):

@@ -271,6 +271,19 @@ def test_sample_action_inverse_cdf():
                           np.array([0.9999999999])).tolist() == [3]
 
 
+def test_sample_actions_matches_the_capped_full_cumsum_at_the_edges():
+    # Probabilities summing to just under or over 1, zero-probability actions,
+    # and uniforms exactly on every cumulative value: the draws equal the
+    # capped searchsorted over all |A| cumulative sums, row by row.
+    for row in ([0.5, 0.5 - 1e-12], [0.3, 0.3, 0.4 + 1e-12], [0.0, 0.5, 0.5],
+                [0.25, 0.25, 0.25, 0.25 - 1e-9], [1 / 3, 1 / 3, 1 / 3], [1.0, 0.0]):
+        cum = np.cumsum(row)
+        uniforms = np.concatenate([[0.0], cum, np.nextafter(cum, 0.0), [1.0 - 2**-53]])
+        want = [min(int(np.searchsorted(cum, u, side="right")), len(row) - 1) for u in uniforms]
+        got = sample_actions(np.tile(row, (len(uniforms), 1)), uniforms)
+        assert got.tolist() == want
+
+
 # ---------------------------------------------------------------------------
 # training loop
 # ---------------------------------------------------------------------------
@@ -344,6 +357,17 @@ def test_one_row_operator_build_per_batch(monkeypatch):
     assert len(list(train(cfg_run))) == cfg_run.batch_size
     assert len(builds) == 1
     assert gradient_builds == [0]
+
+
+def test_exact_training_batch_draws_no_shots(monkeypatch):
+    # Exact mode reads out by the sign table: rollouts and the gradient never
+    # reach the shot sampler.
+    def refuse(*args, **kwargs):
+        raise AssertionError("exact mode called measure_z_array")
+
+    monkeypatch.setattr(qsim, "measure_z_array", refuse)
+    cfg_run = cfg.preset_config("cartpole-quantum", {"episodes": 10, "seed": 0})
+    assert len(list(train(cfg_run))) == cfg_run.batch_size
 
 
 def batch_inputs(preset):

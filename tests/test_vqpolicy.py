@@ -1,7 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpolgrad import qsim, vqpolicy
 from qpolgrad.errors import ContractError
@@ -19,7 +22,16 @@ from qpolgrad.vqpolicy import (
 )
 
 import conftest as oracle
-from conftest import encode_gates, grad_log, oracle_preferences, random_state, rescale
+from conftest import (
+    encode_gates,
+    grad_log,
+    kron_encoded_rows,
+    kron_single,
+    marginal_z,
+    oracle_preferences,
+    random_state,
+    rescale,
+)
 
 
 def layered(n_qubits, n_layers, n_actions):
@@ -93,6 +105,22 @@ def test_encoded_rows_match_gate_encoding():
     rows = vqpolicy.encoded_rows(feats * (np.pi / norm.running_abs_max))
     for row, f in zip(rows, feats):
         np.testing.assert_allclose(row, encode_gates(f, norm).amplitudes, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.integers(1, 8), t=st.sampled_from([1, 10, vqpolicy.ADJOINT_CHUNK_ROWS + 7, 2000]),
+       seed=st.integers(0, 2**32 - 1))
+def test_encoded_rows_match_the_kron_oracle_bit_for_bit(n, t, seed):
+    # Every nonzero part carries the kron's bits. The kron's zero parts take
+    # signs from its own arithmetic, so zeros are compared as values: adding
+    # +0 makes every zero +0 and leaves every other bit.
+    rng = np.random.default_rng(seed)
+    angles = rng.uniform(-np.pi, np.pi, size=(t, n))
+    angles[0, 0] = 0.0
+    angles[-1, -1] = np.pi
+    got, want = encoded_rows(angles), kron_encoded_rows(angles)
+    assert got.shape == (t, 2**n) and got.dtype == complex
+    assert (got + 0).tobytes() == (want + 0).tobytes()
 
 
 def test_encode_rejects_length_mismatch():
@@ -178,6 +206,44 @@ def test_preferences_single_u3_sign_pair():
     params = PolicyParams(np.zeros(3), 1.0)
     prefs = row_preferences(U3_SPEC, params, one)
     np.testing.assert_allclose(prefs, [[-1.0, 1.0]], atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.integers(1, 8), n_actions=st.integers(1, 3), t=st.sampled_from([1, 7, 64]),
+       seed=st.integers(0, 2**32 - 1))
+def test_sign_table_readout_matches_the_marginals(n, n_actions, t, seed):
+    # One contraction with the sign table against the per-qubit marginals,
+    # and each row's bits whatever rows share its batch.
+    spec = layered(n, 1, min(n_actions, n))
+    rng = np.random.default_rng(seed)
+    rows = np.stack([random_state(rng, n).amplitudes for _ in range(t)])
+    got = vqpolicy._readout(spec, rows, 0, None)
+    np.testing.assert_allclose(got, marginal_z(rows, range(spec.n_actions), n), rtol=0, atol=1e-15)
+    for i in range(t):
+        assert vqpolicy._readout(spec, rows[i:i + 1], 0, None).tobytes() == got[i].tobytes()
+
+
+def test_sign_table_is_the_measured_observables_diagonal():
+    # Column a is the diagonal of Z on qubit a, built with kron; the single_u3
+    # pair is (Z, -Z). The co-state diagonals read the same table.
+    z = np.diag([1.0, -1.0])
+    rng = np.random.default_rng(43)
+    for spec in (layered(1, 1, 1), layered(4, 2, 2), layered(6, 1, 3), U3_SPEC):
+        n = spec.n_qubits
+        table = vqpolicy._sign_table(spec)
+        if spec.architecture == "single_u3":
+            cols = [np.diag(z), -np.diag(z)]
+        else:
+            cols = [np.diag(kron_single(z, q, n)).real for q in range(spec.n_actions)]
+        np.testing.assert_array_equal(table, np.stack(cols, axis=1))
+        assert not table.flags.writeable
+        weights = rng.normal(size=(9, spec.n_actions))
+        np.testing.assert_array_equal(vqpolicy._observable_diagonals(spec, weights),
+                                      weights @ table.T)
+    rows = np.stack([random_state(rng, 1).amplitudes for _ in range(5)])
+    z0 = marginal_z(rows, [0], 1)
+    np.testing.assert_array_equal(vqpolicy._readout(U3_SPEC, rows, 0, None),
+                                  np.concatenate([z0, -z0], axis=1))
 
 
 def test_softmax_policy_reference_values():
@@ -469,6 +535,40 @@ def test_shot_grad_log_batch_converges_to_exact():
                       for seed in range(100)])
     assert np.all(np.abs(draws[0] - exact) > 0)  # every entry carries shot noise
     np.testing.assert_allclose(draws.mean(axis=0), exact, atol=5e-3)
+
+
+def test_row_operator_cache_follows_theta(monkeypatch):
+    # theta can be neither written in place nor reassigned, so the cached
+    # operator is rebuilt exactly when new parameters arrive: replaced params
+    # or `set_vector`.
+    builds = []
+    build = qsim.circuit_row_operator
+    monkeypatch.setattr(qsim, "circuit_row_operator",
+                        lambda *args: builds.append(1) or build(*args))
+    rng = np.random.default_rng(44)
+    spec = layered(3, 2, 2)
+    policy = QuantumPolicy(spec, random_params(spec, rng))
+    x = rng.normal(size=3)
+    first = policy.probabilities(x)
+    policy.probabilities(x)
+    assert len(builds) == 1
+    with pytest.raises(ValueError):
+        policy.params.theta[0] += 0.1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        policy.params.theta = np.zeros(spec.n_params)
+    source = rng.uniform(-np.pi, np.pi, size=spec.n_params)
+    policy.params = PolicyParams(source, policy.params.beta)
+    source[0] += 1.0  # the params hold their own copy
+    replaced = policy.probabilities(x)
+    assert len(builds) == 2
+    want = softmax_policy(oracle_preferences(spec, policy.params, x, policy.normalizer),
+                          policy.params.beta)
+    np.testing.assert_allclose(replaced, want, atol=1e-12)
+    policy.set_vector(np.append(random_params(spec, rng).theta, 1.0))
+    policy.probabilities(x)
+    policy.probabilities(x)
+    assert len(builds) == 3
+    assert not np.allclose(first, replaced)
 
 
 def test_checkpoint_roundtrip():

@@ -4,7 +4,7 @@ The empirical Fisher information matrix of a policy is the average outer
 product of its log-policy gradients over visited state-action pairs; a
 spectrum concentrated at zero signals a flat (barren) optimization
 landscape. Eigenvalues come from LAPACK's symmetric solver
-(`numpy.linalg.eigvalsh`).
+(`numpy.linalg.eigvalsh`), on the one BLAS thread pinned at import.
 
 The closed-form calculators bound (a) how many sampled trajectories make
 the policy-gradient estimate epsilon-accurate with probability 1 - delta,

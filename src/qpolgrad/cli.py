@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, config as cfg, envs, reinforce
+from . import analysis, blas_threads, config as cfg, envs, reinforce
 from .classical import MlpPolicy
 from .errors import ConfigError, ContractError
 from .vqpolicy import QuantumPolicy
@@ -151,7 +151,7 @@ def _write_spectrum(report: analysis.SpectrumReport, csv_path: Path, json_path: 
 
 def provenance() -> dict:
     """What produced a run besides its config: interpreter, numpy and its
-    BLAS, the BLAS thread settings and the platform."""
+    BLAS, the BLAS thread count pinned at import and the platform."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         blas = f"{blas.get('name')} {blas.get('version')}"
@@ -161,8 +161,7 @@ def provenance() -> dict:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "blas": blas,
-        **{name: os.environ.get(name, "unset") for name in ("OPENBLAS_NUM_THREADS",
-                                                            "OMP_NUM_THREADS")},
+        "blas_threads": blas_threads(),
         "platform": f"{platform.system()} {platform.release()} {platform.machine()}",
     }
 

@@ -162,6 +162,12 @@ def _validate(data: dict) -> list[str]:
     check_range("shots", lambda v: isinstance(v, int) and v >= 0, "must be an integer >= 0")
     check_range("seed", lambda v: isinstance(v, int), "must be an integer")
     check_range("dropout_p", lambda v: 0 <= v < 1, "must be a number in [0, 1)")
+    for key in ("name", "output_dir"):
+        if not isinstance(data.get(key), (str, type(None))):
+            errors.append(f"{key}: must be a string or null (got {data[key]!r})")
+    for key in ("fisher_checkpoints", "fisher_theta_only", "dump_trajectories", "timing"):
+        if not isinstance(data.get(key, False), bool):
+            errors.append(f"{key}: must be true or false (got {data[key]!r})")
 
     if pol == "classical":
         if data.get("shots"):

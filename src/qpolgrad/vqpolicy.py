@@ -162,74 +162,13 @@ class FeatureNormalizer:
         return FeatureNormalizer(self.n_features, self.running_abs_max.copy())
 
 
-_SERIAL_MNK = {False: 2**19 - 1, True: 2**16 - 1}  # real, complex; see `serial_matmul`
-
-
 def serial_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for 2-D operands, on the calling thread. Every matrix product in
-    the package whose size grows with the batch goes through here.
-
-    OpenBLAS hands a gemm to a worker thread once m * n * k reaches a
-    threshold. The package's products are far too small to gain from that,
-    and after each one the idle worker busy-waits for about 0.1 s, so a
-    second core spins through the next rollout. A threaded product also
-    rounds differently, so a run's bits would depend on OPENBLAS_NUM_THREADS.
-    So the output is computed in strips, written into one output array, each
-    with m * n * k below 2**19 if real and 2**16 if complex: below these,
-    OpenBLAS 0.3.31 kept every gemm on one thread over a grid of shapes like
-    the ones here, and at them it threaded some. The batch products that
-    reach them at preset sizes: the row operator on a batch, (2000 x 16) @
-    (16 x 16) on cartpole and (5000 x 64) @ (64 x 64) on acrobot; the fold in
-    `summed_gradient`, (16 x 256) @ (256 x 16) and (64 x 256) @ (256 x 64);
-    the MLP's weight gradient delta.T @ act, (128 x 2000) @ (2000 x 4) on
-    cartpole; the co-state weights of acrobot's Fisher rows,
-    (5000 x 3) @ (3 x 64); and the Fisher matrix g.T @ g.
-
-    A complex product is cut into strips of rows. Complex gemm gives a row
-    the same bits whatever the other rows, so the cut moves no bit and a
-    policy's row does not depend on its batch. A real product is cut along
-    the output's longer axis, which can move its last bits. No strip is cut
-    along k, which would reorder each entry's sum, and none is one line long,
-    because a 1-line product (gemv) rounds differently from gemm by about
-    1e-16; a lone row is repeated to make two. So where only 2-line strips
-    fit, an odd count of lines ends in one 3-line strip, over the bound by
-    half (acrobot's quantum Fisher matrix; OpenBLAS did not thread it).
-
-    Left to OpenBLAS, as one product, is one whose 2-line strip alone reaches
-    the limit: strips would not keep it on one thread, and each would repack
-    the other operand. These are the 8-qubit fold and the Fisher matrices of
-    the 768- and 288-weight cartpole and acrobot MLPs over more than 341 and
-    910 rows. Also left are the 2 x 2 gate products; the 1-D products of the
-    beta gradient and of shot mode, which stay on one thread over a preset
-    batch's at most 5,000 rows (a dot is threaded above 10,000 terms); and
-    LAPACK's `eigvalsh`, which wakes a BLAS worker from k = 65 (at k = 64 it
-    stays idle): every MLP Fisher spectrum, not the quantum ones (k <= 49).
-
-    A product with m * n * k under both bounds is one strip whatever its
-    dtype, so it is returned as a @ b before any of the strip bookkeeping:
-    every lockstep inference product (10 x 16 x 16 on cartpole) takes this
-    path.
-    """
+    """a @ b for 2-D operands, on the one BLAS thread pinned at import
+    (`qpolgrad`). A lone row is doubled: gemv rounds differently from gemm by
+    about 1e-16, and a policy's row keeps the bits it has in any batch."""
     if len(a) == 1:
-        return serial_matmul(np.concatenate([a, a]), b)[:1]
-    (m, k), n = a.shape, b.shape[1]
-    if m * n * k <= min(_SERIAL_MNK.values()):
-        return a @ b
-    complex_out = np.iscomplexobj(a) or np.iscomplexobj(b)
-    by_rows = m >= n or complex_out
-    length, width = (m, n) if by_rows else (n, m)
-    lines = _SERIAL_MNK[complex_out] // (k * width)  # per strip
-    n_strips = min(-(-length // lines), length // 2) if lines >= 2 else 1
-    if n_strips == 1:
-        return a @ b
-    out = np.empty((m, n), dtype=np.result_type(a, b))
-    edges = [length * i // n_strips for i in range(n_strips + 1)]
-    for lo, hi in zip(edges, edges[1:]):
-        if by_rows:
-            np.matmul(a[lo:hi], b, out=out[lo:hi])
-        else:
-            np.matmul(a, b[:, lo:hi], out=out[:, lo:hi])
-    return out
+        return (np.concatenate([a, a]) @ b)[:1]
+    return a @ b
 
 
 ADJOINT_CHUNK_ROWS = 256  # rows per encode and sweep chunk; bounds their temporaries
@@ -247,7 +186,7 @@ def _basis_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def encoded_rows(angles: np.ndarray) -> np.ndarray:
-    """Product states for a batch of RX-encoding angle rows, shape (T, 2**n).
+    """Product states for a (T, n) array of RX-encoding angles, shape (T, 2**n).
 
     RX(a)|0> = [cos(a/2), -i sin(a/2)]; the full register state is the
     tensor product over qubits with qubit 0 as the most significant factor.
@@ -258,7 +197,7 @@ def encoded_rows(angles: np.ndarray) -> np.ndarray:
     are gathered ADJOINT_CHUNK_ROWS at a time, bounding the (rows, n, 2**n)
     gather.
     """
-    half = np.atleast_2d(np.asarray(angles, dtype=float)) / 2
+    half = angles / 2
     t, n = half.shape
     index, phase = _basis_tables(n)
     rows = np.empty((t, 2**n), dtype=complex)

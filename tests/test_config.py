@@ -98,6 +98,25 @@ def test_wrongly_typed_values_rejected(tmp_path, preset, overrides):
     assert_rejected_before_any_artifact(tmp_path, preset, overrides)
 
 
+# reporting fields: a non-string name or output directory once raised a
+# TypeError traceback, and a non-boolean switch was read as truthy
+@pytest.mark.parametrize("key, value", [
+    ("name", 5), ("output_dir", 7), ("name", ["a"]), ("fisher_checkpoints", "no"),
+    ("fisher_theta_only", 1), ("dump_trajectories", "yes"), ("timing", None),
+])
+def test_wrongly_typed_reporting_fields_rejected(tmp_path, monkeypatch, key, value):
+    data = {**cfg.PRESETS["qcontrol-quantum"], "episodes": 10, key: value}
+    with pytest.raises(ConfigError):
+        cfg.from_dict(data)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    # no --out, which would replace output_dir: the run would write under runs/
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("QPG_OUT_DIR", raising=False)
+    assert cli.main(["run", "--config", str(path)]) == 1
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_default_and_matching_values_still_accepted():
     cfg.preset_config("cartpole-classical", {"shots": 0})
     cfg.preset_config("cartpole-quantum", {"hidden_sizes": None, "dropout_p": 0.0,

@@ -564,9 +564,9 @@ def trajectory_bits(traj):
     ("qcontrol-classical", {}),
 ])
 def test_lockstep_batch_independent_of_order_and_size(preset, overrides):
-    # Inference's complex `serial_matmul` (strips of at least two rows) and
-    # the MLP's einsum layers round every row alike, so an episode's bits do
-    # not depend on which episodes share its batch, or in what order.
+    # Inference's complex `serial_matmul` (one thread, a lone row doubled)
+    # and the MLP's einsum layers round every row alike, so an episode's bits
+    # do not depend on which episodes share its batch, or in what order.
     config = cfg.preset_config(preset, {"seed": 2, **overrides})
     env = envs.make_env(config.environment)
     policy = prepare(config).policy

@@ -605,8 +605,8 @@ def test_spec_validation():
 @pytest.mark.parametrize("m, k, n", [(1, 16, 16), (2, 64, 64), (37, 64, 64), (5000, 64, 64),
                                      (64, 256, 64), (5, 256, 256)])
 def test_serial_matmul_keeps_every_complex_row_bit(m, k, n):
-    # Strips of rows change no bit of a complex product, and a lone row gets
-    # the bits of that row in a 2-row product.
+    # On one thread a complex product rounds each row alike in any batch, and
+    # a lone row gets the bits of that row in a 2-row product.
     rng = np.random.default_rng(m)
     a = rng.normal(size=(m, k)) + 1j * rng.normal(size=(m, k))
     b = rng.normal(size=(k, n)) + 1j * rng.normal(size=(k, n))

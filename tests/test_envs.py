@@ -1,8 +1,12 @@
 """Environments. The dynamics tests run on the scalar reference classes in
-conftest; the array environments the rollout steps must agree with them
-from the same states."""
+conftest; the batched environments the rollout steps must agree with them
+bit for bit from the same states."""
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import Acrobot, CartPole, QControl, Statevector, loop_discounted_returns
 from qpolgrad import envs, qsim
@@ -352,20 +356,21 @@ def random_states(name, rng, n):
     return amps / np.linalg.norm(amps, axis=1, keepdims=True)
 
 
-def scalar_step(name, state, action):
+def scalar_env(name, state):
+    """The scalar reference environment, reset and then put in `state`."""
     env = {"cartpole": CartPole, "acrobot": Acrobot, "qcontrol": QControl}[name]()
     env.reset(np.random.default_rng(0))
     if name == "qcontrol":
         env.qubit = Statevector(1, state.copy())
     else:
         env.state = state.copy()
-    return env.step(action)
+    return env
 
 
 @pytest.mark.parametrize("name", ["cartpole", "acrobot", "qcontrol"])
 def test_array_step_matches_scalar_step(name):
-    # CartPole and Acrobot square by x*x where the scalar code calls libm
-    # pow, so they agree to rounding; QControl agrees bit for bit.
+    # All three agree bit for bit: the scalar references square by x * x, as
+    # the batched steps do.
     rng = np.random.default_rng(21)
     env = make_env(name)
     n = 2000
@@ -376,13 +381,89 @@ def test_array_step_matches_scalar_step(name):
     new_states, rewards, done = env.step(states.copy(), actions)
     new_features = env.features(new_states)
     for i in range(n):
-        obs, reward, finished = scalar_step(name, states[i], int(actions[i]))
-        if name == "qcontrol":
-            np.testing.assert_array_equal(new_features[i], obs)
-        else:
-            np.testing.assert_array_equal(new_features[i], obs)
+        obs, reward, finished = scalar_env(name, states[i]).step(int(actions[i]))
+        np.testing.assert_array_equal(new_features[i], obs)
         assert rewards[i] == reward
         assert done[i] == finished
+
+
+# Pole velocities whose square by libm pow (a Python float's `**`) misses the
+# correctly rounded x * x, fast enough that the miss reaches CartPole's bits.
+POW_MISSES = [x for x in np.random.default_rng(3).uniform(5, 60, 20_000).tolist()
+              if x**2 != x * x][:4]
+
+
+def edge_rows(name, rng, n):
+    """Rows whose entries sit where a comparison, the angle wrap or a square's
+    rounding decides: signed zeros, the cart and pole limits (with zero
+    velocities, so a step keeps them) and one ulp past them, `POW_MISSES`,
+    angles at and just inside +-pi, and velocities at, one ulp past and well
+    past the acrobot clips."""
+    env = make_env(name)
+
+    def signed(*values):
+        return [v for x in values for v in (x, -x)]
+
+    if name == "cartpole":
+        x, th = env.X_LIMIT, env.THETA_LIMIT
+        columns = [signed(x, np.nextafter(x, np.inf), 0.0), signed(0.0),
+                   signed(th, np.nextafter(th, np.inf), 0.0), signed(0.0, *POW_MISSES)]
+    else:
+        angles = signed(np.pi, np.nextafter(np.pi, 0), 0.0)
+        v1, v2 = env.MAX_VEL_1, env.MAX_VEL_2
+        columns = [angles, angles, signed(v1, np.nextafter(v1, np.inf), 1.5 * v1, 0.0),
+                   signed(v2, np.nextafter(v2, np.inf), 1.5 * v2, 0.0)]
+    return np.array([[rng.choice(column) for column in columns] for _ in range(n)]).reshape(n, 4)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(name=st.sampled_from(["cartpole", "acrobot"]), b=st.integers(1, 12),
+       seed=st.integers(0, 2**32 - 1))
+def test_step_matches_the_scalar_reference_row_by_row(name, b, seed):
+    # Every output bit of every row, edge rows included, and a row's bits do
+    # not depend on its batch: shuffled or cut to a sub-batch, each row
+    # steps to the same bits.
+    rng = np.random.default_rng(seed)
+    env = make_env(name)
+    states = random_states(name, rng, b)
+    on_edge = rng.random(b) < 1 / 3
+    states[on_edge] = edge_rows(name, rng, int(on_edge.sum()))
+    actions = rng.integers(env.spec.n_actions, size=b)
+    new_states, rewards, done = env.step(states.copy(), actions)
+    assert (new_states.shape, rewards.shape, done.shape) == ((b, 4), (b,), (b,))
+    assert (new_states.dtype, rewards.dtype, done.dtype) == (np.float64, np.float64, np.bool_)
+    for i in range(b):
+        scalar = scalar_env(name, states[i])
+        _, reward, finished = scalar.step(int(actions[i]))
+        assert new_states[i].tobytes() == scalar.state.tobytes()
+        assert (rewards[i], done[i]) == (reward, finished)
+    order = rng.permutation(b)
+    for index in (order, order[:rng.integers(1, b + 1)]):
+        for got, want in zip(env.step(states[index], actions[index]), (new_states, rewards, done)):
+            assert got.tobytes() == want[index].tobytes()
+
+
+def test_math_cos_and_sin_give_the_bits_of_numpy_on_arrays():
+    # The steps call math.cos and math.sin per row, where the features and
+    # the array steps that recorded the golden runs call np.cos and np.sin on
+    # float64 arrays. Acrobot's arguments include theta1 + theta2 - pi/2
+    # (|x| <= 2 pi + pi/2 after the wrap) and RK4's stages, which step angles
+    # past the wrap (|x| up to about 30); far beyond that the libraries must
+    # still agree.
+    rng = np.random.default_rng(29)
+    reach = 2 * np.pi + np.pi / 2
+    angles = np.concatenate([
+        rng.uniform(-reach, reach, 150_000),
+        rng.uniform(-50.0, 50.0, 40_000),
+        np.exp(rng.uniform(-700.0, 700.0, 10_000)) * rng.choice([-1.0, 1.0], 10_000),
+        [0.0, -0.0, np.pi, -np.pi, np.pi / 2, -np.pi / 2, 2 * np.pi, 5e-324],
+    ])
+    for np_fn, math_fn in ((np.cos, math.cos), (np.sin, math.sin)):
+        want = np_fn(angles)
+        got = np.array([math_fn(x) for x in angles.tolist()])
+        differ = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+        assert differ.size == 0, (f"math.{math_fn.__name__} differs from np.{np_fn.__name__} on "
+                                  f"{differ.size} angles, the first {angles[differ[0]]!r}")
 
 
 def test_cartpole_step_ends_only_past_the_limits():
@@ -401,7 +482,7 @@ def test_cartpole_step_ends_only_past_the_limits():
         np.testing.assert_array_equal(new_states[:, ::2], states[:, ::2])
         assert done.tolist() == [False] * 5 + [True] * 4
         for i, state in enumerate(states):
-            obs, reward, finished = scalar_step("cartpole", state, action)
+            obs, reward, finished = scalar_env("cartpole", state).step(action)
             np.testing.assert_array_equal(new_states[i], obs)
             assert (rewards[i], done[i]) == (reward, finished)
 

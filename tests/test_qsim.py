@@ -101,7 +101,8 @@ def test_sample_z_converges_at_high_shots():
 
 
 def test_sample_z_rejects_zero_shots():
-    # shots = 0 selects the exact readout, so only negative counts are invalid
+    # measure_z_array only draws shots: a negative count and a missing rng are
+    # rejected here, zero shots in test_measure_z_array_draws_shots_only
     rows = oracle.init_zero(1).amplitudes[None]
     with pytest.raises(ContractError):
         qsim.measure_z_array(rows, [0], 1, -1, np.random.default_rng(0))

@@ -602,24 +602,50 @@ def test_spec_validation():
         CircuitSpec(1, 1, 2, "ring", "angle_rx")
 
 
+def assert_rows_keep_their_bits(a, b, rng):
+    """Each row of `serial_matmul(a, b)` has the bits it has in any batch:
+    alone, in a pair with another row, in sub-batches, shuffled and with `a`
+    in Fortran order."""
+    full = serial_matmul(a, b)
+    for i in rng.choice(len(a), size=min(len(a), 5), replace=False):
+        lone, pair = a[i:i + 1], np.concatenate([a[i:i + 1], a[i:i + 1, ::-1]])
+        assert serial_matmul(lone, b).tobytes() == full[i:i + 1].tobytes()
+        assert serial_matmul(lone, b).tobytes() == serial_matmul(pair, b)[:1].tobytes()
+    for size in {2, 3, 10, len(a)}:
+        index = rng.permutation(len(a))[:size]
+        assert serial_matmul(a[index], b).tobytes() == full[index].tobytes()
+    assert serial_matmul(np.asfortranarray(a), b).tobytes() == full.tobytes()
+
+
 @pytest.mark.parametrize("m, k, n", [(1, 16, 16), (2, 64, 64), (37, 64, 64), (5000, 64, 64),
-                                     (64, 256, 64), (5, 256, 256)])
+                                     (64, 256, 64), (5, 256, 256),
+                                     (10, 2, 2), (10, 16, 16), (10, 64, 64)])
 def test_serial_matmul_keeps_every_complex_row_bit(m, k, n):
-    # On one thread a complex product rounds each row alike in any batch, and
-    # a lone row gets the bits of that row in a 2-row product.
+    # Inference multiplies (B, 2**n) encoded rows by the (2**n, 2**n) row
+    # operator; the presets run B = 10 at n = 1, 4 and 6.
     rng = np.random.default_rng(m)
     a = rng.normal(size=(m, k)) + 1j * rng.normal(size=(m, k))
     b = rng.normal(size=(k, n)) + 1j * rng.normal(size=(k, n))
-    want = (np.concatenate([a, a]) @ b)[:1] if m == 1 else a @ b
-    assert serial_matmul(a, b).tobytes() == want.tobytes()
-    assert serial_matmul(np.asfortranarray(a), b).tobytes() == want.tobytes()
+    assert_rows_keep_their_bits(a, b, rng)
+
+
+@pytest.mark.parametrize("m, k, n", [(2000, 2, 128), (5000, 3, 32), (100, 2, 16)])
+def test_serial_matmul_keeps_every_real_row_bit(m, k, n):
+    # The MLP backward pass's delta @ W, one row per step of a batch, at the
+    # cartpole-, acrobot- and qcontrol-classical widths and batch lengths.
+    rng = np.random.default_rng(m)
+    assert_rows_keep_their_bits(rng.normal(size=(m, k)), rng.normal(size=(k, n)), rng)
 
 
 @pytest.mark.parametrize("m, k, n", [(128, 2000, 4), (2, 2000, 128), (3, 2000, 128),
                                      (5000, 2, 128), (49, 5000, 49), (1, 3, 5)])
 def test_serial_matmul_matches_the_real_product(m, k, n):
+    # Against a long-double product, which numpy computes without BLAS, within
+    # the error bound of a k-term float64 dot product.
     rng = np.random.default_rng(k)
     a, b = rng.normal(size=(m, k)), rng.normal(size=(k, n))
     got = serial_matmul(a, b)
-    assert got.shape == (m, n)
-    np.testing.assert_allclose(got, a @ b, rtol=0, atol=1e-14 * k * np.abs(a @ b).max())
+    assert got.shape == (m, n) and got.dtype == np.float64
+    exact = a.astype(np.longdouble) @ b.astype(np.longdouble)
+    bound = k * np.finfo(float).eps * (np.abs(a) @ np.abs(b))
+    assert np.all(np.abs(got - exact) <= bound)

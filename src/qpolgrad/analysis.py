@@ -50,8 +50,6 @@ class FisherMatrix:
 class SpectrumReport:
     eigenvalues: np.ndarray  # sorted descending
     trace: float
-    bin_edges: np.ndarray  # leading underflow bin, then logarithmic bins
-    densities: np.ndarray  # histogram densities; integrate to 1
 
 
 def fisher_matrix(policy, states, actions, include_beta: bool = True, rng=None) -> FisherMatrix:
@@ -70,21 +68,9 @@ def fisher_matrix(policy, states, actions, include_beta: bool = True, rng=None) 
     return FisherMatrix((f + f.T) / 2)
 
 
-def spectrum(f: FisherMatrix, n_bins: int = 50) -> SpectrumReport:
-    """Eigenvalues, trace, and a log-binned eigenvalue density.
-
-    The first bin is an explicit underflow bin [0, 1e-12) collecting
-    (numerically) zero eigenvalues; the remaining `n_bins` bins are
-    logarithmic up to the largest eigenvalue.
-    """
-    eigenvalues = np.linalg.eigvalsh(f.matrix)[::-1]
-    top = max(float(eigenvalues[0]) if eigenvalues.size else 0.0, 1e-11)
-    edges = np.concatenate([[0.0], np.geomspace(1e-12, top, n_bins + 1)])
-    clipped = np.clip(eigenvalues, 0.0, top)
-    counts, _ = np.histogram(clipped, bins=edges)
-    widths = np.diff(edges)
-    densities = counts / counts.sum() / widths
-    return SpectrumReport(eigenvalues, float(np.trace(f.matrix)), edges, densities)
+def spectrum(f: FisherMatrix) -> SpectrumReport:
+    """Eigenvalues, largest first, and the trace."""
+    return SpectrumReport(np.linalg.eigvalsh(f.matrix)[::-1], float(np.trace(f.matrix)))
 
 
 # ---------------------------------------------------------------------------

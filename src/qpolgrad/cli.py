@@ -3,7 +3,8 @@
 Subcommands:
 
 - run                train one configuration, persisting manifest, metrics
-                     CSV, checkpoint, and (optionally) Fisher spectra
+                     CSV, checkpoint, and (optionally) trajectories and
+                     Fisher spectra, all from `reinforce.train`'s records
 - plot               running-mean reward chart (SVG) from metrics CSVs
 - compare            side-by-side summary JSON of two completed runs
 - bounds             sample/shot-complexity calculators as a JSON object
@@ -17,6 +18,7 @@ directory when neither the config nor --out does.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import html
@@ -135,17 +137,17 @@ def fisher_spectrum(policy, environment: str, rollouts: int, rng: np.random.Gene
                                                     include_beta=include_beta, rng=rng))
 
 
-def _write_spectrum(report: analysis.SpectrumReport, csv_path: Path, json_path: Path,
-                    checkpoint_episode: int) -> None:
-    with open(csv_path, "w", newline="") as fh:
+def _write_spectrum(report: analysis.SpectrumReport, out: Path, label: int) -> None:
+    """`fisher_ck_{label}.csv`, the eigenvalues, and its `.json` sidecar."""
+    with open(out / f"fisher_ck_{label}.csv", "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["eigenvalue"])
         for value in report.eigenvalues:
             writer.writerow([_fmt(value)])
-    json_path.write_text(json.dumps({
+    (out / f"fisher_ck_{label}.json").write_text(json.dumps({
         "trace": report.trace,
         "k": int(len(report.eigenvalues)),
-        "checkpoint_episode": checkpoint_episode,
+        "checkpoint_episode": label,
     }, indent=1))
 
 
@@ -175,18 +177,28 @@ def resolve_output_dir(config) -> Path:
     return Path("runs") / config.label()
 
 
+def checkpoint_episodes(episodes: int) -> list[int]:
+    """Episode counts at which each further 10% of a budget completes."""
+    return sorted({int(np.ceil(episodes * f / 10)) for f in range(1, 11)}) if episodes else []
+
+
 def run(config) -> int:
-    """Execute one training run and persist every artifact it promises."""
+    """Execute one training run and persist every artifact it promises.
+
+    One pass over `reinforce.train`'s per-episode records writes them all:
+    each record's metrics row, its trajectory's rows with
+    `dump_trajectories`, and with `fisher_checkpoints` a spectrum at each
+    record that completes another 10% of the budget.
+    """
     out = resolve_output_dir(config)
     out.mkdir(parents=True, exist_ok=True)
+    boundaries = checkpoint_episodes(config.episodes) if config.fisher_checkpoints else []
     artifacts = {"metrics": "metrics.csv", "checkpoint": "checkpoint.json"}
     if config.dump_trajectories:
         artifacts["trajectories"] = "trajectories.csv"
     if config.fisher_checkpoints:
-        artifacts["fisher"] = [
-            [f"fisher_ck_{ep}.csv", f"fisher_ck_{ep}.json"]
-            for ep in reinforce.checkpoint_episodes(config.episodes)
-        ]
+        artifacts["fisher"] = [[f"fisher_ck_{ep}.csv", f"fisher_ck_{ep}.json"]
+                               for ep in boundaries]
     manifest = {
         "name": config.label(),
         "config": config.to_dict(),
@@ -198,53 +210,41 @@ def run(config) -> int:
     (out / "manifest.json").write_text(json.dumps(manifest, indent=1))
 
     state = reinforce.prepare(config)
-
-    def fisher_hook(episodes_done, run_state):
-        rng = np.random.default_rng(np.random.SeedSequence(config.seed,
-                                                           spawn_key=(2, episodes_done)))
-        report = fisher_spectrum(run_state.policy, config.environment, config.batch_size, rng,
-                                 config.gamma, include_beta=not config.fisher_theta_only)
-        _write_spectrum(report, out / f"fisher_ck_{episodes_done}.csv",
-                        out / f"fisher_ck_{episodes_done}.json", episodes_done)
-
-    traj_file = traj_writer = None
-    if config.dump_trajectories:
-        traj_file = open(out / "trajectories.csv", "w", newline="")
-        traj_writer = csv.writer(traj_file, lineterminator="\n")
-        n_feats = config.env_spec.n_features
-        traj_writer.writerow(["episode", "step"]
-                             + [f"feature_{i}" for i in range(n_feats)]
-                             + ["action", "reward", "done"])
-
-    def traj_sink(episode, traj):
-        last = len(traj) - 1
-        for step, (obs, action, reward) in enumerate(
-                zip(traj.observations, traj.actions, traj.rewards)):
-            traj_writer.writerow([episode, step]
-                                 + [_fmt(f) for f in obs]
-                                 + [int(action), _fmt(reward), int(step == last)])
-
-    try:
-        with open(out / "metrics.csv", "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(METRICS_COLUMNS)
-            stream = reinforce.train(
-                config, state,
-                checkpoint_hook=fisher_hook if config.fisher_checkpoints else None,
-                trajectory_sink=traj_sink if config.dump_trajectories else None,
-            )
-            for record in stream:
-                writer.writerow([
-                    record.episode, _fmt(record.total_reward),
-                    _fmt(record.discounted_return), _fmt(record.beta),
-                    _fmt(record.grad_norm),
-                    _fmt(record.elapsed_ms) if config.timing else "0",
-                ])
-        with open(out / "checkpoint.json", "w") as fh:
-            json.dump(state.policy.to_checkpoint(), fh, indent=1)
-    finally:
-        if traj_file is not None:
-            traj_file.close()
+    with contextlib.ExitStack() as files:
+        metrics = csv.writer(files.enter_context(open(out / "metrics.csv", "w", newline="")),
+                             lineterminator="\n")
+        metrics.writerow(METRICS_COLUMNS)
+        if config.dump_trajectories:
+            trajectories = csv.writer(
+                files.enter_context(open(out / "trajectories.csv", "w", newline="")),
+                lineterminator="\n")
+            trajectories.writerow(["episode", "step"]
+                                  + [f"feature_{i}" for i in range(config.env_spec.n_features)]
+                                  + ["action", "reward", "done"])
+        for record in reinforce.train(config, state):
+            metrics.writerow([record.episode, _fmt(record.total_reward),
+                              _fmt(record.discounted_return), _fmt(record.beta),
+                              _fmt(record.grad_norm), "0"])
+            if config.dump_trajectories:
+                traj = record.trajectory
+                last = len(traj) - 1
+                for step, (obs, action, reward) in enumerate(
+                        zip(traj.observations, traj.actions, traj.rewards)):
+                    trajectories.writerow([record.episode, step] + [_fmt(f) for f in obs]
+                                          + [int(action), _fmt(reward), int(step == last)])
+            # `train` yields a batch's records after its Adam step, and nothing
+            # changes the policy between them, so a boundary that falls
+            # mid-batch sees the same policy as the batch's last record.
+            episodes_done = record.episode + 1
+            if episodes_done in boundaries:
+                rng = np.random.default_rng(np.random.SeedSequence(
+                    config.seed, spawn_key=(2, episodes_done)))
+                report = fisher_spectrum(state.policy, config.environment, config.batch_size,
+                                         rng, config.gamma,
+                                         include_beta=not config.fisher_theta_only)
+                _write_spectrum(report, out, episodes_done)
+    with open(out / "checkpoint.json", "w") as fh:
+        json.dump(state.policy.to_checkpoint(), fh, indent=1)
     print(out)
     return 0
 
@@ -406,8 +406,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--fisher", action="store_true",
                        help="collect Fisher spectra every 10%% of the budget")
     p_run.add_argument("--dump-trajectories", action="store_true")
-    p_run.add_argument("--timing", action="store_true",
-                       help="record wall time in metrics.csv (breaks byte determinism)")
 
     p_plot = sub.add_parser("plot", help="running-mean reward chart from metrics CSVs")
     p_plot.add_argument("metrics", nargs="+")
@@ -468,7 +466,6 @@ def _run_command(args) -> int:
         "batch_size": args.batch_size,
         "fisher_checkpoints": True if args.fisher else None,
         "dump_trajectories": True if args.dump_trajectories else None,
-        "timing": True if args.timing else None,
     }
     if args.preset:
         configuration = cfg.preset_config(args.preset, overrides)
@@ -484,9 +481,7 @@ def _fisher_command(args) -> int:
                              include_beta=not args.theta_only)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    label = args.episode_label
-    _write_spectrum(report, out / f"fisher_ck_{label}.csv",
-                    out / f"fisher_ck_{label}.json", label)
+    _write_spectrum(report, out, args.episode_label)
     print(json.dumps({"trace": report.trace, "k": int(len(report.eigenvalues)),
                       "nonzero_eigenvalues": int(np.sum(report.eigenvalues > 1e-12))}))
     return 0

@@ -29,7 +29,7 @@ INIT_KEYS = {
 INIT_KINDS = tuple(INIT_KEYS)
 BETA_INIT_DEFAULT = {"mean": 1.0, "std": 0.1}
 # Fields that say where and how a run reports, not what it computes.
-REPORTING_FIELDS = ("output_dir", "name", "timing", "dump_trajectories")
+REPORTING_FIELDS = ("output_dir", "name", "dump_trajectories")
 
 
 def _circuit_width(environment: str) -> int:
@@ -59,7 +59,6 @@ class ExperimentConfig:
     fisher_checkpoints: bool = False
     fisher_theta_only: bool = False
     dump_trajectories: bool = False
-    timing: bool = False
     name: str | None = None
 
     # -- derived views --------------------------------------------------------
@@ -165,7 +164,7 @@ def _validate(data: dict) -> list[str]:
     for key in ("name", "output_dir"):
         if not isinstance(data.get(key), (str, type(None))):
             errors.append(f"{key}: must be a string or null (got {data[key]!r})")
-    for key in ("fisher_checkpoints", "fisher_theta_only", "dump_trajectories", "timing"):
+    for key in ("fisher_checkpoints", "fisher_theta_only", "dump_trajectories"):
         if not isinstance(data.get(key, False), bool):
             errors.append(f"{key}: must be true or false (got {data[key]!r})")
 
@@ -220,11 +219,13 @@ def from_dict(data: dict, overrides: dict | None = None) -> ExperimentConfig:
     if overrides:
         merged.update({k: v for k, v in overrides.items() if v is not None})
     # Legacy keys: episodes run one after another, so `parallel_rollouts`
-    # selects nothing, and a quantum policy's width is `_circuit_width`, so
-    # `n_qubits` has one legal value. Older manifests and config files carry
+    # selects nothing; a quantum policy's width is `_circuit_width`, so
+    # `n_qubits` has one legal value; and `metrics.csv` records no wall
+    # time, so `timing` has one too. Older manifests and config files carry
     # them, so a valid value is still accepted and dropped.
     legacy = merged.pop("parallel_rollouts", 1)
     n_qubits = merged.pop("n_qubits", None)
+    timing = merged.pop("timing", False)
     errors = _validate(merged)
     if not (isinstance(legacy, int) and legacy >= 1):
         errors.append(f"parallel_rollouts: must be an integer >= 1 (got {legacy!r})")
@@ -233,6 +234,9 @@ def from_dict(data: dict, overrides: dict | None = None) -> ExperimentConfig:
     if isinstance(n_qubits, bool) or n_qubits not in (None, width):
         allowed = "null" if width is None else f"null or the circuit width {width}"
         errors.append(f"n_qubits: must be {allowed} (got {n_qubits!r})")
+    if timing is not False:
+        errors.append(f"timing: must be false, metrics.csv records no wall time "
+                      f"(got {timing!r})")
     if errors:
         raise ConfigError("invalid configuration: " + "; ".join(errors))
     if "hidden_sizes" in merged and merged["hidden_sizes"] is not None:

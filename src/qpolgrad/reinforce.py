@@ -8,11 +8,11 @@ one policy inference per step for all of them. Each episode runs on its own
 seeded stream and its own snapshot of the feature normalizer, so an episode
 does not depend on which other episodes share its batch or in what order.
 Observations travel as float feature rows, and a trajectory holds them as
-one (T, n_features) array.
+one (T, n_features) array. `train` yields one record per episode, with its
+trajectory.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,12 +52,14 @@ class Trajectory:
 
 @dataclass
 class MetricsRecord:
+    """One episode as `train` yields it, after its batch's Adam step."""
+
     episode: int
     total_reward: float
     discounted_return: float
     beta: float
     grad_norm: float
-    elapsed_ms: float
+    trajectory: Trajectory
 
 
 @dataclass
@@ -252,7 +254,6 @@ def collect_batch(config, policy, first_episode: int, n_episodes: int) -> list[T
 class RunState:
     """Everything `train` mutates, exposed so callers can persist the result."""
 
-    config: object
     policy: object
     adam: AdamState
 
@@ -260,46 +261,27 @@ class RunState:
 def prepare(config) -> RunState:
     rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0,)))
     policy = build_policy(config, rng)
-    return RunState(config, policy, AdamState.fresh(policy.n_trainable, config.learning_rate))
+    return RunState(policy, AdamState.fresh(policy.n_trainable, config.learning_rate))
 
 
-def checkpoint_episodes(episodes: int) -> list[int]:
-    """Episode counts at which each further 10% of a budget completes."""
-    return sorted({int(np.ceil(episodes * f / 10)) for f in range(1, 11)}) if episodes else []
-
-
-def train(config, state: RunState | None = None, checkpoint_hook=None,
-          trajectory_sink=None):
-    """Generator: runs the full budget, yielding one MetricsRecord per episode.
-
-    `checkpoint_hook(episodes_done, state)` fires each time another 10% of
-    the episode budget completes (used for Fisher-spectrum collection);
-    `trajectory_sink(episode_index, trajectory)` receives every rollout.
+def train(config, state: RunState | None = None):
+    """Generator: runs the full budget, yielding one MetricsRecord per episode,
+    in episode order. All of a batch's records come after its Adam step, so
+    at each of them `state.policy` is the policy the next batch rolls out
+    under.
     """
     if state is None:
         state = prepare(config)
     policy, adam = state.policy, state.adam
-    boundaries = checkpoint_episodes(config.episodes) if checkpoint_hook else []
-    episodes_done = 0
-    batch_index = 0
-    while episodes_done < config.episodes:
-        started = time.perf_counter()
-        n = min(config.batch_size, config.episodes - episodes_done)
-        batch = collect_batch(config, policy, episodes_done, n)
-        if trajectory_sink is not None:
-            for i, traj in enumerate(batch):
-                trajectory_sink(episodes_done + i, traj)
+    for batch_index, first in enumerate(range(0, config.episodes, config.batch_size)):
+        n = min(config.batch_size, config.episodes - first)
+        batch = collect_batch(config, policy, first, n)
         grad_rng = np.random.default_rng(np.random.SeedSequence(config.seed,
                                                                 spawn_key=(3, batch_index)))
         grad = policy_gradient(batch, policy, grad_rng)
         policy.set_vector(adam_step(policy.get_vector(), grad, adam))
         grad_norm = float(np.linalg.norm(grad))
         beta = float(getattr(policy, "params").beta) if policy.kind == "quantum" else 1.0
-        elapsed_ms = (time.perf_counter() - started) * 1000.0
         for i, traj in enumerate(batch):
-            yield MetricsRecord(episodes_done + i, traj.total_reward,
-                                float(traj.returns[0]), beta, grad_norm, elapsed_ms)
-        episodes_done += n
-        batch_index += 1
-        while boundaries and episodes_done >= boundaries[0]:
-            checkpoint_hook(boundaries.pop(0), state)
+            yield MetricsRecord(first + i, traj.total_reward, float(traj.returns[0]), beta,
+                                grad_norm, traj)

@@ -17,9 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from qpolgrad import config as cfg
 from qpolgrad import envs, qsim
 from qpolgrad.errors import ConfigError, ContractError
-from qpolgrad.reinforce import Trajectory
+from qpolgrad.reinforce import Trajectory, prepare, train
 from qpolgrad.vqpolicy import build_ansatz
 
 I2 = np.eye(2, dtype=complex)
@@ -413,3 +414,17 @@ def sequential_batch(environment, policy, rngs, gamma):
         if copy is not None:
             master.observe(copy.running_abs_max)
     return [r[0] for r in results], [r[1] for r in results]
+
+
+def trained_policy(preset, episodes):
+    """A preset's config at seed 0 and its policy after `episodes` episodes."""
+    config = cfg.preset_config(preset, {"seed": 0, "episodes": episodes})
+    state = prepare(config)
+    for _ in train(config, state):
+        pass
+    return config, state.policy
+
+
+def side_stream(seed, episodes_done):
+    """The side stream of `qpolgrad run`'s spectrum at a checkpoint."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2, episodes_done)))

@@ -132,17 +132,6 @@ def test_spectrum_trace_consistency():
     assert len(report.eigenvalues) == 10
 
 
-def test_spectrum_density_integrates_to_one():
-    rng = np.random.default_rng(5)
-    g = rng.normal(size=(6, 9))  # rank-deficient: zero eigenvalues exist
-    report = spectrum(FisherMatrix(g.T @ g / 6))
-    widths = np.diff(report.bin_edges)
-    assert np.sum(report.densities * widths) == pytest.approx(1.0, abs=1e-12)
-    # underflow bin holds the (numerically) zero eigenvalues
-    n_zero = np.sum(report.eigenvalues < 1e-12)
-    assert report.densities[0] * widths[0] == pytest.approx(n_zero / 9)
-
-
 # ---------------------------------------------------------------------------
 # bound calculators
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import QControl, rollout
+from conftest import QControl, rollout, side_stream, trained_policy
 from qpolgrad import cli, envs, reinforce
 from qpolgrad import config as cfg
 
@@ -28,6 +28,36 @@ def test_fisher_checkpoints_leave_training_unchanged(tmp_path):
     promised = {name for pair in manifest["artifacts"]["fisher"] for name in pair}
     assert promised == {path.name for path in observed.glob("fisher_ck_*")}
     assert len(promised) == 20
+
+
+def test_fisher_checkpoints_fire_every_ten_percent(tmp_path):
+    out = tmp_path / "run"
+    assert cli.main(["run", "--preset", "qcontrol-quantum", "--seed", "2", "--episodes", "50",
+                     "--fisher", "--out", str(out)]) == 0
+    labels = [5, 10, 15, 20, 25, 30, 35, 40, 45, 50]
+    assert {path.name for path in out.glob("fisher_ck_*")} == {
+        f"fisher_ck_{label}.{ext}" for label in labels for ext in ("csv", "json")}
+    for label in labels:
+        sidecar = json.loads((out / f"fisher_ck_{label}.json").read_text())
+        assert sidecar["checkpoint_episode"] == label
+
+
+def test_mid_batch_fisher_checkpoints_see_the_policy_after_their_batch(tmp_path):
+    # A 25-episode budget puts the 10% boundaries 3, 5 and 8 inside the
+    # first batch of 10. Each spectrum is the one of the policy after that
+    # batch's Adam step, on its own checkpoint's side stream.
+    out = tmp_path / "run"
+    assert cli.main(["run", "--preset", "cartpole-quantum", "--seed", "0", "--episodes", "25",
+                     "--fisher", "--out", str(out)]) == 0
+    config, policy = trained_policy("cartpole-quantum", 10)
+    for label in (3, 5, 8):
+        want = cli.fisher_spectrum(policy, config.environment, config.batch_size,
+                                   side_stream(0, label), config.gamma, include_beta=True)
+        with open(out / f"fisher_ck_{label}.csv", newline="") as fh:
+            got = [float(row["eigenvalue"]) for row in csv.DictReader(fh)]
+        assert got == want.eigenvalues.tolist()
+        sidecar = json.loads((out / f"fisher_ck_{label}.json").read_text())
+        assert sidecar["trace"] == want.trace
 
 
 def test_shot_mode_fisher_run_writes_every_spectrum(tmp_path):

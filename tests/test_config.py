@@ -99,10 +99,11 @@ def test_wrongly_typed_values_rejected(tmp_path, preset, overrides):
 
 
 # reporting fields: a non-string name or output directory once raised a
-# TypeError traceback, and a non-boolean switch was read as truthy
+# TypeError traceback, and a non-boolean switch was read as truthy; the
+# legacy `timing` takes only false
 @pytest.mark.parametrize("key, value", [
     ("name", 5), ("output_dir", 7), ("name", ["a"]), ("fisher_checkpoints", "no"),
-    ("fisher_theta_only", 1), ("dump_trajectories", "yes"), ("timing", None),
+    ("fisher_theta_only", 1), ("dump_trajectories", "yes"), ("timing", None), ("timing", True),
 ])
 def test_wrongly_typed_reporting_fields_rejected(tmp_path, monkeypatch, key, value):
     data = {**cfg.PRESETS["qcontrol-quantum"], "episodes": 10, key: value}
@@ -146,10 +147,19 @@ def test_legacy_n_qubits_is_accepted_and_dropped():
     assert reference.circuit_spec().n_qubits == 4
 
 
+def test_legacy_timing_false_is_accepted_and_dropped():
+    # metrics.csv records no wall time; a manifest's `false` loads to the
+    # same config without the key.
+    data = json.loads(REFERENCE_MANIFEST.read_text())["config"]
+    assert data["timing"] is False
+    reference = cfg.from_dict(data)
+    assert reference == cfg.from_dict({k: v for k, v in data.items() if k != "timing"})
+    assert "timing" not in reference.to_dict()
+
+
 def test_config_hash_covers_result_fields_only():
     data = json.loads(REFERENCE_MANIFEST.read_text())["config"]
     reference = cfg.config_hash(cfg.from_dict(data))
-    elsewhere = {**data, "output_dir": "elsewhere", "name": "rerun", "timing": True,
-                 "dump_trajectories": True}
+    elsewhere = {**data, "output_dir": "elsewhere", "name": "rerun", "dump_trajectories": True}
     assert cfg.config_hash(cfg.from_dict(elsewhere)) == reference
     assert cfg.config_hash(cfg.from_dict({**data, "seed": 1})) != reference

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import envs
 from .errors import ContractError
-from .vqpolicy import CircuitSpec, PolicyParams, serial_matmul, shift_gradients
+from .vqpolicy import CircuitSpec, serial_matmul, shift_gradients
 
 
 @dataclass
@@ -145,12 +145,12 @@ def _default_probe():
     """Fixed small configuration: the state-preparation policy three
     pulse-free steps into an episode, with frozen circuit angles."""
     spec = CircuitSpec(1, 1, 2, "single_u3", "none")
-    params = PolicyParams(np.array([0.8, -0.4, 0.3]), 1.0)
+    theta = np.array([0.8, -0.4, 0.3])
     env = envs.QControl()
     states = env.reset([None])  # every episode starts in |0>; no draw
     for _ in range(3):
         states = env.step(states, np.zeros(1, dtype=int))[0]
-    return spec, params, states[0]
+    return spec, theta, states[0]
 
 
 def hoeffding_validate(b: BoundInputs, trials: int,
@@ -165,17 +165,17 @@ def hoeffding_validate(b: BoundInputs, trials: int,
     """
     if trials < 0:
         raise ContractError(f"trials must be >= 0, got {trials}")
-    spec, params, state = _default_probe()
+    spec, theta, state = _default_probe()
     enc = state[None, :]
     per_observable, _ = lemma2_shots(b, 1.0)
     shots_total = int(math.ceil(per_observable))
     shots_side = max(1, int(math.ceil(shots_total / 2)))
-    reference = shift_gradients(spec, params, enc)[0, :, 0]
+    reference = shift_gradients(spec, theta, enc)[0, :, 0]
 
     failures = 0
     max_dev = 0.0
     for _ in range(trials):
-        estimate = shift_gradients(spec, params, enc, shots_side, rng)[0, :, 0]
+        estimate = shift_gradients(spec, theta, enc, shots_side, rng)[0, :, 0]
         dev = float(np.max(np.abs(estimate - reference)))
         max_dev = max(max_dev, dev)
         if dev > b.epsilon:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ContractError
-from .vqpolicy import serial_matmul, softmax_policy
+from .vqpolicy import checked_vector, serial_matmul, softmax_policy
 
 
 @dataclass(frozen=True)
@@ -56,36 +56,6 @@ def preset(name: str) -> MlpSpec:
     return MlpSpec(shapes[name])
 
 
-class MlpParams:
-    """Per-layer weight matrices, each of shape (n_out, n_in)."""
-
-    def __init__(self, weights: list[np.ndarray]):
-        self.weights = [np.asarray(w, dtype=float) for w in weights]
-
-    @classmethod
-    def glorot(cls, spec: MlpSpec, rng: np.random.Generator, gain: float = 1.0) -> "MlpParams":
-        """Draw each weight from N(0, std^2), std = gain*sqrt(6/(fan_in+fan_out))."""
-        weights = []
-        for n_in, n_out in zip(spec.layer_sizes, spec.layer_sizes[1:]):
-            std = gain * np.sqrt(6.0 / (n_in + n_out))
-            weights.append(rng.normal(0.0, std, size=(n_out, n_in)))
-        return cls(weights)
-
-    def flatten(self) -> np.ndarray:
-        return np.concatenate([w.ravel() for w in self.weights])
-
-    @classmethod
-    def from_flat(cls, spec: MlpSpec, flat: np.ndarray) -> "MlpParams":
-        flat = np.asarray(flat, dtype=float)
-        if len(flat) != spec.n_params:
-            raise ContractError(f"expected {spec.n_params} weights, got {len(flat)}")
-        weights, pos = [], 0
-        for n_in, n_out in zip(spec.layer_sizes, spec.layer_sizes[1:]):
-            weights.append(flat[pos:pos + n_in * n_out].reshape(n_out, n_in).copy())
-            pos += n_in * n_out
-        return cls(weights)
-
-
 def _check_input(spec: MlpSpec, features: np.ndarray) -> np.ndarray:
     features = np.asarray(features, dtype=float)
     if features.shape[-1] != spec.layer_sizes[0]:
@@ -95,13 +65,13 @@ def _check_input(spec: MlpSpec, features: np.ndarray) -> np.ndarray:
     return features
 
 
-def _forward_cached(spec, params, x, train, rng):
+def _forward_cached(spec, weights, x, train, rng):
     """Batched forward pass keeping pre-activations and dropout masks."""
     acts = [x]
     pre, masks = [], []
     a = x
-    n_layers = len(params.weights)
-    for i, w in enumerate(params.weights):
+    n_layers = len(weights)
+    for i, w in enumerate(weights):
         h = np.einsum("ti,oi->to", a, w)  # unlike BLAS, rounds a row alike in any batch
         if i < n_layers - 1:
             pre.append(h)
@@ -119,7 +89,7 @@ def _forward_cached(spec, params, x, train, rng):
     return a, acts, pre, masks
 
 
-def forward(spec: MlpSpec, params: MlpParams, features, mode: str = "eval",
+def forward(spec: MlpSpec, weights: list[np.ndarray], features, mode: str = "eval",
             rng: np.random.Generator | None = None) -> np.ndarray:
     """Action preferences for one feature vector (or a batch of rows)."""
     if mode not in ("eval", "train"):
@@ -127,52 +97,57 @@ def forward(spec: MlpSpec, params: MlpParams, features, mode: str = "eval",
     if mode == "train" and spec.dropout_p > 0.0 and rng is None:
         raise ContractError("train-mode dropout requires an rng")
     x = np.atleast_2d(_check_input(spec, features))
-    out, _, _, _ = _forward_cached(spec, params, x, mode == "train", rng)
+    out, _, _, _ = _forward_cached(spec, weights, x, mode == "train", rng)
     return out[0] if np.asarray(features).ndim == 1 else out
 
 
-def _backward(spec: MlpSpec, params: MlpParams, features, actions, mode: str,
-              rng: np.random.Generator | None, weights=None) -> list[tuple[np.ndarray, np.ndarray]]:
+def _backward(spec: MlpSpec, weights: list[np.ndarray], features, actions, mode: str,
+              rng: np.random.Generator | None, scale=None) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per layer, the rows' (output delta, input activation) of the backward
-    pass of log pi(a_t | x_t); `weights` scales each row's delta."""
+    pass of log pi(a_t | x_t); `scale` multiplies each row's delta."""
     if mode == "train" and spec.dropout_p > 0.0 and rng is None:
         raise ContractError("train-mode dropout requires an rng")
     x = np.atleast_2d(_check_input(spec, features))
     actions = np.asarray(actions, dtype=int)
     if np.any(actions < 0) or np.any(actions >= spec.layer_sizes[-1]):
         raise ContractError("action index out of range")
-    prefs, acts, pre, masks = _forward_cached(spec, params, x, mode == "train", rng)
+    prefs, acts, pre, masks = _forward_cached(spec, weights, x, mode == "train", rng)
     delta = -softmax_policy(prefs, 1.0)
     delta[np.arange(x.shape[0]), actions] += 1.0  # d log pi / d prefs = onehot - pi
-    if weights is not None:
-        delta *= weights[:, None]
+    if scale is not None:
+        delta *= scale[:, None]
     layers = []
-    for i in range(len(params.weights) - 1, -1, -1):
+    for i in range(len(weights) - 1, -1, -1):
         layers.append((delta, acts[i]))
         if i > 0:
-            delta = serial_matmul(delta, params.weights[i])
+            delta = serial_matmul(delta, weights[i])
             if masks[i - 1] is not None:
                 delta = delta * masks[i - 1]
             delta = delta * (pre[i - 1] > 0)
     return layers[::-1]
 
 
-def grad_log_policy_batch(spec: MlpSpec, params: MlpParams, features, actions,
+def grad_log_policy_batch(spec: MlpSpec, weights: list[np.ndarray], features, actions,
                           mode: str = "eval", rng: np.random.Generator | None = None) -> np.ndarray:
     """Row-stacked log-policy gradients, shape (T, n_params)."""
-    layers = _backward(spec, params, features, actions, mode, rng)
+    layers = _backward(spec, weights, features, actions, mode, rng)
     return np.concatenate([np.einsum("to,ti->toi", delta, act).reshape(len(act), -1)
                            for delta, act in layers], axis=1)
 
 
 class MlpPolicy:
-    """Trainable classical policy: softmax over bias-free ReLU-net preferences."""
+    """Trainable classical policy: softmax over bias-free ReLU-net preferences.
+
+    Its state is the per-layer weight matrices, each of shape (n_out, n_in),
+    which `set_vector` splits from the flat trainable vector layer by layer.
+    """
 
     kind = "classical"
+    beta = 1.0  # the softmax's inverse temperature, fixed
 
-    def __init__(self, spec: MlpSpec, params: MlpParams):
+    def __init__(self, spec: MlpSpec, vector: np.ndarray):
         self.spec = spec
-        self.params = params
+        self.set_vector(vector)
 
     @property
     def n_trainable(self) -> int:
@@ -183,19 +158,23 @@ class MlpPolicy:
         return self.spec.layer_sizes[-1]
 
     def get_vector(self) -> np.ndarray:
-        return self.params.flatten()
+        return np.concatenate([w.ravel() for w in self.weights])
 
     def set_vector(self, vec: np.ndarray) -> None:
-        self.params = MlpParams.from_flat(self.spec, vec)
+        vec, pos = checked_vector(vec, self.spec.n_params), 0
+        self.weights = []
+        for n_in, n_out in zip(self.spec.layer_sizes, self.spec.layer_sizes[1:]):
+            self.weights.append(vec[pos:pos + n_in * n_out].reshape(n_out, n_in).copy())
+            pos += n_in * n_out
 
     def probabilities(self, obs, rng=None, abs_max=None) -> np.ndarray:
         """(|A|,) for one feature row or (m, |A|) for m rows, from the eval-mode
         network (`rng`, `abs_max` unused); a row's bits do not depend on the others."""
-        return softmax_policy(forward(self.spec, self.params, obs), 1.0)
+        return softmax_policy(forward(self.spec, self.weights, obs), self.beta)
 
     def grad_log_batch(self, observations, actions, rng: np.random.Generator | None = None) -> np.ndarray:
         mode = "train" if self.spec.dropout_p > 0.0 else "eval"
-        return grad_log_policy_batch(self.spec, self.params, observations, actions, mode=mode,
+        return grad_log_policy_batch(self.spec, self.weights, observations, actions, mode=mode,
                                      rng=rng)
 
     def weighted_grad_log(self, observations, actions, weights,
@@ -203,17 +182,20 @@ class MlpPolicy:
         """sum_t weights[t] * grad log pi(a_t | s_t), shape (n_params,), from
         `grad_log_batch`'s passes (and dropout draws) on weighted deltas."""
         mode = "train" if self.spec.dropout_p > 0.0 else "eval"
-        layers = _backward(self.spec, self.params, observations, actions, mode, rng, weights)
+        layers = _backward(self.spec, self.weights, observations, actions, mode, rng, weights)
         return np.concatenate([serial_matmul(delta.T, act).ravel() for delta, act in layers])
 
     # -- persistence ----------------------------------------------------------
     def to_checkpoint(self) -> dict:
         return {
-            "weights": [w.tolist() for w in self.params.weights],
+            "weights": [w.tolist() for w in self.weights],
             "spec": self.spec.to_dict(),
         }
 
     @classmethod
     def from_checkpoint(cls, data: dict) -> "MlpPolicy":
         spec = MlpSpec.from_dict(data["spec"])
-        return cls(spec, MlpParams([np.asarray(w, dtype=float) for w in data["weights"]]))
+        weights = [np.asarray(w, dtype=float) for w in data["weights"]]
+        if [w.shape for w in weights] != list(zip(spec.layer_sizes[1:], spec.layer_sizes)):
+            raise ContractError("checkpoint weights do not match the layer sizes")
+        return cls(spec, np.concatenate([w.ravel() for w in weights]))

@@ -114,7 +114,7 @@ def policy_from_checkpoint(path):
 # ---------------------------------------------------------------------------
 
 def fisher_spectrum(policy, environment: str, rollouts: int, rng: np.random.Generator,
-                    gamma: float, include_beta: bool) -> analysis.SpectrumReport:
+                    include_beta: bool) -> analysis.SpectrumReport:
     """Fisher spectrum over fresh on-policy rollouts on a side stream.
 
     The rollouts run as one lockstep batch of `run_episodes`, all on the
@@ -129,7 +129,8 @@ def fisher_spectrum(policy, environment: str, rollouts: int, rng: np.random.Gene
     if rollouts < 1:
         raise ContractError(f"a Fisher spectrum needs at least one rollout, got {rollouts}")
     snapshot = policy.normalizer.copy() if getattr(policy, "normalizer", None) else None
-    trajs = reinforce.run_episodes(envs.make_env(environment), policy, [rng] * rollouts, gamma,
+    # gamma 1.0: it only sets the trajectories' returns, which no spectrum reads
+    trajs = reinforce.run_episodes(envs.make_env(environment), policy, [rng] * rollouts, 1.0,
                                    snapshot)
     states = np.concatenate([traj.observations for traj in trajs])
     actions = np.concatenate([traj.actions for traj in trajs])
@@ -240,8 +241,7 @@ def run(config) -> int:
                 rng = np.random.default_rng(np.random.SeedSequence(
                     config.seed, spawn_key=(2, episodes_done)))
                 report = fisher_spectrum(state.policy, config.environment, config.batch_size,
-                                         rng, config.gamma,
-                                         include_beta=not config.fisher_theta_only)
+                                         rng, include_beta=not config.fisher_theta_only)
                 _write_spectrum(report, out, episodes_done)
     with open(out / "checkpoint.json", "w") as fh:
         json.dump(state.policy.to_checkpoint(), fh, indent=1)
@@ -436,7 +436,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fisher.add_argument("--env", required=True, choices=sorted(envs.ENV_SPECS))
     p_fisher.add_argument("--rollouts", type=int, default=10)
     p_fisher.add_argument("--seed", type=int, default=0)
-    p_fisher.add_argument("--gamma", type=float, default=0.99)
     p_fisher.add_argument("--out", required=True, help="output directory")
     p_fisher.add_argument("--theta-only", action="store_true")
     p_fisher.add_argument("--episode-label", type=int, default=0,
@@ -449,7 +448,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_hoeff.add_argument("--trials", type=int, default=500)
     p_hoeff.add_argument("--seed", type=int, default=0)
     p_hoeff.add_argument("--k", type=int, default=4)
-    p_hoeff.add_argument("--horizon", type=int, default=10)
     p_hoeff.add_argument("--also-bernoulli", action="store_true",
                          help="include the textbook coin-estimation self-test")
     return parser
@@ -477,7 +475,7 @@ def _run_command(args) -> int:
 def _fisher_command(args) -> int:
     policy = policy_from_checkpoint(args.checkpoint)
     rng = np.random.default_rng(np.random.SeedSequence(args.seed, spawn_key=(2, 0)))
-    report = fisher_spectrum(policy, args.env, args.rollouts, rng, args.gamma,
+    report = fisher_spectrum(policy, args.env, args.rollouts, rng,
                              include_beta=not args.theta_only)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -505,8 +503,8 @@ def _bounds_command(args) -> int:
 
 
 def _hoeffding_command(args) -> int:
-    inputs = analysis.BoundInputs(1.0, 1.0, args.horizon, 0.99,
-                                  args.epsilon, args.delta, args.k)
+    # the shot bound reads only epsilon, delta and k; the rest fill Lemma 1's slots
+    inputs = analysis.BoundInputs(1.0, 1.0, 1, 0.99, args.epsilon, args.delta, args.k)
     rng = np.random.default_rng(args.seed)
     report = analysis.hoeffding_validate(inputs, args.trials, rng)
     payload = dataclasses.asdict(report)

@@ -10,6 +10,11 @@ does not depend on which other episodes share its batch or in what order.
 Observations travel as float feature rows, and a trajectory holds them as
 one (T, n_features) array. `train` yields one record per episode, with its
 trajectory.
+
+A policy's state is its flat trainable vector: Adam reads it with
+`get_vector` and writes it with `set_vector`, the one place a policy
+unpacks it. So a run's state (`RunState`) is that vector, inside the
+policy with its feature normalizer, and the Adam moments.
 """
 from __future__ import annotations
 
@@ -17,10 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import MlpParams, MlpPolicy
+from .classical import MlpPolicy
 from .envs import discounted_returns, make_env
 from .errors import ConfigError, ContractError
-from .vqpolicy import CircuitSpec, PolicyParams, QuantumPolicy
+from .vqpolicy import CircuitSpec, QuantumPolicy
 
 
 @dataclass
@@ -62,6 +67,9 @@ class MetricsRecord:
     trajectory: Trajectory
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8  # the standard decay rates and floor
+
+
 @dataclass
 class AdamState:
     """Standard bias-corrected Adam moments for one flat parameter vector."""
@@ -70,9 +78,6 @@ class AdamState:
     second_moment: np.ndarray
     step_count: int
     learning_rate: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
     @classmethod
     def fresh(cls, dim: int, learning_rate: float) -> "AdamState":
@@ -85,11 +90,11 @@ def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState) -> np.ndar
     if grad.shape != state.first_moment.shape or grad.shape != np.shape(params):
         raise ContractError("gradient/parameter shape mismatch in adam_step")
     state.step_count += 1
-    state.first_moment = state.beta1 * state.first_moment + (1 - state.beta1) * grad
-    state.second_moment = state.beta2 * state.second_moment + (1 - state.beta2) * grad**2
-    m_hat = state.first_moment / (1 - state.beta1**state.step_count)
-    v_hat = state.second_moment / (1 - state.beta2**state.step_count)
-    return params + state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
+    state.first_moment = ADAM_BETA1 * state.first_moment + (1 - ADAM_BETA1) * grad
+    state.second_moment = ADAM_BETA2 * state.second_moment + (1 - ADAM_BETA2) * grad**2
+    m_hat = state.first_moment / (1 - ADAM_BETA1**state.step_count)
+    v_hat = state.second_moment / (1 - ADAM_BETA2**state.step_count)
+    return params + state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
 
 
 # ---------------------------------------------------------------------------
@@ -110,26 +115,24 @@ def sample_initial_weights(strategy: dict, size: int, fan_in: int, fan_out: int,
 
 
 def init_params(strategy: dict, spec: CircuitSpec, rng: np.random.Generator,
-                beta_init: dict | None = None) -> PolicyParams:
-    """Initial circuit angles plus inverse temperature.
+                beta_init: dict | None = None) -> np.ndarray:
+    """Initial trainable vector: the circuit angles, then the inverse
+    temperature.
 
     For the layered circuit a "layer" maps n wires to n wires, so the
     initializer fans are n_in = n_out = n_qubits.
     """
     theta = sample_initial_weights(strategy, spec.n_params, spec.n_qubits, spec.n_qubits, rng)
     beta_init = beta_init or {"mean": 1.0, "std": 0.1}
-    beta = float(rng.normal(beta_init.get("mean", 1.0), beta_init.get("std", 0.1)))
-    return PolicyParams(theta, beta)
+    return np.append(theta, rng.normal(beta_init.get("mean", 1.0), beta_init.get("std", 0.1)))
 
 
-def init_mlp_params(strategy: dict, spec, rng: np.random.Generator) -> MlpParams:
-    kind = strategy.get("kind")
-    if kind == "glorot_normal":
-        return MlpParams.glorot(spec, rng, strategy.get("gain", 1.0))
-    weights = []
-    for n_in, n_out in zip(spec.layer_sizes, spec.layer_sizes[1:]):
-        weights.append(sample_initial_weights(strategy, (n_out, n_in), n_in, n_out, rng))
-    return MlpParams(weights)
+def init_mlp_params(strategy: dict, spec, rng: np.random.Generator) -> np.ndarray:
+    """Initial trainable vector of an MLP: each layer's (n_out, n_in) weights
+    drawn in one call, flattened, layer after layer."""
+    return np.concatenate([
+        sample_initial_weights(strategy, (n_out, n_in), n_in, n_out, rng).ravel()
+        for n_in, n_out in zip(spec.layer_sizes, spec.layer_sizes[1:])])
 
 
 def build_policy(config, rng: np.random.Generator):
@@ -281,7 +284,6 @@ def train(config, state: RunState | None = None):
         grad = policy_gradient(batch, policy, grad_rng)
         policy.set_vector(adam_step(policy.get_vector(), grad, adam))
         grad_norm = float(np.linalg.norm(grad))
-        beta = float(getattr(policy, "params").beta) if policy.kind == "quantum" else 1.0
         for i, traj in enumerate(batch):
-            yield MetricsRecord(first + i, traj.total_reward, float(traj.returns[0]), beta,
-                                grad_norm, traj)
+            yield MetricsRecord(first + i, traj.total_reward, float(traj.returns[0]),
+                                policy.beta, grad_norm, traj)

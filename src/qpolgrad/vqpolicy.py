@@ -13,7 +13,8 @@ angle-encoded row is gathered from one (cos, sin) pair per qubit through a
 cached table of basis-state bits. The exact readout contracts the rows'
 probabilities with a cached (2**n, |A|) table of +-1 signs, the same table
 that gives the adjoint sweep its co-states; shot mode draws from the
-measured qubits' marginals (`qsim.measure_z_array`).
+measured qubits' marginals (`qsim.measure_z_array`). A policy builds the
+operator once per trainable vector, at its first use after `set_vector`.
 
 Every trainable angle sits in exactly one Pauli rotation (the U3 gate is a
 Z-Y-Z chain, so its three angles qualify). Gradients with respect to them
@@ -96,35 +97,15 @@ class CircuitSpec:
         return cls(**d)
 
 
-@dataclass(frozen=True)
-class PolicyParams:
-    """Trainable state: flat angle vector plus inverse temperature.
-
-    Frozen, and theta is a private, read-only copy, so changed angles are
-    always a new array; `QuantumPolicy` caches its row operator on that
-    array's identity.
-    """
-
-    theta: np.ndarray
-    beta: float
-
-    def __post_init__(self):
-        theta = np.array(self.theta, dtype=float)
-        theta.flags.writeable = False
-        object.__setattr__(self, "theta", theta)
-        if theta.ndim != 1 or not np.all(np.isfinite(theta)):
-            raise ContractError("theta must be a finite 1-d vector")
-        if not np.isfinite(self.beta):
-            raise ContractError("beta must be finite")
-
-    def vector(self) -> np.ndarray:
-        """Full trainable vector; beta is the last entry."""
-        return np.append(self.theta, self.beta)
-
-    @classmethod
-    def from_vector(cls, vec: np.ndarray) -> "PolicyParams":
-        vec = np.asarray(vec, dtype=float)
-        return cls(theta=vec[:-1], beta=float(vec[-1]))
+def checked_vector(vec, size: int) -> np.ndarray:
+    """A policy's trainable vector: a private, read-only float copy of `vec`,
+    which must be `size` finite numbers."""
+    vec = np.array(vec, dtype=float)
+    if vec.shape != (size,) or not np.all(np.isfinite(vec)):
+        raise ContractError(f"a trainable vector must be {size} finite numbers, "
+                            f"got shape {vec.shape}")
+    vec.flags.writeable = False
+    return vec
 
 
 class FeatureNormalizer:
@@ -212,7 +193,7 @@ def encoded_rows(angles: np.ndarray) -> np.ndarray:
     return rows
 
 
-def build_ansatz(spec: CircuitSpec, params: PolicyParams) -> list[qsim.Gate]:
+def build_ansatz(spec: CircuitSpec, theta: np.ndarray) -> list[qsim.Gate]:
     """Gate list of the trainable block.
 
     Layered: per layer, RY then RZ on each qubit (parameters consumed in
@@ -220,7 +201,6 @@ def build_ansatz(spec: CircuitSpec, params: PolicyParams) -> list[qsim.Gate]:
     CNOT(control=i, target=(i+l) mod n) for i = 0..n-1 in layer l (1-based),
     skipping self-loops. single_u3: one U3 on qubit 0, no entanglers.
     """
-    theta = params.theta
     if len(theta) != spec.n_params:
         raise ContractError(
             f"{spec.architecture} spec needs {spec.n_params} parameters, got {len(theta)}"
@@ -278,14 +258,14 @@ def _readout(spec: CircuitSpec, rows: np.ndarray, shots: int,
     return z
 
 
-def row_preferences(spec: CircuitSpec, params: PolicyParams, enc: np.ndarray,
+def row_preferences(spec: CircuitSpec, theta: np.ndarray, enc: np.ndarray,
                     shots: int = 0, rng: np.random.Generator | None = None) -> np.ndarray:
     """Per-action preferences <a_i> of row-stacked input states, shape (T, |A|).
 
     shots = 0 gives exact expectations; shots > 0 draws finite-shot
     estimates, one per measured qubit and row.
     """
-    rowop = qsim.circuit_row_operator(build_ansatz(spec, params), spec.n_qubits)
+    rowop = qsim.circuit_row_operator(build_ansatz(spec, theta), spec.n_qubits)
     return _readout(spec, serial_matmul(enc, rowop), shots, rng)
 
 
@@ -299,7 +279,7 @@ def softmax_policy(prefs: np.ndarray, beta: float) -> np.ndarray:
     return z
 
 
-def shift_gradients(spec: CircuitSpec, params: PolicyParams, enc: np.ndarray,
+def shift_gradients(spec: CircuitSpec, theta: np.ndarray, enc: np.ndarray,
                     shots: int = 0, rng: np.random.Generator | None = None) -> np.ndarray:
     """Parameter-shift gradients d<a>/d(theta) of every action preference for
     row-stacked input states, shape (T, k, |A|).
@@ -309,11 +289,11 @@ def shift_gradients(spec: CircuitSpec, params: PolicyParams, enc: np.ndarray,
     """
     grads = np.empty((enc.shape[0], spec.n_params, spec.n_actions))
     for j in range(spec.n_params):
-        shifted = params.theta.copy()
+        shifted = np.array(theta, dtype=float)
         shifted[j] += np.pi / 2
-        plus = row_preferences(spec, PolicyParams(shifted, params.beta), enc, shots, rng)
+        plus = row_preferences(spec, shifted, enc, shots, rng)
         shifted[j] -= np.pi
-        minus = row_preferences(spec, PolicyParams(shifted, params.beta), enc, shots, rng)
+        minus = row_preferences(spec, shifted, enc, shots, rng)
         grads[:, j, :] = 0.5 * (plus - minus)
     return grads
 
@@ -353,7 +333,7 @@ def _observable_diagonals(spec: CircuitSpec, weights: np.ndarray) -> np.ndarray:
     return serial_matmul(weights, _sign_table(spec).T)
 
 
-def adjoint_gradients(spec: CircuitSpec, params: PolicyParams, psi: np.ndarray,
+def adjoint_gradients(spec: CircuitSpec, theta: np.ndarray, psi: np.ndarray,
                       lam: np.ndarray) -> np.ndarray:
     """Im<lam_r|P psi_r> at every rotation for R row pairs, shape (R, k).
 
@@ -365,7 +345,7 @@ def adjoint_gradients(spec: CircuitSpec, params: PolicyParams, psi: np.ndarray,
     kept.
     """
     n = spec.n_qubits
-    steps = _rotation_steps(build_ansatz(spec, params))[::-1]
+    steps = _rotation_steps(build_ansatz(spec, theta))[::-1]
     inverses = [g.matrix().conj().T if j is not None else None for g, j in steps]
     grads = np.empty((psi.shape[0], spec.n_params))
     for lo in range(0, psi.shape[0], ADJOINT_CHUNK_ROWS):
@@ -380,7 +360,7 @@ def adjoint_gradients(spec: CircuitSpec, params: PolicyParams, psi: np.ndarray,
     return grads
 
 
-def summed_gradient(spec: CircuitSpec, params: PolicyParams, rows: np.ndarray,
+def summed_gradient(spec: CircuitSpec, theta: np.ndarray, rows: np.ndarray,
                     weights: np.ndarray) -> np.ndarray:
     """d/d(theta) of sum_t sum_a weights[t, a] * <a>_t, shape (k,), by one
     `adjoint_gradients` sweep of 2**n row pairs whatever the batch size: M =
@@ -392,29 +372,30 @@ def summed_gradient(spec: CircuitSpec, params: PolicyParams, rows: np.ndarray,
     for lo in range(0, rows.shape[0], ADJOINT_CHUNK_ROWS):
         psi, w = rows[lo:lo + ADJOINT_CHUNK_ROWS], weights[lo:lo + ADJOINT_CHUNK_ROWS]
         m += serial_matmul((psi * _observable_diagonals(spec, w)).conj().T, psi)
-    return adjoint_gradients(spec, params, m, np.eye(dim)).sum(axis=0)
+    return adjoint_gradients(spec, theta, m, np.eye(dim)).sum(axis=0)
 
 
 class QuantumPolicy:
     """Trainable policy bundling circuit spec, parameters, and normalizer.
 
+    `set_vector` is the one place its state is set: `theta` and `beta` are
+    read from a private, read-only copy of the trainable vector (the angles,
+    then beta). The ansatz is a fixed unitary per vector, so inference reuses
+    its 2**n x 2**n row operator, built at first use after each `set_vector`.
     Exact mode (shots = 0) is the training default; shot mode reads the same
-    batched rows out with `shots` measurements. The ansatz is a fixed unitary
-    per parameter vector, so inference reuses a cached 2**n x 2**n operator.
+    batched rows out with `shots` measurements.
     """
 
     kind = "quantum"
 
-    def __init__(self, spec: CircuitSpec, params: PolicyParams,
+    def __init__(self, spec: CircuitSpec, vector: np.ndarray,
                  normalizer: FeatureNormalizer | None = None, shots: int = 0):
         if spec.encoding == "angle_rx" and normalizer is None:
             normalizer = FeatureNormalizer(spec.n_qubits)
         self.spec = spec
-        self.params = params
         self.normalizer = normalizer
         self.shots = shots
-        self._rowop_theta: np.ndarray | None = None  # the theta array `_rowop` was built for
-        self._rowop: np.ndarray | None = None
+        self.set_vector(vector)
 
     # -- trainable vector ---------------------------------------------------
     @property
@@ -422,10 +403,12 @@ class QuantumPolicy:
         return self.spec.n_params + 1
 
     def get_vector(self) -> np.ndarray:
-        return self.params.vector()
+        return np.append(self.theta, self.beta)
 
     def set_vector(self, vec: np.ndarray) -> None:
-        self.params = PolicyParams.from_vector(vec)
+        vec = checked_vector(vec, self.n_trainable)
+        self.theta, self.beta = vec[:-1], float(vec[-1])
+        self._rowop: np.ndarray | None = None  # `row_operator` builds it at first use
 
     @property
     def n_actions(self) -> int:
@@ -433,15 +416,11 @@ class QuantumPolicy:
 
     # -- evaluation ---------------------------------------------------------
     def row_operator(self) -> np.ndarray:
-        """The ansatz's row operator for the current theta, built once and
-        cached. theta is read-only (`PolicyParams`), so the same array is the
-        same angles, and new parameters (`set_vector`, or `params` replaced)
-        bring a new array."""
-        theta = self.params.theta
-        if self._rowop_theta is not theta:
-            self._rowop = qsim.circuit_row_operator(build_ansatz(self.spec, self.params),
+        """The ansatz's row operator for the current theta, built at its first
+        use after `set_vector` and kept until the next."""
+        if self._rowop is None:
+            self._rowop = qsim.circuit_row_operator(build_ansatz(self.spec, self.theta),
                                                     self.spec.n_qubits)
-            self._rowop_theta = theta
         return self._rowop
 
     def _encode_batch(self, observations, abs_max=None) -> np.ndarray:
@@ -469,7 +448,7 @@ class QuantumPolicy:
                                     for row, r in zip(out, rngs, strict=True)])
         else:
             prefs = _readout(self.spec, out, 0, None)
-        probs = softmax_policy(prefs, self.params.beta)
+        probs = softmax_policy(prefs, self.beta)
         return probs[0] if single else probs
 
     def _score_terms(self, observations, actions, rng):
@@ -480,10 +459,10 @@ class QuantumPolicy:
         enc = self._encode_batch(observations)
         out_rows = serial_matmul(enc, self.row_operator())
         prefs = _readout(self.spec, out_rows, self.shots, rng)
-        probs = softmax_policy(prefs, self.params.beta)
+        probs = softmax_policy(prefs, self.beta)
         rows = np.arange(enc.shape[0])
-        weights = -self.params.beta * probs
-        weights[rows, actions] += self.params.beta
+        weights = -self.beta * probs
+        weights[rows, actions] += self.beta
         gbeta = prefs[rows, actions] - np.einsum("ta,ta->t", prefs, probs)
         return enc, out_rows, weights, gbeta
 
@@ -498,10 +477,10 @@ class QuantumPolicy:
         """
         enc, out_rows, weights, gbeta = self._score_terms(observations, actions, rng)
         if self.shots:
-            grads = shift_gradients(self.spec, self.params, enc, self.shots, rng)
+            grads = shift_gradients(self.spec, self.theta, enc, self.shots, rng)
             gtheta = np.einsum("tka,ta->tk", grads, weights)
         else:
-            gtheta = adjoint_gradients(self.spec, self.params, out_rows,
+            gtheta = adjoint_gradients(self.spec, self.theta, out_rows,
                                        out_rows * _observable_diagonals(self.spec, weights))
         return np.concatenate([gtheta, gbeta[:, None]], axis=1)
 
@@ -512,14 +491,14 @@ class QuantumPolicy:
         if self.shots:
             return weights @ self.grad_log_batch(observations, actions, rng)
         out_rows, readout, gbeta = self._score_terms(observations, actions, rng)[1:]  # frees enc early
-        gtheta = summed_gradient(self.spec, self.params, out_rows, readout * weights[:, None])
+        gtheta = summed_gradient(self.spec, self.theta, out_rows, readout * weights[:, None])
         return np.append(gtheta, weights @ gbeta)
 
     # -- persistence ----------------------------------------------------------
     def to_checkpoint(self) -> dict:
         return {
-            "theta": self.params.theta.tolist(),
-            "beta": self.params.beta,
+            "theta": self.theta.tolist(),
+            "beta": self.beta,
             "norm_abs_max": (self.normalizer.running_abs_max.tolist()
                              if self.normalizer is not None else []),
             "spec": self.spec.to_dict(),
@@ -528,9 +507,8 @@ class QuantumPolicy:
     @classmethod
     def from_checkpoint(cls, data: dict, shots: int = 0) -> "QuantumPolicy":
         spec = CircuitSpec.from_dict(data["spec"])
-        params = PolicyParams(np.asarray(data["theta"], dtype=float), float(data["beta"]))
         normalizer = None
         if spec.encoding == "angle_rx":
             stored = data.get("norm_abs_max") or None
             normalizer = FeatureNormalizer(spec.n_qubits, stored)
-        return cls(spec, params, normalizer, shots=shots)
+        return cls(spec, [*data["theta"], data["beta"]], normalizer, shots=shots)

@@ -195,11 +195,11 @@ def encode_gates(features, normalizer) -> Statevector:
     return state
 
 
-def oracle_preferences(spec, params, x, normalizer=None) -> np.ndarray:
+def oracle_preferences(spec, theta, x, normalizer=None) -> np.ndarray:
     """Per-action preferences gate by gate: encode (or take the input state),
     apply the ansatz, then read <sigma_z> of each measured qubit."""
     state = encode_gates(x, normalizer) if spec.encoding == "angle_rx" else x
-    out = apply_circuit(state, build_ansatz(spec, params))
+    out = apply_circuit(state, build_ansatz(spec, theta))
     if spec.architecture == "single_u3":
         z = expectation_z(out, 0)
         return np.array([z, -z])

@@ -14,9 +14,10 @@ from qpolgrad.analysis import (
     lemma2_shots,
     spectrum,
 )
-from qpolgrad.classical import MlpParams, MlpPolicy, MlpSpec
+from qpolgrad.classical import MlpPolicy, MlpSpec
 from qpolgrad.errors import ContractError
-from qpolgrad.vqpolicy import CircuitSpec, PolicyParams, QuantumPolicy
+from qpolgrad.reinforce import init_mlp_params
+from qpolgrad.vqpolicy import CircuitSpec, QuantumPolicy
 
 from conftest import evolve_hamiltonian, init_zero
 
@@ -69,11 +70,11 @@ def test_fisher_psd_for_real_policies(make_policy):
         if make_policy == "quantum":
             spec = CircuitSpec(3, 2, 2)
             theta = rng.uniform(-np.pi, np.pi, size=spec.n_params)
-            policy = QuantumPolicy(spec, PolicyParams(theta, float(rng.normal(1, 0.1))))
+            policy = QuantumPolicy(spec, np.append(theta, rng.normal(1, 0.1)))
             states = [rng.normal(size=3) for _ in range(6)]
         else:
             spec = MlpSpec((4, 8, 2))
-            policy = MlpPolicy(spec, MlpParams.glorot(spec, rng))
+            policy = MlpPolicy(spec, init_mlp_params({"kind": "glorot_normal"}, spec, rng))
             states = [rng.normal(size=4) for _ in range(6)]
         actions = rng.integers(2, size=6)
         f = fisher_matrix(policy, states, actions)
@@ -85,7 +86,7 @@ def test_fisher_psd_for_real_policies(make_policy):
 def test_fisher_theta_only_mode_drops_beta_coordinate():
     rng = np.random.default_rng(2)
     spec = CircuitSpec(2, 1, 2)
-    policy = QuantumPolicy(spec, PolicyParams(rng.uniform(-1, 1, size=4), 1.0))
+    policy = QuantumPolicy(spec, np.append(rng.uniform(-1, 1, size=4), 1.0))
     states = [rng.normal(size=2) for _ in range(4)]
     actions = rng.integers(2, size=4)
     assert fisher_matrix(policy, states, actions).dim == 5

@@ -4,11 +4,17 @@ import numpy as np
 import pytest
 
 from qpolgrad import classical
-from qpolgrad.classical import MlpParams, MlpPolicy, MlpSpec, forward, preset
+from qpolgrad.classical import MlpPolicy, MlpSpec, forward, preset
 from qpolgrad.errors import ConfigError, ContractError
+from qpolgrad.reinforce import init_mlp_params
 from qpolgrad.vqpolicy import softmax_policy
 
 from conftest import grad_log
+
+
+def glorot(spec, rng):
+    """A Glorot-normal trainable vector, as the presets initialize it."""
+    return init_mlp_params({"kind": "glorot_normal"}, spec, rng)
 
 
 def test_preset_shapes_and_parameter_counts():
@@ -34,8 +40,8 @@ def test_spec_validation():
 
 def test_zero_weights_give_uniform_policy():
     spec = MlpSpec((4, 8, 3))
-    params = MlpParams.from_flat(spec, np.zeros(spec.n_params))
-    prefs = forward(spec, params, np.array([1.0, -2.0, 0.5, 3.0]))
+    weights = MlpPolicy(spec, np.zeros(spec.n_params)).weights
+    prefs = forward(spec, weights, np.array([1.0, -2.0, 0.5, 3.0]))
     np.testing.assert_allclose(prefs, np.zeros(3))
     np.testing.assert_allclose(softmax_policy(prefs, 1.0), np.full(3, 1 / 3))
 
@@ -44,32 +50,49 @@ def test_scalar_chain_hand_evaluation():
     # 1-1-1 net, hidden weight 2, output weight w: input 3 -> relu(6) -> 6w
     spec = MlpSpec((1, 1, 1))
     for w_out in (0.5, -1.25):
-        params = MlpParams([np.array([[2.0]]), np.array([[w_out]])])
-        out = forward(spec, params, np.array([3.0]))
+        out = forward(spec, [np.array([[2.0]]), np.array([[w_out]])], np.array([3.0]))
         assert out[0] == pytest.approx(6.0 * w_out)
 
 
 def test_flatten_roundtrip():
+    # `set_vector` splits the flat vector layer by layer into (n_out, n_in)
+    # matrices, and `get_vector` flattens them back
     rng = np.random.default_rng(0)
     spec = preset("acrobot")
-    params = MlpParams.glorot(spec, rng)
-    flat = params.flatten()
-    assert flat.shape == (288,)
-    rebuilt = MlpParams.from_flat(spec, flat)
-    for a, b in zip(params.weights, rebuilt.weights):
-        np.testing.assert_array_equal(a, b)
+    vec = glorot(spec, rng)
+    policy = MlpPolicy(spec, vec)
+    assert [w.shape for w in policy.weights] == [(32, 6), (3, 32)]
+    np.testing.assert_array_equal(policy.weights[1], vec[6 * 32:].reshape(3, 32))
+    flat = policy.get_vector()
+    assert flat.shape == (288,) and flat.tobytes() == vec.tobytes()
+    vec[0] += 1.0  # the policy holds its own copy
+    assert policy.get_vector().tobytes() == flat.tobytes()
 
 
-def fd_log_policy(spec, params, x, action, h=1e-5):
-    flat = params.flatten()
+@pytest.mark.parametrize("bad", [
+    np.full(20, np.nan), np.append(np.zeros(19), -np.inf),  # not finite
+    np.zeros((20, 1)), np.zeros((4, 5)),  # not 1-d
+    np.zeros(19), np.zeros(21),  # wrong length: 3 * 4 + 4 * 2 weights
+])
+def test_set_vector_rejects_bad_vectors(bad):
+    spec = MlpSpec((3, 4, 2))
+    with pytest.raises(ContractError):
+        MlpPolicy(spec, bad)
+    policy = MlpPolicy(spec, np.arange(20.0))
+    with pytest.raises(ContractError):
+        policy.set_vector(bad)
+    assert policy.get_vector().tolist() == list(range(20))
+
+
+def fd_log_policy(spec, flat, x, action, h=1e-5):
     g = np.empty_like(flat)
     for j in range(len(flat)):
         up = flat.copy()
         up[j] += h
         dn = flat.copy()
         dn[j] -= h
-        lp_up = np.log(softmax_policy(forward(spec, MlpParams.from_flat(spec, up), x), 1.0)[action])
-        lp_dn = np.log(softmax_policy(forward(spec, MlpParams.from_flat(spec, dn), x), 1.0)[action])
+        lp_up = np.log(MlpPolicy(spec, up).probabilities(x)[action])
+        lp_dn = np.log(MlpPolicy(spec, dn).probabilities(x)[action])
         g[j] = (lp_up - lp_dn) / (2 * h)
     return g
 
@@ -78,11 +101,11 @@ def test_backward_matches_finite_differences_small_net():
     rng = np.random.default_rng(1)
     spec = MlpSpec((4, 3, 2))
     for _ in range(100):
-        params = MlpParams.glorot(spec, rng)
+        vec = glorot(spec, rng)
         x = rng.normal(size=4)
         action = int(rng.integers(2))
-        got = grad_log(MlpPolicy(spec, params), x, action)
-        want = fd_log_policy(spec, params, x, action)
+        got = grad_log(MlpPolicy(spec, vec), x, action)
+        want = fd_log_policy(spec, vec, x, action)
         assert np.max(np.abs(got - want)) < 1e-6
 
 
@@ -91,11 +114,11 @@ def test_backward_matches_finite_differences_presets(name):
     rng = np.random.default_rng(2)
     spec = preset(name)
     for _ in range(3):
-        params = MlpParams.glorot(spec, rng)
+        vec = glorot(spec, rng)
         x = rng.normal(size=spec.layer_sizes[0])
         action = int(rng.integers(spec.layer_sizes[-1]))
-        got = grad_log(MlpPolicy(spec, params), x, action)
-        want = fd_log_policy(spec, params, x, action)
+        got = grad_log(MlpPolicy(spec, vec), x, action)
+        want = fd_log_policy(spec, vec, x, action)
         assert np.max(np.abs(got - want)) < 1e-6
 
 
@@ -106,28 +129,27 @@ def test_symmetric_output_rows_give_opposite_output_gradients():
     spec = MlpSpec((3, 5, 2))
     w1 = rng.normal(size=(5, 3))
     row = rng.normal(size=5)
-    params = MlpParams([w1, np.stack([row, row])])
+    policy = MlpPolicy(spec, np.concatenate([w1.ravel(), row, row]))
     x = rng.normal(size=3)
-    g0 = grad_log(MlpPolicy(spec, params), x, 0)[-10:].reshape(2, 5)
-    g1 = grad_log(MlpPolicy(spec, params), x, 1)[-10:].reshape(2, 5)
+    g0 = grad_log(policy, x, 0)[-10:].reshape(2, 5)
+    g1 = grad_log(policy, x, 1)[-10:].reshape(2, 5)
     np.testing.assert_allclose(g0, -g1, atol=1e-12)
 
 
 def test_zero_input_zeroes_first_layer_gradient():
     rng = np.random.default_rng(4)
     spec = MlpSpec((4, 6, 2))
-    params = MlpParams.glorot(spec, rng)
-    g = grad_log(MlpPolicy(spec, params), np.zeros(4), 1)
+    g = grad_log(MlpPolicy(spec, glorot(spec, rng)), np.zeros(4), 1)
     np.testing.assert_array_equal(g[: 4 * 6], np.zeros(24))
 
 
 def test_eval_mode_is_deterministic_with_dropout_configured():
     rng = np.random.default_rng(5)
     spec = MlpSpec((4, 16, 2), dropout_p=0.2)
-    params = MlpParams.glorot(spec, rng)
+    weights = MlpPolicy(spec, glorot(spec, rng)).weights
     x = rng.normal(size=4)
-    a = forward(spec, params, x, mode="eval")
-    b = forward(spec, params, x, mode="eval")
+    a = forward(spec, weights, x, mode="eval")
+    b = forward(spec, weights, x, mode="eval")
     np.testing.assert_array_equal(a, b)
 
 
@@ -136,11 +158,11 @@ def test_dropout_expectation_matches_eval_forward():
     # approaches the eval output, per output coordinate, within 3 sigma
     rng = np.random.default_rng(6)
     spec = MlpSpec((4, 16, 2), dropout_p=0.2)
-    params = MlpParams.glorot(spec, rng)
+    weights = MlpPolicy(spec, glorot(spec, rng)).weights
     x = rng.normal(size=4)
-    exact = forward(spec, params, x, mode="eval")
+    exact = forward(spec, weights, x, mode="eval")
     n = 10**4
-    draws = np.stack([forward(spec, params, x, mode="train", rng=rng) for _ in range(n)])
+    draws = np.stack([forward(spec, weights, x, mode="train", rng=rng) for _ in range(n)])
     mean = draws.mean(axis=0)
     sem = draws.std(axis=0, ddof=1) / np.sqrt(n)
     assert np.all(np.abs(mean - exact) <= 3 * sem + 1e-12)
@@ -148,15 +170,15 @@ def test_dropout_expectation_matches_eval_forward():
 
 def test_train_mode_requires_rng_with_dropout():
     spec = MlpSpec((2, 3, 2), dropout_p=0.5)
-    params = MlpParams.glorot(spec, np.random.default_rng(7))
+    weights = MlpPolicy(spec, glorot(spec, np.random.default_rng(7))).weights
     with pytest.raises(ContractError):
-        forward(spec, params, np.zeros(2), mode="train")
+        forward(spec, weights, np.zeros(2), mode="train")
 
 
 def test_policy_batch_grads_match_single():
     rng = np.random.default_rng(8)
     spec = preset("qcontrol")
-    policy = MlpPolicy(spec, MlpParams.glorot(spec, rng))
+    policy = MlpPolicy(spec, glorot(spec, rng))
     obs = [rng.normal(size=4) for _ in range(6)]
     actions = rng.integers(2, size=6)
     batch = policy.grad_log_batch(obs, actions)
@@ -170,7 +192,7 @@ def test_weighted_grad_log_matches_contracted_batch_with_dropout():
     # state) and contracts the same per-sample gradients.
     rng = np.random.default_rng(10)
     spec = MlpSpec((4, 16, 16, 3), dropout_p=0.3)
-    policy = MlpPolicy(spec, MlpParams.glorot(spec, rng))
+    policy = MlpPolicy(spec, glorot(spec, rng))
     obs = rng.normal(size=(40, 4))
     actions = rng.integers(3, size=40)
     adv = rng.normal(size=40)
@@ -187,7 +209,7 @@ def test_score_identity_classical():
     rng = np.random.default_rng(9)
     spec = MlpSpec((4, 8, 3))
     for _ in range(25):
-        policy = MlpPolicy(spec, MlpParams.glorot(spec, rng))
+        policy = MlpPolicy(spec, glorot(spec, rng))
         x = rng.normal(size=4)
         probs = policy.probabilities(x)
         total = np.zeros(spec.n_params)
@@ -200,12 +222,13 @@ def test_checkpoint_roundtrip():
     # through JSON text, as `qpolgrad run` writes checkpoint.json
     rng = np.random.default_rng(10)
     spec = preset("cartpole")
-    policy = MlpPolicy(spec, MlpParams.glorot(spec, rng))
+    policy = MlpPolicy(spec, glorot(spec, rng))
     data = json.loads(json.dumps(policy.to_checkpoint(), indent=1))
     loaded = MlpPolicy.from_checkpoint(data)
     assert loaded.spec == policy.spec
-    x = rng.normal(size=4)
-    np.testing.assert_allclose(loaded.probabilities(x), policy.probabilities(x), atol=1e-15)
+    assert loaded.get_vector().tobytes() == policy.get_vector().tobytes()
+    x = rng.normal(size=(3, 4))
+    assert loaded.probabilities(x).tobytes() == policy.probabilities(x).tobytes()
     assert set(data) == {"weights", "spec"}
 
 
@@ -214,10 +237,19 @@ def test_checkpoint_with_use_bias_key_still_loads():
     # use_bias field carry "use_bias": false in their spec.
     rng = np.random.default_rng(11)
     spec = preset("qcontrol")
-    policy = MlpPolicy(spec, MlpParams.glorot(spec, rng))
+    policy = MlpPolicy(spec, glorot(spec, rng))
     data = policy.to_checkpoint()
     data["spec"]["use_bias"] = False
     loaded = MlpPolicy.from_checkpoint(json.loads(json.dumps(data)))
     assert loaded.spec == spec
     x = rng.normal(size=4)
     np.testing.assert_array_equal(loaded.probabilities(x), policy.probabilities(x))
+
+
+def test_checkpoint_with_misshapen_weights_is_rejected():
+    # transposed layers hold the right number of weights in the wrong places
+    spec = MlpSpec((3, 4, 2))
+    data = MlpPolicy(spec, np.arange(20.0)).to_checkpoint()
+    data["weights"] = [np.transpose(w).tolist() for w in data["weights"]]
+    with pytest.raises(ContractError):
+        MlpPolicy.from_checkpoint(data)

@@ -52,7 +52,7 @@ def test_mid_batch_fisher_checkpoints_see_the_policy_after_their_batch(tmp_path)
     config, policy = trained_policy("cartpole-quantum", 10)
     for label in (3, 5, 8):
         want = cli.fisher_spectrum(policy, config.environment, config.batch_size,
-                                   side_stream(0, label), config.gamma, include_beta=True)
+                                   side_stream(0, label), include_beta=True)
         with open(out / f"fisher_ck_{label}.csv", newline="") as fh:
             got = [float(row["eigenvalue"]) for row in csv.DictReader(fh)]
         assert got == want.eigenvalues.tolist()

@@ -30,7 +30,7 @@ from qpolgrad.reinforce import (
     sample_actions,
     train,
 )
-from qpolgrad.vqpolicy import CircuitSpec, PolicyParams, QuantumPolicy, softmax_policy
+from qpolgrad.vqpolicy import CircuitSpec, QuantumPolicy, softmax_policy
 
 REFERENCE_MANIFEST = Path(__file__).resolve().parent.parent / "cp_s0" / "manifest.json"
 
@@ -130,7 +130,7 @@ def test_glorot_std_matches_formula():
     spec = CircuitSpec(4, 3, 2)
     draws = np.stack([
         init_params({"kind": "glorot_normal", "gain": 1.0}, spec,
-                    np.random.default_rng(seed)).theta
+                    np.random.default_rng(seed))[:-1]
         for seed in range(400)
     ])
     assert np.sqrt(6.0 / 8.0) == pytest.approx(0.8660254, abs=1e-6)
@@ -139,23 +139,23 @@ def test_glorot_std_matches_formula():
 
 def test_uniform_init_support():
     spec = CircuitSpec(4, 2, 2)
-    params = init_params({"kind": "uniform", "a": -1.0, "b": 1.0}, spec,
-                         np.random.default_rng(0))
-    assert np.all(np.abs(params.theta) < 1.0)
+    vec = init_params({"kind": "uniform", "a": -1.0, "b": 1.0}, spec,
+                      np.random.default_rng(0))
+    assert vec.shape == (spec.n_params + 1,)
+    assert np.all(np.abs(vec[:-1]) < 1.0)
 
 
 def test_init_deterministic_under_seed():
     spec = CircuitSpec(4, 3, 2)
     a = init_params({"kind": "normal", "mu": 0.0, "sigma": 0.2}, spec, np.random.default_rng(9))
     b = init_params({"kind": "normal", "mu": 0.0, "sigma": 0.2}, spec, np.random.default_rng(9))
-    np.testing.assert_array_equal(a.theta, b.theta)
-    assert a.beta == b.beta
+    assert a.tobytes() == b.tobytes()
 
 
 def test_beta_initialization_distribution():
     spec = CircuitSpec(1, 1, 2, "single_u3", "none")
     betas = np.array([
-        init_params({"kind": "glorot_normal"}, spec, np.random.default_rng(s)).beta
+        init_params({"kind": "glorot_normal"}, spec, np.random.default_rng(s))[-1]
         for s in range(500)
     ])
     assert betas.mean() == pytest.approx(1.0, abs=0.02)
@@ -168,7 +168,7 @@ def test_beta_initialization_distribution():
 
 def bandit_policy(beta=1.2):
     spec = CircuitSpec(1, 1, 2, "single_u3", "none")
-    return QuantumPolicy(spec, PolicyParams(np.array([0.4, 0.2, -0.3]), beta))
+    return QuantumPolicy(spec, [0.4, 0.2, -0.3, beta])
 
 
 def bandit_obs():
@@ -639,8 +639,7 @@ def fisher_rollouts(monkeypatch, config, policy, rollouts, rng):
         return batches[-1]
 
     monkeypatch.setattr(reinforce, "run_episodes", recording_run)
-    cli.fisher_spectrum(policy, config.environment, rollouts, rng, config.gamma,
-                        include_beta=True)
+    cli.fisher_spectrum(policy, config.environment, rollouts, rng, include_beta=True)
     monkeypatch.undo()
     return batches, calls
 

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import numpy as np
@@ -11,7 +10,6 @@ from qpolgrad.errors import ContractError
 from qpolgrad.vqpolicy import (
     CircuitSpec,
     FeatureNormalizer,
-    PolicyParams,
     QuantumPolicy,
     build_ansatz,
     encoded_rows,
@@ -41,9 +39,10 @@ def layered(n_qubits, n_layers, n_actions):
 U3_SPEC = CircuitSpec(1, 1, 2, "single_u3", "none")
 
 
-def random_params(spec, rng, beta=None):
+def random_vector(spec, rng, beta=None):
+    """A trainable vector: random circuit angles, then beta."""
     theta = rng.uniform(-np.pi, np.pi, size=spec.n_params)
-    return PolicyParams(theta, float(beta if beta is not None else rng.normal(1.0, 0.1)))
+    return np.append(theta, beta if beta is not None else rng.normal(1.0, 0.1))
 
 
 def input_rows(spec, x, normalizer):
@@ -125,13 +124,13 @@ def test_encoded_rows_match_the_kron_oracle_bit_for_bit(n, t, seed):
 
 def test_encode_rejects_length_mismatch():
     spec = layered(2, 1, 2)
-    policy = QuantumPolicy(spec, PolicyParams(np.zeros(spec.n_params), 1.0))
+    policy = QuantumPolicy(spec, np.append(np.zeros(spec.n_params), 1.0))
     with pytest.raises(ContractError):
         policy.probabilities(np.zeros(3))
     with pytest.raises(ContractError):
         policy.grad_log_batch(np.zeros((2, 3)), [0, 1])
     # an `encoding: none` policy reads a 1-qubit state as 4 floats
-    u3_policy = QuantumPolicy(U3_SPEC, PolicyParams(np.zeros(3), 1.0))
+    u3_policy = QuantumPolicy(U3_SPEC, [0.0, 0.0, 0.0, 1.0])
     for width in (2, 3, 8):
         with pytest.raises(ContractError):
             u3_policy.probabilities(np.eye(width)[0])
@@ -143,8 +142,7 @@ def test_encode_rejects_length_mismatch():
 
 def test_ansatz_gate_counts_and_cascade():
     spec = layered(4, 3, 2)
-    params = PolicyParams(np.arange(spec.n_params, dtype=float), 1.0)
-    gates = build_ansatz(spec, params)
+    gates = build_ansatz(spec, np.arange(spec.n_params, dtype=float))
     rotations = [g for g in gates if g.kind in ("RY", "RZ")]
     cnots = [g for g in gates if g.kind == "CNOT"]
     assert len(rotations) == 24
@@ -160,7 +158,7 @@ def test_ansatz_gate_counts_and_cascade():
 
 def test_ansatz_single_qubit_has_no_entanglers():
     spec = CircuitSpec(1, 5, 1, "layered", "angle_rx")
-    gates = build_ansatz(spec, PolicyParams(np.zeros(10), 1.0))
+    gates = build_ansatz(spec, np.zeros(10))
     assert all(g.kind != "CNOT" for g in gates)
     assert len(gates) == 10
 
@@ -168,20 +166,20 @@ def test_ansatz_single_qubit_has_no_entanglers():
 def test_ansatz_skips_self_loop_layers():
     # layer index equal to n modulo n would entangle a qubit with itself
     spec = layered(2, 2, 2)
-    gates = build_ansatz(spec, PolicyParams(np.zeros(8), 1.0))
+    gates = build_ansatz(spec, np.zeros(8))
     cnots = [g for g in gates if g.kind == "CNOT"]
     assert [(g.control, g.target) for g in cnots] == [(0, 1), (1, 0)]
 
 
 def test_single_u3_zero_angles_is_identity():
-    gates = build_ansatz(U3_SPEC, PolicyParams(np.zeros(3), 1.0))
+    gates = build_ansatz(U3_SPEC, np.zeros(3))
     assert len(gates) == 1
     np.testing.assert_allclose(gates[0].matrix(), np.eye(2), atol=1e-12)
 
 
 def test_ansatz_rejects_wrong_parameter_count():
     with pytest.raises(ContractError):
-        build_ansatz(layered(4, 3, 2), PolicyParams(np.zeros(7), 1.0))
+        build_ansatz(layered(4, 3, 2), np.zeros(7))
 
 
 # ---------------------------------------------------------------------------
@@ -190,21 +188,19 @@ def test_ansatz_rejects_wrong_parameter_count():
 
 def test_preferences_identity_circuit():
     spec = layered(4, 3, 2)
-    params = PolicyParams(np.zeros(spec.n_params), 1.0)
-    prefs = row_preferences(spec, params, encoded_rows(np.zeros((1, 4))))
+    prefs = row_preferences(spec, np.zeros(spec.n_params), encoded_rows(np.zeros((1, 4))))
     np.testing.assert_allclose(prefs, [[1.0, 1.0]], atol=1e-12)
 
 
 def test_preferences_single_u3_equator():
-    params = PolicyParams(np.array([np.pi / 2, 0.0, 0.0]), 1.0)
-    prefs = row_preferences(U3_SPEC, params, oracle.init_zero(1).amplitudes[None])
+    theta = np.array([np.pi / 2, 0.0, 0.0])
+    prefs = row_preferences(U3_SPEC, theta, oracle.init_zero(1).amplitudes[None])
     np.testing.assert_allclose(prefs, [[0.0, 0.0]], atol=1e-12)
 
 
 def test_preferences_single_u3_sign_pair():
     one = np.array([[0, 1]], dtype=complex)
-    params = PolicyParams(np.zeros(3), 1.0)
-    prefs = row_preferences(U3_SPEC, params, one)
+    prefs = row_preferences(U3_SPEC, np.zeros(3), one)
     np.testing.assert_allclose(prefs, [[-1.0, 1.0]], atol=1e-12)
 
 
@@ -286,28 +282,26 @@ def test_softmax_beta_monotone_for_unique_argmax():
 # gradients
 # ---------------------------------------------------------------------------
 
-def fd_preference(spec, params, x, action, normalizer, h=1e-5):
+def fd_preference(spec, theta, x, action, normalizer, h=1e-5):
     g = np.empty(spec.n_params)
     for j in range(spec.n_params):
-        th = params.theta.copy()
+        th = theta.copy()
         th[j] += h
-        up = oracle_preferences(spec, PolicyParams(th, params.beta), x, normalizer)[action]
+        up = oracle_preferences(spec, th, x, normalizer)[action]
         th[j] -= 2 * h
-        dn = oracle_preferences(spec, PolicyParams(th, params.beta), x, normalizer)[action]
+        dn = oracle_preferences(spec, th, x, normalizer)[action]
         g[j] = (up - dn) / (2 * h)
     return g
 
 
-def fd_log_policy(spec, params, x, action, normalizer, h=1e-5):
-    vec = params.vector()
+def fd_log_policy(spec, vec, x, action, normalizer, h=1e-5):
     g = np.empty(len(vec))
     for j in range(len(vec)):
         for sign in (+1, -1):
             v = vec.copy()
             v[j] += sign * h
-            p = PolicyParams.from_vector(v)
-            prefs = oracle_preferences(spec, p, x, normalizer)
-            logp = np.log(softmax_policy(prefs, p.beta)[action])
+            prefs = oracle_preferences(spec, v[:-1], x, normalizer)
+            logp = np.log(softmax_policy(prefs, v[-1])[action])
             if sign > 0:
                 up = logp
             else:
@@ -320,9 +314,9 @@ def test_grad_single_rotation_closed_form():
     # <z> = cos(theta_ry) for a 1-qubit layered circuit; RZ leaves it unchanged.
     spec = CircuitSpec(1, 1, 1, "layered", "angle_rx")
     enc = encoded_rows(np.zeros((1, 1)))
-    g0 = shift_gradients(spec, PolicyParams(np.array([0.0, 0.3]), 1.0), enc)
+    g0 = shift_gradients(spec, np.array([0.0, 0.3]), enc)
     assert g0[0, 0, 0] == pytest.approx(0.0, abs=1e-12)
-    g1 = shift_gradients(spec, PolicyParams(np.array([np.pi / 2, 0.3]), 1.0), enc)
+    g1 = shift_gradients(spec, np.array([np.pi / 2, 0.3]), enc)
     assert g1[0, 0, 0] == pytest.approx(-1.0, abs=1e-12)
 
 
@@ -330,7 +324,7 @@ def test_grad_single_rotation_closed_form():
 def test_parameter_shift_matches_finite_differences(spec):
     rng = np.random.default_rng(31)
     for _ in range(25):
-        params = random_params(spec, rng)
+        theta = random_vector(spec, rng)[:-1]
         if spec.encoding == "angle_rx":
             norm = FeatureNormalizer(spec.n_qubits)
             x = rng.normal(size=spec.n_qubits)
@@ -338,8 +332,8 @@ def test_parameter_shift_matches_finite_differences(spec):
         else:
             norm, x = None, random_state(rng, 1)
         action = int(rng.integers(spec.n_actions))
-        got = shift_gradients(spec, params, input_rows(spec, x, norm))[0, :, action]
-        want = fd_preference(spec, params, x, action, norm)
+        got = shift_gradients(spec, theta, input_rows(spec, x, norm))[0, :, action]
+        want = fd_preference(spec, theta, x, action, norm)
         np.testing.assert_allclose(got, want, atol=1e-6)
 
 
@@ -347,7 +341,7 @@ def test_parameter_shift_matches_finite_differences(spec):
 def test_grad_log_policy_matches_finite_differences(spec):
     rng = np.random.default_rng(32)
     for _ in range(20):
-        params = random_params(spec, rng)
+        vec = random_vector(spec, rng)
         if spec.encoding == "angle_rx":
             norm = FeatureNormalizer(spec.n_qubits)
             x = rng.normal(size=spec.n_qubits)
@@ -355,8 +349,8 @@ def test_grad_log_policy_matches_finite_differences(spec):
         else:
             norm, x = None, random_state(rng, 1)
         action = int(rng.integers(spec.n_actions))
-        got = grad_log(QuantumPolicy(spec, params, norm), feature_row(spec, x), action)
-        want = fd_log_policy(spec, params, x, action, norm)
+        got = grad_log(QuantumPolicy(spec, vec, norm), feature_row(spec, x), action)
+        want = fd_log_policy(spec, vec, x, action, norm)
         np.testing.assert_allclose(got, want, atol=1e-6)
 
 
@@ -365,39 +359,39 @@ def test_score_identity(spec):
     # sum_a pi(a) * grad log pi(a) = 0 for every component.
     rng = np.random.default_rng(33)
     for _ in range(25):
-        params = random_params(spec, rng)
+        vec = random_vector(spec, rng)
         if spec.encoding == "angle_rx":
             norm = FeatureNormalizer(spec.n_qubits)
             x = rng.normal(size=spec.n_qubits)
             norm.observe(x)
         else:
             norm, x = None, random_state(rng, 1)
-        probs = softmax_policy(oracle_preferences(spec, params, x, norm), params.beta)
-        glogs = QuantumPolicy(spec, params, norm).grad_log_batch(
+        probs = softmax_policy(oracle_preferences(spec, vec[:-1], x, norm), vec[-1])
+        glogs = QuantumPolicy(spec, vec, norm).grad_log_batch(
             np.stack([feature_row(spec, x)] * spec.n_actions), np.arange(spec.n_actions))
         np.testing.assert_allclose(probs @ glogs, 0.0, atol=1e-8)
 
 
 def test_grad_log_beta_entry_zero_under_symmetry():
     # identical preferences across actions make the beta derivative vanish
-    params = PolicyParams(np.zeros(U3_SPEC.n_params), 1.3)
+    policy = QuantumPolicy(U3_SPEC, np.append(np.zeros(U3_SPEC.n_params), 1.3))
     plus = oracle.Statevector(1, np.array([1, 1], dtype=complex) / np.sqrt(2))
-    g = grad_log(QuantumPolicy(U3_SPEC, params), feature_row(U3_SPEC, plus), 0)
+    g = grad_log(policy, feature_row(U3_SPEC, plus), 0)
     assert g[-1] == pytest.approx(0.0, abs=1e-12)
 
 
 def adjoint_case(spec, rng, t):
     """Random angles, T input rows and per-row observable weights."""
-    params = random_params(spec, rng)
+    theta = random_vector(spec, rng)[:-1]
     if spec.encoding == "angle_rx":
         enc = encoded_rows(rng.uniform(-np.pi, np.pi, size=(t, spec.n_qubits)))
     else:
         enc = np.stack([random_state(rng, spec.n_qubits).amplitudes for _ in range(t)])
-    return params, enc, rng.normal(size=(t, spec.n_actions))
+    return theta, enc, rng.normal(size=(t, spec.n_actions))
 
 
-def output_rows(spec, params, enc):
-    return enc @ qsim.circuit_row_operator(build_ansatz(spec, params), spec.n_qubits)
+def output_rows(spec, theta, enc):
+    return enc @ qsim.circuit_row_operator(build_ansatz(spec, theta), spec.n_qubits)
 
 
 @pytest.mark.parametrize("spec, t", [(layered(1, 2, 1), 9), (layered(4, 3, 2), 40),
@@ -405,24 +399,24 @@ def output_rows(spec, params, enc):
                                      (U3_SPEC, 20)])
 def test_adjoint_matches_parameter_shift(spec, t):
     # The adjoint theta block is the shift gradient contracted with the same weights.
-    params, enc, weights = adjoint_case(spec, np.random.default_rng(40), t)
-    rows = output_rows(spec, params, enc)
+    theta, enc, weights = adjoint_case(spec, np.random.default_rng(40), t)
+    rows = output_rows(spec, theta, enc)
     lam = rows * vqpolicy._observable_diagonals(spec, weights)
-    got = vqpolicy.adjoint_gradients(spec, params, rows, lam)
-    want = np.einsum("tka,ta->tk", shift_gradients(spec, params, enc), weights)
+    got = vqpolicy.adjoint_gradients(spec, theta, rows, lam)
+    want = np.einsum("tka,ta->tk", shift_gradients(spec, theta, enc), weights)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_adjoint_chunks_match_single_rows():
     spec = layered(3, 2, 2)
     t = vqpolicy.ADJOINT_CHUNK_ROWS + 7
-    params, enc, weights = adjoint_case(spec, np.random.default_rng(41), t)
-    rows = output_rows(spec, params, enc)
+    theta, enc, weights = adjoint_case(spec, np.random.default_rng(41), t)
+    rows = output_rows(spec, theta, enc)
     lam = rows * vqpolicy._observable_diagonals(spec, weights)
-    batch = vqpolicy.adjoint_gradients(spec, params, rows, lam)
+    batch = vqpolicy.adjoint_gradients(spec, theta, rows, lam)
     assert batch.shape == (t, spec.n_params)
     for i in range(t):
-        single = vqpolicy.adjoint_gradients(spec, params, rows[i:i + 1], lam[i:i + 1])
+        single = vqpolicy.adjoint_gradients(spec, theta, rows[i:i + 1], lam[i:i + 1])
         np.testing.assert_allclose(batch[i], single[0], rtol=0, atol=1e-12)
 
 
@@ -432,7 +426,7 @@ def test_weighted_grad_log_matches_contracted_batch(spec, t):
     # The operator sweep equals the advantage-weighted sum of the per-row
     # adjoint gradients, across chunk boundaries and without an encoding.
     rng = np.random.default_rng(42)
-    policy = QuantumPolicy(spec, random_params(spec, rng))
+    policy = QuantumPolicy(spec, random_vector(spec, rng))
     if spec.encoding == "angle_rx":
         obs = rng.normal(size=(t, spec.n_qubits))
         policy.normalizer.observe(obs)
@@ -450,7 +444,7 @@ def test_shot_weighted_grad_log_is_the_contracted_batch():
     # Shot mode draws what `grad_log_batch` draws, in the same order.
     rng = np.random.default_rng(43)
     spec = layered(2, 2, 2)
-    policy = QuantumPolicy(spec, random_params(spec, rng), shots=100)
+    policy = QuantumPolicy(spec, random_vector(spec, rng), shots=100)
     obs = rng.normal(size=(15, 2))
     policy.normalizer.observe(obs)
     actions = rng.integers(spec.n_actions, size=15)
@@ -467,7 +461,7 @@ def test_shot_weighted_grad_log_is_the_contracted_batch():
 def test_policy_batch_grads_match_single():
     rng = np.random.default_rng(34)
     spec = layered(3, 2, 3)
-    policy = QuantumPolicy(spec, random_params(spec, rng))
+    policy = QuantumPolicy(spec, random_vector(spec, rng))
     obs = [rng.normal(size=3) for _ in range(7)]
     for o in obs:
         policy.normalizer.observe(o)
@@ -480,11 +474,11 @@ def test_policy_batch_grads_match_single():
 def test_policy_probabilities_match_direct_evaluation():
     rng = np.random.default_rng(35)
     spec = layered(4, 3, 2)
-    params = random_params(spec, rng)
-    policy = QuantumPolicy(spec, params)
+    vec = random_vector(spec, rng)
+    policy = QuantumPolicy(spec, vec)
     x = rng.normal(size=4)
     probs = policy.probabilities(x)
-    direct = softmax_policy(oracle_preferences(spec, params, x, policy.normalizer), params.beta)
+    direct = softmax_policy(oracle_preferences(spec, vec[:-1], x, policy.normalizer), vec[-1])
     np.testing.assert_allclose(probs, direct, atol=1e-12)
 
 
@@ -493,12 +487,12 @@ def test_final_rotations_on_unmeasured_qubits_are_irrelevant():
     # ansatz on any unmeasured qubit must leave them unchanged.
     spec = layered(4, 2, 2)
     rng = np.random.default_rng(36)
-    params = random_params(spec, rng)
+    theta = random_vector(spec, rng)[:-1]
     norm = FeatureNormalizer(4)
     x = rng.normal(size=4)
     norm.observe(x)
-    base = row_preferences(spec, params, input_rows(spec, x, norm))[0]
-    state = oracle.apply_circuit(encode_gates(x, norm), build_ansatz(spec, params))
+    base = row_preferences(spec, theta, input_rows(spec, x, norm))[0]
+    state = oracle.apply_circuit(encode_gates(x, norm), build_ansatz(spec, theta))
     for q in (2, 3):
         state = oracle.apply_gate(state, qsim.Gate("RY", (0.7,), q))
         state = oracle.apply_gate(state, qsim.Gate("RZ", (-0.4,), q))
@@ -509,14 +503,14 @@ def test_final_rotations_on_unmeasured_qubits_are_irrelevant():
 def test_shot_mode_converges_to_exact():
     rng = np.random.default_rng(37)
     spec = layered(2, 2, 2)
-    params = random_params(spec, rng)
+    theta = random_vector(spec, rng)[:-1]
     norm = FeatureNormalizer(2)
     x = rng.normal(size=2)
     norm.observe(x)
     enc = input_rows(spec, x, norm)
-    exact = row_preferences(spec, params, enc)
+    exact = row_preferences(spec, theta, enc)
     for seed in range(8):
-        est = row_preferences(spec, params, enc, shots=10**5, rng=np.random.default_rng(seed))
+        est = row_preferences(spec, theta, enc, shots=10**5, rng=np.random.default_rng(seed))
         assert np.max(np.abs(est - exact)) < 0.02
 
 
@@ -525,12 +519,12 @@ def test_shot_grad_log_batch_converges_to_exact():
     # 100 seeds at 1e4 shots the standard error is about 1e-3 per entry.
     rng = np.random.default_rng(39)
     spec = layered(2, 2, 2)
-    params = random_params(spec, rng)
+    vec = random_vector(spec, rng)
     obs = [rng.normal(size=2) for _ in range(4)]
     actions = rng.integers(spec.n_actions, size=4)
-    exact_policy = QuantumPolicy(spec, params)
+    exact_policy = QuantumPolicy(spec, vec)
     exact = exact_policy.grad_log_batch(obs, actions)
-    shot_policy = QuantumPolicy(spec, params, exact_policy.normalizer, shots=10**4)
+    shot_policy = QuantumPolicy(spec, vec, exact_policy.normalizer, shots=10**4)
     draws = np.stack([shot_policy.grad_log_batch(obs, actions, np.random.default_rng(seed))
                       for seed in range(100)])
     assert np.all(np.abs(draws[0] - exact) > 0)  # every entry carries shot noise
@@ -538,58 +532,89 @@ def test_shot_grad_log_batch_converges_to_exact():
 
 
 def test_row_operator_cache_follows_theta(monkeypatch):
-    # theta can be neither written in place nor reassigned, so the cached
-    # operator is rebuilt exactly when new parameters arrive: replaced params
-    # or `set_vector`.
+    # The row operator is built at the first use after construction or
+    # `set_vector`, once however often it is used, and never by `set_vector`
+    # itself: a vector replaced before any use costs no build.
     builds = []
     build = qsim.circuit_row_operator
     monkeypatch.setattr(qsim, "circuit_row_operator",
                         lambda *args: builds.append(1) or build(*args))
     rng = np.random.default_rng(44)
     spec = layered(3, 2, 2)
-    policy = QuantumPolicy(spec, random_params(spec, rng))
+    policy = QuantumPolicy(spec, random_vector(spec, rng))
     x = rng.normal(size=3)
+    assert not builds
     first = policy.probabilities(x)
     policy.probabilities(x)
     assert len(builds) == 1
-    with pytest.raises(ValueError):
-        policy.params.theta[0] += 0.1
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        policy.params.theta = np.zeros(spec.n_params)
-    source = rng.uniform(-np.pi, np.pi, size=spec.n_params)
-    policy.params = PolicyParams(source, policy.params.beta)
-    source[0] += 1.0  # the params hold their own copy
+    source = random_vector(spec, rng)
+    policy.set_vector(source)
+    source[0] += 1.0  # the policy holds its own copy
+    assert len(builds) == 1
     replaced = policy.probabilities(x)
+    policy.grad_log_batch([x], [0])
+    policy.weighted_grad_log(np.array([x]), [1], np.ones(1))
     assert len(builds) == 2
-    want = softmax_policy(oracle_preferences(spec, policy.params, x, policy.normalizer),
-                          policy.params.beta)
+    want = softmax_policy(oracle_preferences(spec, policy.theta, x, policy.normalizer),
+                          policy.beta)
     np.testing.assert_allclose(replaced, want, atol=1e-12)
-    policy.set_vector(np.append(random_params(spec, rng).theta, 1.0))
+    assert not np.allclose(first, replaced)
+    policy.set_vector(random_vector(spec, rng))
+    policy.set_vector(random_vector(spec, rng))
     policy.probabilities(x)
     policy.probabilities(x)
     assert len(builds) == 3
-    assert not np.allclose(first, replaced)
+
+
+def test_theta_is_a_read_only_part_of_the_vector():
+    # theta cannot be written in place, so only `set_vector` changes the
+    # angles the cached operator was built for.
+    rng = np.random.default_rng(45)
+    spec = layered(2, 1, 2)
+    vec = random_vector(spec, rng)
+    policy = QuantumPolicy(spec, vec)
+    assert policy.theta.tobytes() == vec[:-1].tobytes() and policy.beta == vec[-1]
+    with pytest.raises(ValueError):
+        policy.theta[0] += 0.1
+    got = policy.get_vector()
+    got[0] += 1.0  # a copy: the policy is unchanged
+    assert policy.get_vector().tobytes() == vec.tobytes()
+
+
+@pytest.mark.parametrize("bad", [
+    [0.0, 0.0, 0.0, 0.0, np.nan], [np.inf, 0.0, 0.0, 0.0, 1.0],  # not finite
+    np.zeros((5, 1)), np.zeros((1, 5)),  # not 1-d
+    np.zeros(4), np.zeros(6),  # wrong length: 4 angles and beta make 5
+])
+def test_set_vector_rejects_bad_vectors(bad):
+    spec = layered(2, 1, 2)
+    with pytest.raises(ContractError):
+        QuantumPolicy(spec, bad)
+    policy = QuantumPolicy(spec, np.arange(5.0))
+    with pytest.raises(ContractError):
+        policy.set_vector(bad)
+    assert policy.get_vector().tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
 
 
 def test_checkpoint_roundtrip():
-    # through JSON text, as `qpolgrad run` writes checkpoint.json
+    # through JSON text, as `qpolgrad run` writes checkpoint.json; a resumed
+    # run needs the very bits back
     rng = np.random.default_rng(38)
     spec = layered(4, 3, 2)
-    policy = QuantumPolicy(spec, random_params(spec, rng))
+    policy = QuantumPolicy(spec, random_vector(spec, rng))
     policy.normalizer.observe(rng.normal(size=(5, 4)))
     text = json.dumps(policy.to_checkpoint(), indent=1)
     loaded = QuantumPolicy.from_checkpoint(json.loads(text))
-    np.testing.assert_allclose(loaded.params.theta, policy.params.theta)
-    assert loaded.params.beta == policy.params.beta
-    np.testing.assert_allclose(loaded.normalizer.running_abs_max,
-                               policy.normalizer.running_abs_max)
+    assert loaded.get_vector().tobytes() == policy.get_vector().tobytes()
+    assert (loaded.normalizer.running_abs_max.tobytes()
+            == policy.normalizer.running_abs_max.tobytes())
     assert loaded.spec == policy.spec
-    x = rng.normal(size=4)
-    np.testing.assert_allclose(loaded.probabilities(x), policy.probabilities(x), atol=1e-12)
+    x = rng.normal(size=(3, 4))
+    assert loaded.probabilities(x).tobytes() == policy.probabilities(x).tobytes()
 
 
 def test_checkpoint_field_names():
-    policy = QuantumPolicy(U3_SPEC, PolicyParams(np.zeros(3), 1.0))
+    policy = QuantumPolicy(U3_SPEC, [0.0, 0.0, 0.0, 1.0])
     assert set(policy.to_checkpoint()) == {"theta", "beta", "norm_abs_max", "spec"}
 
 

@@ -66,27 +66,25 @@ def _check_input(spec: MlpSpec, features: np.ndarray) -> np.ndarray:
 
 
 def _forward_cached(spec, weights, x, train, rng):
-    """Batched forward pass keeping pre-activations and dropout masks."""
-    acts = [x]
-    pre, masks = [], []
+    """Batched forward pass keeping each layer's input activation and dropout
+    mask. A hidden activation is > 0 exactly where its pre-activation is,
+    unless dropout zeroed it, so the backward pass reads its ReLU mask there."""
+    acts, masks = [x], []
     a = x
     n_layers = len(weights)
     for i, w in enumerate(weights):
-        h = np.einsum("ti,oi->to", a, w)  # unlike BLAS, rounds a row alike in any batch
+        a = np.einsum("ti,oi->to", a, w)  # unlike BLAS, rounds a row alike in any batch
         if i < n_layers - 1:
-            pre.append(h)
-            a = np.maximum(h, 0.0)
+            np.maximum(a, 0.0, out=a)
             if train and spec.dropout_p > 0.0:
                 keep = 1.0 - spec.dropout_p
                 mask = (rng.random(a.shape) < keep) / keep
-                a = a * mask
+                a *= mask
                 masks.append(mask)
             else:
                 masks.append(None)
             acts.append(a)
-        else:
-            a = h
-    return a, acts, pre, masks
+    return a, acts, masks
 
 
 def forward(spec: MlpSpec, weights: list[np.ndarray], features, mode: str = "eval",
@@ -97,7 +95,7 @@ def forward(spec: MlpSpec, weights: list[np.ndarray], features, mode: str = "eva
     if mode == "train" and spec.dropout_p > 0.0 and rng is None:
         raise ContractError("train-mode dropout requires an rng")
     x = np.atleast_2d(_check_input(spec, features))
-    out, _, _, _ = _forward_cached(spec, weights, x, mode == "train", rng)
+    out, _, _ = _forward_cached(spec, weights, x, mode == "train", rng)
     return out[0] if np.asarray(features).ndim == 1 else out
 
 
@@ -111,7 +109,7 @@ def _backward(spec: MlpSpec, weights: list[np.ndarray], features, actions, mode:
     actions = np.asarray(actions, dtype=int)
     if np.any(actions < 0) or np.any(actions >= spec.layer_sizes[-1]):
         raise ContractError("action index out of range")
-    prefs, acts, pre, masks = _forward_cached(spec, weights, x, mode == "train", rng)
+    prefs, acts, masks = _forward_cached(spec, weights, x, mode == "train", rng)
     delta = -softmax_policy(prefs, 1.0)
     delta[np.arange(x.shape[0]), actions] += 1.0  # d log pi / d prefs = onehot - pi
     if scale is not None:
@@ -122,8 +120,8 @@ def _backward(spec: MlpSpec, weights: list[np.ndarray], features, actions, mode:
         if i > 0:
             delta = serial_matmul(delta, weights[i])
             if masks[i - 1] is not None:
-                delta = delta * masks[i - 1]
-            delta = delta * (pre[i - 1] > 0)
+                delta *= masks[i - 1]
+            delta *= acts[i] > 0
     return layers[::-1]
 
 

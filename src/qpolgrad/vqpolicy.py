@@ -23,12 +23,15 @@ take one of two routes:
 - Exact mode (shots = 0) uses one adjoint sweep (Jones & Gacon 2020),
   `adjoint_gradients`: row pairs (psi, lambda) at the circuit's output are
   walked back through the gates together, and a rotation exp(-i theta P / 2)
-  contributes Im<lambda|P psi>. Per-sample gradients (the Fisher matrix)
-  send each row psi_t with its co-state lambda_t = O_t psi_t, where
-  O_t = sum_a w_ta Z_a. Training needs only the advantage-weighted sum over
-  the batch, so `summed_gradient` folds the T rows into the 2**n x 2**n
-  operator M = sum_t |psi_t><lambda_t| and sweeps M's 2**n rows against the
-  identity's.
+  contributes Im<lambda|P psi>. The co-state of row psi_t is
+  lambda_t = O_t psi_t, where O_t = sum_a w_ta Z_a. A gradient makes one
+  pass over its batch, ADJOINT_CHUNK_ROWS rows at a time: each chunk is
+  encoded, pushed through the row operator, read out and turned into
+  co-state weights, so no (T, 2**n) array is ever held. Per-sample gradients
+  (the Fisher matrix) sweep each chunk's pairs (psi_t, lambda_t). Training
+  needs only the advantage-weighted sum over the batch, so it folds each
+  chunk into the 2**n x 2**n operator M = sum_t |psi_t><lambda_t| and
+  sweeps M's 2**n rows against the identity's once, after the pass.
 - Shot mode uses the two-term parameter-shift rule per sample, d<a>/d(theta_j)
   = (<a>(theta_j + pi/2) - <a>(theta_j - pi/2)) / 2, the tests' exact oracle.
 
@@ -152,7 +155,9 @@ def serial_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b
 
 
-ADJOINT_CHUNK_ROWS = 256  # rows per encode and sweep chunk; bounds their temporaries
+# Rows per chunk of a gradient's one pass over its batch (encode, product,
+# readout, co-states and sweep), so its temporaries are (256, 2**n) whatever T.
+ADJOINT_CHUNK_ROWS = 256
 
 
 @functools.cache
@@ -341,38 +346,19 @@ def adjoint_gradients(spec: CircuitSpec, theta: np.ndarray, psi: np.ndarray,
     walked back through the gates together: at a rotation exp(-i theta P / 2)
     the angle's entry is Im<lam|P psi>, then both states are uncomputed with
     the gate's inverse. With lam = O psi the entry is d<psi|O|psi>/d(theta).
-    Rows are processed ADJOINT_CHUNK_ROWS at a time and no per-gate state is
-    kept.
+    No per-gate state is kept; the pair is one (2, R, 2**n) array, and the
+    gradient pass bounds R by sending ADJOINT_CHUNK_ROWS rows at a time.
     """
     n = spec.n_qubits
-    steps = _rotation_steps(build_ansatz(spec, theta))[::-1]
-    inverses = [g.matrix().conj().T if j is not None else None for g, j in steps]
     grads = np.empty((psi.shape[0], spec.n_params))
-    for lo in range(0, psi.shape[0], ADJOINT_CHUNK_ROWS):
-        chunk = slice(lo, lo + ADJOINT_CHUNK_ROWS)
-        pair = np.stack([psi[chunk], lam[chunk]])
-        for (gate, j), inverse in zip(steps, inverses):
-            if j is None:  # a CNOT is its own inverse
-                pair = qsim.apply_cnot_array(pair, gate.control, gate.target, n)
-                continue
-            grads[chunk, j] = _generator_overlap(pair[0], pair[1], gate)
-            pair = qsim.apply_1q_array(pair, inverse, gate.target, n)
+    pair = np.stack([psi, lam])
+    for gate, j in _rotation_steps(build_ansatz(spec, theta))[::-1]:
+        if j is None:  # a CNOT is its own inverse
+            pair = qsim.apply_cnot_array(pair, gate.control, gate.target, n)
+            continue
+        grads[:, j] = _generator_overlap(pair[0], pair[1], gate)
+        pair = qsim.apply_1q_array(pair, gate.matrix().conj().T, gate.target, n)
     return grads
-
-
-def summed_gradient(spec: CircuitSpec, theta: np.ndarray, rows: np.ndarray,
-                    weights: np.ndarray) -> np.ndarray:
-    """d/d(theta) of sum_t sum_a weights[t, a] * <a>_t, shape (k,), by one
-    `adjoint_gradients` sweep of 2**n row pairs whatever the batch size: M =
-    sum_t |psi_t><O_t psi_t| is accumulated over row chunks, its row j being
-    M e_j, and Im Tr(P M) is the sum over j of Im<e_j|P M e_j>; walking both
-    back keeps G^dag M G = sum_j |G^dag M e_j><G^dag e_j| exact."""
-    dim = 2**spec.n_qubits
-    m = np.zeros((dim, dim), dtype=complex)
-    for lo in range(0, rows.shape[0], ADJOINT_CHUNK_ROWS):
-        psi, w = rows[lo:lo + ADJOINT_CHUNK_ROWS], weights[lo:lo + ADJOINT_CHUNK_ROWS]
-        m += serial_matmul((psi * _observable_diagonals(spec, w)).conj().T, psi)
-    return adjoint_gradients(spec, theta, m, np.eye(dim)).sum(axis=0)
 
 
 class QuantumPolicy:
@@ -451,47 +437,72 @@ class QuantumPolicy:
         probs = softmax_policy(prefs, self.beta)
         return probs[0] if single else probs
 
-    def _score_terms(self, observations, actions, rng):
-        """Input rows, output rows, readout weights and beta entries of T pairs."""
+    def _score_chunks(self, observations, actions, rng):
+        """One pass over T (observation, action) pairs, ADJOINT_CHUNK_ROWS rows
+        at a time from row 0; shot mode takes all T as one chunk, so its
+        readout draws in batch order. Yields each chunk's row slice, input
+        rows, output rows, readout weights w = beta * (onehot(a_t) - pi_t) and
+        beta entries <a_t> - sum_b pi_b <b>. The angle encoding scales every
+        chunk by the normalizer's maxima widened to cover all T observations,
+        which after a rollout are the normalizer's own."""
+        feats = np.atleast_2d(np.asarray(observations, dtype=float))
         actions = np.asarray(actions, dtype=int)
+        if actions.shape != (len(feats),):
+            raise ContractError(f"{len(feats)} observations need as many actions, "
+                                f"got shape {actions.shape}")
         if np.any(actions < 0) or np.any(actions >= self.spec.n_actions):
             raise ContractError("action index out of range")
-        enc = self._encode_batch(observations)
-        out_rows = serial_matmul(enc, self.row_operator())
-        prefs = _readout(self.spec, out_rows, self.shots, rng)
-        probs = softmax_policy(prefs, self.beta)
-        rows = np.arange(enc.shape[0])
-        weights = -self.beta * probs
-        weights[rows, actions] += self.beta
-        gbeta = prefs[rows, actions] - np.einsum("ta,ta->t", prefs, probs)
-        return enc, out_rows, weights, gbeta
+        abs_max = self.normalizer.widened(feats) if self.spec.encoding == "angle_rx" else None
+        size = max(len(feats), 1) if self.shots else ADJOINT_CHUNK_ROWS
+        for lo in range(0, len(feats), size):
+            rows = slice(lo, lo + size)
+            enc = self._encode_batch(feats[rows], abs_max)
+            out = serial_matmul(enc, self.row_operator())
+            prefs = _readout(self.spec, out, self.shots, rng)
+            probs = softmax_policy(prefs, self.beta)
+            taken = np.arange(len(out)), actions[rows]
+            weights = -self.beta * probs
+            weights[taken] += self.beta
+            yield rows, enc, out, weights, prefs[taken] - np.einsum("ta,ta->t", prefs, probs)
 
     def grad_log_batch(self, observations, actions, rng: np.random.Generator | None = None) -> np.ndarray:
         """Log-policy gradients for T (observation, action) pairs: (T, k+1).
 
         theta block: sum_a w_a d<a>/d(theta) with w = beta * (onehot(a_t) - pi),
-        from the adjoint sweep in exact mode and parameter shift in shot mode;
-        beta entry (analytic): <a> - sum_b pi_b <b>. The angle encoding scales
-        by the normalizer's maxima widened to cover the observations, which
-        after a rollout are the normalizer's own.
+        from the adjoint sweep of each chunk in exact mode and parameter shift
+        in shot mode; beta entry (analytic): <a> - sum_b pi_b <b>.
         """
-        enc, out_rows, weights, gbeta = self._score_terms(observations, actions, rng)
-        if self.shots:
-            grads = shift_gradients(self.spec, self.theta, enc, self.shots, rng)
-            gtheta = np.einsum("tka,ta->tk", grads, weights)
-        else:
-            gtheta = adjoint_gradients(self.spec, self.theta, out_rows,
-                                       out_rows * _observable_diagonals(self.spec, weights))
-        return np.concatenate([gtheta, gbeta[:, None]], axis=1)
+        grads = np.empty((len(actions), self.n_trainable))
+        for rows, enc, out, weights, gbeta in self._score_chunks(observations, actions, rng):
+            if self.shots:
+                shifts = shift_gradients(self.spec, self.theta, enc, self.shots, rng)
+                grads[rows, :-1] = np.einsum("tka,ta->tk", shifts, weights)
+            else:
+                grads[rows, :-1] = adjoint_gradients(
+                    self.spec, self.theta, out, out * _observable_diagonals(self.spec, weights))
+            grads[rows, -1] = gbeta
+        return grads
 
     def weighted_grad_log(self, observations, actions, weights,
                           rng: np.random.Generator | None = None) -> np.ndarray:
-        """sum_t weights[t] * grad log pi(a_t | s_t), shape (k+1,), by one
-        `summed_gradient` sweep; shot mode draws as `grad_log_batch` does."""
+        """sum_t weights[t] * grad log pi(a_t | s_t), shape (k+1,); shot mode
+        draws as `grad_log_batch` does.
+
+        Exact mode sweeps 2**n row pairs whatever T: each chunk's rows fold
+        into M = sum_t |psi_t><O_t psi_t|, whose row j is M e_j, and Im Tr(P M)
+        is the sum over j of Im<e_j|P M e_j>; walking both back keeps
+        G^dag M G = sum_j |G^dag M e_j><G^dag e_j| exact.
+        """
         if self.shots:
             return weights @ self.grad_log_batch(observations, actions, rng)
-        out_rows, readout, gbeta = self._score_terms(observations, actions, rng)[1:]  # frees enc early
-        gtheta = summed_gradient(self.spec, self.theta, out_rows, readout * weights[:, None])
+        dim = 2**self.spec.n_qubits
+        m = np.zeros((dim, dim), dtype=complex)
+        gbeta = np.empty(len(actions))  # so `weights @ gbeta` checks the length of weights
+        for rows, _, out, readout, chunk_gbeta in self._score_chunks(observations, actions, rng):
+            gbeta[rows] = chunk_gbeta
+            lam = out * _observable_diagonals(self.spec, readout * weights[rows, None])
+            m += serial_matmul(lam.conj().T, out)
+        gtheta = adjoint_gradients(self.spec, self.theta, m, np.eye(dim)).sum(axis=0)
         return np.append(gtheta, weights @ gbeta)
 
     # -- persistence ----------------------------------------------------------

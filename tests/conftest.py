@@ -5,20 +5,23 @@ basis-state permutation, deliberately avoiding the package's gate-application
 code path. The gate-by-gate `Statevector` oracle applies one gate at a time
 to one state and reads <sigma_z> qubit by qubit from its marginals; the
 preference oracle evaluates the policy through it, independently of the
-batched row-operator engine. The kron encoding, the marginal readout and the
-numpy-scalar discounted returns are the references for the package's
-gathered encode, sign-table readout and Python-float returns. The scalar
+batched row-operator engine. The kron encoding, the marginal readout, the
+numpy-scalar discounted returns and the numpy-array acrobot features are the
+references for the package's gathered encode, sign-table readout and
+Python-float returns and features. The whole-batch score terms are the
+reference for the gradients' streamed pass over row chunks. The scalar
 environments step one episode at a time with numpy scalars and evolve a
 `Statevector` under the control Hamiltonian, and the sequential rollout runs
 one episode after another with one 1-row inference per step: together they
 are the reference for the array environments and the lockstep rollout.
 """
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
 
 from qpolgrad import config as cfg
-from qpolgrad import envs, qsim
+from qpolgrad import envs, qsim, vqpolicy
 from qpolgrad.errors import ConfigError, ContractError
 from qpolgrad.reinforce import Trajectory, prepare, train
 from qpolgrad.vqpolicy import build_ansatz
@@ -211,6 +214,56 @@ def grad_log(policy, obs, action: int, rng=None) -> np.ndarray:
     return policy.grad_log_batch([obs], [action], rng)[0]
 
 
+def batch_score_terms(policy, observations, actions):
+    """Input rows, output rows, readout weights and beta entries of T pairs
+    under an exact-mode quantum policy, each formed over the whole batch at
+    once."""
+    actions = np.asarray(actions, dtype=int)
+    enc = policy._encode_batch(observations)
+    out_rows = vqpolicy.serial_matmul(enc, policy.row_operator())
+    prefs = vqpolicy._readout(policy.spec, out_rows, 0, None)
+    probs = vqpolicy.softmax_policy(prefs, policy.beta)
+    rows = np.arange(enc.shape[0])
+    weights = -policy.beta * probs
+    weights[rows, actions] += policy.beta
+    gbeta = prefs[rows, actions] - np.einsum("ta,ta->t", prefs, probs)
+    return enc, out_rows, weights, gbeta
+
+
+def batch_grad_log(policy, observations, actions) -> np.ndarray:
+    """Exact-mode (T, k+1) log-policy gradients from the whole-batch terms:
+    the T output rows with their co-states are swept ADJOINT_CHUNK_ROWS at a
+    time from row 0. The chunks keep the bits of a lone last row, which the
+    sweep rounds apart from a row among others (by about 1e-33 on near-zero
+    entries)."""
+    _, out_rows, weights, gbeta = batch_score_terms(policy, observations, actions)
+    lam = out_rows * vqpolicy._observable_diagonals(policy.spec, weights)
+    step = vqpolicy.ADJOINT_CHUNK_ROWS
+    gtheta = np.concatenate([
+        vqpolicy.adjoint_gradients(policy.spec, policy.theta, out_rows[lo:lo + step],
+                                   lam[lo:lo + step])
+        for lo in range(0, len(out_rows), step)])
+    return np.concatenate([gtheta, gbeta[:, None]], axis=1)
+
+
+def batch_weighted_grad_log(policy, observations, actions, weights) -> np.ndarray:
+    """Exact-mode sum_t weights[t] * grad log pi(a_t | s_t) from the
+    whole-batch terms: the output rows fold into M = sum_t |psi_t><O_t psi_t|
+    ADJOINT_CHUNK_ROWS rows at a time from row 0, and M's rows are swept
+    against the identity's."""
+    spec = policy.spec
+    _, out_rows, readout, gbeta = batch_score_terms(policy, observations, actions)
+    w = readout * weights[:, None]
+    dim, step = 2**spec.n_qubits, vqpolicy.ADJOINT_CHUNK_ROWS
+    m = np.zeros((dim, dim), dtype=complex)
+    for lo in range(0, len(out_rows), step):
+        psi = out_rows[lo:lo + step]
+        lam = psi * vqpolicy._observable_diagonals(spec, w[lo:lo + step])
+        m += vqpolicy.serial_matmul(lam.conj().T, psi)
+    gtheta = vqpolicy.adjoint_gradients(spec, policy.theta, m, np.eye(dim)).sum(axis=0)
+    return np.append(gtheta, weights @ gbeta)
+
+
 # ---------------------------------------------------------------------------
 # scalar environments and the sequential rollout
 # ---------------------------------------------------------------------------
@@ -274,6 +327,12 @@ class CartPole(_EpisodicEnv, envs.CartPole):
         self.state = np.array([x, x_dot, theta, theta_dot])
         done = bool(abs(x) > self.X_LIMIT or abs(theta) > self.THETA_LIMIT)
         return self.state.copy(), 1.0, done
+
+
+def acrobot_array_features(states: np.ndarray) -> np.ndarray:
+    """Acrobot's feature rows by numpy ufuncs on the (B, 4) state array."""
+    t1, t2, d1, d2 = states.T
+    return np.stack([np.cos(t1), np.sin(t1), np.cos(t2), np.sin(t2), d1, d2], axis=1)
 
 
 def _wrap(x: float, low: float, high: float) -> float:
@@ -423,6 +482,16 @@ def trained_policy(preset, episodes):
     for _ in train(config, state):
         pass
     return config, state.policy
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that numpy and Python allocate while `fn()` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def side_stream(seed, episodes_done):

@@ -9,7 +9,7 @@ from qpolgrad.errors import ConfigError, ContractError
 from qpolgrad.reinforce import init_mlp_params
 from qpolgrad.vqpolicy import softmax_policy
 
-from conftest import grad_log
+from conftest import grad_log, traced_peak
 
 
 def glorot(spec, rng):
@@ -184,6 +184,23 @@ def test_policy_batch_grads_match_single():
     batch = policy.grad_log_batch(obs, actions)
     for i, (o, a) in enumerate(zip(obs, actions)):
         np.testing.assert_allclose(batch[i], grad_log(policy, o, int(a)), atol=1e-12)
+
+
+@pytest.mark.parametrize("dropout_p", [0.0, 0.2])
+def test_weighted_backward_holds_few_hidden_arrays(dropout_p):
+    # At T = 2,000 rows the weighted backward holds the hidden activations,
+    # the dropout mask if any, and the hidden delta with its boolean ReLU
+    # mask (an eighth of a float array), plus O(T) vectors: no
+    # pre-activations and no masked copies of the delta.
+    t, hidden = 2000, 128
+    spec = MlpSpec((4, hidden, 2), dropout_p)
+    rng = np.random.default_rng(9)
+    policy = MlpPolicy(spec, glorot(spec, rng))
+    obs, actions, adv = rng.normal(size=(t, 4)), rng.integers(2, size=t), rng.normal(size=t)
+    stream = np.random.default_rng(1)
+    peak = traced_peak(lambda: policy.weighted_grad_log(obs, actions, adv, stream))
+    arrays = 2 + (dropout_p > 0) + 1 / 8
+    assert peak <= arrays * t * hidden * 8 + 16 * t * 8
 
 
 def test_weighted_grad_log_matches_contracted_batch_with_dropout():

@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import Acrobot, CartPole, QControl, Statevector, loop_discounted_returns
+from conftest import (
+    Acrobot,
+    CartPole,
+    QControl,
+    Statevector,
+    acrobot_array_features,
+    loop_discounted_returns,
+)
 from qpolgrad import envs, qsim
 from qpolgrad.errors import ConfigError, ContractError
 from qpolgrad.envs import discounted_returns, make_env
@@ -443,10 +450,24 @@ def test_step_matches_the_scalar_reference_row_by_row(name, b, seed):
             assert got.tobytes() == want[index].tobytes()
 
 
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(b=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+def test_acrobot_features_match_the_array_oracle(b, seed):
+    # Per-row Python floats give every bit of numpy's array features, edge
+    # rows (signed zeros, +-pi, clipped velocities) included.
+    rng = np.random.default_rng(seed)
+    states = random_states("acrobot", rng, b)
+    on_edge = rng.random(b) < 1 / 3
+    states[on_edge] = edge_rows("acrobot", rng, int(on_edge.sum()))
+    got = make_env("acrobot").features(states)
+    assert (got.shape, got.dtype) == ((b, 6), np.float64)
+    assert got.tobytes() == acrobot_array_features(states).tobytes()
+
+
 def test_math_cos_and_sin_give_the_bits_of_numpy_on_arrays():
-    # The steps call math.cos and math.sin per row, where the features and
-    # the array steps that recorded the golden runs call np.cos and np.sin on
-    # float64 arrays. Acrobot's arguments include theta1 + theta2 - pi/2
+    # The steps and the acrobot features call math.cos and math.sin per row,
+    # where the array code that recorded the golden runs called np.cos and
+    # np.sin on float64 arrays. Acrobot's arguments include theta1 + theta2 - pi/2
     # (|x| <= 2 pi + pi/2 after the wrap) and RK4's stages, which step angles
     # past the wrap (|x| up to about 30); far beyond that the libraries must
     # still agree.

@@ -1,5 +1,4 @@
 import json
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +11,7 @@ from conftest import (
     rollout,
     sequential_batch,
     side_stream,
+    traced_peak,
     trained_policy,
 )
 from qpolgrad import config as cfg
@@ -429,19 +429,30 @@ def test_training_forms_no_per_sample_gradients(monkeypatch, preset):
     assert all(psi == lam == (dim, dim) for psi, lam, dim in swept)
 
 
-def test_policy_gradient_memory_stays_within_three_row_arrays():
-    # T output rows of 2**n complex amplitudes are 16 T 2**n bytes; the batch
-    # gradient may hold three such arrays at once (the input rows, the output
-    # rows and one readout temporary), not a (T, 2**n) co-state per sample.
+def streamed_pass_bytes(policy, rows) -> int:
+    """What a gradient's pass over T rows may hold beside its result: a few
+    (ADJOINT_CHUNK_ROWS, 2**n) complex arrays and the encode's (rows, n, 2**n)
+    gather of one chunk, plus O(T) reals (two copies of the (T, n) features
+    and a few (T,) vectors), never a (T, 2**n) array."""
+    n, chunk = policy.spec.n_qubits, vqpolicy.ADJOINT_CHUNK_ROWS
+    return 8 * chunk * 2**n * 16 + chunk * n * 2**n * 8 + rows * (2 * n + 8) * 8
+
+
+def test_policy_gradient_memory_stays_within_chunks():
+    # At acrobot-quantum's T = 5,000 rows one (T, 2**n) complex array is
+    # 5.1 MB, above the bound (3.7 MB); holding the whole batch's rows took
+    # 13 MB.
     batch, policy, *_ = batch_inputs("acrobot-quantum")
     rows = sum(len(traj) for traj in batch)
-    tracemalloc.start()
-    try:
-        policy_gradient(batch, policy)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 3 * rows * 2**policy.spec.n_qubits * 16
+    assert traced_peak(lambda: policy_gradient(batch, policy)) <= streamed_pass_bytes(policy, rows)
+
+
+def test_per_sample_gradient_memory_stays_within_chunks():
+    # The Fisher's exact (T, k+1) gradients hold their result beside the pass.
+    _, policy, observations, actions, _ = batch_inputs("acrobot-quantum")
+    rows = len(actions)
+    peak = traced_peak(lambda: policy.grad_log_batch(observations, actions))
+    assert peak <= rows * policy.n_trainable * 8 + streamed_pass_bytes(policy, rows)
 
 
 def test_dropout_training_is_finite_and_deterministic():

@@ -454,6 +454,52 @@ def test_shot_weighted_grad_log_is_the_contracted_batch():
     assert got.tobytes() == want.tobytes()
 
 
+def chunk_specs():
+    """Layered circuits of 1-6 qubits, and single_u3 on input states."""
+    layered_specs = st.integers(1, 6).flatmap(
+        lambda n: st.builds(layered, st.just(n), st.integers(1, 3), st.integers(1, n)))
+    return st.one_of(layered_specs, st.just(U3_SPEC))
+
+
+@pytest.mark.parametrize("t", [1, 255, 256, 257, 513])
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(spec=chunk_specs(), seed=st.integers(0, 2**32 - 1))
+def test_streamed_gradients_give_the_whole_batch_bits(t, spec, seed):
+    # The gradients take one pass over row chunks and hold no (T, 2**n)
+    # array, yet give every bit of the terms formed over the whole batch. The
+    # normalizer has seen only the first rows and the last row is the widest,
+    # so the encode scale must be widened over all T rows, not per chunk.
+    rng = np.random.default_rng(seed)
+    policy = QuantumPolicy(spec, random_vector(spec, rng))
+    if spec.encoding == "angle_rx":
+        obs = rng.normal(size=(t, spec.n_qubits))
+        policy.normalizer.observe(obs[: (t + 1) // 2])
+        obs[-1] = 2 * np.abs(obs).max(axis=0)
+    else:
+        obs = np.stack([qsim.amplitude_features(random_state(rng, spec.n_qubits).amplitudes)
+                        for _ in range(t)])
+    actions = rng.integers(spec.n_actions, size=t)
+    adv = rng.normal(size=t)
+    got = policy.grad_log_batch(obs, actions)
+    assert got.tobytes() == oracle.batch_grad_log(policy, obs, actions).tobytes()
+    got = policy.weighted_grad_log(obs, actions, adv)
+    assert got.tobytes() == oracle.batch_weighted_grad_log(policy, obs, actions, adv).tobytes()
+
+
+def test_gradients_reject_an_action_count_mismatch():
+    spec = layered(2, 1, 2)
+    policy = QuantumPolicy(spec, random_vector(spec, np.random.default_rng(44)))
+    obs = np.ones((3, 2))
+    for actions in ([0, 1], [0, 1, 1, 0], [[0, 1, 1]]):
+        with pytest.raises(ContractError):
+            policy.grad_log_batch(obs, actions)
+        with pytest.raises(ContractError):
+            policy.weighted_grad_log(obs, actions, np.ones(3))
+    for adv in (np.ones(2), np.ones(4)):
+        with pytest.raises(ValueError):
+            policy.weighted_grad_log(obs, [0, 1, 1], adv)
+
+
 # ---------------------------------------------------------------------------
 # QuantumPolicy wrapper
 # ---------------------------------------------------------------------------

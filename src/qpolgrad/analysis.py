@@ -25,52 +25,30 @@ from .vqpolicy import CircuitSpec, serial_matmul, shift_gradients
 
 
 @dataclass
-class FisherMatrix:
-    """k x k symmetric PSD information matrix."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=float)
-        if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
-            raise ContractError("Fisher matrix must be square")
-        if not np.allclose(self.matrix, self.matrix.T, atol=1e-10):
-            raise ContractError("Fisher matrix must be symmetric")
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def trace(self) -> float:
-        return float(np.trace(self.matrix))
-
-
-@dataclass
 class SpectrumReport:
     eigenvalues: np.ndarray  # sorted descending
     trace: float
 
 
-def fisher_matrix(policy, states, actions, include_beta: bool = True, rng=None) -> FisherMatrix:
+def fisher_matrix(policy, states, actions, include_beta: bool = True, rng=None) -> np.ndarray:
     """Empirical Fisher matrix (1/T) sum_t g_t g_t^T from (state, action) pairs.
 
-    `include_beta=False` restricts a quantum policy's gradient to the circuit
-    angles; classical policies always use their full weight gradient. `rng`
-    feeds shot-mode readouts and dropout masks.
+    `include_beta=False` keeps the first `policy.spec.n_params` coordinates:
+    a quantum policy's angles, every weight of an MLP. `rng` feeds shot-mode
+    readouts and dropout masks.
     """
     if len(states) == 0 or len(states) != len(actions):
         raise ContractError("fisher_matrix needs equal-length, non-empty state/action lists")
     g = policy.grad_log_batch(states, np.asarray(actions, dtype=int), rng)
-    if not include_beta and policy.kind == "quantum":
-        g = g[:, :-1]
+    if not include_beta:
+        g = g[:, :policy.spec.n_params]
     f = serial_matmul(g.T, g) / g.shape[0]
-    return FisherMatrix((f + f.T) / 2)
+    return (f + f.T) / 2
 
 
-def spectrum(f: FisherMatrix) -> SpectrumReport:
-    """Eigenvalues, largest first, and the trace."""
-    return SpectrumReport(np.linalg.eigvalsh(f.matrix)[::-1], float(np.trace(f.matrix)))
+def spectrum(f: np.ndarray) -> SpectrumReport:
+    """Eigenvalues of a Fisher matrix, largest first, and its trace."""
+    return SpectrumReport(np.linalg.eigvalsh(f)[::-1], float(np.trace(f)))
 
 
 # ---------------------------------------------------------------------------

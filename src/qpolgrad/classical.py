@@ -65,10 +65,10 @@ def _check_input(spec: MlpSpec, features: np.ndarray) -> np.ndarray:
     return features
 
 
-def _forward_cached(spec, weights, x, train, rng):
+def _forward_cached(weights, x, dropout_p, rng):
     """Batched forward pass keeping each layer's input activation and dropout
-    mask. A hidden activation is > 0 exactly where its pre-activation is,
-    unless dropout zeroed it, so the backward pass reads its ReLU mask there."""
+    mask (rate `dropout_p`). A hidden activation is > 0 exactly where its
+    pre-activation is, unless dropped, so the backward pass reads its ReLU mask there."""
     acts, masks = [x], []
     a = x
     n_layers = len(weights)
@@ -76,8 +76,8 @@ def _forward_cached(spec, weights, x, train, rng):
         a = np.einsum("ti,oi->to", a, w)  # unlike BLAS, rounds a row alike in any batch
         if i < n_layers - 1:
             np.maximum(a, 0.0, out=a)
-            if train and spec.dropout_p > 0.0:
-                keep = 1.0 - spec.dropout_p
+            if dropout_p > 0.0:
+                keep = 1.0 - dropout_p
                 mask = (rng.random(a.shape) < keep) / keep
                 a *= mask
                 masks.append(mask)
@@ -87,29 +87,25 @@ def _forward_cached(spec, weights, x, train, rng):
     return a, acts, masks
 
 
-def forward(spec: MlpSpec, weights: list[np.ndarray], features, mode: str = "eval",
-            rng: np.random.Generator | None = None) -> np.ndarray:
-    """Action preferences for one feature vector (or a batch of rows)."""
-    if mode not in ("eval", "train"):
-        raise ContractError(f"mode must be 'eval' or 'train', got {mode!r}")
-    if mode == "train" and spec.dropout_p > 0.0 and rng is None:
-        raise ContractError("train-mode dropout requires an rng")
+def forward(spec: MlpSpec, weights: list[np.ndarray], features) -> np.ndarray:
+    """Eval-mode (dropout-free) action preferences for one feature row or many."""
     x = np.atleast_2d(_check_input(spec, features))
-    out, _, _ = _forward_cached(spec, weights, x, mode == "train", rng)
+    out, _, _ = _forward_cached(weights, x, 0.0, None)
     return out[0] if np.asarray(features).ndim == 1 else out
 
 
-def _backward(spec: MlpSpec, weights: list[np.ndarray], features, actions, mode: str,
+def _backward(spec: MlpSpec, weights: list[np.ndarray], features, actions,
               rng: np.random.Generator | None, scale=None) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per layer, the rows' (output delta, input activation) of the backward
-    pass of log pi(a_t | x_t); `scale` multiplies each row's delta."""
-    if mode == "train" and spec.dropout_p > 0.0 and rng is None:
+    pass of log pi(a_t | x_t) through the training forward (dropout draws
+    from `rng`); `scale` multiplies each row's delta."""
+    if spec.dropout_p > 0.0 and rng is None:
         raise ContractError("train-mode dropout requires an rng")
     x = np.atleast_2d(_check_input(spec, features))
     actions = np.asarray(actions, dtype=int)
     if np.any(actions < 0) or np.any(actions >= spec.layer_sizes[-1]):
         raise ContractError("action index out of range")
-    prefs, acts, masks = _forward_cached(spec, weights, x, mode == "train", rng)
+    prefs, acts, masks = _forward_cached(weights, x, spec.dropout_p, rng)
     delta = -softmax_policy(prefs, 1.0)
     delta[np.arange(x.shape[0]), actions] += 1.0  # d log pi / d prefs = onehot - pi
     if scale is not None:
@@ -125,14 +121,6 @@ def _backward(spec: MlpSpec, weights: list[np.ndarray], features, actions, mode:
     return layers[::-1]
 
 
-def grad_log_policy_batch(spec: MlpSpec, weights: list[np.ndarray], features, actions,
-                          mode: str = "eval", rng: np.random.Generator | None = None) -> np.ndarray:
-    """Row-stacked log-policy gradients, shape (T, n_params)."""
-    layers = _backward(spec, weights, features, actions, mode, rng)
-    return np.concatenate([np.einsum("to,ti->toi", delta, act).reshape(len(act), -1)
-                           for delta, act in layers], axis=1)
-
-
 class MlpPolicy:
     """Trainable classical policy: softmax over bias-free ReLU-net preferences.
 
@@ -140,8 +128,8 @@ class MlpPolicy:
     which `set_vector` splits from the flat trainable vector layer by layer.
     """
 
-    kind = "classical"
     beta = 1.0  # the softmax's inverse temperature, fixed
+    normalizer = None  # the features enter the network unscaled
 
     def __init__(self, spec: MlpSpec, vector: np.ndarray):
         self.spec = spec
@@ -171,16 +159,16 @@ class MlpPolicy:
         return softmax_policy(forward(self.spec, self.weights, obs), self.beta)
 
     def grad_log_batch(self, observations, actions, rng: np.random.Generator | None = None) -> np.ndarray:
-        mode = "train" if self.spec.dropout_p > 0.0 else "eval"
-        return grad_log_policy_batch(self.spec, self.weights, observations, actions, mode=mode,
-                                     rng=rng)
+        """Row-stacked log-policy gradients, shape (T, n_params)."""
+        layers = _backward(self.spec, self.weights, observations, actions, rng)
+        return np.concatenate([np.einsum("to,ti->toi", delta, act).reshape(len(act), -1)
+                               for delta, act in layers], axis=1)
 
     def weighted_grad_log(self, observations, actions, weights,
                           rng: np.random.Generator | None = None) -> np.ndarray:
         """sum_t weights[t] * grad log pi(a_t | s_t), shape (n_params,), from
         `grad_log_batch`'s passes (and dropout draws) on weighted deltas."""
-        mode = "train" if self.spec.dropout_p > 0.0 else "eval"
-        layers = _backward(self.spec, self.weights, observations, actions, mode, rng, weights)
+        layers = _backward(self.spec, self.weights, observations, actions, rng, weights)
         return np.concatenate([serial_matmul(delta.T, act).ravel() for delta, act in layers])
 
     # -- persistence ----------------------------------------------------------

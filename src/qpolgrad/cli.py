@@ -118,17 +118,17 @@ def fisher_spectrum(policy, environment: str, rollouts: int, rng: np.random.Gene
     """Fisher spectrum over fresh on-policy rollouts on a side stream.
 
     The rollouts run as one lockstep batch of `run_episodes`, all on the
-    one stream `rng`: in exact mode rollout i draws its i-th consecutive
-    block, its reset and then `max_steps` uniforms; in shot mode the
-    rollouts' draws interleave step by step. Each rollout scales by its own
-    row of a snapshot of the normalizer, which records what they see, so
-    observing a policy leaves it unchanged; the gradients scale by the
-    policy's maxima widened to cover every visited state. Shot-mode
-    gradients draw from the same stream after the rollouts.
+    one stream `rng`: rollout i draws its i-th consecutive block, its reset
+    and then `max_steps` uniforms, and shot readouts draw after all blocks.
+    Each rollout scales by its own row of a snapshot of the normalizer,
+    which records what they see, so observing a policy leaves it unchanged;
+    the gradients scale by the policy's maxima widened to cover every
+    visited state. Shot-mode gradients draw from the same stream after the
+    rollouts.
     """
     if rollouts < 1:
         raise ContractError(f"a Fisher spectrum needs at least one rollout, got {rollouts}")
-    snapshot = policy.normalizer.copy() if getattr(policy, "normalizer", None) else None
+    snapshot = None if policy.normalizer is None else policy.normalizer.copy()
     # gamma 1.0: it only sets the trajectories' returns, which no spectrum reads
     trajs = reinforce.run_episodes(envs.make_env(environment), policy, [rng] * rollouts, 1.0,
                                    snapshot)

@@ -189,23 +189,19 @@ def run_episodes(env, policy, rngs, gamma: float, normalizer=None) -> list[Traje
 
     Each step is one inference over the rows of the running episodes, one
     vectorised action draw and one array `env` step. Episode i draws from
-    rngs[i]: its reset, then in exact mode all `max_steps` action uniforms
-    as one block before the first step, in shot mode per step its readout
-    and one uniform. One generator may stand in several places of `rngs`:
-    in exact mode episode i then takes its i-th consecutive block, whatever
-    the earlier episodes' lengths; in shot mode the episodes' draws
-    interleave step by step. With a `normalizer`, each episode scales by
-    its own snapshot of it, a row of a (B, n) running-max array, merged
-    into it afterwards, so no episode sees what another observed.
+    rngs[i]: its reset, then all `max_steps` action uniforms as one block
+    before the first step; a shot readout then draws from it step by step.
+    One generator may stand in several places of `rngs`: episode i then
+    takes its i-th consecutive block, whatever the earlier episodes'
+    lengths, and the readouts of the episodes interleave after all blocks.
+    With a `normalizer`, each episode scales by its own snapshot of it, a
+    row of a (B, n) running-max array, merged into it afterwards, so no
+    episode sees what another observed.
     """
     spec = env.spec
     n = len(rngs)
-    shot_mode = bool(getattr(policy, "shots", 0))
-    if shot_mode:
-        states = env.reset(rngs)
-    else:
-        starts, blocks = zip(*[(env.reset([rng]), rng.random(spec.max_steps)) for rng in rngs])
-        states, uniforms = np.concatenate(starts), np.stack(blocks)
+    starts, blocks = zip(*[(env.reset([rng]), rng.random(spec.max_steps)) for rng in rngs])
+    states, uniforms = np.concatenate(starts), np.stack(blocks)
     abs_max = None if normalizer is None else np.tile(normalizer.running_abs_max, (n, 1))
     observations = np.empty((n, spec.max_steps, spec.n_features))
     actions = np.zeros((n, spec.max_steps), dtype=int)
@@ -213,16 +209,13 @@ def run_episodes(env, policy, rngs, gamma: float, normalizer=None) -> list[Traje
     lengths = np.full(n, spec.max_steps)
     running = np.arange(n)  # the episodes still running
     active = slice(None)  # indexes them in the per-episode arrays, all until one ends
+    streams = list(rngs)  # their generators, for a shot readout
     for t in range(spec.max_steps):
         rows = env.features(states)
         scale = None
         if abs_max is not None:
             scale = abs_max[active] = np.maximum(abs_max[active], np.abs(rows))
-        if shot_mode:
-            probs = policy.probabilities(rows, [rngs[i] for i in running], scale)
-            chosen = sample_actions(probs, np.array([rngs[i].random() for i in running]))
-        else:
-            chosen = sample_actions(policy.probabilities(rows, None, scale), uniforms[active, t])
+        chosen = sample_actions(policy.probabilities(rows, streams, scale), uniforms[active, t])
         observations[active, t] = rows
         actions[active, t] = chosen
         states, rewards[active, t], done = env.step(states, chosen)
@@ -233,6 +226,7 @@ def run_episodes(env, policy, rngs, gamma: float, normalizer=None) -> list[Traje
             running = active = running[keep]
             if not running.size:
                 break
+            streams = [rngs[i] for i in running]
     if normalizer is not None:
         normalizer.observe(abs_max)
     return [Trajectory(observations[i, :steps], actions[i, :steps], rewards[i, :steps],
@@ -250,7 +244,7 @@ def collect_batch(config, policy, first_episode: int, n_episodes: int) -> list[T
     once, at the first step, and the batch's gradient reuses it."""
     rngs = [_episode_rng(config.seed, first_episode + i) for i in range(n_episodes)]
     return run_episodes(make_env(config.environment), policy, rngs, config.gamma,
-                        getattr(policy, "normalizer", None))
+                        policy.normalizer)
 
 
 @dataclass

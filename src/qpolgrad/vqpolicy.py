@@ -12,9 +12,9 @@ and the rows are read out exactly or with a finite number of shots. An
 angle-encoded row is gathered from one (cos, sin) pair per qubit through a
 cached table of basis-state bits. The exact readout contracts the rows'
 probabilities with a cached (2**n, |A|) table of +-1 signs, the same table
-that gives the adjoint sweep its co-states; shot mode draws from the
-measured qubits' marginals (`qsim.measure_z_array`). A policy builds the
-operator once per trainable vector, at its first use after `set_vector`.
+that gives the adjoint sweep its co-states; shot mode draws each row from
+the measured qubits' marginals (`qsim.measure_z_array`) on its own
+generator. A policy builds the operator at first use after `set_vector`.
 
 Every trainable angle sits in exactly one Pauli rotation (the U3 gate is a
 Z-Y-Z chain, so its three angles qualify). Gradients with respect to them
@@ -372,8 +372,6 @@ class QuantumPolicy:
     batched rows out with `shots` measurements.
     """
 
-    kind = "quantum"
-
     def __init__(self, spec: CircuitSpec, vector: np.ndarray,
                  normalizer: FeatureNormalizer | None = None, shots: int = 0):
         if spec.encoding == "angle_rx" and normalizer is None:
@@ -424,8 +422,9 @@ class QuantumPolicy:
 
     def probabilities(self, obs, rng=None, abs_max=None) -> np.ndarray:
         """(|A|,) for one feature row or (m, |A|) for m rows, from one
-        `serial_matmul`; `abs_max` as in `_encode_batch`. In shot mode each row
-        reads out with its own generator: `rng` is one, or a sequence of m."""
+        `serial_matmul`; `abs_max` as in `_encode_batch`. `rng` is one
+        generator or a sequence of m: shot mode reads row i out on the i-th,
+        exact mode draws from none, so a rollout passes them in either mode."""
         single = np.ndim(obs) == 1
         out = serial_matmul(self._encode_batch(obs, abs_max), self.row_operator())
         if self.shots:
@@ -516,10 +515,10 @@ class QuantumPolicy:
         }
 
     @classmethod
-    def from_checkpoint(cls, data: dict, shots: int = 0) -> "QuantumPolicy":
+    def from_checkpoint(cls, data: dict) -> "QuantumPolicy":
         spec = CircuitSpec.from_dict(data["spec"])
         normalizer = None
         if spec.encoding == "angle_rx":
             stored = data.get("norm_abs_max") or None
             normalizer = FeatureNormalizer(spec.n_qubits, stored)
-        return cls(spec, [*data["theta"], data["beta"]], normalizer, shots=shots)
+        return cls(spec, [*data["theta"], data["beta"]], normalizer)

@@ -427,20 +427,22 @@ def loop_discounted_returns(rewards, gamma: float) -> np.ndarray:
     return out
 
 
-def sample_action(probs: np.ndarray, rng: np.random.Generator) -> int:
+def sample_action(probs: np.ndarray, uniform: float) -> int:
     """Inverse-CDF draw from a probability vector."""
     cum = np.cumsum(probs)
-    return int(min(np.searchsorted(cum, rng.random(), side="right"), len(probs) - 1))
+    return int(min(np.searchsorted(cum, uniform, side="right"), len(probs) - 1))
 
 
 def rollout(env, policy, rng, gamma, normalizer=None):
     """One episode on a scalar env, one 1-row inference per step.
 
-    With a `normalizer`, each observed row is recorded in it before the
-    row is scaled by it. Returns the trajectory and the probabilities of
-    every step, (T, |A|).
+    `rng` draws the reset, then `max_steps` action uniforms; a shot readout
+    draws from it after them, step by step. With a `normalizer`, each
+    observed row is recorded in it before the row is scaled by it. Returns
+    the trajectory and the probabilities of every step, (T, |A|).
     """
     obs = env.reset(rng)
+    uniforms = rng.random(env.spec.max_steps)
     observations, actions, rewards, probabilities = [], [], [], []
     done = False
     while not done:
@@ -449,7 +451,7 @@ def rollout(env, policy, rng, gamma, normalizer=None):
             normalizer.observe(obs)
             abs_max = normalizer.running_abs_max
         probs = policy.probabilities(obs, rng, abs_max)
-        action = sample_action(probs, rng)
+        action = sample_action(probs, uniforms[len(actions)])
         observations.append(obs)
         actions.append(action)
         probabilities.append(probs)
@@ -465,7 +467,7 @@ def sequential_batch(environment, policy, rngs, gamma):
     """Episodes one after another, each on its own stream and its own copy of
     the policy's normalizer; the copies are merged into it afterwards.
     Returns the trajectories and each one's per-step probabilities."""
-    master = getattr(policy, "normalizer", None)
+    master = policy.normalizer
     copies = [master.copy() if master is not None else None for _ in rngs]
     results = [rollout(SCALAR_ENVS[environment](), policy, rng, gamma, copy)
                for rng, copy in zip(rngs, copies)]

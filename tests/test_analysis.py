@@ -6,7 +6,6 @@ import pytest
 from qpolgrad import analysis
 from qpolgrad.analysis import (
     BoundInputs,
-    FisherMatrix,
     bernoulli_hoeffding_failure_rate,
     fisher_matrix,
     hoeffding_validate,
@@ -25,8 +24,6 @@ from conftest import evolve_hamiltonian, init_zero
 class StubPolicy:
     """Policy stand-in returning prescribed log-policy gradients."""
 
-    kind = "classical"
-
     def __init__(self, grads):
         self.grads = np.atleast_2d(np.asarray(grads, dtype=float))
 
@@ -40,12 +37,12 @@ class StubPolicy:
 
 def test_fisher_single_outer_product():
     f = fisher_matrix(StubPolicy([[2.0]]), [0], [0])
-    np.testing.assert_allclose(f.matrix, [[4.0]])
+    np.testing.assert_allclose(f, [[4.0]])
 
 
 def test_fisher_two_sample_average():
     f = fisher_matrix(StubPolicy([[2.0], [4.0]]), [0, 0], [0, 0])
-    np.testing.assert_allclose(f.matrix, [[10.0]])
+    np.testing.assert_allclose(f, [[10.0]])
 
 
 def test_fisher_rank_bounded_by_samples():
@@ -80,17 +77,27 @@ def test_fisher_psd_for_real_policies(make_policy):
         f = fisher_matrix(policy, states, actions)
         eigs = spectrum(f).eigenvalues
         assert np.all(eigs >= -1e-8)
-        assert np.sum(eigs) == pytest.approx(f.trace, abs=1e-8)
+        assert np.sum(eigs) == pytest.approx(np.trace(f), abs=1e-8)
 
 
 def test_fisher_theta_only_mode_drops_beta_coordinate():
+    # The quantum policy drops its inverse temperature; the MLP has none, so
+    # it keeps every weight.
     rng = np.random.default_rng(2)
     spec = CircuitSpec(2, 1, 2)
     policy = QuantumPolicy(spec, np.append(rng.uniform(-1, 1, size=4), 1.0))
     states = [rng.normal(size=2) for _ in range(4)]
     actions = rng.integers(2, size=4)
-    assert fisher_matrix(policy, states, actions).dim == 5
-    assert fisher_matrix(policy, states, actions, include_beta=False).dim == 4
+    full = fisher_matrix(policy, states, actions)
+    assert full.shape == (5, 5)
+    np.testing.assert_allclose(fisher_matrix(policy, states, actions, include_beta=False),
+                               full[:4, :4], rtol=1e-12)
+    spec = MlpSpec((2, 3, 2))
+    policy = MlpPolicy(spec, init_mlp_params({"kind": "glorot_normal"}, spec, rng))
+    full = fisher_matrix(policy, states, actions)
+    assert full.shape == (12, 12)
+    np.testing.assert_array_equal(fisher_matrix(policy, states, actions, include_beta=False),
+                                  full)
 
 
 # ---------------------------------------------------------------------------
@@ -98,13 +105,13 @@ def test_fisher_theta_only_mode_drops_beta_coordinate():
 # ---------------------------------------------------------------------------
 
 def test_jacobi_diagonal_matrix():
-    report = spectrum(FisherMatrix(np.diag([1.0, 3.0, 0.0])))
+    report = spectrum(np.diag([1.0, 3.0, 0.0]))
     np.testing.assert_allclose(report.eigenvalues, [3, 1, 0], atol=1e-12)
 
 
 def test_jacobi_2x2_characteristic_polynomial():
     # [[2,1],[1,2]]: lambda^2 - 4 lambda + 3 = 0 -> 3, 1
-    report = spectrum(FisherMatrix(np.array([[2.0, 1.0], [1.0, 2.0]])))
+    report = spectrum(np.array([[2.0, 1.0], [1.0, 2.0]]))
     np.testing.assert_allclose(report.eigenvalues, [3.0, 1.0], atol=1e-10)
 
 
@@ -112,23 +119,16 @@ def test_jacobi_3x3_analytic_tridiagonal():
     # [[2,1,0],[1,2,1],[0,1,2]]: (2-l)((2-l)^2 - 2) = 0 -> 2 +/- sqrt(2), 2
     a = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]])
     np.testing.assert_allclose(
-        spectrum(FisherMatrix(a)).eigenvalues, [2 + np.sqrt(2), 2.0, 2 - np.sqrt(2)], atol=1e-10
+        spectrum(a).eigenvalues, [2 + np.sqrt(2), 2.0, 2 - np.sqrt(2)], atol=1e-10
     )
-
-
-def test_jacobi_rejects_asymmetric():
-    with pytest.raises(ContractError):
-        FisherMatrix(np.array([[1.0, 2.0], [0.0, 1.0]]))
-    with pytest.raises(ContractError):
-        FisherMatrix(np.ones((2, 3)))
 
 
 def test_spectrum_trace_consistency():
     rng = np.random.default_rng(4)
     g = rng.normal(size=(12, 10))
-    f = FisherMatrix(g.T @ g / 12)
+    f = g.T @ g / 12
     report = spectrum(f)
-    assert report.trace == pytest.approx(np.trace(f.matrix), abs=1e-10)
+    assert report.trace == pytest.approx(np.trace(f), abs=1e-10)
     assert np.sum(report.eigenvalues) == pytest.approx(report.trace, abs=1e-8)
     assert len(report.eigenvalues) == 10
 

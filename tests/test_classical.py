@@ -148,21 +148,23 @@ def test_eval_mode_is_deterministic_with_dropout_configured():
     spec = MlpSpec((4, 16, 2), dropout_p=0.2)
     weights = MlpPolicy(spec, glorot(spec, rng)).weights
     x = rng.normal(size=4)
-    a = forward(spec, weights, x, mode="eval")
-    b = forward(spec, weights, x, mode="eval")
+    a = forward(spec, weights, x)
+    b = forward(spec, weights, x)
     np.testing.assert_array_equal(a, b)
 
 
 def test_dropout_expectation_matches_eval_forward():
-    # inverted dropout is mean-preserving: averaging many train-mode outputs
-    # approaches the eval output, per output coordinate, within 3 sigma
+    # inverted dropout is mean-preserving: averaging many outputs of the
+    # training forward approaches the eval output, per output coordinate,
+    # within 3 sigma
     rng = np.random.default_rng(6)
     spec = MlpSpec((4, 16, 2), dropout_p=0.2)
     weights = MlpPolicy(spec, glorot(spec, rng)).weights
     x = rng.normal(size=4)
-    exact = forward(spec, weights, x, mode="eval")
+    exact = forward(spec, weights, x)
     n = 10**4
-    draws = np.stack([forward(spec, weights, x, mode="train", rng=rng) for _ in range(n)])
+    draws = np.stack([classical._forward_cached(weights, x[None], spec.dropout_p, rng)[0][0]
+                      for _ in range(n)])
     mean = draws.mean(axis=0)
     sem = draws.std(axis=0, ddof=1) / np.sqrt(n)
     assert np.all(np.abs(mean - exact) <= 3 * sem + 1e-12)
@@ -170,9 +172,9 @@ def test_dropout_expectation_matches_eval_forward():
 
 def test_train_mode_requires_rng_with_dropout():
     spec = MlpSpec((2, 3, 2), dropout_p=0.5)
-    weights = MlpPolicy(spec, glorot(spec, np.random.default_rng(7))).weights
+    policy = MlpPolicy(spec, glorot(spec, np.random.default_rng(7)))
     with pytest.raises(ContractError):
-        forward(spec, weights, np.zeros(2), mode="train")
+        policy.grad_log_batch(np.zeros((1, 2)), [0])
 
 
 def test_policy_batch_grads_match_single():

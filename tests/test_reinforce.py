@@ -421,7 +421,7 @@ def test_training_forms_no_per_sample_gradients(monkeypatch, preset):
         return sweep(spec, params, psi, lam)
 
     monkeypatch.setattr(vqpolicy, "adjoint_gradients", folded_sweep)
-    monkeypatch.setattr(classical, "grad_log_policy_batch", refuse)
+    monkeypatch.setattr(classical.MlpPolicy, "grad_log_batch", refuse)
     config = cfg.preset_config(preset, {"episodes": 10, "seed": 0})
     assert all(np.isfinite(record.grad_norm) for record in train(config))
     if preset.endswith("quantum"):
@@ -543,8 +543,9 @@ def per_episode(calls, lengths):
 def test_lockstep_batch_matches_sequential_reference(monkeypatch, preset, overrides):
     # Bit for bit the episodes that run one after another on scalar envs
     # with 1-row inference, on the same per-episode streams and normalizer
-    # snapshots. In shot mode the readout draws come from each episode's
-    # stream, so an exact readout would change the actions.
+    # snapshots. In shot mode the readout draws from each episode's stream
+    # after its uniforms, and its finite-shot probabilities move some actions
+    # off the exact readout's.
     config = cfg.preset_config(preset, {"seed": 7, **overrides})
     policy, reference_policy = prepare(config).policy, prepare(config).policy
     calls = lockstep_probabilities(policy, monkeypatch)
@@ -560,7 +561,7 @@ def test_lockstep_batch_matches_sequential_reference(monkeypatch, preset, overri
         np.testing.assert_array_equal(traj.returns, ref.returns)
         np.testing.assert_array_equal(traj.observations, ref.observations)
         np.testing.assert_array_equal(probs, ref_probs)
-    if getattr(policy, "normalizer", None) is not None:
+    if policy.normalizer is not None:
         np.testing.assert_array_equal(policy.normalizer.running_abs_max,
                                       reference_policy.normalizer.running_abs_max)
     if overrides.get("shots"):
@@ -587,7 +588,7 @@ def test_lockstep_batch_independent_of_order_and_size(preset, overrides):
     config = cfg.preset_config(preset, {"seed": 2, **overrides})
     env = envs.make_env(config.environment)
     policy = prepare(config).policy
-    normalizer = getattr(policy, "normalizer", None)
+    normalizer = policy.normalizer
 
     def run(seeds):
         rngs = [reinforce._episode_rng(config.seed, s) for s in seeds]
@@ -604,6 +605,53 @@ def test_lockstep_batch_independent_of_order_and_size(preset, overrides):
         assert run([i])[0] == [together[i]]
     if normalizer is not None:
         np.testing.assert_array_equal(merged.running_abs_max, merged_permuted.running_abs_max)
+
+
+class SilentPolicy:
+    """Stub with row-dependent probabilities that draws nothing, as an
+    exact readout or an MLP does."""
+
+    normalizer = None
+
+    def probabilities(self, obs, rng=None, abs_max=None):
+        right = 0.5 + 0.4 * np.tanh(20.0 * obs[:, 2])  # lean with the pole
+        return np.stack([1.0 - right, right], axis=1)
+
+
+class DrawingPolicy(SilentPolicy):
+    """The same probabilities, drawing from each row's generator as a shot
+    readout does. It carries `shots` as a shot-mode policy does; the rollout
+    must not read it."""
+
+    shots = 3
+
+    def probabilities(self, obs, rng=None, abs_max=None):
+        assert len(rng) == len(obs)
+        for stream in rng:
+            stream.random(self.shots)
+        return super().probabilities(obs, rng, abs_max)
+
+
+def test_rollout_draws_one_schedule_whatever_the_readout():
+    # Every episode draws its reset and its max_steps uniforms first, so a
+    # readout that draws from the episode's generator afterwards cannot move
+    # an action. The readout gets the running episodes' own generators: each
+    # stream ends right after its episode's 3 draws per step.
+    env = envs.make_env("cartpole")
+
+    def run(policy):
+        rngs = [reinforce._episode_rng(5, i) for i in range(6)]
+        return run_episodes(env, policy, rngs, 0.99), rngs
+
+    silent, _ = run(SilentPolicy())
+    drawing, streams = run(DrawingPolicy())
+    assert len({len(traj) for traj in silent}) > 1
+    for i, (a, b, stream) in enumerate(zip(silent, drawing, streams)):
+        assert trajectory_bits(a) == trajectory_bits(b)
+        replay = reinforce._episode_rng(5, i)
+        env.reset([replay])
+        replay.random(env.spec.max_steps + 3 * len(b))
+        assert stream.random() == replay.random()
 
 
 def test_train_counts_steps_through_module_collect_batch(monkeypatch):
@@ -672,7 +720,7 @@ def test_fisher_rollouts_match_sequential_reference(monkeypatch, preset, episode
     # Cartpole rollouts differ in length, and at checkpoint 60 of seed 0 a
     # qcontrol-quantum rollout ends before its 10th step.
     config, policy = trained_policy(preset, episodes)
-    normalizer = getattr(policy, "normalizer", None)
+    normalizer = policy.normalizer
     before = None if normalizer is None else normalizer.running_abs_max.copy()
     (batch,), calls = fisher_rollouts(monkeypatch, config, policy, config.batch_size,
                                       side_stream(0, episodes))

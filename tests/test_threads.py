@@ -25,7 +25,7 @@ def batch(preset, rows):
     policy = reinforce.prepare(config).policy
     rng = np.random.default_rng(7)
     observations = rng.normal(size=(rows, config.env_spec.n_features))
-    if policy.kind == "quantum":
+    if policy.normalizer is not None:
         policy.normalizer.observe(observations)
     return policy, observations, rng.integers(policy.n_actions, size=rows), rng.normal(size=rows)
 
@@ -35,7 +35,7 @@ report = analysis.spectrum(analysis.fisher_matrix(policy, obs, actions))
 print(hashlib.sha256(report.eigenvalues.tobytes()).hexdigest())
 policy, obs, actions, adv = batch("acrobot-quantum", 5000)
 print(hashlib.sha256(policy.weighted_grad_log(obs, actions, adv).tobytes()).hexdigest())
-print(hashlib.sha256(analysis.fisher_matrix(policy, obs, actions).matrix.tobytes()).hexdigest())
+print(hashlib.sha256(analysis.fisher_matrix(policy, obs, actions).tobytes()).hexdigest())
 """
 
 

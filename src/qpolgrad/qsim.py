@@ -6,18 +6,23 @@ Conventions, fixed once for the whole package:
   two qubits the amplitude order is |00>, |01>, |10>, |11>.
 - Rotation gates use the halved-angle convention
   R_P(theta) = exp(-i * theta * sigma_P / 2).
-- U3(theta, phi, lam) is the Z-Y-Z Euler gate RZ(phi) @ RY(theta) @ RZ(lam)
-  (matrix product, rightmost factor acts first).
+- A circuit is a gate program: a tuple of steps (kind, target, arg), applied
+  in order. A rotation step ("RY" or "RZ") reads angle theta[arg]; a "CNOT"
+  step's arg is its control qubit. Every angle of the policy's circuits sits
+  in exactly one rotation, so RY, RZ and CNOT are the only kinds: the
+  single-U3 policy is the chain RZ RY RZ (`vqpolicy.gate_program`), and a U3
+  matrix exists only in the tests' kron oracle.
 
 Array helpers (suffix ``_array``) operate on raw complex arrays whose last
 axis has length 2**n; leading axes are treated as a batch. The simulator is
 batched only: the policy engine pushes row-stacked states through one circuit
-row operator, reads them out, and walks them back gate by gate for its
+row operator, reads them out, and walks them back step by step for its
 adjoint gradient. The row-operator build and that sweep share one
-single-qubit kernel, `apply_1q_array`. The exact readout is the policy's
-own: the rows' probabilities contracted with a table of +-1 signs
-(`vqpolicy._readout`). `measure_z_array` draws the finite-shot readout from
-the measured qubits' marginals.
+single-qubit kernel, `apply_1q_array`, and the rotation matrices in
+`ROTATIONS`. The exact readout is the policy's own: the rows' probabilities
+contracted with a table of +-1 signs (`vqpolicy._readout`).
+`measure_z_array` draws the finite-shot readout from the measured qubits'
+marginals.
 
 A state travels outside the simulator as a float feature row: its amplitudes
 as interleaved (re, im) pairs. `amplitude_features` and `feature_amplitudes`
@@ -25,21 +30,11 @@ own that format and convert both ways bit for bit.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ContractError
 
 MAX_QUBITS = 8
-
-GATE_KINDS = ("RX", "RY", "RZ", "U3", "CNOT")
-_N_ANGLES = {"RX": 1, "RY": 1, "RZ": 1, "U3": 3, "CNOT": 0}
-
-
-def rx_matrix(theta: float) -> np.ndarray:
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
 
 
 def ry_matrix(theta: float) -> np.ndarray:
@@ -52,45 +47,7 @@ def rz_matrix(theta: float) -> np.ndarray:
     return np.array([[e, 0], [0, np.conj(e)]], dtype=complex)
 
 
-def u3_matrix(theta: float, phi: float, lam: float) -> np.ndarray:
-    return rz_matrix(phi) @ ry_matrix(theta) @ rz_matrix(lam)
-
-
-@dataclass(frozen=True)
-class Gate:
-    """One circuit element: a Pauli rotation, a U3, or a CNOT."""
-
-    kind: str
-    angles: tuple[float, ...] = ()
-    target: int = 0
-    control: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in GATE_KINDS:
-            raise ContractError(f"unknown gate kind {self.kind!r}")
-        if len(self.angles) != _N_ANGLES[self.kind]:
-            raise ContractError(
-                f"{self.kind} takes {_N_ANGLES[self.kind]} angle(s), got {len(self.angles)}"
-            )
-        if not all(np.isfinite(a) for a in self.angles):
-            raise ContractError(f"{self.kind} angles must be finite")
-        if self.kind == "CNOT":
-            if self.control is None or self.control == self.target:
-                raise ContractError("CNOT needs a control distinct from its target")
-        elif self.control is not None:
-            raise ContractError(f"{self.kind} does not take a control qubit")
-
-    def matrix(self) -> np.ndarray:
-        """2x2 unitary of a single-qubit gate (CNOT has no 2x2 matrix)."""
-        if self.kind == "RX":
-            return rx_matrix(*self.angles)
-        if self.kind == "RY":
-            return ry_matrix(*self.angles)
-        if self.kind == "RZ":
-            return rz_matrix(*self.angles)
-        if self.kind == "U3":
-            return u3_matrix(*self.angles)
-        raise ContractError("CNOT is not a single-qubit gate")
+ROTATIONS = {"RY": ry_matrix, "RZ": rz_matrix}
 
 
 # ---------------------------------------------------------------------------
@@ -120,18 +77,19 @@ def apply_cnot_array(amps: np.ndarray, control: int, target: int, n_qubits: int)
     return amps[..., np.where(index >> (n_qubits - 1 - control) & 1, flipped, index)]
 
 
-def circuit_row_operator(gates, n_qubits: int) -> np.ndarray:
+def circuit_row_operator(program, theta: np.ndarray, n_qubits: int) -> np.ndarray:
     """Matrix M such that rows_out = rows_in @ M for batched row states.
 
-    M equals U.T where U is the circuit unitary; built by pushing the
-    identity's rows through the circuit one gate at a time.
+    M equals U.T where U is the unitary of the gate program at angles
+    `theta`; built by pushing the identity's rows through the program one
+    step at a time.
     """
     rows = np.eye(2**n_qubits, dtype=complex)
-    for gate in gates:
-        if gate.kind == "CNOT":
-            rows = apply_cnot_array(rows, gate.control, gate.target, n_qubits)
+    for kind, target, arg in program:
+        if kind == "CNOT":
+            rows = apply_cnot_array(rows, arg, target, n_qubits)
         else:
-            rows = apply_1q_array(rows, gate.matrix(), gate.target, n_qubits)
+            rows = apply_1q_array(rows, ROTATIONS[kind](theta[arg]), target, n_qubits)
     return rows
 
 

@@ -16,14 +16,16 @@ that gives the adjoint sweep its co-states; shot mode draws each row from
 the measured qubits' marginals (`qsim.measure_z_array`) on its own
 generator. A policy builds the operator at first use after `set_vector`.
 
-Every trainable angle sits in exactly one Pauli rotation (the U3 gate is a
-Z-Y-Z chain, so its three angles qualify). Gradients with respect to them
-take one of two routes:
+The circuit is one cached gate program per spec (`gate_program`): RY, RZ
+and CNOT steps, so every trainable angle sits in exactly one Pauli rotation
+(the single U3 is written as its Z-Y-Z chain RZ RY RZ). The row operator and
+the adjoint sweep walk the same program, forwards and backwards. Gradients
+with respect to the angles take one of two routes:
 
 - Exact mode (shots = 0) uses one adjoint sweep (Jones & Gacon 2020),
   `adjoint_gradients`: row pairs (psi, lambda) at the circuit's output are
-  walked back through the gates together, and a rotation exp(-i theta P / 2)
-  contributes Im<lambda|P psi>. The co-state of row psi_t is
+  walked back through the program together, and a rotation
+  exp(-i theta P / 2) contributes Im<lambda|P psi>. The co-state of row psi_t is
   lambda_t = O_t psi_t, where O_t = sum_a w_ta Z_a. A gradient makes one
   pass over its batch, ADJOINT_CHUNK_ROWS rows at a time: each chunk is
   encoded, pushed through the row operator, read out and turned into
@@ -198,33 +200,33 @@ def encoded_rows(angles: np.ndarray) -> np.ndarray:
     return rows
 
 
-def build_ansatz(spec: CircuitSpec, theta: np.ndarray) -> list[qsim.Gate]:
-    """Gate list of the trainable block.
+@functools.cache
+def gate_program(spec: CircuitSpec) -> tuple[tuple[str, int, int], ...]:
+    """The circuit as `qsim` steps (kind, target, angle index or CNOT
+    control), in application order; built once per spec.
 
-    Layered: per layer, RY then RZ on each qubit (parameters consumed in
+    Layered: per layer, RY then RZ on each qubit (angles consumed in
     layer-major, qubit-major order), then the entangling cascade
     CNOT(control=i, target=(i+l) mod n) for i = 0..n-1 in layer l (1-based),
-    skipping self-loops. single_u3: one U3 on qubit 0, no entanglers.
+    skipping self-loops. single_u3: U3(theta[0], theta[1], theta[2]) on
+    qubit 0 as RZ(theta[2]), then RY(theta[0]), then RZ(theta[1]).
     """
+    if spec.architecture == "single_u3":
+        return (("RZ", 0, 2), ("RY", 0, 0), ("RZ", 0, 1))
+    n, steps = spec.n_qubits, []
+    for layer in range(1, spec.n_layers + 1):
+        first = 2 * n * (layer - 1)
+        for q in range(n):
+            steps += [("RY", q, first + 2 * q), ("RZ", q, first + 2 * q + 1)]
+        steps += [("CNOT", (q + layer) % n, q) for q in range(n) if (q + layer) % n != q]
+    return tuple(steps)
+
+
+def _check_angles(spec: CircuitSpec, theta: np.ndarray) -> None:
     if len(theta) != spec.n_params:
         raise ContractError(
             f"{spec.architecture} spec needs {spec.n_params} parameters, got {len(theta)}"
         )
-    if spec.architecture == "single_u3":
-        return [qsim.Gate("U3", (float(theta[0]), float(theta[1]), float(theta[2])), 0)]
-    gates: list[qsim.Gate] = []
-    n = spec.n_qubits
-    idx = 0
-    for layer in range(1, spec.n_layers + 1):
-        for q in range(n):
-            gates.append(qsim.Gate("RY", (float(theta[idx]),), q))
-            gates.append(qsim.Gate("RZ", (float(theta[idx + 1]),), q))
-            idx += 2
-        for q in range(n):
-            tgt = (q + layer) % n
-            if tgt != q:
-                gates.append(qsim.Gate("CNOT", (), tgt, q))
-    return gates
 
 
 def _measured_qubits(spec: CircuitSpec) -> range:
@@ -270,7 +272,8 @@ def row_preferences(spec: CircuitSpec, theta: np.ndarray, enc: np.ndarray,
     shots = 0 gives exact expectations; shots > 0 draws finite-shot
     estimates, one per measured qubit and row.
     """
-    rowop = qsim.circuit_row_operator(build_ansatz(spec, theta), spec.n_qubits)
+    _check_angles(spec, theta)
+    rowop = qsim.circuit_row_operator(gate_program(spec), theta, spec.n_qubits)
     return _readout(spec, serial_matmul(enc, rowop), shots, rng)
 
 
@@ -292,6 +295,7 @@ def shift_gradients(spec: CircuitSpec, theta: np.ndarray, enc: np.ndarray,
     Each of the 2k shifted circuits is built once for the whole batch; in
     shot mode the plus and minus evaluations of each angle draw in turn.
     """
+    _check_angles(spec, theta)
     grads = np.empty((enc.shape[0], spec.n_params, spec.n_actions))
     for j in range(spec.n_params):
         shifted = np.array(theta, dtype=float)
@@ -303,28 +307,11 @@ def shift_gradients(spec: CircuitSpec, theta: np.ndarray, enc: np.ndarray,
     return grads
 
 
-def _rotation_steps(gates: list[qsim.Gate]) -> list[tuple[qsim.Gate, int | None]]:
-    """Circuit as (gate, angle index) in application order, each U3 split into
-    its RZ(lam) RY(theta) RZ(phi) chain; CNOTs carry no angle index."""
-    steps: list[tuple[qsim.Gate, int | None]] = []
-    idx = 0
-    for gate in gates:
-        if gate.kind == "U3":
-            theta, phi, lam = gate.angles
-            steps += [(qsim.Gate("RZ", (lam,), gate.target), idx + 2),
-                      (qsim.Gate("RY", (theta,), gate.target), idx),
-                      (qsim.Gate("RZ", (phi,), gate.target), idx + 1)]
-        else:
-            steps.append((gate, idx if gate.angles else None))
-        idx += len(gate.angles)
-    return steps
-
-
-def _generator_overlap(psi: np.ndarray, lam: np.ndarray, gate: qsim.Gate) -> np.ndarray:
-    """Im<lam|P psi> per row for the Pauli P (Z or Y) of a rotation gate."""
-    shape = (psi.shape[0], 2**gate.target, 2, -1)
+def _generator_overlap(psi: np.ndarray, lam: np.ndarray, kind: str, target: int) -> np.ndarray:
+    """Im<lam|P psi> per row for the Pauli P (Z or Y) of an RZ or RY on `target`."""
+    shape = (psi.shape[0], 2**target, 2, -1)
     x, c = psi.reshape(shape), lam.reshape(shape)
-    if gate.kind == "RZ":
+    if kind == "RZ":
         im = (c.conj() * x).imag
         return im[:, :, 0].sum(axis=(1, 2)) - im[:, :, 1].sum(axis=(1, 2))
     # Y x = (-i x_1, i x_0), so Im<c|Y x> = Re sum(conj(c_1) x_0 - conj(c_0) x_1)
@@ -343,21 +330,23 @@ def adjoint_gradients(spec: CircuitSpec, theta: np.ndarray, psi: np.ndarray,
     """Im<lam_r|P psi_r> at every rotation for R row pairs, shape (R, k).
 
     `psi` and `lam` are (R, 2**n) states at the circuit's output. Each pair is
-    walked back through the gates together: at a rotation exp(-i theta P / 2)
-    the angle's entry is Im<lam|P psi>, then both states are uncomputed with
-    the gate's inverse. With lam = O psi the entry is d<psi|O|psi>/d(theta).
+    walked back through `gate_program` together: at a rotation
+    exp(-i theta P / 2) the angle's entry is Im<lam|P psi>, then both states
+    are uncomputed with the step's inverse. With lam = O psi the entry is
+    d<psi|O|psi>/d(theta).
     No per-gate state is kept; the pair is one (2, R, 2**n) array, and the
     gradient pass bounds R by sending ADJOINT_CHUNK_ROWS rows at a time.
     """
+    _check_angles(spec, theta)
     n = spec.n_qubits
     grads = np.empty((psi.shape[0], spec.n_params))
     pair = np.stack([psi, lam])
-    for gate, j in _rotation_steps(build_ansatz(spec, theta))[::-1]:
-        if j is None:  # a CNOT is its own inverse
-            pair = qsim.apply_cnot_array(pair, gate.control, gate.target, n)
+    for kind, target, arg in reversed(gate_program(spec)):
+        if kind == "CNOT":  # its own inverse; arg is the control
+            pair = qsim.apply_cnot_array(pair, arg, target, n)
             continue
-        grads[:, j] = _generator_overlap(pair[0], pair[1], gate)
-        pair = qsim.apply_1q_array(pair, gate.matrix().conj().T, gate.target, n)
+        grads[:, arg] = _generator_overlap(pair[0], pair[1], kind, target)
+        pair = qsim.apply_1q_array(pair, qsim.ROTATIONS[kind](theta[arg]).conj().T, target, n)
     return grads
 
 
@@ -403,7 +392,7 @@ class QuantumPolicy:
         """The ansatz's row operator for the current theta, built at its first
         use after `set_vector` and kept until the next."""
         if self._rowop is None:
-            self._rowop = qsim.circuit_row_operator(build_ansatz(self.spec, self.theta),
+            self._rowop = qsim.circuit_row_operator(gate_program(self.spec), self.theta,
                                                     self.spec.n_qubits)
         return self._rowop
 

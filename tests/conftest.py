@@ -2,13 +2,15 @@
 
 The matrix oracles build full 2**n x 2**n unitaries with np.kron and explicit
 basis-state permutation, deliberately avoiding the package's gate-application
-code path. The gate-by-gate `Statevector` oracle applies one gate at a time
-to one state and reads <sigma_z> qubit by qubit from its marginals; the
-preference oracle evaluates the policy through it, independently of the
-batched row-operator engine. The kron encoding, the marginal readout, the
-numpy-scalar discounted returns and the numpy-array acrobot features are the
-references for the package's gathered encode, sign-table readout and
-Python-float returns and features. The whole-batch score terms are the
+code path. The oracle keeps its own gates (RX, RY, RZ, a U3 as one matrix, and
+CNOT) and its own copy of the policy circuit's layout (`ansatz_gates`), so it
+never reads the package's gate program. The gate-by-gate `Statevector` oracle
+applies one gate at a time to one state and reads <sigma_z> qubit by qubit
+from its marginals; the preference oracle evaluates the policy through it,
+independently of the batched row-operator engine. The kron encoding, the
+marginal readout, the numpy-scalar discounted returns and the numpy-array
+acrobot features are the references for the package's gathered encode,
+sign-table readout and Python-float returns and features. The whole-batch score terms are the
 reference for the gradients' streamed pass over row chunks. The scalar
 environments step one episode at a time with numpy scalars and evolve a
 `Statevector` under the control Hamiltonian, and the sequential rollout runs
@@ -24,9 +26,59 @@ from qpolgrad import config as cfg
 from qpolgrad import envs, qsim, vqpolicy
 from qpolgrad.errors import ConfigError, ContractError
 from qpolgrad.reinforce import Trajectory, prepare, train
-from qpolgrad.vqpolicy import build_ansatz
 
 I2 = np.eye(2, dtype=complex)
+PAULIS = {"RX": np.array([[0, 1], [1, 0]], dtype=complex),
+          "RY": np.array([[0, -1j], [1j, 0]]),
+          "RZ": np.array([[1, 0], [0, -1]], dtype=complex)}
+
+
+def rotation(kind: str, angle: float) -> np.ndarray:
+    """exp(-i angle P / 2) = cos(angle / 2) I - i sin(angle / 2) P."""
+    return np.cos(angle / 2) * I2 - 1j * np.sin(angle / 2) * PAULIS[kind]
+
+
+def u3(theta: float, phi: float, lam: float) -> np.ndarray:
+    """The Z-Y-Z Euler gate RZ(phi) @ RY(theta) @ RZ(lam), one 2x2 matrix
+    (rightmost factor acts first)."""
+    return rotation("RZ", phi) @ rotation("RY", theta) @ rotation("RZ", lam)
+
+
+@dataclass(frozen=True)
+class Gate:
+    """One oracle circuit element: RX, RY, RZ or U3 on `target` with its
+    angles, or a CNOT with a `control`."""
+
+    kind: str
+    angles: tuple = ()
+    target: int = 0
+    control: int | None = None
+
+    def matrix(self) -> np.ndarray:
+        return u3(*self.angles) if self.kind == "U3" else rotation(self.kind, *self.angles)
+
+
+def ansatz_gates(spec, theta) -> list:
+    """The policy circuit as oracle gates, in the package's original layout.
+
+    Layered: per layer, RY then RZ on each qubit (angles in layer-major,
+    qubit-major order), then CNOT(control=i, target=(i+l) mod n) for
+    i = 0..n-1 in layer l (1-based), skipping self-loops. single_u3: one
+    U3(theta[0], theta[1], theta[2]) on qubit 0.
+    """
+    theta = [float(a) for a in theta]
+    if spec.architecture == "single_u3":
+        return [Gate("U3", tuple(theta), 0)]
+    gates, n = [], spec.n_qubits
+    angles = iter(theta)
+    for layer in range(1, spec.n_layers + 1):
+        for q in range(n):
+            gates.append(Gate("RY", (next(angles),), q))
+            gates.append(Gate("RZ", (next(angles),), q))
+        for q in range(n):
+            if (q + layer) % n != q:
+                gates.append(Gate("CNOT", (), (q + layer) % n, q))
+    return gates
 
 
 def kron_single(mat: np.ndarray, qubit: int, n: int) -> np.ndarray:
@@ -52,7 +104,7 @@ def cnot_full(control: int, target: int, n: int) -> np.ndarray:
     return out
 
 
-def gate_full(gate: qsim.Gate, n: int) -> np.ndarray:
+def gate_full(gate: Gate, n: int) -> np.ndarray:
     if gate.kind == "CNOT":
         return cnot_full(gate.control, gate.target, n)
     return kron_single(gate.matrix(), gate.target, n)
@@ -67,7 +119,7 @@ def circuit_full(gates, n: int) -> np.ndarray:
 
 
 def random_gates(rng: np.random.Generator, n: int, length: int):
-    """A random circuit over the package's gate set."""
+    """A random circuit over the oracle's gate set."""
     gates = []
     for _ in range(length):
         kind = rng.choice(["RX", "RY", "RZ", "U3", "CNOT"] if n > 1 else ["RX", "RY", "RZ", "U3"])
@@ -76,12 +128,31 @@ def random_gates(rng: np.random.Generator, n: int, length: int):
             control = int(rng.integers(n - 1))
             if control >= target:
                 control += 1
-            gates.append(qsim.Gate("CNOT", (), target, control))
+            gates.append(Gate("CNOT", (), target, control))
         else:
             n_angles = 3 if kind == "U3" else 1
             angles = tuple(rng.uniform(-np.pi, np.pi, size=n_angles))
-            gates.append(qsim.Gate(kind, angles, target))
+            gates.append(Gate(kind, angles, target))
     return gates
+
+
+def random_program(rng: np.random.Generator, n: int, length: int):
+    """A random `qsim` gate program of RY, RZ and CNOT steps, each rotation
+    on its own angle, with its angles and the same circuit as oracle gates."""
+    program, theta, gates = [], [], []
+    for _ in range(length):
+        kind = str(rng.choice(["RY", "RZ", "CNOT"] if n > 1 else ["RY", "RZ"]))
+        target = int(rng.integers(n))
+        if kind == "CNOT":
+            control = int(rng.integers(n - 1))
+            control += control >= target
+            program.append((kind, target, control))
+            gates.append(Gate(kind, (), target, control))
+        else:
+            program.append((kind, target, len(theta)))
+            theta.append(rng.uniform(-np.pi, np.pi))
+            gates.append(Gate(kind, (theta[-1],), target))
+    return tuple(program), np.array(theta), gates
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +185,7 @@ def _check_qubit(qubit: int, n_qubits: int) -> None:
         raise ContractError(f"qubit index {qubit} out of range for {n_qubits} qubits")
 
 
-def apply_gate(state: Statevector, gate: qsim.Gate) -> Statevector:
+def apply_gate(state: Statevector, gate: Gate) -> Statevector:
     """Apply one gate to one state, returning a new state (input untouched)."""
     _check_qubit(gate.target, state.n_qubits)
     if gate.control is not None:
@@ -194,7 +265,7 @@ def encode_gates(features, normalizer) -> Statevector:
     angles = rescale(normalizer, features)
     state = init_zero(len(angles))
     for i, angle in enumerate(angles):
-        state = apply_gate(state, qsim.Gate("RX", (float(angle),), i))
+        state = apply_gate(state, Gate("RX", (float(angle),), i))
     return state
 
 
@@ -202,7 +273,7 @@ def oracle_preferences(spec, theta, x, normalizer=None) -> np.ndarray:
     """Per-action preferences gate by gate: encode (or take the input state),
     apply the ansatz, then read <sigma_z> of each measured qubit."""
     state = encode_gates(x, normalizer) if spec.encoding == "angle_rx" else x
-    out = apply_circuit(state, build_ansatz(spec, theta))
+    out = apply_circuit(state, ansatz_gates(spec, theta))
     if spec.architecture == "single_u3":
         z = expectation_z(out, 0)
         return np.array([z, -z])

@@ -11,8 +11,8 @@ from qpolgrad.vqpolicy import (
     CircuitSpec,
     FeatureNormalizer,
     QuantumPolicy,
-    build_ansatz,
     encoded_rows,
+    gate_program,
     row_preferences,
     serial_matmul,
     shift_gradients,
@@ -21,6 +21,9 @@ from qpolgrad.vqpolicy import (
 
 import conftest as oracle
 from conftest import (
+    Gate,
+    ansatz_gates,
+    circuit_full,
     encode_gates,
     grad_log,
     kron_encoded_rows,
@@ -141,45 +144,66 @@ def test_encode_rejects_length_mismatch():
 # ---------------------------------------------------------------------------
 
 def test_ansatz_gate_counts_and_cascade():
-    spec = layered(4, 3, 2)
-    gates = build_ansatz(spec, np.arange(spec.n_params, dtype=float))
-    rotations = [g for g in gates if g.kind in ("RY", "RZ")]
-    cnots = [g for g in gates if g.kind == "CNOT"]
+    # steps are (kind, target, angle index) or ("CNOT", target, control)
+    program = gate_program(layered(4, 3, 2))
+    rotations = [step for step in program if step[0] in ("RY", "RZ")]
+    cnots = [step for step in program if step[0] == "CNOT"]
     assert len(rotations) == 24
     assert len(cnots) == 12
     # layer 1: targets are controls shifted by 1 mod 4
-    layer1 = cnots[:4]
-    assert [(g.control, g.target) for g in layer1] == [(0, 1), (1, 2), (2, 3), (3, 0)]
+    layer1 = [(control, target) for _, target, control in cnots[:4]]
+    assert layer1 == [(0, 1), (1, 2), (2, 3), (3, 0)]
     # parameters consumed in layer-major, qubit-major, RY-then-RZ order
-    assert rotations[0].kind == "RY" and rotations[0].angles == (0.0,)
-    assert rotations[1].kind == "RZ" and rotations[1].angles == (1.0,)
-    assert rotations[2].target == 1
+    assert rotations[:3] == [("RY", 0, 0), ("RZ", 0, 1), ("RY", 1, 2)]
+    assert [j for _, _, j in rotations] == list(range(24))
 
 
 def test_ansatz_single_qubit_has_no_entanglers():
-    spec = CircuitSpec(1, 5, 1, "layered", "angle_rx")
-    gates = build_ansatz(spec, np.zeros(10))
-    assert all(g.kind != "CNOT" for g in gates)
-    assert len(gates) == 10
+    program = gate_program(CircuitSpec(1, 5, 1, "layered", "angle_rx"))
+    assert all(kind != "CNOT" for kind, _, _ in program)
+    assert len(program) == 10
 
 
 def test_ansatz_skips_self_loop_layers():
     # layer index equal to n modulo n would entangle a qubit with itself
-    spec = layered(2, 2, 2)
-    gates = build_ansatz(spec, np.zeros(8))
-    cnots = [g for g in gates if g.kind == "CNOT"]
-    assert [(g.control, g.target) for g in cnots] == [(0, 1), (1, 0)]
+    program = gate_program(layered(2, 2, 2))
+    cnots = [(control, target) for kind, target, control in program if kind == "CNOT"]
+    assert cnots == [(0, 1), (1, 0)]
 
 
 def test_single_u3_zero_angles_is_identity():
-    gates = build_ansatz(U3_SPEC, np.zeros(3))
-    assert len(gates) == 1
-    np.testing.assert_allclose(gates[0].matrix(), np.eye(2), atol=1e-12)
+    rowop = qsim.circuit_row_operator(gate_program(U3_SPEC), np.zeros(3), 1)
+    np.testing.assert_allclose(rowop, np.eye(2), atol=1e-12)
 
 
 def test_ansatz_rejects_wrong_parameter_count():
+    spec, theta = layered(4, 3, 2), np.zeros(7)
+    enc = encoded_rows(np.zeros((1, 4)))
     with pytest.raises(ContractError):
-        build_ansatz(layered(4, 3, 2), np.zeros(7))
+        row_preferences(spec, theta, enc)
+    with pytest.raises(ContractError):
+        shift_gradients(spec, theta, enc)
+    with pytest.raises(ContractError):
+        vqpolicy.adjoint_gradients(spec, theta, enc, enc)
+
+
+@pytest.mark.parametrize("n_qubits", [*range(1, 9), "single_u3"])
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_gate_program_matches_the_oracle_layout(n_qubits, data):
+    # The cached program at random angles against the transposed kron-built
+    # unitary of the oracle's own layout (single_u3 as one U3 matrix), at
+    # every width, L = 1..5 and |A| = 1..min(n, 3).
+    if n_qubits == "single_u3":
+        spec = U3_SPEC
+    else:
+        spec = layered(n_qubits, data.draw(st.integers(1, 5), label="n_layers"),
+                       data.draw(st.integers(1, min(n_qubits, 3)), label="n_actions"))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    theta = rng.uniform(-np.pi, np.pi, size=spec.n_params)
+    got = qsim.circuit_row_operator(gate_program(spec), theta, spec.n_qubits)
+    want = circuit_full(ansatz_gates(spec, theta), spec.n_qubits).T
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +415,9 @@ def adjoint_case(spec, rng, t):
 
 
 def output_rows(spec, theta, enc):
-    return enc @ qsim.circuit_row_operator(build_ansatz(spec, theta), spec.n_qubits)
+    """The circuit's output rows, applied gate by gate in the oracle's layout."""
+    return oracle.apply_circuit(oracle.Statevector(spec.n_qubits, enc),
+                                ansatz_gates(spec, theta)).amplitudes
 
 
 @pytest.mark.parametrize("spec, t", [(layered(1, 2, 1), 9), (layered(4, 3, 2), 40),
@@ -538,10 +564,10 @@ def test_final_rotations_on_unmeasured_qubits_are_irrelevant():
     x = rng.normal(size=4)
     norm.observe(x)
     base = row_preferences(spec, theta, input_rows(spec, x, norm))[0]
-    state = oracle.apply_circuit(encode_gates(x, norm), build_ansatz(spec, theta))
+    state = oracle.apply_circuit(encode_gates(x, norm), ansatz_gates(spec, theta))
     for q in (2, 3):
-        state = oracle.apply_gate(state, qsim.Gate("RY", (0.7,), q))
-        state = oracle.apply_gate(state, qsim.Gate("RZ", (-0.4,), q))
+        state = oracle.apply_gate(state, Gate("RY", (0.7,), q))
+        state = oracle.apply_gate(state, Gate("RZ", (-0.4,), q))
     perturbed = np.array([oracle.expectation_z(state, q) for q in range(spec.n_actions)])
     np.testing.assert_allclose(perturbed, base, atol=1e-10)
 

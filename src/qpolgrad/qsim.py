@@ -19,10 +19,9 @@ batched only: the policy engine pushes row-stacked states through one circuit
 row operator, reads them out, and walks them back step by step for its
 adjoint gradient. The row-operator build and that sweep share one
 single-qubit kernel, `apply_1q_array`, and the rotation matrices in
-`ROTATIONS`. The exact readout is the policy's own: the rows' probabilities
-contracted with a table of +-1 signs (`vqpolicy._readout`).
-`measure_z_array` draws the finite-shot readout from the measured qubits'
-marginals.
+`ROTATIONS`. The readout is the policy's own (`vqpolicy._readout`): the
+rows' probabilities contracted with a table of +-1 signs give each measured
+qubit's exact <Z>, and shot mode draws its counts around those.
 
 A state travels outside the simulator as a float feature row: its amplitudes
 as interleaved (re, im) pairs. `amplitude_features` and `feature_amplitudes`
@@ -31,8 +30,6 @@ own that format and convert both ways bit for bit.
 from __future__ import annotations
 
 import numpy as np
-
-from .errors import ContractError
 
 MAX_QUBITS = 8
 
@@ -91,27 +88,6 @@ def circuit_row_operator(program, theta: np.ndarray, n_qubits: int) -> np.ndarra
         else:
             rows = apply_1q_array(rows, ROTATIONS[kind](theta[arg]), target, n_qubits)
     return rows
-
-
-def measure_z_array(rows: np.ndarray, qubits, n_qubits: int, shots: int,
-                    rng: np.random.Generator | None = None) -> np.ndarray:
-    """Finite-shot <sigma_z> of each listed qubit for row-stacked states,
-    shape (T, len(qubits)).
-
-    Draws one Binomial(shots, P(0)) count of zeros per row and qubit, in
-    row-major order, with P(0) the qubit's marginal, and returns the
-    estimate 2 * zeros / shots - 1.
-    """
-    if shots < 1:
-        raise ContractError(f"measure_z_array draws shots >= 1, got {shots}")
-    if rng is None:
-        raise ContractError("shot mode needs an rng")
-    probs = (np.abs(rows) ** 2).reshape(rows.shape[0], *([2] * n_qubits))
-    p0 = []
-    for q in qubits:
-        other = tuple(i for i in range(1, n_qubits + 1) if i != 1 + q)
-        p0.append((probs.sum(axis=other) if other else probs)[:, 0])
-    return 2.0 * rng.binomial(shots, np.clip(np.stack(p0, axis=1), 0.0, 1.0)) / shots - 1.0
 
 
 def amplitude_features(amps: np.ndarray) -> np.ndarray:

@@ -8,13 +8,14 @@ trainable inverse temperature sharpens the softmax.
 
 There is one engine for exact and shot mode alike: a batch of input states
 is stacked as rows and pushed through the ansatz's 2**n x 2**n row operator,
-and the rows are read out exactly or with a finite number of shots. An
-angle-encoded row is gathered from one (cos, sin) pair per qubit through a
-cached table of basis-state bits. The exact readout contracts the rows'
-probabilities with a cached (2**n, |A|) table of +-1 signs, the same table
-that gives the adjoint sweep its co-states; shot mode draws each row from
-the measured qubits' marginals (`qsim.measure_z_array`) on its own
-generator. A policy builds the operator at first use after `set_vector`.
+and the rows are read out one way. An angle-encoded row is gathered from one
+(cos, sin) pair per qubit through a cached table of basis-state bits. The
+readout contracts the rows' probabilities with a cached (2**n, |A|) table of
++-1 signs, the same table that gives the adjoint sweep its co-states, into
+each measured qubit's exact <Z>. Shot mode only adds a draw on top: the
+qubit reads 0 with probability (1 + <Z>) / 2, so `_draw_shots` draws a
+Binomial count of zeros and estimates <Z> as 2 * zeros / shots - 1. A
+policy builds the operator at first use after `set_vector`.
 
 The circuit is one cached gate program per spec (`gate_program`): RY, RZ
 and CNOT steps, so every trainable angle sits in exactly one Pauli rotation
@@ -248,21 +249,35 @@ def _sign_table(spec: CircuitSpec) -> np.ndarray:
     return signs
 
 
-def _readout(spec: CircuitSpec, rows: np.ndarray, shots: int,
-             rng: np.random.Generator | None) -> np.ndarray:
+def _draw_shots(spec: CircuitSpec, prefs: np.ndarray, shots: int,
+                rng: np.random.Generator | None) -> np.ndarray:
+    """Finite-shot estimates around exact preferences `prefs`, shape (T, |A|).
+
+    A measured qubit with exact <Z> = z reads 0 with probability (1 + z) / 2;
+    one Binomial count of zeros is drawn per row and measured qubit, in
+    row-major order, and the estimate is 2 * zeros / shots - 1. The single_u3
+    pair is one measurement with its sign flipped.
+    """
+    if shots < 1:
+        raise ContractError(f"a shot readout draws shots >= 1, got {shots}")
+    if rng is None:
+        raise ContractError("shot mode needs an rng")
+    z = prefs[:, :len(_measured_qubits(spec))]
+    z = 2.0 * rng.binomial(shots, np.clip((1.0 + z) / 2, 0.0, 1.0)) / shots - 1.0
+    return np.concatenate([z, -z], axis=1) if spec.architecture == "single_u3" else z
+
+
+def _readout(spec: CircuitSpec, rows: np.ndarray, shots: int = 0,
+             rng: np.random.Generator | None = None) -> np.ndarray:
     """Preferences of ansatz-output rows, shape (T, |A|).
 
-    Exact: |rows|**2 contracted with the sign table, by einsum, which gives
-    a row the same bits wherever it sits in the batch (a dgemm does not).
-    Shot mode: one finite-shot <Z> per measured qubit, the single_u3 pair
-    being one measurement with its sign flipped.
+    Always the exact preferences first: |rows|**2 contracted with the sign
+    table, by einsum, which gives a row the same bits wherever it sits in the
+    batch (a dgemm does not). Shot mode (shots != 0) then draws around them
+    with `_draw_shots` on `rng`.
     """
-    if not shots:
-        return np.einsum("tj,ja->ta", np.abs(rows) ** 2, _sign_table(spec))
-    z = qsim.measure_z_array(rows, _measured_qubits(spec), spec.n_qubits, shots, rng)
-    if spec.architecture == "single_u3":
-        return np.concatenate([z, -z], axis=1)
-    return z
+    prefs = np.einsum("tj,ja->ta", np.abs(rows) ** 2, _sign_table(spec))
+    return _draw_shots(spec, prefs, shots, rng) if shots else prefs
 
 
 def row_preferences(spec: CircuitSpec, theta: np.ndarray, enc: np.ndarray,
@@ -357,8 +372,9 @@ class QuantumPolicy:
     read from a private, read-only copy of the trainable vector (the angles,
     then beta). The ansatz is a fixed unitary per vector, so inference reuses
     its 2**n x 2**n row operator, built at first use after each `set_vector`.
-    Exact mode (shots = 0) is the training default; shot mode reads the same
-    batched rows out with `shots` measurements.
+    Every mode reads the rows' exact preferences out of the sign table; exact
+    mode (shots = 0) is the training default and stops there, and shot mode
+    draws `shots` measurements around them.
     """
 
     def __init__(self, spec: CircuitSpec, vector: np.ndarray,
@@ -411,17 +427,17 @@ class QuantumPolicy:
 
     def probabilities(self, obs, rng=None, abs_max=None) -> np.ndarray:
         """(|A|,) for one feature row or (m, |A|) for m rows, from one
-        `serial_matmul`; `abs_max` as in `_encode_batch`. `rng` is one
-        generator or a sequence of m: shot mode reads row i out on the i-th,
-        exact mode draws from none, so a rollout passes them in either mode."""
+        `serial_matmul` and one readout; `abs_max` as in `_encode_batch`.
+        `rng` is one generator or a sequence of m: shot mode draws row i's
+        counts on the i-th, exact mode draws from none, so a rollout passes
+        them in either mode."""
         single = np.ndim(obs) == 1
-        out = serial_matmul(self._encode_batch(obs, abs_max), self.row_operator())
+        prefs = _readout(self.spec, serial_matmul(self._encode_batch(obs, abs_max),
+                                                  self.row_operator()))
         if self.shots:
             rngs = [rng] if single else rng
-            prefs = np.concatenate([_readout(self.spec, row[None], self.shots, r)
-                                    for row, r in zip(out, rngs, strict=True)])
-        else:
-            prefs = _readout(self.spec, out, 0, None)
+            prefs = np.concatenate([_draw_shots(self.spec, row[None], self.shots, r)
+                                    for row, r in zip(prefs, rngs, strict=True)])
         probs = softmax_policy(prefs, self.beta)
         return probs[0] if single else probs
 

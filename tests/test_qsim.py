@@ -1,6 +1,8 @@
 """The batched engine (`qsim`) and the tests' gate-by-gate `Statevector`
 oracle (`conftest`): the oracle's own cases come first, then the engine's
-kernels, row operator and readout against it and against kron-built matrices."""
+kernels, row operator and feature rows against it and against kron-built
+matrices. The readout, exact and finite-shot, is the policy's and is tested in
+`test_vqpolicy`."""
 import numpy as np
 import pytest
 
@@ -67,56 +69,6 @@ def test_expectation_z_closed_form(theta):
     by_hand = abs(amp[0]) ** 2 - abs(amp[1]) ** 2
     assert got == pytest.approx(np.cos(theta), abs=1e-12)
     assert got == pytest.approx(by_hand, abs=1e-12)
-
-
-# Shot readout: measure_z_array with shots > 0.
-
-def test_sample_z_deterministic_on_eigenstates():
-    rng = np.random.default_rng(0)
-    rows = np.array([[1, 0], [0, 1]], dtype=complex)  # |0>, |1>
-    for shots in (1, 7, 1000):
-        np.testing.assert_array_equal(qsim.measure_z_array(rows, [0], 1, shots, rng),
-                                      [[1.0], [-1.0]])
-
-
-def test_sample_z_converges_at_high_shots():
-    state = oracle.apply_gate(oracle.init_zero(1), Gate("RX", (np.pi / 2,), 0))
-    for seed in range(8):
-        rng = np.random.default_rng(seed)
-        est = qsim.measure_z_array(state.amplitudes[None], [0], 1, 10**5, rng)[0, 0]
-        assert abs(est - 0.0) < 0.02
-
-
-def test_sample_z_rejects_zero_shots():
-    # measure_z_array only draws shots: a negative count and a missing rng are
-    # rejected here, zero shots in test_measure_z_array_draws_shots_only
-    rows = oracle.init_zero(1).amplitudes[None]
-    with pytest.raises(ContractError):
-        qsim.measure_z_array(rows, [0], 1, -1, np.random.default_rng(0))
-    with pytest.raises(ContractError):
-        qsim.measure_z_array(rows, [0], 1, 10)  # shot mode without an rng
-
-
-def test_measure_z_array_draws_shots_only():
-    # The exact readout is the policy's sign table; zero shots is no draw.
-    rows = oracle.init_zero(1).amplitudes[None]
-    with pytest.raises(ContractError):
-        qsim.measure_z_array(rows, [0], 1, 0, np.random.default_rng(0))
-
-
-def test_sample_z_matches_expectation_within_binomial_band():
-    # 3-sigma band around the exact value at 1e5 shots, one row per angle.
-    rng = np.random.default_rng(42)
-    shots = 10**5
-    states = [oracle.apply_gate(oracle.init_zero(1), Gate("RX", (theta,), 0))
-              for theta in (0.4, 1.3, 2.0)]
-    rows = np.stack([s.amplitudes for s in states])
-    estimates = qsim.measure_z_array(rows, [0], 1, shots, rng)[:, 0]
-    for state, est in zip(states, estimates):
-        exact = oracle.expectation_z(state, 0)
-        p0 = (1 + exact) / 2
-        sigma = 2 * np.sqrt(p0 * (1 - p0) / shots)
-        assert abs(est - exact) < 3 * sigma
 
 
 def test_evolve_rabi_flip():

@@ -374,14 +374,16 @@ def test_one_row_operator_build_per_batch(monkeypatch):
 
 
 def test_exact_training_batch_draws_no_shots(monkeypatch):
-    # Exact mode reads out by the sign table: rollouts and the gradient never
-    # reach the shot sampler.
+    # Exact mode stops at the sign table's preferences: rollouts and the
+    # gradient never reach the shot draw, which a shot-mode batch does reach.
     def refuse(*args, **kwargs):
-        raise AssertionError("exact mode called measure_z_array")
+        raise AssertionError("the readout drew shots")
 
-    monkeypatch.setattr(qsim, "measure_z_array", refuse)
+    monkeypatch.setattr(vqpolicy, "_draw_shots", refuse)
     cfg_run = cfg.preset_config("cartpole-quantum", {"episodes": 10, "seed": 0})
     assert len(list(train(cfg_run))) == cfg_run.batch_size
+    with pytest.raises(AssertionError, match="drew shots"):
+        list(train(cfg.preset_config("cartpole-quantum", {"episodes": 10, "seed": 0, "shots": 50})))
 
 
 def batch_inputs(preset):
@@ -538,14 +540,16 @@ def per_episode(calls, lengths):
 @pytest.mark.parametrize("preset, overrides", [
     ("cartpole-quantum", {}), ("acrobot-quantum", {}), ("qcontrol-quantum", {}),
     ("cartpole-classical", {}), ("acrobot-classical", {}), ("qcontrol-classical", {}),
-    ("cartpole-quantum", {"shots": 200}),
+    ("cartpole-quantum", {"shots": 200}), ("qcontrol-quantum", {"shots": 200}),
+    ("acrobot-quantum", {"shots": 50}),
 ])
 def test_lockstep_batch_matches_sequential_reference(monkeypatch, preset, overrides):
     # Bit for bit the episodes that run one after another on scalar envs
     # with 1-row inference, on the same per-episode streams and normalizer
     # snapshots. In shot mode the readout draws from each episode's stream
     # after its uniforms, and its finite-shot probabilities move some actions
-    # off the exact readout's.
+    # off the exact readout's; the shot cases cover a 2-action, a 3-action
+    # and the amplitude-encoded single_u3 readout.
     config = cfg.preset_config(preset, {"seed": 7, **overrides})
     policy, reference_policy = prepare(config).policy, prepare(config).policy
     calls = lockstep_probabilities(policy, monkeypatch)

@@ -233,14 +233,23 @@ def test_preferences_single_u3_sign_pair():
        seed=st.integers(0, 2**32 - 1))
 def test_sign_table_readout_matches_the_marginals(n, n_actions, t, seed):
     # One contraction with the sign table against the per-qubit marginals,
-    # and each row's bits whatever rows share its batch.
+    # and each row's bits whatever rows share its batch. A shot readout hands
+    # its one draw P(0) = (1 + <Z>) / 2 of the same marginals.
     spec = layered(n, 1, min(n_actions, n))
     rng = np.random.default_rng(seed)
     rows = np.stack([random_state(rng, n).amplitudes for _ in range(t)])
     got = vqpolicy._readout(spec, rows, 0, None)
-    np.testing.assert_allclose(got, marginal_z(rows, range(spec.n_actions), n), rtol=0, atol=1e-15)
+    exact = marginal_z(rows, range(spec.n_actions), n)
+    np.testing.assert_allclose(got, exact, rtol=0, atol=1e-15)
     for i in range(t):
         assert vqpolicy._readout(spec, rows[i:i + 1], 0, None).tobytes() == got[i].tobytes()
+    stub = RecordingRng()
+    shot = vqpolicy._readout(spec, rows, 9, stub)
+    assert len(stub.draws) == 1
+    n_shots, p = stub.draws[0]
+    assert n_shots == 9 and p.shape == (t, spec.n_actions)
+    np.testing.assert_allclose(p, np.clip((1 + exact) / 2, 0, 1), rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(shot, 2 * stub.counts[0] / 9 - 1)
 
 
 def test_sign_table_is_the_measured_observables_diagonal():
@@ -264,6 +273,95 @@ def test_sign_table_is_the_measured_observables_diagonal():
     z0 = marginal_z(rows, [0], 1)
     np.testing.assert_array_equal(vqpolicy._readout(U3_SPEC, rows, 0, None),
                                   np.concatenate([z0, -z0], axis=1))
+    # In shot mode the pair is one measured qubit: one draw, its sign flipped.
+    stub = RecordingRng()
+    shot = vqpolicy._readout(U3_SPEC, rows, 11, stub)
+    assert len(stub.draws) == 1 and stub.draws[0][1].shape == (5, 1)
+    np.testing.assert_allclose(stub.draws[0][1], (1 + z0) / 2, rtol=0, atol=1e-15)
+    z_hat = 2 * stub.counts[0] / 11 - 1
+    np.testing.assert_array_equal(shot, np.concatenate([z_hat, -z_hat], axis=1))
+
+
+class RecordingRng:
+    """Stands in for a generator in a shot readout: records each
+    binomial(n, p) call and answers with the counts floor(n * p)."""
+
+    def __init__(self):
+        self.draws, self.counts = [], []
+
+    def binomial(self, n, p):
+        self.draws.append((n, np.array(p)))
+        self.counts.append(np.floor(n * np.asarray(p)).astype(np.int64))
+        return self.counts[-1]
+
+
+def rx_rows(angles):
+    """One row RX(angle)|0> per angle, through the gate-by-gate oracle."""
+    return np.stack([oracle.apply_gate(oracle.init_zero(1), Gate("RX", (a,), 0)).amplitudes
+                     for a in angles])
+
+
+# Shot readout: the exact preferences with a Binomial draw on top.
+
+def test_sample_z_deterministic_on_eigenstates():
+    rng = np.random.default_rng(0)
+    rows = np.array([[1, 0], [0, 1]], dtype=complex)  # |0>, |1>
+    for spec in (layered(1, 1, 1), U3_SPEC):
+        for shots in (1, 7, 1000):
+            z = row_preferences(spec, np.zeros(spec.n_params), rows, shots, rng)
+            np.testing.assert_array_equal(z[:, 0], [1.0, -1.0])
+
+
+def test_sample_z_converges_at_high_shots():
+    rows = rx_rows([np.pi / 2])
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        est = vqpolicy._readout(layered(1, 1, 1), rows, 10**5, rng)[0, 0]
+        assert abs(est - 0.0) < 0.02
+
+
+def test_sample_z_rejects_zero_shots():
+    # A draw needs shots >= 1 and an rng, through the readout and through a
+    # shot-mode policy alike; zero shots is the exact readout
+    # (test_zero_shots_is_the_exact_readout).
+    spec = layered(1, 1, 1)
+    rows = oracle.init_zero(1).amplitudes[None]
+    with pytest.raises(ContractError):
+        row_preferences(spec, np.zeros(2), rows, -1, np.random.default_rng(0))
+    with pytest.raises(ContractError):
+        row_preferences(spec, np.zeros(2), rows, 10)  # shot mode without an rng
+    vector = np.zeros(spec.n_params + 1)
+    with pytest.raises(ContractError):
+        QuantumPolicy(spec, vector, shots=-1).probabilities(np.ones(1), np.random.default_rng(0))
+    with pytest.raises(ContractError):
+        QuantumPolicy(spec, vector, shots=10).probabilities(np.ones(1))
+
+
+def test_zero_shots_is_the_exact_readout():
+    # Zero shots draws nothing, even when handed a generator; the draw itself
+    # refuses it.
+    rows = rx_rows([0.4, 1.3])
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    exact = vqpolicy._readout(U3_SPEC, rows)
+    assert vqpolicy._readout(U3_SPEC, rows, 0, rng).tobytes() == exact.tobytes()
+    assert rng.bit_generator.state == state
+    with pytest.raises(ContractError):
+        vqpolicy._draw_shots(U3_SPEC, exact, 0, rng)
+
+
+def test_sample_z_matches_expectation_within_binomial_band():
+    # 3-sigma band around the oracle's exact value at 1e5 shots, one row per angle.
+    rng = np.random.default_rng(42)
+    shots = 10**5
+    angles = (0.4, 1.3, 2.0)
+    rows = rx_rows(angles)
+    estimates = vqpolicy._readout(layered(1, 1, 1), rows, shots, rng)[:, 0]
+    for row, est in zip(rows, estimates):
+        exact = oracle.expectation_z(oracle.Statevector(1, row), 0)
+        p0 = (1 + exact) / 2
+        sigma = 2 * np.sqrt(p0 * (1 - p0) / shots)
+        assert abs(est - exact) < 3 * sigma
 
 
 def test_softmax_policy_reference_values():

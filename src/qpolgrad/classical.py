@@ -4,6 +4,11 @@ These networks produce action preferences that feed the same softmax used by
 the quantum policy, but with the inverse temperature fixed at 1 (their
 outputs are unbounded, so no extra scale is trained). Hidden layers apply
 ReLU and, optionally, inverted dropout; the output layer is linear.
+
+`_forward_cached` is the one forward for inference and training; it gives a
+row the same bits in any batch. A gradient makes one pass over its batch,
+`vqpolicy.CHUNK_ROWS` rows at a time as the circuit's does, so no (T, hidden)
+array is ever held.
 """
 from __future__ import annotations
 
@@ -12,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ContractError
-from .vqpolicy import checked_vector, serial_matmul, softmax_policy
+from .vqpolicy import CHUNK_ROWS, checked_vector, serial_matmul, softmax_policy
 
 
 @dataclass(frozen=True)
@@ -68,22 +73,27 @@ def _check_input(spec: MlpSpec, features: np.ndarray) -> np.ndarray:
 def _forward_cached(weights, x, dropout_p, rng):
     """Batched forward pass keeping each layer's input activation and dropout
     mask (rate `dropout_p`). A hidden activation is > 0 exactly where its
-    pre-activation is, unless dropped, so the backward pass reads its ReLU mask there."""
+    pre-activation is, unless dropped, so the backward pass reads its ReLU mask there.
+
+    Each layer gives a row the same bits in any batch. The input layer is
+    only n_features (4 or 6) wide, and one-thread gemm (`serial_matmul`)
+    rounds a row of so short a product alike in any batch, so it runs there.
+    Every later layer is an einsum: gemm rounds a row of a 16- to 128-term
+    product by where it sits in the batch.
+    """
     acts, masks = [x], []
-    a = x
-    n_layers = len(weights)
-    for i, w in enumerate(weights):
-        a = np.einsum("ti,oi->to", a, w)  # unlike BLAS, rounds a row alike in any batch
-        if i < n_layers - 1:
-            np.maximum(a, 0.0, out=a)
-            if dropout_p > 0.0:
-                keep = 1.0 - dropout_p
-                mask = (rng.random(a.shape) < keep) / keep
-                a *= mask
-                masks.append(mask)
-            else:
-                masks.append(None)
-            acts.append(a)
+    a = serial_matmul(x, weights[0].T)
+    for w in weights[1:]:
+        np.maximum(a, 0.0, out=a)
+        if dropout_p > 0.0:
+            keep = 1.0 - dropout_p
+            mask = (rng.random(a.shape) < keep) / keep
+            a *= mask
+            masks.append(mask)
+        else:
+            masks.append(None)
+        acts.append(a)
+        a = np.einsum("ti,oi->to", a, w)
     return a, acts, masks
 
 
@@ -94,20 +104,13 @@ def forward(spec: MlpSpec, weights: list[np.ndarray], features) -> np.ndarray:
     return out[0] if np.asarray(features).ndim == 1 else out
 
 
-def _backward(spec: MlpSpec, weights: list[np.ndarray], features, actions,
-              rng: np.random.Generator | None, scale=None) -> list[tuple[np.ndarray, np.ndarray]]:
+def _backward(weights, x, actions, dropout_p, rng, scale) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per layer, the rows' (output delta, input activation) of the backward
     pass of log pi(a_t | x_t) through the training forward (dropout draws
-    from `rng`); `scale` multiplies each row's delta."""
-    if spec.dropout_p > 0.0 and rng is None:
-        raise ContractError("train-mode dropout requires an rng")
-    x = np.atleast_2d(_check_input(spec, features))
-    actions = np.asarray(actions, dtype=int)
-    if np.any(actions < 0) or np.any(actions >= spec.layer_sizes[-1]):
-        raise ContractError("action index out of range")
-    prefs, acts, masks = _forward_cached(weights, x, spec.dropout_p, rng)
+    from `rng`); `scale`, if not None, multiplies each row's delta."""
+    prefs, acts, masks = _forward_cached(weights, x, dropout_p, rng)
     delta = -softmax_policy(prefs, 1.0)
-    delta[np.arange(x.shape[0]), actions] += 1.0  # d log pi / d prefs = onehot - pi
+    delta[np.arange(len(x)), actions] += 1.0  # d log pi / d prefs = onehot - pi
     if scale is not None:
         delta *= scale[:, None]
     layers = []
@@ -158,18 +161,54 @@ class MlpPolicy:
         network (`rng`, `abs_max` unused); a row's bits do not depend on the others."""
         return softmax_policy(forward(self.spec, self.weights, obs), self.beta)
 
+    def _backward_chunks(self, observations, actions, rng, scale=None):
+        """One pass over T (observation, action) pairs, CHUNK_ROWS rows at a
+        time from row 0, like `QuantumPolicy._score_chunks`. Yields each
+        chunk's row slice and `_backward` of its rows, with row t's delta
+        scaled by scale[t]; dropout draws each chunk's masks from `rng`, layer
+        by layer."""
+        spec = self.spec
+        if spec.dropout_p > 0.0 and rng is None:
+            raise ContractError("train-mode dropout requires an rng")
+        x = np.atleast_2d(_check_input(spec, observations))
+        actions = np.asarray(actions, dtype=int)
+        if actions.shape != (len(x),):
+            raise ContractError(f"{len(x)} observations need as many actions, "
+                                f"got shape {actions.shape}")
+        if np.any(actions < 0) or np.any(actions >= self.n_actions):
+            raise ContractError("action index out of range")
+        if scale is not None:
+            scale = np.asarray(scale, dtype=float)
+            if scale.shape != (len(x),):
+                raise ContractError(f"{len(x)} observations need as many weights, "
+                                    f"got shape {scale.shape}")
+        for lo in range(0, len(x), CHUNK_ROWS):
+            rows = slice(lo, lo + CHUNK_ROWS)
+            yield rows, _backward(self.weights, x[rows], actions[rows], spec.dropout_p, rng,
+                                  None if scale is None else scale[rows])
+
     def grad_log_batch(self, observations, actions, rng: np.random.Generator | None = None) -> np.ndarray:
-        """Row-stacked log-policy gradients, shape (T, n_params)."""
-        layers = _backward(self.spec, self.weights, observations, actions, rng)
-        return np.concatenate([np.einsum("to,ti->toi", delta, act).reshape(len(act), -1)
-                               for delta, act in layers], axis=1)
+        """Row-stacked log-policy gradients, shape (T, n_params), written chunk
+        by chunk into (T, n_out, n_in) views of the one result."""
+        grads, blocks, lo = np.empty((len(actions), self.spec.n_params)), [], 0
+        for w in self.weights:
+            blocks.append(grads[:, lo:lo + w.size].reshape(len(grads), *w.shape))
+            lo += w.size
+        for rows, layers in self._backward_chunks(observations, actions, rng):
+            for block, (delta, act) in zip(blocks, layers):
+                np.einsum("to,ti->toi", delta, act, out=block[rows])
+        return grads
 
     def weighted_grad_log(self, observations, actions, weights,
                           rng: np.random.Generator | None = None) -> np.ndarray:
         """sum_t weights[t] * grad log pi(a_t | s_t), shape (n_params,), from
-        `grad_log_batch`'s passes (and dropout draws) on weighted deltas."""
-        layers = _backward(self.spec, self.weights, observations, actions, rng, weights)
-        return np.concatenate([serial_matmul(delta.T, act).ravel() for delta, act in layers])
+        `grad_log_batch`'s pass (and dropout draws) on weighted deltas: each
+        chunk adds delta^T act into its layer's sum."""
+        sums = [np.zeros(w.shape) for w in self.weights]
+        for _, layers in self._backward_chunks(observations, actions, rng, weights):
+            for total, (delta, act) in zip(sums, layers):
+                total += serial_matmul(delta.T, act)
+        return np.concatenate([total.ravel() for total in sums])
 
     # -- persistence ----------------------------------------------------------
     def to_checkpoint(self) -> dict:

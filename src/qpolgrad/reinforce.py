@@ -189,8 +189,8 @@ def sample_actions(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     cumulative sums <= u (searchsorted side="right"), capped at |A| - 1.
     Only the first |A| - 1 sums are formed: they never decrease, so the last
     one counts only where all the others do, and the cap cuts it there."""
-    cum = np.cumsum(probs[:, :-1], axis=1)
-    return (cum <= uniforms[:, None]).sum(axis=1)
+    cum = probs[:, :-1].cumsum(axis=1)
+    return np.add.reduce(cum <= uniforms[:, None], axis=1)  # the bools count as int
 
 
 def run_episodes(env, policy, rngs, gamma: float, normalizer=None) -> list[Trajectory]:

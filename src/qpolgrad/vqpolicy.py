@@ -28,9 +28,9 @@ with respect to the angles take one of two routes:
   walked back through the program together, and a rotation
   exp(-i theta P / 2) contributes Im<lambda|P psi>. The co-state of row psi_t is
   lambda_t = O_t psi_t, where O_t = sum_a w_ta Z_a. A gradient makes one
-  pass over its batch, ADJOINT_CHUNK_ROWS rows at a time: each chunk is
-  encoded, pushed through the row operator, read out and turned into
-  co-state weights, so no (T, 2**n) array is ever held. Per-sample gradients
+  pass over its batch, CHUNK_ROWS rows at a time: each chunk is encoded,
+  pushed through the row operator, read out and turned into co-state
+  weights, so no (T, 2**n) array is ever held. Per-sample gradients
   (the Fisher matrix) sweep each chunk's pairs (psi_t, lambda_t). Training
   needs only the advantage-weighted sum over the batch, so it folds each
   chunk into the 2**n x 2**n operator M = sum_t |psi_t><lambda_t| and
@@ -158,9 +158,10 @@ def serial_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b
 
 
-# Rows per chunk of a gradient's one pass over its batch (encode, product,
-# readout, co-states and sweep), so its temporaries are (256, 2**n) whatever T.
-ADJOINT_CHUNK_ROWS = 256
+# Rows per chunk of a gradient's one pass over its batch, for this circuit
+# (encode, product, readout, co-states and sweep) and `classical.MlpPolicy`
+# (forward and backward), so its temporaries are (256, width) whatever T.
+CHUNK_ROWS = 256
 
 
 @functools.cache
@@ -183,21 +184,20 @@ def encoded_rows(angles: np.ndarray) -> np.ndarray:
     angle as bit q of j is 0 or 1, times (-i)**(number of 1 bits). That is
     the complex kron's arithmetic on the one nonzero part of each factor, so
     the rows carry its bits; only the sign of a zero part can differ. Rows
-    are gathered ADJOINT_CHUNK_ROWS at a time, bounding the (rows, n, 2**n)
-    gather.
+    are gathered CHUNK_ROWS at a time, bounding the (rows, n, 2**n) gather.
     """
     half = angles / 2
     t, n = half.shape
     index, phase = _basis_tables(n)
     rows = np.empty((t, 2**n), dtype=complex)
-    for lo in range(0, t, ADJOINT_CHUNK_ROWS):
-        chunk = half[lo:lo + ADJOINT_CHUNK_ROWS]
+    for lo in range(0, t, CHUNK_ROWS):
+        chunk = half[lo:lo + CHUNK_ROWS]
         pairs = np.empty(chunk.shape + (2,))
         np.cos(chunk, out=pairs[:, :, 0])
         np.sin(chunk, out=pairs[:, :, 1])
         factors = pairs.reshape(len(chunk), 2 * n).take(index, axis=1)  # (rows, n, 2**n)
         np.multiply(np.multiply.reduce(factors, axis=1), phase,
-                    out=rows[lo:lo + ADJOINT_CHUNK_ROWS])
+                    out=rows[lo:lo + CHUNK_ROWS])
     return rows
 
 
@@ -350,7 +350,7 @@ def adjoint_gradients(spec: CircuitSpec, theta: np.ndarray, psi: np.ndarray,
     are uncomputed with the step's inverse. With lam = O psi the entry is
     d<psi|O|psi>/d(theta).
     No per-gate state is kept; the pair is one (2, R, 2**n) array, and the
-    gradient pass bounds R by sending ADJOINT_CHUNK_ROWS rows at a time.
+    gradient pass bounds R by sending CHUNK_ROWS rows at a time.
     """
     _check_angles(spec, theta)
     n = spec.n_qubits
@@ -436,13 +436,16 @@ class QuantumPolicy:
                                                   self.row_operator()))
         if self.shots:
             rngs = [rng] if single else rng
+            if rngs is None or isinstance(rngs, np.random.Generator) or len(rngs) != len(prefs):
+                raise ContractError(f"a shot readout of {len(prefs)} rows needs a sequence "
+                                    f"of {len(prefs)} generators, one per row")
             prefs = np.concatenate([_draw_shots(self.spec, row[None], self.shots, r)
-                                    for row, r in zip(prefs, rngs, strict=True)])
+                                    for row, r in zip(prefs, rngs)])
         probs = softmax_policy(prefs, self.beta)
         return probs[0] if single else probs
 
     def _score_chunks(self, observations, actions, rng):
-        """One pass over T (observation, action) pairs, ADJOINT_CHUNK_ROWS rows
+        """One pass over T (observation, action) pairs, CHUNK_ROWS rows
         at a time from row 0; shot mode takes all T as one chunk, so its
         readout draws in batch order. Yields each chunk's row slice, input
         rows, output rows, readout weights w = beta * (onehot(a_t) - pi_t) and
@@ -457,7 +460,7 @@ class QuantumPolicy:
         if np.any(actions < 0) or np.any(actions >= self.spec.n_actions):
             raise ContractError("action index out of range")
         abs_max = self.normalizer.widened(feats) if self.spec.encoding == "angle_rx" else None
-        size = max(len(feats), 1) if self.shots else ADJOINT_CHUNK_ROWS
+        size = max(len(feats), 1) if self.shots else CHUNK_ROWS
         for lo in range(0, len(feats), size):
             rows = slice(lo, lo + size)
             enc = self._encode_batch(feats[rows], abs_max)

@@ -303,13 +303,13 @@ def batch_score_terms(policy, observations, actions):
 
 def batch_grad_log(policy, observations, actions) -> np.ndarray:
     """Exact-mode (T, k+1) log-policy gradients from the whole-batch terms:
-    the T output rows with their co-states are swept ADJOINT_CHUNK_ROWS at a
+    the T output rows with their co-states are swept CHUNK_ROWS at a
     time from row 0. The chunks keep the bits of a lone last row, which the
     sweep rounds apart from a row among others (by about 1e-33 on near-zero
     entries)."""
     _, out_rows, weights, gbeta = batch_score_terms(policy, observations, actions)
     lam = out_rows * vqpolicy._observable_diagonals(policy.spec, weights)
-    step = vqpolicy.ADJOINT_CHUNK_ROWS
+    step = vqpolicy.CHUNK_ROWS
     gtheta = np.concatenate([
         vqpolicy.adjoint_gradients(policy.spec, policy.theta, out_rows[lo:lo + step],
                                    lam[lo:lo + step])
@@ -320,12 +320,12 @@ def batch_grad_log(policy, observations, actions) -> np.ndarray:
 def batch_weighted_grad_log(policy, observations, actions, weights) -> np.ndarray:
     """Exact-mode sum_t weights[t] * grad log pi(a_t | s_t) from the
     whole-batch terms: the output rows fold into M = sum_t |psi_t><O_t psi_t|
-    ADJOINT_CHUNK_ROWS rows at a time from row 0, and M's rows are swept
+    CHUNK_ROWS rows at a time from row 0, and M's rows are swept
     against the identity's."""
     spec = policy.spec
     _, out_rows, readout, gbeta = batch_score_terms(policy, observations, actions)
     w = readout * weights[:, None]
-    dim, step = 2**spec.n_qubits, vqpolicy.ADJOINT_CHUNK_ROWS
+    dim, step = 2**spec.n_qubits, vqpolicy.CHUNK_ROWS
     m = np.zeros((dim, dim), dtype=complex)
     for lo in range(0, len(out_rows), step):
         psi = out_rows[lo:lo + step]

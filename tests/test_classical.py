@@ -7,7 +7,7 @@ from qpolgrad import classical
 from qpolgrad.classical import MlpPolicy, MlpSpec, forward, preset
 from qpolgrad.errors import ConfigError, ContractError
 from qpolgrad.reinforce import init_mlp_params
-from qpolgrad.vqpolicy import softmax_policy
+from qpolgrad.vqpolicy import CHUNK_ROWS, softmax_policy
 
 from conftest import grad_log, traced_peak
 
@@ -188,33 +188,56 @@ def test_policy_batch_grads_match_single():
         np.testing.assert_allclose(batch[i], grad_log(policy, o, int(a)), atol=1e-12)
 
 
-@pytest.mark.parametrize("dropout_p", [0.0, 0.2])
-def test_weighted_backward_holds_few_hidden_arrays(dropout_p):
-    # At T = 2,000 rows the weighted backward holds the hidden activations,
-    # the dropout mask if any, and the hidden delta with its boolean ReLU
-    # mask (an eighth of a float array), plus O(T) vectors: no
-    # pre-activations and no masked copies of the delta.
-    t, hidden = 2000, 128
-    spec = MlpSpec((4, hidden, 2), dropout_p)
+def chunk_pass_bytes(hidden, dropout_p) -> int:
+    """What a gradient's pass may hold beside its result, whatever T: one
+    chunk's hidden activation, dropout mask if any, and hidden delta with its
+    boolean ReLU mask (an eighth of a float array), the previous chunk's
+    activation and delta until the next chunk's backward returns, and
+    (CHUNK_ROWS, |A|) arrays and einsum buffers (128 kB). No pre-activations,
+    no masked copies of the delta and no (T, hidden) array."""
+    arrays = 4 + (dropout_p > 0) + 1 / 8
+    return int(arrays * CHUNK_ROWS * hidden * 8) + 2**17
+
+
+def cartpole_net_inputs(t, dropout_p):
+    spec = MlpSpec((4, 128, 2), dropout_p)
     rng = np.random.default_rng(9)
     policy = MlpPolicy(spec, glorot(spec, rng))
-    obs, actions, adv = rng.normal(size=(t, 4)), rng.integers(2, size=t), rng.normal(size=t)
+    return policy, rng.normal(size=(t, 4)), rng.integers(2, size=t), rng.normal(size=t)
+
+
+@pytest.mark.parametrize("dropout_p", [0.0, 0.2])
+def test_weighted_backward_holds_few_hidden_arrays(dropout_p):
+    # The bound (1.2-1.5 MB) does not grow with T; one (2000, 128) hidden
+    # array alone is 2 MB.
+    for t in (2000, 20000):
+        policy, obs, actions, adv = cartpole_net_inputs(t, dropout_p)
+        stream = np.random.default_rng(1)
+        peak = traced_peak(lambda: policy.weighted_grad_log(obs, actions, adv, stream))
+        assert peak <= chunk_pass_bytes(128, dropout_p)
+
+
+@pytest.mark.parametrize("dropout_p", [0.0, 0.2])
+def test_per_sample_backward_holds_its_result_and_a_few_chunk_arrays(dropout_p):
+    t = 2000
+    policy, obs, actions, _ = cartpole_net_inputs(t, dropout_p)
     stream = np.random.default_rng(1)
-    peak = traced_peak(lambda: policy.weighted_grad_log(obs, actions, adv, stream))
-    arrays = 2 + (dropout_p > 0) + 1 / 8
-    assert peak <= arrays * t * hidden * 8 + 16 * t * 8
+    peak = traced_peak(lambda: policy.grad_log_batch(obs, actions, stream))
+    assert peak <= t * policy.n_trainable * 8 + chunk_pass_bytes(128, dropout_p)
 
 
 def test_weighted_grad_log_matches_contracted_batch_with_dropout():
     # The weighted backward pass shares the forward pass and dropout masks:
     # on equal streams it draws the same masks (both streams end in the same
-    # state) and contracts the same per-sample gradients.
+    # state) and contracts the same per-sample gradients, across a chunk
+    # boundary.
+    t = CHUNK_ROWS + 7
     rng = np.random.default_rng(10)
     spec = MlpSpec((4, 16, 16, 3), dropout_p=0.3)
     policy = MlpPolicy(spec, glorot(spec, rng))
-    obs = rng.normal(size=(40, 4))
-    actions = rng.integers(3, size=40)
-    adv = rng.normal(size=40)
+    obs = rng.normal(size=(t, 4))
+    actions = rng.integers(3, size=t)
+    adv = rng.normal(size=t)
     stream, weighted_stream = np.random.default_rng(11), np.random.default_rng(11)
     want = adv @ policy.grad_log_batch(obs, actions, stream)
     got = policy.weighted_grad_log(obs, actions, adv, weighted_stream)
@@ -222,6 +245,10 @@ def test_weighted_grad_log_matches_contracted_batch_with_dropout():
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
     with pytest.raises(ContractError):
         policy.weighted_grad_log(obs, actions, adv)
+    # A chunk would slice a longer action or weight vector short unseen.
+    for bad_actions, bad_adv in ((actions, np.append(adv, 1.0)), (actions[:-1], adv[:-1])):
+        with pytest.raises(ContractError):
+            policy.weighted_grad_log(obs, bad_actions, bad_adv, np.random.default_rng(0))
 
 
 def test_score_identity_classical():

@@ -433,10 +433,10 @@ def test_training_forms_no_per_sample_gradients(monkeypatch, preset):
 
 def streamed_pass_bytes(policy, rows) -> int:
     """What a gradient's pass over T rows may hold beside its result: a few
-    (ADJOINT_CHUNK_ROWS, 2**n) complex arrays and the encode's (rows, n, 2**n)
+    (CHUNK_ROWS, 2**n) complex arrays and the encode's (rows, n, 2**n)
     gather of one chunk, plus O(T) reals (two copies of the (T, n) features
     and a few (T,) vectors), never a (T, 2**n) array."""
-    n, chunk = policy.spec.n_qubits, vqpolicy.ADJOINT_CHUNK_ROWS
+    n, chunk = policy.spec.n_qubits, vqpolicy.CHUNK_ROWS
     return 8 * chunk * 2**n * 16 + chunk * n * 2**n * 8 + rows * (2 * n + 8) * 8
 
 
@@ -586,9 +586,10 @@ def trajectory_bits(traj):
     ("qcontrol-classical", {}),
 ])
 def test_lockstep_batch_independent_of_order_and_size(preset, overrides):
-    # Inference's complex `serial_matmul` (one thread, a lone row doubled)
-    # and the MLP's einsum layers round every row alike, so an episode's bits
-    # do not depend on which episodes share its batch, or in what order.
+    # Inference's `serial_matmul` (one thread, a lone row doubled), complex
+    # for a circuit and real for the MLP's input layer, and the MLP's later
+    # einsum layers round every row alike, so an episode's bits do not depend
+    # on which episodes share its batch, or in what order.
     config = cfg.preset_config(preset, {"seed": 2, **overrides})
     env = envs.make_env(config.environment)
     policy = prepare(config).policy

@@ -110,7 +110,7 @@ def test_encoded_rows_match_gate_encoding():
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(n=st.integers(1, 8), t=st.sampled_from([1, 10, vqpolicy.ADJOINT_CHUNK_ROWS + 7, 2000]),
+@given(n=st.integers(1, 8), t=st.sampled_from([1, 10, vqpolicy.CHUNK_ROWS + 7, 2000]),
        seed=st.integers(0, 2**32 - 1))
 def test_encoded_rows_match_the_kron_oracle_bit_for_bit(n, t, seed):
     # Every nonzero part carries the kron's bits. The kron's zero parts take
@@ -337,6 +337,18 @@ def test_sample_z_rejects_zero_shots():
         QuantumPolicy(spec, vector, shots=10).probabilities(np.ones(1))
 
 
+def test_shot_probabilities_of_many_rows_need_one_generator_each():
+    # m rows draw on a sequence of m generators; no rng, a lone generator or
+    # too few of them is refused as a lone row without an rng is.
+    spec = layered(2, 1, 2)
+    policy = QuantumPolicy(spec, np.zeros(spec.n_params + 1), shots=10)
+    obs = np.ones((3, 2))
+    for rng in (None, np.random.default_rng(0), [np.random.default_rng(0)] * 2):
+        with pytest.raises(ContractError, match="3 generators"):
+            policy.probabilities(obs, rng)
+    assert policy.probabilities(obs, [np.random.default_rng(i) for i in range(3)]).shape == (3, 2)
+
+
 def test_zero_shots_is_the_exact_readout():
     # Zero shots draws nothing, even when handed a generator; the draw itself
     # refuses it.
@@ -533,7 +545,7 @@ def test_adjoint_matches_parameter_shift(spec, t):
 
 def test_adjoint_chunks_match_single_rows():
     spec = layered(3, 2, 2)
-    t = vqpolicy.ADJOINT_CHUNK_ROWS + 7
+    t = vqpolicy.CHUNK_ROWS + 7
     theta, enc, weights = adjoint_case(spec, np.random.default_rng(41), t)
     rows = output_rows(spec, theta, enc)
     lam = rows * vqpolicy._observable_diagonals(spec, weights)
@@ -545,7 +557,7 @@ def test_adjoint_chunks_match_single_rows():
 
 
 @pytest.mark.parametrize("spec, t", [(U3_SPEC, 20), (layered(8, 4, 2), 12),
-                                     (layered(3, 2, 2), vqpolicy.ADJOINT_CHUNK_ROWS + 7)])
+                                     (layered(3, 2, 2), vqpolicy.CHUNK_ROWS + 7)])
 def test_weighted_grad_log_matches_contracted_batch(spec, t):
     # The operator sweep equals the advantage-weighted sum of the per-row
     # adjoint gradients, across chunk boundaries and without an encoding.
@@ -824,12 +836,18 @@ def test_serial_matmul_keeps_every_complex_row_bit(m, k, n):
     assert_rows_keep_their_bits(a, b, rng)
 
 
-@pytest.mark.parametrize("m, k, n", [(2000, 2, 128), (5000, 3, 32), (100, 2, 16)])
+@pytest.mark.parametrize("m, k, n", [(2000, 2, 128), (5000, 3, 32), (100, 2, 16),
+                                     (1, 4, 128), (10, 4, 128), (2000, 4, 128), (10, 6, 32),
+                                     (5000, 6, 32), (10, 4, 16), (100, 4, 16)])
 def test_serial_matmul_keeps_every_real_row_bit(m, k, n):
-    # The MLP backward pass's delta @ W, one row per step of a batch, at the
-    # cartpole-, acrobot- and qcontrol-classical widths and batch lengths.
+    # One row per step of a batch, at the cartpole-, acrobot- and
+    # qcontrol-classical widths, 10-row rollout steps and batch lengths: the
+    # MLP backward pass's delta @ W (k = |A|) and its input layer x @ W0.T
+    # (k = n_features), whose right operand is a transposed (n, k) weight.
     rng = np.random.default_rng(m)
-    assert_rows_keep_their_bits(rng.normal(size=(m, k)), rng.normal(size=(k, n)), rng)
+    a, b = rng.normal(size=(m, k)), rng.normal(size=(k, n))
+    assert_rows_keep_their_bits(a, b, rng)
+    assert_rows_keep_their_bits(a, np.asfortranarray(b), rng)
 
 
 @pytest.mark.parametrize("m, k, n", [(128, 2000, 4), (2, 2000, 128), (3, 2000, 128),

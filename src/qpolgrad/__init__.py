@@ -2,8 +2,9 @@
 
 Subpackages:
 
-- qsim: batched row-operator simulation and Z readout for <= 8 qubits
-- vqpolicy: variational softmax policy with adjoint and parameter-shift gradients
+- qsim: batched row-operator simulation for <= 8 qubits
+- vqpolicy: variational softmax policy: encoding, Z readout, adjoint and
+  parameter-shift gradients
 - envs: CartPole, Acrobot, and single-qubit state-preparation control
 - reinforce: trajectory collection, baseline, gradient estimator, Adam
 - classical: bias-free ReLU network baselines with manual backprop

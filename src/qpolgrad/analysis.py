@@ -35,11 +35,10 @@ def fisher_matrix(policy, states, actions, include_beta: bool = True, rng=None) 
 
     `include_beta=False` keeps the first `policy.spec.n_params` coordinates:
     a quantum policy's angles, every weight of an MLP. `rng` feeds shot-mode
-    readouts and dropout masks.
+    readouts and dropout masks. The policy's `grad_log_batch` checks the
+    batch (`vqpolicy.checked_batch`).
     """
-    if len(states) == 0 or len(states) != len(actions):
-        raise ContractError("fisher_matrix needs equal-length, non-empty state/action lists")
-    g = policy.grad_log_batch(states, np.asarray(actions, dtype=int), rng)
+    g = policy.grad_log_batch(states, actions, rng)
     if not include_beta:
         g = g[:, :policy.spec.n_params]
     f = serial_matmul(g.T, g) / g.shape[0]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ContractError
-from .vqpolicy import CHUNK_ROWS, checked_vector, serial_matmul, softmax_policy
+from .vqpolicy import CHUNK_ROWS, checked_batch, checked_vector, serial_matmul, softmax_policy
 
 
 @dataclass(frozen=True)
@@ -161,42 +161,36 @@ class MlpPolicy:
         network (`rng`, `abs_max` unused); a row's bits do not depend on the others."""
         return softmax_policy(forward(self.spec, self.weights, obs), self.beta)
 
-    def _backward_chunks(self, observations, actions, rng, scale=None):
-        """One pass over T (observation, action) pairs, CHUNK_ROWS rows at a
-        time from row 0, like `QuantumPolicy._score_chunks`. Yields each
+    def _batch(self, observations, actions, rng, weights=None):
+        """A gradient's `checked_batch`, its input width and dropout's rng checked."""
+        if self.spec.dropout_p > 0.0 and rng is None:
+            raise ContractError("train-mode dropout requires an rng")
+        x, actions, weights = checked_batch(observations, actions, self.n_actions, weights)
+        return _check_input(self.spec, x), actions, weights
+
+    def _backward_chunks(self, x, actions, rng, scale=None):
+        """One pass over a checked batch's T rows and actions, CHUNK_ROWS rows
+        at a time from row 0, like `QuantumPolicy._score_chunks`. Yields each
         chunk's row slice and `_backward` of its rows, with row t's delta
         scaled by scale[t]; dropout draws each chunk's masks from `rng`, layer
         by layer."""
-        spec = self.spec
-        if spec.dropout_p > 0.0 and rng is None:
-            raise ContractError("train-mode dropout requires an rng")
-        x = np.atleast_2d(_check_input(spec, observations))
-        actions = np.asarray(actions, dtype=int)
-        if actions.shape != (len(x),):
-            raise ContractError(f"{len(x)} observations need as many actions, "
-                                f"got shape {actions.shape}")
-        if np.any(actions < 0) or np.any(actions >= self.n_actions):
-            raise ContractError("action index out of range")
-        if scale is not None:
-            scale = np.asarray(scale, dtype=float)
-            if scale.shape != (len(x),):
-                raise ContractError(f"{len(x)} observations need as many weights, "
-                                    f"got shape {scale.shape}")
         for lo in range(0, len(x), CHUNK_ROWS):
             rows = slice(lo, lo + CHUNK_ROWS)
-            yield rows, _backward(self.weights, x[rows], actions[rows], spec.dropout_p, rng,
+            yield rows, _backward(self.weights, x[rows], actions[rows], self.spec.dropout_p, rng,
                                   None if scale is None else scale[rows])
 
     def grad_log_batch(self, observations, actions, rng: np.random.Generator | None = None) -> np.ndarray:
         """Row-stacked log-policy gradients, shape (T, n_params), written chunk
         by chunk into (T, n_out, n_in) views of the one result."""
+        x, actions, _ = self._batch(observations, actions, rng)
         grads, blocks, lo = np.empty((len(actions), self.spec.n_params)), [], 0
         for w in self.weights:
             blocks.append(grads[:, lo:lo + w.size].reshape(len(grads), *w.shape))
             lo += w.size
-        for rows, layers in self._backward_chunks(observations, actions, rng):
+        for rows, layers in self._backward_chunks(x, actions, rng):
             for block, (delta, act) in zip(blocks, layers):
                 np.einsum("to,ti->toi", delta, act, out=block[rows])
+            del layers, delta, act  # before the next chunk's backward
         return grads
 
     def weighted_grad_log(self, observations, actions, weights,
@@ -204,10 +198,12 @@ class MlpPolicy:
         """sum_t weights[t] * grad log pi(a_t | s_t), shape (n_params,), from
         `grad_log_batch`'s pass (and dropout draws) on weighted deltas: each
         chunk adds delta^T act into its layer's sum."""
+        x, actions, weights = self._batch(observations, actions, rng, weights)
         sums = [np.zeros(w.shape) for w in self.weights]
-        for _, layers in self._backward_chunks(observations, actions, rng, weights):
+        for _, layers in self._backward_chunks(x, actions, rng, weights):
             for total, (delta, act) in zip(sums, layers):
                 total += serial_matmul(delta.T, act)
+            del layers, delta, act  # before the next chunk's backward
         return np.concatenate([total.ravel() for total in sums])
 
     # -- persistence ----------------------------------------------------------

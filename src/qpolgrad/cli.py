@@ -59,12 +59,15 @@ def running_mean(values: np.ndarray, window: int) -> np.ndarray:
 
 
 def read_metrics(path) -> dict[str, np.ndarray]:
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in METRICS_COLUMNS if c not in (reader.fieldnames or [])]
-        if missing:
-            raise ContractError(f"{path}: metrics CSV missing column(s) {', '.join(missing)}")
-        rows = list(reader)
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            columns, rows = reader.fieldnames or [], list(reader)
+    except (UnicodeDecodeError, csv.Error) as exc:  # bytes that are not UTF-8, or bad CSV
+        raise ContractError(f"{path}: metrics CSV is not readable text: {exc}") from exc
+    missing = [c for c in METRICS_COLUMNS if c not in columns]
+    if missing:
+        raise ContractError(f"{path}: metrics CSV missing column(s) {', '.join(missing)}")
     try:
         return {c: np.array([float(r[c]) for r in rows]) for c in METRICS_COLUMNS}
     except (TypeError, ValueError) as exc:  # a short row gives None, a text cell ValueError
@@ -120,18 +123,15 @@ def fisher_spectrum(policy, environment: str, rollouts: int, rng: np.random.Gene
     The rollouts run as one lockstep batch of `run_episodes`, all on the
     one stream `rng`: rollout i draws its i-th consecutive block, its reset
     and then `max_steps` uniforms, and shot readouts draw after all blocks.
-    Each rollout scales by its own row of a snapshot of the normalizer,
-    which records what they see, so observing a policy leaves it unchanged;
-    the gradients scale by the policy's maxima widened to cover every
-    visited state. Shot-mode gradients draw from the same stream after the
+    Rollouts only read the policy, so observing it leaves it unchanged; the
+    gradients scale by the policy's maxima widened to cover every visited
+    state. Shot-mode gradients draw from the same stream after the
     rollouts.
     """
     if rollouts < 1:
         raise ContractError(f"a Fisher spectrum needs at least one rollout, got {rollouts}")
-    snapshot = None if policy.normalizer is None else policy.normalizer.copy()
     # gamma 1.0: it only sets the trajectories' returns, which no spectrum reads
-    trajs = reinforce.run_episodes(envs.make_env(environment), policy, [rng] * rollouts, 1.0,
-                                   snapshot)
+    trajs = reinforce.run_episodes(envs.make_env(environment), policy, [rng] * rollouts, 1.0)
     states = np.concatenate([traj.observations for traj in trajs])
     actions = np.concatenate([traj.actions for traj in trajs])
     return analysis.spectrum(analysis.fisher_matrix(policy, states, actions,
@@ -238,10 +238,9 @@ def run(config) -> int:
             # mid-batch sees the same policy as the batch's last record.
             episodes_done = record.episode + 1
             if episodes_done in boundaries:
-                rng = np.random.default_rng(np.random.SeedSequence(
-                    config.seed, spawn_key=(2, episodes_done)))
                 report = fisher_spectrum(state.policy, config.environment, config.batch_size,
-                                         rng, include_beta=not config.fisher_theta_only)
+                                         reinforce.keyed_stream(config.seed, 2, episodes_done),
+                                         include_beta=not config.fisher_theta_only)
                 _write_spectrum(report, out, episodes_done)
     with open(out / "checkpoint.json", "w") as fh:
         json.dump(state.policy.to_checkpoint(), fh, indent=1)
@@ -468,14 +467,15 @@ def _run_command(args) -> int:
     if args.preset:
         configuration = cfg.preset_config(args.preset, overrides)
     else:
-        configuration = cfg.load_config(args.config_path, overrides)
+        configuration = cfg.from_dict(_read_json_object(args.config_path, "config file"),
+                                      overrides)
     return run(configuration)
 
 
 def _fisher_command(args) -> int:
     policy = policy_from_checkpoint(args.checkpoint)
-    rng = np.random.default_rng(np.random.SeedSequence(args.seed, spawn_key=(2, 0)))
-    report = fisher_spectrum(policy, args.env, args.rollouts, rng,
+    report = fisher_spectrum(policy, args.env, args.rollouts,
+                             reinforce.keyed_stream(args.seed, 2, 0),
                              include_beta=not args.theta_only)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -252,17 +252,6 @@ def preset_config(name: str, overrides: dict | None = None) -> ExperimentConfig:
     return from_dict(data, overrides)
 
 
-def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"config file {path} must hold a JSON object")
-    return from_dict(data, overrides)
-
-
 def config_hash(config: ExperimentConfig) -> str:
     """SHA-256 over the fields that determine a run's results; the reporting
     fields are left out, so a rerun elsewhere or under another name matches."""

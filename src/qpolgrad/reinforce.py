@@ -4,12 +4,13 @@ One training iteration collects a batch of trajectories under the current
 policy, subtracts the per-timestep mean return as a baseline, averages
 (G_t - b_t) * grad log pi(a_t | s_t) over everything, and takes one Adam
 step uphill. A batch's episodes run in lockstep on an array environment,
-one policy inference per step for all of them. Each episode runs on its own
-seeded stream and its own snapshot of the feature normalizer, so an episode
-does not depend on which other episodes share its batch or in what order.
-Observations travel as float feature rows, and a trajectory holds them as
-one (T, n_features) array. `train` yields one record per episode, with its
-trajectory.
+one policy inference per step for all of them. Rollouts only read the
+policy: each episode runs on its own keyed stream (`keyed_stream`) and its
+own running maxima, started from the feature normalizer's, so an episode
+does not depend on which other episodes share its batch or in what order;
+the batch then records its rows in the normalizer. A trajectory holds its
+float feature rows as one (T, n_features) array. `train` yields one record
+per episode, with its trajectory.
 
 A policy's state is its flat trainable vector: Adam reads it with
 `get_vector` and writes it with `set_vector`, the one place a policy
@@ -65,6 +66,17 @@ class MetricsRecord:
     beta: float
     grad_norm: float
     trajectory: Trajectory
+
+
+def keyed_stream(seed: int, *key: int) -> np.random.Generator:
+    """The generator of stream `key` of a run's `seed`. The streams:
+    (0,)    initial parameters (`prepare`)
+    (1, e)  episode e: reset, action uniforms, shot readouts (`collect_batch`)
+    (2, e)  the Fisher spectrum after e episodes of `qpolgrad run`, and (2, 0)
+            `qpolgrad fisher`'s: rollouts, then shot readouts and dropout masks
+    (3, b)  batch b's gradient: shot readouts and dropout masks (`train`)
+    """
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8  # the standard decay rates and floor
@@ -193,8 +205,8 @@ def sample_actions(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     return np.add.reduce(cum <= uniforms[:, None], axis=1)  # the bools count as int
 
 
-def run_episodes(env, policy, rngs, gamma: float, normalizer=None) -> list[Trajectory]:
-    """Roll out one episode per generator in `rngs`, all of them in lockstep.
+def run_episodes(env, policy, rngs, gamma: float) -> list[Trajectory]:
+    """Roll out one episode per generator in `rngs`, in lockstep, only reading the policy.
 
     Each step is one inference over the rows of the running episodes, one
     vectorised action draw and one array `env` step. Episode i draws from
@@ -203,15 +215,16 @@ def run_episodes(env, policy, rngs, gamma: float, normalizer=None) -> list[Traje
     One generator may stand in several places of `rngs`: episode i then
     takes its i-th consecutive block, whatever the earlier episodes'
     lengths, and the readouts of the episodes interleave after all blocks.
-    With a `normalizer`, each episode scales by its own snapshot of it, a
-    row of a (B, n) running-max array, merged into it afterwards, so no
-    episode sees what another observed.
+    With a feature normalizer, each episode scales by its own running
+    maxima, a row of a (B, n) array that starts from the normalizer's, so
+    no episode sees what another observed.
     """
     spec = env.spec
     n = len(rngs)
     starts, blocks = zip(*[(env.reset([rng]), rng.random(spec.max_steps)) for rng in rngs])
     states, uniforms = np.concatenate(starts), np.stack(blocks)
-    abs_max = None if normalizer is None else np.tile(normalizer.running_abs_max, (n, 1))
+    norm = policy.normalizer
+    abs_max = None if norm is None else np.tile(norm.running_abs_max, (n, 1))
     observations = np.empty((n, spec.max_steps, spec.n_features))
     actions = np.zeros((n, spec.max_steps), dtype=int)
     rewards = np.zeros((n, spec.max_steps))
@@ -236,24 +249,20 @@ def run_episodes(env, policy, rngs, gamma: float, normalizer=None) -> list[Traje
             if not running.size:
                 break
             streams = [rngs[i] for i in running]
-    if normalizer is not None:
-        normalizer.observe(abs_max)
     return [Trajectory(observations[i, :steps], actions[i, :steps], rewards[i, :steps],
                        discounted_returns(rewards[i, :steps], gamma))
             for i, steps in enumerate(lengths)]
 
 
-def _episode_rng(seed: int, episode: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1, episode)))
-
-
 def collect_batch(config, policy, first_episode: int, n_episodes: int) -> list[Trajectory]:
-    """Roll out `n_episodes` episodes in lockstep, each on its own seeded
-    stream and normalizer snapshot. A quantum policy builds its row operator
-    once, at the first step, and the batch's gradient reuses it."""
-    rngs = [_episode_rng(config.seed, first_episode + i) for i in range(n_episodes)]
-    return run_episodes(make_env(config.environment), policy, rngs, config.gamma,
-                        policy.normalizer)
+    """`run_episodes` on the episodes' keyed streams, then the normalizer widened
+    over their rows: the maxima the rollouts reached, as a max is exact. The
+    row operator a quantum policy builds at the first step serves the gradient."""
+    rngs = [keyed_stream(config.seed, 1, first_episode + i) for i in range(n_episodes)]
+    batch = run_episodes(make_env(config.environment), policy, rngs, config.gamma)
+    if policy.normalizer is not None:
+        policy.normalizer.observe(np.concatenate([traj.observations for traj in batch]))
+    return batch
 
 
 @dataclass
@@ -265,8 +274,7 @@ class RunState:
 
 
 def prepare(config) -> RunState:
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0,)))
-    policy = build_policy(config, rng)
+    policy = build_policy(config, keyed_stream(config.seed, 0))
     return RunState(policy, AdamState.fresh(policy.n_trainable, config.learning_rate))
 
 
@@ -282,9 +290,7 @@ def train(config, state: RunState | None = None):
     for batch_index, first in enumerate(range(0, config.episodes, config.batch_size)):
         n = min(config.batch_size, config.episodes - first)
         batch = collect_batch(config, policy, first, n)
-        grad_rng = np.random.default_rng(np.random.SeedSequence(config.seed,
-                                                                spawn_key=(3, batch_index)))
-        grad = policy_gradient(batch, policy, grad_rng)
+        grad = policy_gradient(batch, policy, keyed_stream(config.seed, 3, batch_index))
         policy.set_vector(adam_step(policy.get_vector(), grad, adam))
         grad_norm = float(np.linalg.norm(grad))
         for i, traj in enumerate(batch):

@@ -114,12 +114,28 @@ def checked_vector(vec, size: int) -> np.ndarray:
     return vec
 
 
+def checked_batch(observations, actions, n_actions: int, weights=None):
+    """A gradient's batch: T >= 1 feature rows as a (T, n) float array, T
+    action indices in [0, n_actions) and T float weights, or None if none
+    are given. Anything else raises ContractError."""
+    feats = np.atleast_2d(np.asarray(observations, dtype=float))
+    actions = np.asarray(actions, dtype=int)
+    weights = None if weights is None else np.asarray(weights, dtype=float)
+    shapes = [np.shape(v) for v in (actions, weights) if v is not None]
+    if feats.size == 0 or any(shape != (len(feats),) for shape in shapes):
+        raise ContractError(f"a batch needs T >= 1 observations and T actions and weights, "
+                            f"got shapes {[feats.shape, *shapes]}")
+    if np.any(actions < 0) or np.any(actions >= n_actions):
+        raise ContractError(f"action index out of range [0, {n_actions})")
+    return feats, actions, weights
+
+
 class FeatureNormalizer:
     """Online L-infinity feature scaling onto [-pi, pi].
 
     Keeps a per-feature running absolute maximum (floored at a small
-    constant) that never decreases over a run. Rollouts record what they
-    observe; inference and gradients only read it.
+    constant) that never decreases over a run. A training batch records its
+    rows (`reinforce.collect_batch`); everything else only reads it.
     """
 
     def __init__(self, n_features: int, running_abs_max=None):
@@ -144,9 +160,6 @@ class FeatureNormalizer:
 
     def observe(self, features: np.ndarray) -> None:
         self.running_abs_max = self.widened(features)
-
-    def copy(self) -> "FeatureNormalizer":
-        return FeatureNormalizer(self.n_features, self.running_abs_max.copy())
 
 
 def serial_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -399,10 +412,6 @@ class QuantumPolicy:
         self.theta, self.beta = vec[:-1], float(vec[-1])
         self._rowop: np.ndarray | None = None  # `row_operator` builds it at first use
 
-    @property
-    def n_actions(self) -> int:
-        return self.spec.n_actions
-
     # -- evaluation ---------------------------------------------------------
     def row_operator(self) -> np.ndarray:
         """The ansatz's row operator for the current theta, built at its first
@@ -444,23 +453,16 @@ class QuantumPolicy:
         probs = softmax_policy(prefs, self.beta)
         return probs[0] if single else probs
 
-    def _score_chunks(self, observations, actions, rng):
-        """One pass over T (observation, action) pairs, CHUNK_ROWS rows
-        at a time from row 0; shot mode takes all T as one chunk, so its
+    def _score_chunks(self, feats, actions, rng):
+        """One pass over a `checked_batch`'s T rows and actions, CHUNK_ROWS
+        rows at a time from row 0; shot mode takes all T as one chunk, so its
         readout draws in batch order. Yields each chunk's row slice, input
         rows, output rows, readout weights w = beta * (onehot(a_t) - pi_t) and
         beta entries <a_t> - sum_b pi_b <b>. The angle encoding scales every
         chunk by the normalizer's maxima widened to cover all T observations,
-        which after a rollout are the normalizer's own."""
-        feats = np.atleast_2d(np.asarray(observations, dtype=float))
-        actions = np.asarray(actions, dtype=int)
-        if actions.shape != (len(feats),):
-            raise ContractError(f"{len(feats)} observations need as many actions, "
-                                f"got shape {actions.shape}")
-        if np.any(actions < 0) or np.any(actions >= self.spec.n_actions):
-            raise ContractError("action index out of range")
+        which after a training batch are the normalizer's own."""
         abs_max = self.normalizer.widened(feats) if self.spec.encoding == "angle_rx" else None
-        size = max(len(feats), 1) if self.shots else CHUNK_ROWS
+        size = len(feats) if self.shots else CHUNK_ROWS
         for lo in range(0, len(feats), size):
             rows = slice(lo, lo + size)
             enc = self._encode_batch(feats[rows], abs_max)
@@ -471,6 +473,7 @@ class QuantumPolicy:
             weights = -self.beta * probs
             weights[taken] += self.beta
             yield rows, enc, out, weights, prefs[taken] - np.einsum("ta,ta->t", prefs, probs)
+            del enc, out, prefs, probs, weights  # before the next chunk is formed
 
     def grad_log_batch(self, observations, actions, rng: np.random.Generator | None = None) -> np.ndarray:
         """Log-policy gradients for T (observation, action) pairs: (T, k+1).
@@ -479,8 +482,9 @@ class QuantumPolicy:
         from the adjoint sweep of each chunk in exact mode and parameter shift
         in shot mode; beta entry (analytic): <a> - sum_b pi_b <b>.
         """
+        feats, actions, _ = checked_batch(observations, actions, self.spec.n_actions)
         grads = np.empty((len(actions), self.n_trainable))
-        for rows, enc, out, weights, gbeta in self._score_chunks(observations, actions, rng):
+        for rows, enc, out, weights, gbeta in self._score_chunks(feats, actions, rng):
             if self.shots:
                 shifts = shift_gradients(self.spec, self.theta, enc, self.shots, rng)
                 grads[rows, :-1] = np.einsum("tka,ta->tk", shifts, weights)
@@ -488,6 +492,7 @@ class QuantumPolicy:
                 grads[rows, :-1] = adjoint_gradients(
                     self.spec, self.theta, out, out * _observable_diagonals(self.spec, weights))
             grads[rows, -1] = gbeta
+            del enc, out, weights, gbeta  # before the next chunk is formed
         return grads
 
     def weighted_grad_log(self, observations, actions, weights,
@@ -500,15 +505,18 @@ class QuantumPolicy:
         is the sum over j of Im<e_j|P M e_j>; walking both back keeps
         G^dag M G = sum_j |G^dag M e_j><G^dag e_j| exact.
         """
+        feats, actions, weights = checked_batch(observations, actions, self.spec.n_actions,
+                                                weights)
         if self.shots:
-            return weights @ self.grad_log_batch(observations, actions, rng)
+            return weights @ self.grad_log_batch(feats, actions, rng)
         dim = 2**self.spec.n_qubits
         m = np.zeros((dim, dim), dtype=complex)
-        gbeta = np.empty(len(actions))  # so `weights @ gbeta` checks the length of weights
-        for rows, _, out, readout, chunk_gbeta in self._score_chunks(observations, actions, rng):
+        gbeta = np.empty(len(actions))
+        for rows, enc, out, readout, chunk_gbeta in self._score_chunks(feats, actions, rng):
             gbeta[rows] = chunk_gbeta
             lam = out * _observable_diagonals(self.spec, readout * weights[rows, None])
             m += serial_matmul(lam.conj().T, out)
+            del enc, out, readout, chunk_gbeta, lam  # before the next chunk is formed
         gtheta = adjoint_gradients(self.spec, self.theta, m, np.eye(dim)).sum(axis=0)
         return np.append(gtheta, weights @ gbeta)
 

@@ -25,7 +25,7 @@ import numpy as np
 from qpolgrad import config as cfg
 from qpolgrad import envs, qsim, vqpolicy
 from qpolgrad.errors import ConfigError, ContractError
-from qpolgrad.reinforce import Trajectory, prepare, train
+from qpolgrad.reinforce import Trajectory, keyed_stream, prepare, train
 
 I2 = np.eye(2, dtype=complex)
 PAULIS = {"RX": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -539,13 +539,20 @@ def sequential_batch(environment, policy, rngs, gamma):
     the policy's normalizer; the copies are merged into it afterwards.
     Returns the trajectories and each one's per-step probabilities."""
     master = policy.normalizer
-    copies = [master.copy() if master is not None else None for _ in rngs]
+    copies = [normalizer_copy(master) for _ in rngs]
     results = [rollout(SCALAR_ENVS[environment](), policy, rng, gamma, copy)
                for rng, copy in zip(rngs, copies)]
     for copy in copies:
         if copy is not None:
             master.observe(copy.running_abs_max)
     return [r[0] for r in results], [r[1] for r in results]
+
+
+def normalizer_copy(normalizer):
+    """A separate normalizer with the same maxima, or None for None."""
+    if normalizer is None:
+        return None
+    return vqpolicy.FeatureNormalizer(normalizer.n_features, normalizer.running_abs_max.copy())
 
 
 def trained_policy(preset, episodes):
@@ -569,4 +576,4 @@ def traced_peak(fn) -> int:
 
 def side_stream(seed, episodes_done):
     """The side stream of `qpolgrad run`'s spectrum at a checkpoint."""
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2, episodes_done)))
+    return keyed_stream(seed, 2, episodes_done)

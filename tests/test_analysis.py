@@ -53,11 +53,53 @@ def test_fisher_rank_bounded_by_samples():
     assert np.sum(eigs > 1e-12) <= 3
 
 
+def small_policy(kind):
+    """A 2-action policy over 3 features: a 3-qubit circuit in exact mode
+    ("quantum") or with 100 shots ("shots"), or a ReLU network."""
+    rng = np.random.default_rng(3)
+    if kind == "classical":
+        spec = MlpSpec((3, 8, 2))
+        return MlpPolicy(spec, init_mlp_params({"kind": "glorot_normal"}, spec, rng))
+    spec = CircuitSpec(3, 2, 2)
+    return QuantumPolicy(spec, rng.normal(size=spec.n_params + 1),
+                         shots=100 if kind == "shots" else 0)
+
+
 def test_fisher_rejects_empty_or_mismatched():
-    with pytest.raises(ContractError):
-        fisher_matrix(StubPolicy([[1.0]]), [], [])
-    with pytest.raises(ContractError):
-        fisher_matrix(StubPolicy([[1.0]]), [0], [0, 1])
+    for kind in ("quantum", "classical"):
+        policy = small_policy(kind)
+        with pytest.raises(ContractError):
+            fisher_matrix(policy, np.empty((0, 3)), [])
+        with pytest.raises(ContractError):
+            fisher_matrix(policy, np.ones((1, 3)), [0, 1])
+
+
+ROWS = np.linspace(-1.0, 1.0, 9).reshape(3, 3)
+BAD_BATCHES = {  # observations, actions, weights
+    "empty": (np.empty((0, 3)), [], []),
+    "mismatched actions": (ROWS, [0, 1], [1.0, 2.0, 3.0]),
+    "action out of range": (ROWS, [0, 2, 1], [1.0, 2.0, 3.0]),
+    "negative action": (ROWS, [0, -1, 1], [1.0, 2.0, 3.0]),
+    "wrong-length weights": (ROWS, [0, 1, 1], [1.0, 2.0]),
+}
+
+
+@pytest.mark.parametrize("kind", ["quantum", "shots", "classical"])
+@pytest.mark.parametrize("case", sorted(BAD_BATCHES))
+def test_every_gradient_rejects_a_bad_batch(kind, case):
+    # Every gradient takes its batch through `vqpolicy.checked_batch`; the
+    # well-formed batch beside each bad one passes.
+    policy = small_policy(kind)
+    observations, actions, weights = BAD_BATCHES[case]
+    calls = [lambda obs, a, w, rng: policy.weighted_grad_log(obs, a, w, rng)]
+    if case != "wrong-length weights":
+        calls += [lambda obs, a, w, rng: policy.grad_log_batch(obs, a, rng),
+                  lambda obs, a, w, rng: fisher_matrix(policy, obs, a, rng=rng)]
+    for call in calls:
+        with pytest.raises(ContractError):
+            call(observations, actions, weights, np.random.default_rng(0))
+        assert np.all(np.isfinite(call(ROWS, [0, 1, 1], [1.0, 2.0, 3.0],
+                                       np.random.default_rng(0))))
 
 
 @pytest.mark.parametrize("make_policy", ["quantum", "classical"])

@@ -191,11 +191,10 @@ def test_policy_batch_grads_match_single():
 def chunk_pass_bytes(hidden, dropout_p) -> int:
     """What a gradient's pass may hold beside its result, whatever T: one
     chunk's hidden activation, dropout mask if any, and hidden delta with its
-    boolean ReLU mask (an eighth of a float array), the previous chunk's
-    activation and delta until the next chunk's backward returns, and
-    (CHUNK_ROWS, |A|) arrays and einsum buffers (128 kB). No pre-activations,
-    no masked copies of the delta and no (T, hidden) array."""
-    arrays = 4 + (dropout_p > 0) + 1 / 8
+    boolean ReLU mask (an eighth of a float array), and (CHUNK_ROWS, |A|)
+    arrays and einsum buffers (128 kB). No pre-activations, no masked copies
+    of the delta, nothing of the previous chunk and no (T, hidden) array."""
+    arrays = 2 + (dropout_p > 0) + 1 / 8
     return int(arrays * CHUNK_ROWS * hidden * 8) + 2**17
 
 
@@ -208,8 +207,8 @@ def cartpole_net_inputs(t, dropout_p):
 
 @pytest.mark.parametrize("dropout_p", [0.0, 0.2])
 def test_weighted_backward_holds_few_hidden_arrays(dropout_p):
-    # The bound (1.2-1.5 MB) does not grow with T; one (2000, 128) hidden
-    # array alone is 2 MB.
+    # The bound (0.69 or 0.95 MB) does not grow with T; one (2000, 128)
+    # hidden array alone is 2 MB.
     for t in (2000, 20000):
         policy, obs, actions, adv = cartpole_net_inputs(t, dropout_p)
         stream = np.random.default_rng(1)

@@ -182,6 +182,24 @@ def test_compare_and_plot_reject_malformed_run_files(tmp_path, capsys):
     assert cli.main(["plot", str(tmp_path / "bad1" / "metrics.csv"), "--out", str(svg)]) == 0
 
 
+def test_undecodable_config_and_metrics_fail_with_an_error_line(tmp_path, capsys):
+    # A config file that starts with a UTF-16 byte-order mark and a metrics
+    # CSV holding byte 0xFF are not UTF-8: each fails with an error line
+    # naming the file, not a traceback, and writes nothing.
+    config = tmp_path / "config.json"
+    config.write_bytes(b"\xff\xfe{\x00}\x00")
+    metrics = tmp_path / "metrics.csv"
+    metrics.write_bytes(",".join(cli.METRICS_COLUMNS).encode() + b"\n0,1\xff,0,1,0,0\n")
+    out, svg = tmp_path / "run", tmp_path / "plot" / "chart.svg"
+    for argv, path in ((["run", "--config", str(config), "--out", str(out)], config),
+                       (["plot", str(metrics), "--out", str(svg)], metrics)):
+        capsys.readouterr()
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
+    assert not out.exists() and not svg.parent.exists()
+
+
 def test_manifest_records_provenance(tmp_path):
     assert cli.main(["run", "--preset", "qcontrol-quantum", "--episodes", "0",
                      "--out", str(tmp_path)]) == 0

@@ -8,6 +8,7 @@ from conftest import (
     SCALAR_ENVS,
     grad_log,
     init_zero,
+    normalizer_copy,
     rollout,
     sequential_batch,
     side_stream,
@@ -431,18 +432,21 @@ def test_training_forms_no_per_sample_gradients(monkeypatch, preset):
     assert all(psi == lam == (dim, dim) for psi, lam, dim in swept)
 
 
-def streamed_pass_bytes(policy, rows) -> int:
-    """What a gradient's pass over T rows may hold beside its result: a few
-    (CHUNK_ROWS, 2**n) complex arrays and the encode's (rows, n, 2**n)
-    gather of one chunk, plus O(T) reals (two copies of the (T, n) features
-    and a few (T,) vectors), never a (T, 2**n) array."""
+def streamed_pass_bytes(policy, rows, sweep=False) -> int:
+    """What a gradient's pass over T rows may hold beside its result: one
+    chunk's encode gather (rows, n, 2**n) and three (CHUNK_ROWS, 2**n)
+    complex arrays, nothing of the previous chunk, plus O(T) reals (two
+    copies of the (T, n) features and a few (T,) vectors), never a
+    (T, 2**n) array. A `sweep` of per-sample gradients adds four more
+    complex arrays: a chunk's (2, rows, 2**n) row pairs and their update."""
     n, chunk = policy.spec.n_qubits, vqpolicy.CHUNK_ROWS
-    return 8 * chunk * 2**n * 16 + chunk * n * 2**n * 8 + rows * (2 * n + 8) * 8
+    complex_arrays = 3 + 4 * sweep
+    return complex_arrays * chunk * 2**n * 16 + chunk * n * 2**n * 8 + rows * (2 * n + 8) * 8
 
 
 def test_policy_gradient_memory_stays_within_chunks():
     # At acrobot-quantum's T = 5,000 rows one (T, 2**n) complex array is
-    # 5.1 MB, above the bound (3.7 MB); holding the whole batch's rows took
+    # 5.1 MB, above the bound (2.4 MB); holding the whole batch's rows took
     # 13 MB.
     batch, policy, *_ = batch_inputs("acrobot-quantum")
     rows = sum(len(traj) for traj in batch)
@@ -454,7 +458,7 @@ def test_per_sample_gradient_memory_stays_within_chunks():
     _, policy, observations, actions, _ = batch_inputs("acrobot-quantum")
     rows = len(actions)
     peak = traced_peak(lambda: policy.grad_log_batch(observations, actions))
-    assert peak <= rows * policy.n_trainable * 8 + streamed_pass_bytes(policy, rows)
+    assert peak <= rows * policy.n_trainable * 8 + streamed_pass_bytes(policy, rows, sweep=True)
 
 
 def test_dropout_training_is_finite_and_deterministic():
@@ -508,6 +512,27 @@ def test_rollout_respects_episode_caps():
             np.testing.assert_array_equal(traj.returns, discounted_returns(traj.rewards, 0.99))
 
 
+@pytest.mark.parametrize("preset", ["cartpole-quantum", "acrobot-quantum"])
+def test_rollouts_only_read_the_policy(preset):
+    # A fresh angle-encoded policy's maxima are at the floor, so every
+    # rollout widens its own running maxima, and none of that is written
+    # back. `collect_batch` then records the batch's rows, which gives the
+    # maxima the rollouts reached.
+    config = cfg.preset_config(preset, {"seed": 3})
+    policy = prepare(config).policy
+    vector, maxima = policy.get_vector().tobytes(), policy.normalizer.running_abs_max.copy()
+    rngs = [reinforce.keyed_stream(config.seed, 1, i) for i in range(10)]
+    batch = run_episodes(envs.make_env(config.environment), policy, rngs, config.gamma)
+    assert policy.get_vector().tobytes() == vector
+    assert policy.normalizer.running_abs_max.tobytes() == maxima.tobytes()
+    reached = np.abs(np.concatenate([traj.observations for traj in batch])).max(axis=0)
+    assert np.all(reached > maxima)
+    recorded = reinforce.collect_batch(config, policy, 0, 10)
+    assert list(map(trajectory_bits, recorded)) == list(map(trajectory_bits, batch))
+    assert policy.get_vector().tobytes() == vector
+    np.testing.assert_array_equal(policy.normalizer.running_abs_max, reached)
+
+
 # ---------------------------------------------------------------------------
 # lockstep rollouts against the sequential reference
 # ---------------------------------------------------------------------------
@@ -555,7 +580,7 @@ def test_lockstep_batch_matches_sequential_reference(monkeypatch, preset, overri
     calls = lockstep_probabilities(policy, monkeypatch)
     batch = reinforce.collect_batch(config, policy, 30, 10)
     monkeypatch.undo()
-    rngs = [reinforce._episode_rng(config.seed, 30 + i) for i in range(10)]
+    rngs = [reinforce.keyed_stream(config.seed, 1, 30 + i) for i in range(10)]
     reference, reference_probs = sequential_batch(config.environment, reference_policy, rngs,
                                                   config.gamma)
     lockstep_probs = per_episode(calls, [len(traj) for traj in batch])
@@ -596,10 +621,12 @@ def test_lockstep_batch_independent_of_order_and_size(preset, overrides):
     normalizer = policy.normalizer
 
     def run(seeds):
-        rngs = [reinforce._episode_rng(config.seed, s) for s in seeds]
-        snapshot = normalizer.copy() if normalizer is not None else None
-        batch = run_episodes(env, policy, rngs, config.gamma, snapshot)
-        return [trajectory_bits(traj) for traj in batch], snapshot
+        rngs = [reinforce.keyed_stream(config.seed, 1, s) for s in seeds]
+        batch = run_episodes(env, policy, rngs, config.gamma)
+        merged = None
+        if normalizer is not None:  # what `collect_batch` would record
+            merged = normalizer.widened(np.concatenate([traj.observations for traj in batch]))
+        return [trajectory_bits(traj) for traj in batch], merged
 
     seeds = list(range(10))
     together, merged = run(seeds)
@@ -609,7 +636,7 @@ def test_lockstep_batch_independent_of_order_and_size(preset, overrides):
     for i in seeds:
         assert run([i])[0] == [together[i]]
     if normalizer is not None:
-        np.testing.assert_array_equal(merged.running_abs_max, merged_permuted.running_abs_max)
+        np.testing.assert_array_equal(merged, merged_permuted)
 
 
 class SilentPolicy:
@@ -645,7 +672,7 @@ def test_rollout_draws_one_schedule_whatever_the_readout():
     env = envs.make_env("cartpole")
 
     def run(policy):
-        rngs = [reinforce._episode_rng(5, i) for i in range(6)]
+        rngs = [reinforce.keyed_stream(5, 1, i) for i in range(6)]
         return run_episodes(env, policy, rngs, 0.99), rngs
 
     silent, _ = run(SilentPolicy())
@@ -653,7 +680,7 @@ def test_rollout_draws_one_schedule_whatever_the_readout():
     assert len({len(traj) for traj in silent}) > 1
     for i, (a, b, stream) in enumerate(zip(silent, drawing, streams)):
         assert trajectory_bits(a) == trajectory_bits(b)
-        replay = reinforce._episode_rng(5, i)
+        replay = reinforce.keyed_stream(5, 1, i)
         env.reset([replay])
         replay.random(env.spec.max_steps + 3 * len(b))
         assert stream.random() == replay.random()
@@ -739,7 +766,7 @@ def test_fisher_rollouts_match_sequential_reference(monkeypatch, preset, episode
             SCALAR_ENVS[config.environment]().reset(stream)
             stream.random(max_steps)
         ref, ref_probs = rollout(SCALAR_ENVS[config.environment](), policy, stream,
-                                 config.gamma, None if normalizer is None else normalizer.copy())
+                                 config.gamma, normalizer_copy(normalizer))
         np.testing.assert_array_equal(traj.observations, ref.observations)
         np.testing.assert_array_equal(traj.actions, ref.actions)
         np.testing.assert_array_equal(traj.rewards, ref.rewards)

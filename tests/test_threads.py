@@ -27,7 +27,8 @@ def batch(preset, rows):
     observations = rng.normal(size=(rows, config.env_spec.n_features))
     if policy.normalizer is not None:
         policy.normalizer.observe(observations)
-    return policy, observations, rng.integers(policy.n_actions, size=rows), rng.normal(size=rows)
+    actions = rng.integers(config.env_spec.n_actions, size=rows)
+    return policy, observations, actions, rng.normal(size=rows)
 
 policy, obs, actions, adv = batch("cartpole-classical", 2000)
 print(hashlib.sha256(policy.weighted_grad_log(obs, actions, adv).tobytes()).hexdigest())

@@ -21,9 +21,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
-import html
 import json
-import math
 import os
 import platform
 import sys
@@ -256,6 +254,8 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
 def _svg_line_chart(series, xlabel: str, ylabel: str) -> str:
+    import html  # here, not at the top: `qpolgrad run` never loads html.entities
+
     width, height = 880, 520
     left, right, top, bottom = 70, 190, 20, 50
     plot_w, plot_h = width - left - right, height - top - bottom

@@ -13,8 +13,6 @@ import json
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .classical import MlpSpec, preset as mlp_preset
 from .envs import ENV_SPECS
 from .errors import ConfigError

@@ -19,9 +19,12 @@ batched only: the policy engine pushes row-stacked states through one circuit
 row operator, reads them out, and walks them back step by step for its
 adjoint gradient. The row-operator build and that sweep share one
 single-qubit kernel, `apply_1q_array`, and the rotation matrices in
-`ROTATIONS`. The readout is the policy's own (`vqpolicy._readout`): the
-rows' probabilities contracted with a table of +-1 signs give each measured
-qubit's exact <Z>, and shot mode draws its counts around those.
+`ROTATIONS`. The kernels take the rows they are given; the policy bounds
+them (`vqpolicy.BLOCK_NUMBERS`, 2**15 numbers), so the sweep hands them
+blocks of 64 row pairs at 8 qubits. The readout is the policy's own
+(`vqpolicy._readout`): the rows' probabilities contracted with a table of
++-1 signs give each measured qubit's exact <Z>, and shot mode draws its
+counts around those.
 
 A state travels outside the simulator as a float feature row: its amplitudes
 as interleaved (re, im) pairs. `amplitude_features` and `feature_amplitudes`

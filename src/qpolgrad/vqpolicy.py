@@ -35,6 +35,12 @@ with respect to the angles take one of two routes:
   needs only the advantage-weighted sum over the batch, so it folds each
   chunk into the 2**n x 2**n operator M = sum_t |psi_t><lambda_t| and
   sweeps M's 2**n rows against the identity's once, after the pass.
+  The working set is bounded by amplitudes, not rows: a sub-block
+  temporary holds at most BLOCK_NUMBERS (2**15) numbers. The encode's
+  (rows, n, 2**n) gather and the sweep's (2, rows, 2**n) pairs take
+  `row_blocks`, a power of two rows at a time that never leaves a lone
+  row, so every bit is the whole chunk's: 64 rows of the encode at 6
+  qubits and of the sweep at 8, whole chunks up to 4 and 6 qubits.
 - Shot mode uses the two-term parameter-shift rule per sample, d<a>/d(theta_j)
   = (<a>(theta_j + pi/2) - <a>(theta_j - pi/2)) / 2, the tests' exact oracle.
 
@@ -116,18 +122,22 @@ def checked_vector(vec, size: int) -> np.ndarray:
 
 def checked_batch(observations, actions, n_actions: int, weights=None):
     """A gradient's batch: T >= 1 feature rows as a (T, n) float array, T
-    action indices in [0, n_actions) and T float weights, or None if none
-    are given. Anything else raises ContractError."""
+    whole-number action indices in [0, n_actions) as ints and T float
+    weights, or None if none are given. Anything else raises ContractError;
+    a fractional action is refused, not truncated."""
     feats = np.atleast_2d(np.asarray(observations, dtype=float))
-    actions = np.asarray(actions, dtype=int)
+    actions = np.asarray(actions)
     weights = None if weights is None else np.asarray(weights, dtype=float)
     shapes = [np.shape(v) for v in (actions, weights) if v is not None]
     if feats.size == 0 or any(shape != (len(feats),) for shape in shapes):
         raise ContractError(f"a batch needs T >= 1 observations and T actions and weights, "
                             f"got shapes {[feats.shape, *shapes]}")
-    if np.any(actions < 0) or np.any(actions >= n_actions):
-        raise ContractError(f"action index out of range [0, {n_actions})")
-    return feats, actions, weights
+    valid = (actions >= 0) & (actions < n_actions)
+    if actions.dtype.kind not in "biu":
+        valid &= np.floor(actions) == actions
+    if not np.all(valid):
+        raise ContractError(f"an action index must be a whole number in [0, {n_actions})")
+    return feats, actions.astype(int, copy=False), weights
 
 
 class FeatureNormalizer:
@@ -175,6 +185,22 @@ def serial_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # (encode, product, readout, co-states and sweep) and `classical.MlpPolicy`
 # (forward and backward), so its temporaries are (256, width) whatever T.
 CHUNK_ROWS = 256
+# Numbers a sub-block temporary may hold: the encode's (rows, n, 2**n)
+# gather and the adjoint sweep's (2, rows, 2**n) pairs take `row_blocks`.
+BLOCK_NUMBERS = 2**15
+
+
+@functools.lru_cache(maxsize=1024)
+def row_blocks(rows: int, row_numbers: int) -> tuple[slice, ...]:
+    """Slices of `rows` rows in blocks of a power of two rows, at least 2 and
+    at most BLOCK_NUMBERS // row_numbers if that is 2 or more, in order from
+    row 0. A lone last row joins the block before it: the adjoint sweep
+    rounds a row alone apart from the same row among others in the last
+    bits, while any split into blocks of 2 or more rows keeps every bit.
+    Cached, since every rollout step's encode asks."""
+    size = 1 << max(1, (BLOCK_NUMBERS // row_numbers).bit_length() - 1)
+    stops = [*range(size, rows - 1, size), rows]
+    return tuple(map(slice, [0, *stops], stops))
 
 
 @functools.cache
@@ -197,20 +223,20 @@ def encoded_rows(angles: np.ndarray) -> np.ndarray:
     angle as bit q of j is 0 or 1, times (-i)**(number of 1 bits). That is
     the complex kron's arithmetic on the one nonzero part of each factor, so
     the rows carry its bits; only the sign of a zero part can differ. Rows
-    are gathered CHUNK_ROWS at a time, bounding the (rows, n, 2**n) gather.
+    are gathered in `row_blocks`, so the (rows, n, 2**n) gather holds at most
+    BLOCK_NUMBERS numbers (one row more where a lone last row joins).
     """
     half = angles / 2
     t, n = half.shape
     index, phase = _basis_tables(n)
     rows = np.empty((t, 2**n), dtype=complex)
-    for lo in range(0, t, CHUNK_ROWS):
-        chunk = half[lo:lo + CHUNK_ROWS]
+    for block in row_blocks(t, n * 2**n):
+        chunk = half[block]
         pairs = np.empty(chunk.shape + (2,))
         np.cos(chunk, out=pairs[:, :, 0])
         np.sin(chunk, out=pairs[:, :, 1])
         factors = pairs.reshape(len(chunk), 2 * n).take(index, axis=1)  # (rows, n, 2**n)
-        np.multiply(np.multiply.reduce(factors, axis=1), phase,
-                    out=rows[lo:lo + CHUNK_ROWS])
+        np.multiply(np.multiply.reduce(factors, axis=1), phase, out=rows[block])
     return rows
 
 
@@ -284,12 +310,13 @@ def _readout(spec: CircuitSpec, rows: np.ndarray, shots: int = 0,
              rng: np.random.Generator | None = None) -> np.ndarray:
     """Preferences of ansatz-output rows, shape (T, |A|).
 
-    Always the exact preferences first: |rows|**2 contracted with the sign
-    table, by einsum, which gives a row the same bits wherever it sits in the
-    batch (a dgemm does not). Shot mode (shots != 0) then draws around them
-    with `_draw_shots` on `rng`.
+    Always the exact preferences first: |rows|**2, squared in place,
+    contracted with the sign table, by einsum, which gives a row the same
+    bits wherever it sits in the batch (a dgemm does not). Shot mode
+    (shots != 0) then draws around them with `_draw_shots` on `rng`.
     """
-    prefs = np.einsum("tj,ja->ta", np.abs(rows) ** 2, _sign_table(spec))
+    probs = np.abs(rows)
+    prefs = np.einsum("tj,ja->ta", np.square(probs, out=probs), _sign_table(spec))
     return _draw_shots(spec, prefs, shots, rng) if shots else prefs
 
 
@@ -362,19 +389,22 @@ def adjoint_gradients(spec: CircuitSpec, theta: np.ndarray, psi: np.ndarray,
     exp(-i theta P / 2) the angle's entry is Im<lam|P psi>, then both states
     are uncomputed with the step's inverse. With lam = O psi the entry is
     d<psi|O|psi>/d(theta).
-    No per-gate state is kept; the pair is one (2, R, 2**n) array, and the
-    gradient pass bounds R by sending CHUNK_ROWS rows at a time.
+    No per-gate state is kept: the pairs are walked in `row_blocks`, each one
+    (2, rows, 2**n) array of at most BLOCK_NUMBERS numbers, into the one
+    (R, k) result, which has the bits of the whole (2, R, 2**n) walk.
     """
     _check_angles(spec, theta)
     n = spec.n_qubits
     grads = np.empty((psi.shape[0], spec.n_params))
-    pair = np.stack([psi, lam])
-    for kind, target, arg in reversed(gate_program(spec)):
-        if kind == "CNOT":  # its own inverse; arg is the control
-            pair = qsim.apply_cnot_array(pair, arg, target, n)
-            continue
-        grads[:, arg] = _generator_overlap(pair[0], pair[1], kind, target)
-        pair = qsim.apply_1q_array(pair, qsim.ROTATIONS[kind](theta[arg]).conj().T, target, n)
+    for block in row_blocks(len(psi), 2 * 2**n):
+        pair = np.stack([psi[block], lam[block]])
+        for kind, target, arg in reversed(gate_program(spec)):
+            if kind == "CNOT":  # its own inverse; arg is the control
+                pair = qsim.apply_cnot_array(pair, arg, target, n)
+                continue
+            grads[block, arg] = _generator_overlap(pair[0], pair[1], kind, target)
+            pair = qsim.apply_1q_array(pair, qsim.ROTATIONS[kind](theta[arg]).conj().T,
+                                       target, n)
     return grads
 
 
@@ -457,8 +487,10 @@ class QuantumPolicy:
         """One pass over a `checked_batch`'s T rows and actions, CHUNK_ROWS
         rows at a time from row 0; shot mode takes all T as one chunk, so its
         readout draws in batch order. Yields each chunk's row slice, input
-        rows, output rows, readout weights w = beta * (onehot(a_t) - pi_t) and
-        beta entries <a_t> - sum_b pi_b <b>. The angle encoding scales every
+        rows (None in exact mode, whose sweep starts from the output rows, so
+        they are dropped once those exist), output rows, readout weights
+        w = beta * (onehot(a_t) - pi_t) and beta entries
+        <a_t> - sum_b pi_b <b>. The angle encoding scales every
         chunk by the normalizer's maxima widened to cover all T observations,
         which after a training batch are the normalizer's own."""
         abs_max = self.normalizer.widened(feats) if self.spec.encoding == "angle_rx" else None
@@ -467,6 +499,8 @@ class QuantumPolicy:
             rows = slice(lo, lo + size)
             enc = self._encode_batch(feats[rows], abs_max)
             out = serial_matmul(enc, self.row_operator())
+            if not self.shots:
+                enc = None
             prefs = _readout(self.spec, out, self.shots, rng)
             probs = softmax_policy(prefs, self.beta)
             taken = np.arange(len(out)), actions[rows]
@@ -515,7 +549,7 @@ class QuantumPolicy:
         for rows, enc, out, readout, chunk_gbeta in self._score_chunks(feats, actions, rng):
             gbeta[rows] = chunk_gbeta
             lam = out * _observable_diagonals(self.spec, readout * weights[rows, None])
-            m += serial_matmul(lam.conj().T, out)
+            m += serial_matmul(np.conjugate(lam, out=lam).T, out)
             del enc, out, readout, chunk_gbeta, lam  # before the next chunk is formed
         gtheta = adjoint_gradients(self.spec, self.theta, m, np.eye(dim)).sum(axis=0)
         return np.append(gtheta, weights @ gbeta)

@@ -11,7 +11,8 @@ independently of the batched row-operator engine. The kron encoding, the
 marginal readout, the numpy-scalar discounted returns and the numpy-array
 acrobot features are the references for the package's gathered encode,
 sign-table readout and Python-float returns and features. The whole-batch score terms are the
-reference for the gradients' streamed pass over row chunks. The scalar
+reference for the gradients' streamed pass over row chunks, and the whole-pair
+walk for the adjoint sweep in row blocks. The scalar
 environments step one episode at a time with numpy scalars and evolve a
 `Statevector` under the control Hamiltonian, and the sequential rollout runs
 one episode after another with one 1-row inference per step: together they
@@ -301,18 +302,33 @@ def batch_score_terms(policy, observations, actions):
     return enc, out_rows, weights, gbeta
 
 
+def whole_pair_gradients(spec, theta, psi, lam) -> np.ndarray:
+    """Im<lam_r|P psi_r> at every rotation for R row pairs, shape (R, k): all
+    R pairs walked back through the gate program as one (2, R, 2**n) array,
+    the reference for the package's sweep in row blocks."""
+    n = spec.n_qubits
+    grads = np.empty((psi.shape[0], spec.n_params))
+    pair = np.stack([psi, lam])
+    for kind, target, arg in reversed(vqpolicy.gate_program(spec)):
+        if kind == "CNOT":
+            pair = qsim.apply_cnot_array(pair, arg, target, n)
+            continue
+        grads[:, arg] = vqpolicy._generator_overlap(pair[0], pair[1], kind, target)
+        pair = qsim.apply_1q_array(pair, qsim.ROTATIONS[kind](theta[arg]).conj().T, target, n)
+    return grads
+
+
 def batch_grad_log(policy, observations, actions) -> np.ndarray:
     """Exact-mode (T, k+1) log-policy gradients from the whole-batch terms:
     the T output rows with their co-states are swept CHUNK_ROWS at a
-    time from row 0. The chunks keep the bits of a lone last row, which the
-    sweep rounds apart from a row among others (by about 1e-33 on near-zero
-    entries)."""
+    time from row 0, each chunk as one whole pair. The chunks keep the bits
+    of a lone last row, which the sweep rounds apart from a row among others
+    (by about 1e-33 on near-zero entries)."""
     _, out_rows, weights, gbeta = batch_score_terms(policy, observations, actions)
     lam = out_rows * vqpolicy._observable_diagonals(policy.spec, weights)
     step = vqpolicy.CHUNK_ROWS
     gtheta = np.concatenate([
-        vqpolicy.adjoint_gradients(policy.spec, policy.theta, out_rows[lo:lo + step],
-                                   lam[lo:lo + step])
+        whole_pair_gradients(policy.spec, policy.theta, out_rows[lo:lo + step], lam[lo:lo + step])
         for lo in range(0, len(out_rows), step)])
     return np.concatenate([gtheta, gbeta[:, None]], axis=1)
 
@@ -321,7 +337,7 @@ def batch_weighted_grad_log(policy, observations, actions, weights) -> np.ndarra
     """Exact-mode sum_t weights[t] * grad log pi(a_t | s_t) from the
     whole-batch terms: the output rows fold into M = sum_t |psi_t><O_t psi_t|
     CHUNK_ROWS rows at a time from row 0, and M's rows are swept
-    against the identity's."""
+    against the identity's as one whole pair."""
     spec = policy.spec
     _, out_rows, readout, gbeta = batch_score_terms(policy, observations, actions)
     w = readout * weights[:, None]
@@ -331,7 +347,7 @@ def batch_weighted_grad_log(policy, observations, actions, weights) -> np.ndarra
         psi = out_rows[lo:lo + step]
         lam = psi * vqpolicy._observable_diagonals(spec, w[lo:lo + step])
         m += vqpolicy.serial_matmul(lam.conj().T, psi)
-    gtheta = vqpolicy.adjoint_gradients(spec, policy.theta, m, np.eye(dim)).sum(axis=0)
+    gtheta = whole_pair_gradients(spec, policy.theta, m, np.eye(dim)).sum(axis=0)
     return np.append(gtheta, weights @ gbeta)
 
 

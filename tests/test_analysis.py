@@ -80,6 +80,7 @@ BAD_BATCHES = {  # observations, actions, weights
     "mismatched actions": (ROWS, [0, 1], [1.0, 2.0, 3.0]),
     "action out of range": (ROWS, [0, 2, 1], [1.0, 2.0, 3.0]),
     "negative action": (ROWS, [0, -1, 1], [1.0, 2.0, 3.0]),
+    "fractional action": (ROWS, [0, 0.7, 1.9], [1.0, 2.0, 3.0]),
     "wrong-length weights": (ROWS, [0, 1, 1], [1.0, 2.0]),
 }
 

@@ -434,20 +434,21 @@ def test_training_forms_no_per_sample_gradients(monkeypatch, preset):
 
 def streamed_pass_bytes(policy, rows, sweep=False) -> int:
     """What a gradient's pass over T rows may hold beside its result: one
-    chunk's encode gather (rows, n, 2**n) and three (CHUNK_ROWS, 2**n)
+    block's encode gather of BLOCK_NUMBERS reals and three (CHUNK_ROWS, 2**n)
     complex arrays, nothing of the previous chunk, plus O(T) reals (two
     copies of the (T, n) features and a few (T,) vectors), never a
-    (T, 2**n) array. A `sweep` of per-sample gradients adds four more
-    complex arrays: a chunk's (2, rows, 2**n) row pairs and their update."""
+    (T, 2**n) array. A `sweep` of per-sample gradients adds a block's
+    (2, rows, 2**n) row pairs and their update, BLOCK_NUMBERS complex
+    numbers each."""
     n, chunk = policy.spec.n_qubits, vqpolicy.CHUNK_ROWS
-    complex_arrays = 3 + 4 * sweep
-    return complex_arrays * chunk * 2**n * 16 + chunk * n * 2**n * 8 + rows * (2 * n + 8) * 8
+    blocks = vqpolicy.BLOCK_NUMBERS * (8 + 2 * 16 * sweep)
+    return 3 * chunk * 2**n * 16 + blocks + rows * (2 * n + 8) * 8
 
 
 def test_policy_gradient_memory_stays_within_chunks():
     # At acrobot-quantum's T = 5,000 rows one (T, 2**n) complex array is
-    # 5.1 MB, above the bound (2.4 MB); holding the whole batch's rows took
-    # 13 MB.
+    # 5.1 MB, above the bound (1.85 MB); holding the whole batch's rows took
+    # 13 MB, and a whole chunk's (256, 6, 64) encode gather 1.93 MB.
     batch, policy, *_ = batch_inputs("acrobot-quantum")
     rows = sum(len(traj) for traj in batch)
     assert traced_peak(lambda: policy_gradient(batch, policy)) <= streamed_pass_bytes(policy, rows)
@@ -457,6 +458,26 @@ def test_per_sample_gradient_memory_stays_within_chunks():
     # The Fisher's exact (T, k+1) gradients hold their result beside the pass.
     _, policy, observations, actions, _ = batch_inputs("acrobot-quantum")
     rows = len(actions)
+    peak = traced_peak(lambda: policy.grad_log_batch(observations, actions))
+    assert peak <= rows * policy.n_trainable * 8 + streamed_pass_bytes(policy, rows, sweep=True)
+
+
+def test_eight_qubit_passes_stay_within_blocks():
+    # At 8 qubits M, the fold's product, a chunk's output rows and its
+    # co-states are 1 MiB each; the weighted pass holds those and at most
+    # half a MiB more (4.06 MiB). Sweeping M's 256 rows against the
+    # identity's as one (2, 256, 256) pair peaked at 7.92 MiB, and the
+    # per-sample pass's whole-chunk pairs at 11.88 MiB.
+    spec = CircuitSpec(8, 4, 3)
+    rng = np.random.default_rng(12)
+    policy = QuantumPolicy(spec, rng.uniform(-np.pi, np.pi, spec.n_params + 1))
+    rows = 5000
+    observations = rng.normal(size=(rows, 8))
+    policy.normalizer.observe(observations)
+    actions, adv = rng.integers(3, size=rows), rng.normal(size=rows)
+    policy.row_operator()
+    peak = traced_peak(lambda: policy.weighted_grad_log(observations, actions, adv))
+    assert peak <= 4 * 2**16 * 16 + 2**19
     peak = traced_peak(lambda: policy.grad_log_batch(observations, actions))
     assert peak <= rows * policy.n_trainable * 8 + streamed_pass_bytes(policy, rows, sweep=True)
 

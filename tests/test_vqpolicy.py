@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qpolgrad import qsim, vqpolicy
@@ -590,21 +590,38 @@ def test_shot_weighted_grad_log_is_the_contracted_batch():
     assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("row_numbers, size", [(1, 2**15), (64, 512), (384, 64), (512, 64),
+                                               (2048, 16), (2**15, 2), (2**16, 2)])
+def test_row_blocks_are_capped_powers_of_two_that_leave_no_lone_row(row_numbers, size):
+    # 384 numbers a row is the encode's gather at 6 qubits, 512 the sweep's
+    # pair at 8; a lone last row joins the block before it.
+    for rows in range(1, 600):
+        blocks = vqpolicy.row_blocks(rows, row_numbers)
+        stops = [block.stop for block in blocks]
+        assert [block.start for block in blocks] == [0, *stops[:-1]] and stops[-1] == rows
+        sizes = np.diff([0, *stops])
+        assert np.all(sizes[:-1] == size) and sizes[-1] <= size + 1
+        assert sizes[-1] >= 2 or rows == 1
+
+
 def chunk_specs():
-    """Layered circuits of 1-6 qubits, and single_u3 on input states."""
-    layered_specs = st.integers(1, 6).flatmap(
+    """Layered circuits of 1-8 qubits, and single_u3 on input states."""
+    layered_specs = st.integers(1, 8).flatmap(
         lambda n: st.builds(layered, st.just(n), st.integers(1, 3), st.integers(1, n)))
     return st.one_of(layered_specs, st.just(U3_SPEC))
 
 
-@pytest.mark.parametrize("t", [1, 255, 256, 257, 513])
+@pytest.mark.parametrize("t", [1, 65, 255, 256, 257, 321, 513])
 @settings(max_examples=12, deadline=None, derandomize=True)
 @given(spec=chunk_specs(), seed=st.integers(0, 2**32 - 1))
+@example(spec=layered(8, 2, 3), seed=0)
 def test_streamed_gradients_give_the_whole_batch_bits(t, spec, seed):
     # The gradients take one pass over row chunks and hold no (T, 2**n)
     # array, yet give every bit of the terms formed over the whole batch. The
     # normalizer has seen only the first rows and the last row is the widest,
-    # so the encode scale must be widened over all T rows, not per chunk.
+    # so the encode scale must be widened over all T rows, not per chunk. At
+    # 7 and 8 qubits the sweep walks its pairs in blocks of 128 or 64 rows,
+    # and T = 65 or 321 would leave a lone row after the last full block.
     rng = np.random.default_rng(seed)
     policy = QuantumPolicy(spec, random_vector(spec, rng))
     if spec.encoding == "angle_rx":

@@ -6,9 +6,12 @@ outputs are unbounded, so no extra scale is trained). Hidden layers apply
 ReLU and, optionally, inverted dropout; the output layer is linear.
 
 `_forward_cached` is the one forward for inference and training; it gives a
-row the same bits in any batch. A gradient makes one pass over its batch,
-`vqpolicy.CHUNK_ROWS` rows at a time as the circuit's does, so no (T, hidden)
-array is ever held.
+row the same bits in any batch, and it writes into arrays its caller
+allocated. A gradient makes one pass over its batch, `vqpolicy.CHUNK_ROWS`
+rows at a time as the circuit's does. The pass allocates its chunk arrays
+once: an activation per hidden layer, which each hidden delta overwrites, a
+dropout mask per hidden layer if dropout is on, and one boolean ReLU mask.
+So no (T, hidden) array is held, and no chunk allocates a hidden array.
 """
 from __future__ import annotations
 
@@ -70,10 +73,19 @@ def _check_input(spec: MlpSpec, features: np.ndarray) -> np.ndarray:
     return features
 
 
-def _forward_cached(weights, x, dropout_p, rng):
-    """Batched forward pass keeping each layer's input activation and dropout
-    mask (rate `dropout_p`). A hidden activation is > 0 exactly where its
-    pre-activation is, unless dropped, so the backward pass reads its ReLU mask there.
+def _hidden_arrays(weights, rows: int) -> list[np.ndarray]:
+    """One uninitialised (rows, width) float array per hidden layer."""
+    return [np.empty((rows, len(w))) for w in weights[:-1]]
+
+
+def _forward_cached(weights, x, dropout_p, rng, hidden, drops):
+    """Batched forward pass over len(x) rows: writes each hidden layer's
+    activation into the leading rows of its array in `hidden` and, at
+    dropout rate `dropout_p` > 0, its inverted-dropout mask (drawn from
+    `rng`) into the one in `drops`. Allocates only the (rows, |A|)
+    preferences; returns them and each layer's input activation, x first.
+    A hidden activation is > 0 exactly where its pre-activation is, unless
+    dropped, so the backward pass reads its ReLU mask there.
 
     Each layer gives a row the same bits in any batch. The input layer is
     only n_features (4 or 6) wide, and one-thread gemm (`serial_matmul`)
@@ -81,47 +93,51 @@ def _forward_cached(weights, x, dropout_p, rng):
     Every later layer is an einsum: gemm rounds a row of a 16- to 128-term
     product by where it sits in the batch.
     """
-    acts, masks = [x], []
-    a = serial_matmul(x, weights[0].T)
-    for w in weights[1:]:
+    acts = [h[:len(x)] for h in hidden]
+    outs = acts + [None]  # the output layer's preferences are a new array
+    a = serial_matmul(x, weights[0].T, out=outs[0])
+    for i, w in enumerate(weights[1:]):
         np.maximum(a, 0.0, out=a)
         if dropout_p > 0.0:
             keep = 1.0 - dropout_p
-            mask = (rng.random(a.shape) < keep) / keep
+            mask = rng.random(out=drops[i][:len(x)])
+            np.less(mask, keep, out=mask)
+            mask /= keep
             a *= mask
-            masks.append(mask)
-        else:
-            masks.append(None)
-        acts.append(a)
-        a = np.einsum("ti,oi->to", a, w)
-    return a, acts, masks
+        a = np.einsum("ti,oi->to", a, w, out=outs[i + 1])
+    return a, [x] + acts
 
 
 def forward(spec: MlpSpec, weights: list[np.ndarray], features) -> np.ndarray:
     """Eval-mode (dropout-free) action preferences for one feature row or many."""
     x = np.atleast_2d(_check_input(spec, features))
-    out, _, _ = _forward_cached(weights, x, 0.0, None)
+    out, _ = _forward_cached(weights, x, 0.0, None, _hidden_arrays(weights, len(x)), None)
     return out[0] if np.asarray(features).ndim == 1 else out
 
 
-def _backward(weights, x, actions, dropout_p, rng, scale) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per layer, the rows' (output delta, input activation) of the backward
-    pass of log pi(a_t | x_t) through the training forward (dropout draws
-    from `rng`); `scale`, if not None, multiplies each row's delta."""
-    prefs, acts, masks = _forward_cached(weights, x, dropout_p, rng)
+def _backward(weights, x, actions, dropout_p, rng, scale, hidden, drops, relu):
+    """Per layer from the output down, yields the rows' (output delta, input
+    activation) of the backward pass of log pi(a_t | x_t) through the
+    training forward (`_forward_cached` into `hidden` and `drops`, dropout
+    drawing from `rng`); `scale`, if not None, multiplies each row's delta.
+    Once the caller asks for the next pair, the ReLU mask of the activation
+    just handed out goes into the flat boolean `relu`, and the next hidden
+    delta is written over that activation: a chunk holds one hidden array
+    per layer, not two. So a caller is done with a pair before it asks for
+    the next, and with a chunk before the next chunk's forward."""
+    prefs, acts = _forward_cached(weights, x, dropout_p, rng, hidden, drops)
     delta = -softmax_policy(prefs, 1.0)
     delta[np.arange(len(x)), actions] += 1.0  # d log pi / d prefs = onehot - pi
     if scale is not None:
         delta *= scale[:, None]
-    layers = []
     for i in range(len(weights) - 1, -1, -1):
-        layers.append((delta, acts[i]))
+        yield delta, acts[i]
         if i > 0:
-            delta = serial_matmul(delta, weights[i])
-            if masks[i - 1] is not None:
-                delta *= masks[i - 1]
-            delta *= acts[i] > 0
-    return layers[::-1]
+            active = np.greater(acts[i], 0.0, out=relu[:acts[i].size].reshape(acts[i].shape))
+            delta = serial_matmul(delta, weights[i], out=acts[i])
+            if dropout_p > 0.0:
+                delta *= drops[i - 1][:len(x)]
+            delta *= active
 
 
 class MlpPolicy:
@@ -171,13 +187,19 @@ class MlpPolicy:
     def _backward_chunks(self, x, actions, rng, scale=None):
         """One pass over a checked batch's T rows and actions, CHUNK_ROWS rows
         at a time from row 0, like `QuantumPolicy._score_chunks`. Yields each
-        chunk's row slice and `_backward` of its rows, with row t's delta
-        scaled by scale[t]; dropout draws each chunk's masks from `rng`, layer
-        by layer."""
+        chunk's row slice and `_backward`'s pairs of its rows, output layer
+        first, with row t's delta scaled by scale[t]; dropout draws each
+        chunk's masks from `rng`, layer by layer. The chunk arrays are allocated once per pass, for
+        min(CHUNK_ROWS, T) rows: an activation per hidden layer, a dropout
+        mask per hidden layer if dropout is on, and one boolean ReLU mask."""
+        rows, p = min(CHUNK_ROWS, len(x)), self.spec.dropout_p
+        hidden = _hidden_arrays(self.weights, rows)
+        drops = _hidden_arrays(self.weights, rows) if p > 0.0 else None
+        relu = np.empty(rows * max(self.spec.layer_sizes[1:-1], default=0), dtype=bool)
         for lo in range(0, len(x), CHUNK_ROWS):
-            rows = slice(lo, lo + CHUNK_ROWS)
-            yield rows, _backward(self.weights, x[rows], actions[rows], self.spec.dropout_p, rng,
-                                  None if scale is None else scale[rows])
+            chunk = slice(lo, lo + CHUNK_ROWS)
+            yield chunk, _backward(self.weights, x[chunk], actions[chunk], p, rng,
+                                   None if scale is None else scale[chunk], hidden, drops, relu)
 
     def grad_log_batch(self, observations, actions, rng: np.random.Generator | None = None) -> np.ndarray:
         """Row-stacked log-policy gradients, shape (T, n_params), written chunk
@@ -188,9 +210,8 @@ class MlpPolicy:
             blocks.append(grads[:, lo:lo + w.size].reshape(len(grads), *w.shape))
             lo += w.size
         for rows, layers in self._backward_chunks(x, actions, rng):
-            for block, (delta, act) in zip(blocks, layers):
+            for block, (delta, act) in zip(reversed(blocks), layers):
                 np.einsum("to,ti->toi", delta, act, out=block[rows])
-            del layers, delta, act  # before the next chunk's backward
         return grads
 
     def weighted_grad_log(self, observations, actions, weights,
@@ -201,9 +222,8 @@ class MlpPolicy:
         x, actions, weights = self._batch(observations, actions, rng, weights)
         sums = [np.zeros(w.shape) for w in self.weights]
         for _, layers in self._backward_chunks(x, actions, rng, weights):
-            for total, (delta, act) in zip(sums, layers):
+            for total, (delta, act) in zip(reversed(sums), layers):
                 total += serial_matmul(delta.T, act)
-            del layers, delta, act  # before the next chunk's backward
         return np.concatenate([total.ravel() for total in sums])
 
     # -- persistence ----------------------------------------------------------

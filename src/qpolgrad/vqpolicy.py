@@ -172,13 +172,18 @@ class FeatureNormalizer:
         self.running_abs_max = self.widened(features)
 
 
-def serial_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def serial_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """a @ b for 2-D operands, on the one BLAS thread pinned at import
-    (`qpolgrad`). A lone row is doubled: gemv rounds differently from gemm by
-    about 1e-16, and a policy's row keeps the bits it has in any batch."""
-    if len(a) == 1:
-        return (np.concatenate([a, a]) @ b)[:1]
-    return a @ b
+    (`qpolgrad`), written into `out` if given. A lone row is doubled: gemv
+    rounds differently from gemm by about 1e-16, and a policy's row keeps the
+    bits it has in any batch."""
+    if len(a) > 1:
+        return np.matmul(a, b, out=out)
+    pair = np.concatenate([a, a]) @ b
+    if out is None:
+        return pair[:1]
+    out[...] = pair[:1]
+    return out
 
 
 # Rows per chunk of a gradient's one pass over its batch, for this circuit

@@ -12,7 +12,9 @@ marginal readout, the numpy-scalar discounted returns and the numpy-array
 acrobot features are the references for the package's gathered encode,
 sign-table readout and Python-float returns and features. The whole-batch score terms are the
 reference for the gradients' streamed pass over row chunks, and the whole-pair
-walk for the adjoint sweep in row blocks. The scalar
+walk for the adjoint sweep in row blocks. The MLP pass that allocates fresh
+arrays for every chunk and keeps each hidden delta beside its activation is
+the reference for the package's pass over chunk arrays allocated once. The scalar
 environments step one episode at a time with numpy scalars and evolve a
 `Statevector` under the control Hamiltonian, and the sequential rollout runs
 one episode after another with one 1-row inference per step: together they
@@ -349,6 +351,77 @@ def batch_weighted_grad_log(policy, observations, actions, weights) -> np.ndarra
         m += vqpolicy.serial_matmul(lam.conj().T, psi)
     gtheta = whole_pair_gradients(spec, policy.theta, m, np.eye(dim)).sum(axis=0)
     return np.append(gtheta, weights @ gbeta)
+
+
+# ---------------------------------------------------------------------------
+# the MLP pass that allocates every chunk's arrays
+# ---------------------------------------------------------------------------
+
+def allocating_mlp_forward(weights, x, dropout_p, rng):
+    """The MLP training forward with fresh arrays for every layer: the
+    preferences, each layer's input activation and each hidden layer's
+    dropout mask (None without dropout), drawn as `rng.random(shape)`."""
+    acts, masks = [x], []
+    a = vqpolicy.serial_matmul(x, weights[0].T)
+    for w in weights[1:]:
+        np.maximum(a, 0.0, out=a)
+        if dropout_p > 0.0:
+            keep = 1.0 - dropout_p
+            mask = (rng.random(a.shape) < keep) / keep
+            a *= mask
+            masks.append(mask)
+        else:
+            masks.append(None)
+        acts.append(a)
+        a = np.einsum("ti,oi->to", a, w)
+    return a, acts, masks
+
+
+def allocating_mlp_backward(weights, x, actions, dropout_p, rng, scale):
+    """Per layer, input to output, the rows' (output delta, input
+    activation), each hidden delta a new array beside its activation."""
+    prefs, acts, masks = allocating_mlp_forward(weights, x, dropout_p, rng)
+    delta = -vqpolicy.softmax_policy(prefs, 1.0)
+    delta[np.arange(len(x)), actions] += 1.0
+    if scale is not None:
+        delta *= scale[:, None]
+    layers = []
+    for i in range(len(weights) - 1, -1, -1):
+        layers.append((delta, acts[i]))
+        if i > 0:
+            delta = vqpolicy.serial_matmul(delta, weights[i])
+            if masks[i - 1] is not None:
+                delta *= masks[i - 1]
+            delta *= acts[i] > 0
+    return layers[::-1]
+
+
+def allocating_mlp_chunks(policy, x, actions, rng, scale=None):
+    """Each CHUNK_ROWS-row chunk's slice and `allocating_mlp_backward`."""
+    for lo in range(0, len(x), vqpolicy.CHUNK_ROWS):
+        rows = slice(lo, lo + vqpolicy.CHUNK_ROWS)
+        yield rows, allocating_mlp_backward(policy.weights, x[rows], actions[rows],
+                                            policy.spec.dropout_p, rng,
+                                            None if scale is None else scale[rows])
+
+
+def allocating_mlp_grad_log_batch(policy, x, actions, rng) -> np.ndarray:
+    """(T, k) log-policy gradients from the allocating pass."""
+    grads = np.empty((len(x), policy.spec.n_params))
+    for rows, layers in allocating_mlp_chunks(policy, x, actions, rng):
+        grads[rows] = np.concatenate([np.einsum("to,ti->toi", delta, act).reshape(len(act), -1)
+                                      for delta, act in layers], axis=1)
+    return grads
+
+
+def allocating_mlp_weighted_grad_log(policy, x, actions, weights, rng) -> np.ndarray:
+    """sum_t weights[t] * grad log pi(a_t | x_t) from the allocating pass,
+    each chunk adding delta^T act into its layer's sum."""
+    sums = [np.zeros(w.shape) for w in policy.weights]
+    for _, layers in allocating_mlp_chunks(policy, x, actions, rng, weights):
+        for total, (delta, act) in zip(sums, layers):
+            total += vqpolicy.serial_matmul(delta.T, act)
+    return np.concatenate([total.ravel() for total in sums])
 
 
 # ---------------------------------------------------------------------------

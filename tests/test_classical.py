@@ -9,7 +9,8 @@ from qpolgrad.errors import ConfigError, ContractError
 from qpolgrad.reinforce import init_mlp_params
 from qpolgrad.vqpolicy import CHUNK_ROWS, softmax_policy
 
-from conftest import grad_log, traced_peak
+from conftest import (allocating_mlp_grad_log_batch, allocating_mlp_weighted_grad_log, grad_log,
+                      traced_peak)
 
 
 def glorot(spec, rng):
@@ -98,15 +99,16 @@ def fd_log_policy(spec, flat, x, action, h=1e-5):
 
 
 def test_backward_matches_finite_differences_small_net():
+    # (4, 2) has no hidden layer.
     rng = np.random.default_rng(1)
-    spec = MlpSpec((4, 3, 2))
-    for _ in range(100):
-        vec = glorot(spec, rng)
-        x = rng.normal(size=4)
-        action = int(rng.integers(2))
-        got = grad_log(MlpPolicy(spec, vec), x, action)
-        want = fd_log_policy(spec, vec, x, action)
-        assert np.max(np.abs(got - want)) < 1e-6
+    for spec in (MlpSpec((4, 3, 2)), MlpSpec((4, 2))):
+        for _ in range(100):
+            vec = glorot(spec, rng)
+            x = rng.normal(size=4)
+            action = int(rng.integers(2))
+            got = grad_log(MlpPolicy(spec, vec), x, action)
+            want = fd_log_policy(spec, vec, x, action)
+            assert np.max(np.abs(got - want)) < 1e-6
 
 
 @pytest.mark.parametrize("name", ["cartpole", "acrobot", "qcontrol"])
@@ -120,6 +122,31 @@ def test_backward_matches_finite_differences_presets(name):
         got = grad_log(MlpPolicy(spec, vec), x, action)
         want = fd_log_policy(spec, vec, x, action)
         assert np.max(np.abs(got - want)) < 1e-6
+
+
+def test_no_hidden_layer_matches_finite_differences_across_a_chunk_boundary():
+    # (4, 2) has no hidden layer, as `hidden_sizes: []` configures: its
+    # forward is x @ W.T, and its pass has no hidden array to write.
+    rng = np.random.default_rng(12)
+    spec = MlpSpec((4, 2))
+    vec = glorot(spec, rng)
+    policy = MlpPolicy(spec, vec)
+    t = CHUNK_ROWS + 7
+    obs, actions, adv = rng.normal(size=(t, 4)), rng.integers(2, size=t), rng.normal(size=t)
+    np.testing.assert_allclose(forward(spec, policy.weights, obs), obs @ policy.weights[0].T,
+                               rtol=1e-14, atol=1e-15)
+
+    def log_pi(v):
+        return np.log(MlpPolicy(spec, v).probabilities(obs)[np.arange(t), actions])
+
+    h, fd = 1e-5, np.empty((t, spec.n_params))
+    for j in range(spec.n_params):
+        step = np.zeros(spec.n_params)
+        step[j] = h
+        fd[:, j] = (log_pi(vec + step) - log_pi(vec - step)) / (2 * h)
+    np.testing.assert_allclose(policy.grad_log_batch(obs, actions), fd, rtol=0, atol=1e-6)
+    np.testing.assert_allclose(policy.weighted_grad_log(obs, actions, adv), adv @ fd,
+                               rtol=0, atol=1e-6 * np.abs(adv).sum())
 
 
 def test_symmetric_output_rows_give_opposite_output_gradients():
@@ -163,8 +190,9 @@ def test_dropout_expectation_matches_eval_forward():
     x = rng.normal(size=4)
     exact = forward(spec, weights, x)
     n = 10**4
-    draws = np.stack([classical._forward_cached(weights, x[None], spec.dropout_p, rng)[0][0]
-                      for _ in range(n)])
+    hidden, drops = classical._hidden_arrays(weights, 1), classical._hidden_arrays(weights, 1)
+    draws = np.stack([classical._forward_cached(weights, x[None], spec.dropout_p, rng, hidden,
+                                                drops)[0][0] for _ in range(n)])
     mean = draws.mean(axis=0)
     sem = draws.std(axis=0, ddof=1) / np.sqrt(n)
     assert np.all(np.abs(mean - exact) <= 3 * sem + 1e-12)
@@ -190,11 +218,13 @@ def test_policy_batch_grads_match_single():
 
 def chunk_pass_bytes(hidden, dropout_p) -> int:
     """What a gradient's pass may hold beside its result, whatever T: one
-    chunk's hidden activation, dropout mask if any, and hidden delta with its
-    boolean ReLU mask (an eighth of a float array), and (CHUNK_ROWS, |A|)
-    arrays and einsum buffers (128 kB). No pre-activations, no masked copies
-    of the delta, nothing of the previous chunk and no (T, hidden) array."""
-    arrays = 2 + (dropout_p > 0) + 1 / 8
+    (CHUNK_ROWS, hidden) array, which holds the activation and then the
+    hidden delta written over it, the dropout mask if any, the boolean ReLU
+    mask (an eighth of a float array), and (CHUNK_ROWS, |A|) arrays and
+    einsum buffers (128 kB). No pre-activations, no delta beside its
+    activation, no masked copies of the delta, nothing of the previous chunk
+    and no (T, hidden) array."""
+    arrays = 1 + (dropout_p > 0) + 1 / 8
     return int(arrays * CHUNK_ROWS * hidden * 8) + 2**17
 
 
@@ -207,7 +237,7 @@ def cartpole_net_inputs(t, dropout_p):
 
 @pytest.mark.parametrize("dropout_p", [0.0, 0.2])
 def test_weighted_backward_holds_few_hidden_arrays(dropout_p):
-    # The bound (0.69 or 0.95 MB) does not grow with T; one (2000, 128)
+    # The bound (0.43 or 0.69 MB) does not grow with T; one (2000, 128)
     # hidden array alone is 2 MB.
     for t in (2000, 20000):
         policy, obs, actions, adv = cartpole_net_inputs(t, dropout_p)
@@ -223,6 +253,41 @@ def test_per_sample_backward_holds_its_result_and_a_few_chunk_arrays(dropout_p):
     stream = np.random.default_rng(1)
     peak = traced_peak(lambda: policy.grad_log_batch(obs, actions, stream))
     assert peak <= t * policy.n_trainable * 8 + chunk_pass_bytes(128, dropout_p)
+
+
+@pytest.mark.parametrize("sizes", [(4, 128, 2), (6, 32, 3), (4, 16, 16, 3)])
+@pytest.mark.parametrize("dropout_p", [0.0, 0.3])
+def test_pass_over_chunk_arrays_keeps_the_allocating_pass_bits(sizes, dropout_p):
+    # Writing into arrays allocated once, each hidden delta over its
+    # activation, runs every product and ufunc of the pass that allocates
+    # per chunk, in the same order, and draws the same dropout masks.
+    rng = np.random.default_rng(13)
+    spec = MlpSpec(sizes, dropout_p)
+    policy = MlpPolicy(spec, glorot(spec, rng))
+    for t in (1, CHUNK_ROWS, CHUNK_ROWS + 7, 2000):
+        obs, actions = rng.normal(size=(t, sizes[0])), rng.integers(sizes[-1], size=t)
+        adv = rng.normal(size=t)
+        streams = [np.random.default_rng(14) for _ in range(4)]
+        got = policy.grad_log_batch(obs, actions, streams[0])
+        assert got.tobytes() == allocating_mlp_grad_log_batch(policy, obs, actions,
+                                                              streams[1]).tobytes()
+        got = policy.weighted_grad_log(obs, actions, adv, streams[2])
+        assert got.tobytes() == allocating_mlp_weighted_grad_log(policy, obs, actions, adv,
+                                                                 streams[3]).tobytes()
+        assert len({str(stream.bit_generator.state) for stream in streams}) == 1
+
+
+def test_chunks_of_one_pass_share_their_arrays():
+    policy, obs, actions, _ = cartpole_net_inputs(CHUNK_ROWS + 7, 0.2)
+    chunks = [list(layers) for _, layers in policy._backward_chunks(obs, actions,
+                                                                    np.random.default_rng(1))]
+    assert [len(delta) for (delta, _), _ in chunks] == [CHUNK_ROWS, 7]
+    (_, first_act), (first_delta, _) = chunks[0]
+    (_, second_act), (second_delta, _) = chunks[1]
+    assert np.shares_memory(first_act, second_act)
+    # The hidden delta is written over the activation it came from.
+    assert np.shares_memory(first_delta, first_act)
+    assert np.shares_memory(second_delta, second_act)
 
 
 def test_weighted_grad_log_matches_contracted_batch_with_dropout():

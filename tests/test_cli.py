@@ -104,6 +104,20 @@ def test_dump_trajectories_has_one_row_per_step_and_replays_rollout(tmp_path):
         assert float(row["reward"]) == reward
 
 
+def test_a_network_with_no_hidden_layer_runs_from_a_config(tmp_path):
+    # `hidden_sizes: []` leaves one linear layer from the features to the
+    # preferences; its gradient pass and Fisher samples hold no hidden array.
+    config, out = tmp_path / "config.json", tmp_path / "run"
+    config.write_text(json.dumps({"environment": "cartpole", "policy": "classical",
+                                  "learning_rate": 0.01, "hidden_sizes": [], "episodes": 20}))
+    assert cli.main(["run", "--config", str(config), "--fisher", "--out", str(out)]) == 0
+    checkpoint = json.loads((out / "checkpoint.json").read_text())
+    assert checkpoint["spec"]["layer_sizes"] == [4, 2]
+    assert [np.shape(w) for w in checkpoint["weights"]] == [(2, 4)]
+    assert len(cli.read_metrics(out / "metrics.csv")["total_reward"]) == 20
+    assert len(list(out.glob("fisher_ck_*.csv"))) == 10
+
+
 def test_plot_of_a_zero_episode_run_fails_without_output(tmp_path):
     run_dir, svg = tmp_path / "run", tmp_path / "plot" / "chart.svg"
     assert cli.main(["run", "--preset", "qcontrol-quantum", "--episodes", "0",

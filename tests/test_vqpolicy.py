@@ -826,15 +826,27 @@ def test_spec_validation():
         CircuitSpec(1, 1, 2, "ring", "angle_rx")
 
 
+def assert_written_into_out(a, b, want):
+    """`serial_matmul(a, b, out=)` returns `out`, the leading rows of a
+    larger C-ordered array as the MLP's chunk arrays are, holding `want`'s
+    bytes, and writes no other row."""
+    buffer = np.full((len(a) + 3, want.shape[1]), np.nan, dtype=want.dtype)
+    out = buffer[:len(a)]
+    assert serial_matmul(a, b, out=out) is out and out.tobytes() == want.tobytes()
+    assert np.isnan(buffer[len(a):]).all()
+
+
 def assert_rows_keep_their_bits(a, b, rng):
     """Each row of `serial_matmul(a, b)` has the bits it has in any batch:
-    alone, in a pair with another row, in sub-batches, shuffled and with `a`
-    in Fortran order."""
+    alone, in a pair with another row, in sub-batches, shuffled, with `a`
+    in Fortran order and written into `out`."""
     full = serial_matmul(a, b)
+    assert_written_into_out(a, b, full)
     for i in rng.choice(len(a), size=min(len(a), 5), replace=False):
         lone, pair = a[i:i + 1], np.concatenate([a[i:i + 1], a[i:i + 1, ::-1]])
         assert serial_matmul(lone, b).tobytes() == full[i:i + 1].tobytes()
         assert serial_matmul(lone, b).tobytes() == serial_matmul(pair, b)[:1].tobytes()
+        assert_written_into_out(lone, b, full[i:i + 1])
     for size in {2, 3, 10, len(a)}:
         index = rng.permutation(len(a))[:size]
         assert serial_matmul(a[index], b).tobytes() == full[index].tobytes()

@@ -68,6 +68,8 @@ class BoundInputs:
     n_actions: int = 2
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.beta, self.r_max, self.epsilon)):
+            raise ContractError("beta, r_max and epsilon must be finite")
         if self.epsilon <= 0:
             raise ContractError("epsilon must be positive")
         if not 0 < self.delta < 1:

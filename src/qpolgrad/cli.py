@@ -123,16 +123,14 @@ def fisher_spectrum(policy, environment: str, rollouts: int, rng: np.random.Gene
     and then `max_steps` uniforms, and shot readouts draw after all blocks.
     Rollouts only read the policy, so observing it leaves it unchanged; the
     gradients scale by the policy's maxima widened to cover every visited
-    state. Shot-mode gradients draw from the same stream after the
-    rollouts.
+    state. The Fisher matrix reads the batch's own feature and action
+    arrays; shot-mode gradients draw from the same stream after the rollouts.
     """
     if rollouts < 1:
         raise ContractError(f"a Fisher spectrum needs at least one rollout, got {rollouts}")
-    # gamma 1.0: it only sets the trajectories' returns, which no spectrum reads
-    trajs = reinforce.run_episodes(envs.make_env(environment), policy, [rng] * rollouts, 1.0)
-    states = np.concatenate([traj.observations for traj in trajs])
-    actions = np.concatenate([traj.actions for traj in trajs])
-    return analysis.spectrum(analysis.fisher_matrix(policy, states, actions,
+    # gamma 1.0: it only sets the batch's returns, which no spectrum reads
+    batch = reinforce.run_episodes(envs.make_env(environment), policy, [rng] * rollouts, 1.0)
+    return analysis.spectrum(analysis.fisher_matrix(policy, batch.observations, batch.actions,
                                                     include_beta=include_beta, rng=rng))
 
 
@@ -488,6 +486,8 @@ def _fisher_command(args) -> int:
 def _bounds_command(args) -> int:
     inputs = analysis.BoundInputs(args.beta, args.r_max, args.horizon, args.gamma,
                                   args.epsilon, args.delta, args.k, args.n_actions)
+    if args.n_samples is not None and not (np.isfinite(args.n_samples) and args.n_samples >= 0):
+        raise ContractError(f"--n-samples must be a finite number >= 0, got {args.n_samples}")
     n_traj, n_samples = analysis.lemma1_samples(inputs)
     effective_samples = args.n_samples if args.n_samples is not None else n_samples
     per_obs, total = analysis.lemma2_shots(inputs, effective_samples)
@@ -518,6 +518,8 @@ def _hoeffding_command(args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if (getattr(args, "seed", None) or 0) < 0:  # numpy seeds only take integers >= 0
+            raise ConfigError(f"--seed must be an integer >= 0, got {args.seed}")
         if args.command == "run":
             return _run_command(args)
         if args.command == "plot":

@@ -157,7 +157,7 @@ def _validate(data: dict) -> list[str]:
     check_range("episodes", lambda v: isinstance(v, int) and v >= 0, "must be an integer >= 0")
     check_range("n_layers", lambda v: isinstance(v, int) and v >= 1, "must be an integer >= 1")
     check_range("shots", lambda v: isinstance(v, int) and v >= 0, "must be an integer >= 0")
-    check_range("seed", lambda v: isinstance(v, int), "must be an integer")
+    check_range("seed", lambda v: isinstance(v, int) and v >= 0, "must be an integer >= 0")
     check_range("dropout_p", lambda v: 0 <= v < 1, "must be a number in [0, 1)")
     for key in ("name", "output_dir"):
         if not isinstance(data.get(key), (str, type(None))):

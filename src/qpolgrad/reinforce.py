@@ -8,8 +8,9 @@ one policy inference per step for all of them. Rollouts only read the
 policy: each episode runs on its own keyed stream (`keyed_stream`) and its
 own running maxima, started from the feature normalizer's, so an episode
 does not depend on which other episodes share its batch or in what order;
-the batch then records its rows in the normalizer. A trajectory holds its
-float feature rows as one (T, n_features) array. `train` yields one record
+the batch then records its rows in the normalizer. A `Batch` holds its
+rows once, flat in episode order, where every consumer reads them; each
+episode is a `Trajectory` of views into them. `train` yields one record
 per episode, with its trajectory.
 
 A policy's state is its flat trainable vector: Adam reads it with
@@ -54,6 +55,42 @@ class Trajectory:
     @property
     def total_reward(self) -> float:
         return float(self.rewards.sum())
+
+
+@dataclass
+class Batch:
+    """A batch's episodes, flat in episode order: feature rows (T, n_features), actions,
+    rewards and returns (T,), and each episode's length. Indexing or iterating a
+    batch gives its episodes as `Trajectory` views into these arrays, built once."""
+
+    observations: np.ndarray
+    actions: np.ndarray
+    rewards: np.ndarray
+    returns: np.ndarray
+    lengths: np.ndarray
+
+    def __post_init__(self):
+        ends = np.cumsum(self.lengths).tolist()
+        if not ends or ends[-1] != len(self.observations):
+            raise ContractError("a batch needs one or more episodes whose lengths sum to its rows")
+        self._trajectories = tuple(
+            Trajectory(self.observations[start:end], self.actions[start:end],
+                       self.rewards[start:end], self.returns[start:end])
+            for start, end in zip([0, *ends[:-1]], ends))
+
+    def __len__(self):
+        return len(self.lengths)
+
+    def __getitem__(self, index) -> Trajectory:
+        return self._trajectories[index]
+
+    def __iter__(self):
+        return iter(self._trajectories)
+
+    def steps(self) -> np.ndarray:
+        """Each row's step within its episode, (T,) ints."""
+        ends = np.cumsum(self.lengths)
+        return np.arange(ends[-1]) - np.repeat(ends - self.lengths, self.lengths)
 
 
 @dataclass
@@ -169,31 +206,24 @@ def build_policy(config, rng: np.random.Generator):
 # estimator
 # ---------------------------------------------------------------------------
 
-def baseline(batch: list[Trajectory]) -> np.ndarray:
+def baseline(batch: Batch) -> np.ndarray:
     """Per-timestep mean return across the batch, length max(T_i).
 
-    Trajectories shorter than t simply do not contribute at t (ragged mean).
+    Episodes shorter than t do not contribute at t (ragged mean); each step
+    sums its episodes' returns in episode order, as `np.bincount` adds rows.
     """
-    if not batch:
-        raise ContractError("baseline needs a non-empty batch")
-    t_max = max(len(traj) for traj in batch)
-    sums = np.zeros(t_max)
-    counts = np.zeros(t_max)
-    for traj in batch:
-        sums[: len(traj)] += traj.returns
-        counts[: len(traj)] += 1
-    return sums / counts
+    steps = batch.steps()
+    ones = np.ones(len(steps))  # float counts: a first int-to-float cast costs 64 KB of RSS
+    return np.bincount(steps, weights=batch.returns) / np.bincount(steps, weights=ones)
 
 
-def policy_gradient(batch: list[Trajectory], policy,
-                    rng: np.random.Generator | None = None) -> np.ndarray:
+def policy_gradient(batch: Batch, policy, rng: np.random.Generator | None = None) -> np.ndarray:
     """REINFORCE-with-baseline estimate of grad J, (1/B) sum_t A_t grad log
-    pi(a_t | s_t), contracted by the policy without per-sample gradients."""
-    b = baseline(batch)
-    observations = np.concatenate([traj.observations for traj in batch])
-    actions = np.concatenate([traj.actions for traj in batch])
-    adv = np.concatenate([traj.returns - b[: len(traj)] for traj in batch])
-    return policy.weighted_grad_log(observations, actions, adv, rng) / len(batch)
+    pi(a_t | s_t), contracted by the policy without per-sample gradients.
+    The policy reads the batch's own feature and action arrays."""
+    advantages = batch.returns - baseline(batch)[batch.steps()]
+    return policy.weighted_grad_log(batch.observations, batch.actions, advantages,
+                                    rng) / len(batch)
 
 
 def sample_actions(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
@@ -205,7 +235,7 @@ def sample_actions(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     return np.add.reduce(cum <= uniforms[:, None], axis=1)  # the bools count as int
 
 
-def run_episodes(env, policy, rngs, gamma: float) -> list[Trajectory]:
+def run_episodes(env, policy, rngs, gamma: float) -> Batch:
     """Roll out one episode per generator in `rngs`, in lockstep, only reading the policy.
 
     Each step is one inference over the rows of the running episodes, one
@@ -217,7 +247,9 @@ def run_episodes(env, policy, rngs, gamma: float) -> list[Trajectory]:
     lengths, and the readouts of the episodes interleave after all blocks.
     With a feature normalizer, each episode scales by its own running
     maxima, a row of a (B, n) array that starts from the normalizer's, so
-    no episode sees what another observed.
+    no episode sees what another observed. The padded (B, max_steps) arrays
+    are compacted once, in place: the returned `Batch`'s arrays are their
+    leading rows.
     """
     spec = env.spec
     n = len(rngs)
@@ -249,19 +281,27 @@ def run_episodes(env, policy, rngs, gamma: float) -> list[Trajectory]:
             if not running.size:
                 break
             streams = [rngs[i] for i in running]
-    return [Trajectory(observations[i, :steps], actions[i, :steps], rewards[i, :steps],
-                       discounted_returns(rewards[i, :steps], gamma))
-            for i, steps in enumerate(lengths)]
+    # In place, each episode's rows moving forward into its view: fresh (T, n) copies,
+    # a new size every batch, left cartpole-classical's peak RSS about 0.1 MB higher.
+    rows = int(lengths.sum())
+    batch = Batch(*(array.reshape(n * spec.max_steps, *array.shape[2:])[:rows]
+                    for array in (observations, actions, rewards)), np.empty(rows), lengths)
+    for i, traj in enumerate(batch):
+        traj.observations[:] = observations[i, :len(traj)]
+        traj.actions[:] = actions[i, :len(traj)]
+        traj.rewards[:] = rewards[i, :len(traj)]
+        traj.returns[:] = discounted_returns(traj.rewards, gamma)
+    return batch
 
 
-def collect_batch(config, policy, first_episode: int, n_episodes: int) -> list[Trajectory]:
+def collect_batch(config, policy, first_episode: int, n_episodes: int) -> Batch:
     """`run_episodes` on the episodes' keyed streams, then the normalizer widened
-    over their rows: the maxima the rollouts reached, as a max is exact. The
-    row operator a quantum policy builds at the first step serves the gradient."""
+    over the batch's rows: the maxima the rollouts reached, as a max is exact.
+    The row operator a quantum policy builds at the first step serves the gradient."""
     rngs = [keyed_stream(config.seed, 1, first_episode + i) for i in range(n_episodes)]
     batch = run_episodes(make_env(config.environment), policy, rngs, config.gamma)
     if policy.normalizer is not None:
-        policy.normalizer.observe(np.concatenate([traj.observations for traj in batch]))
+        policy.normalizer.observe(batch.observations)
     return batch
 
 

@@ -153,8 +153,10 @@ class FeatureNormalizer:
             self.running_abs_max = np.full(n_features, NORM_FLOOR)
         else:
             self.running_abs_max = np.maximum(np.asarray(running_abs_max, dtype=float), NORM_FLOOR)
-            if self.running_abs_max.shape != (n_features,):
-                raise ContractError("running_abs_max length must equal n_features")
+            if self.running_abs_max.shape != (n_features,) or not np.all(
+                    np.isfinite(self.running_abs_max)):
+                raise ContractError(f"running_abs_max must be {n_features} finite numbers, "
+                                    f"got {self.running_abs_max.tolist()}")
 
     @property
     def n_features(self) -> int:

@@ -19,6 +19,9 @@ environments step one episode at a time with numpy scalars and evolve a
 `Statevector` under the control Hamiltonian, and the sequential rollout runs
 one episode after another with one 1-row inference per step: together they
 are the reference for the array environments and the lockstep rollout.
+The per-trajectory baseline loop is the reference for the baseline over a
+batch's flat returns, and `batch_of` builds a flat batch from hand-made
+trajectories.
 """
 import tracemalloc
 from dataclasses import dataclass
@@ -28,7 +31,7 @@ import numpy as np
 from qpolgrad import config as cfg
 from qpolgrad import envs, qsim, vqpolicy
 from qpolgrad.errors import ConfigError, ContractError
-from qpolgrad.reinforce import Trajectory, keyed_stream, prepare, train
+from qpolgrad.reinforce import Batch, Trajectory, keyed_stream, prepare, train
 
 I2 = np.eye(2, dtype=complex)
 PAULIS = {"RX": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -635,6 +638,25 @@ def sequential_batch(environment, policy, rngs, gamma):
         if copy is not None:
             master.observe(copy.running_abs_max)
     return [r[0] for r in results], [r[1] for r in results]
+
+
+def batch_of(trajectories) -> Batch:
+    """A `Batch` of hand-made trajectories: their rows concatenated in order."""
+    return Batch(*(np.concatenate([getattr(traj, name) for traj in trajectories])
+                   for name in ("observations", "actions", "rewards", "returns")),
+                 np.array([len(traj) for traj in trajectories]))
+
+
+def loop_baseline(trajectories) -> np.ndarray:
+    """Per-timestep mean return, one trajectory after another into float
+    sums and counts of length max(T_i)."""
+    t_max = max(len(traj) for traj in trajectories)
+    sums = np.zeros(t_max)
+    counts = np.zeros(t_max)
+    for traj in trajectories:
+        sums[: len(traj)] += traj.returns
+        counts[: len(traj)] += 1
+    return sums / counts
 
 
 def normalizer_copy(normalizer):

@@ -6,10 +6,13 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from conftest import QControl, rollout, side_stream, trained_policy
 from qpolgrad import cli, envs, reinforce
 from qpolgrad import config as cfg
+
+REFERENCE_RUN = Path(__file__).resolve().parent.parent / "cp_s0"
 
 
 def test_fisher_checkpoints_leave_training_unchanged(tmp_path):
@@ -247,3 +250,60 @@ def test_importing_the_cli_loads_no_network_modules():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+@pytest.mark.parametrize("command", ["run", "fisher", "validate-hoeffding"])
+def test_a_negative_seed_fails_with_an_error_line_and_writes_nothing(tmp_path, capsys, command):
+    # numpy's seed sequences take integers >= 0; a negative seed used to
+    # fail with a traceback, after `run` had written its manifest.
+    out = tmp_path / "out"
+    argv = {"run": ["run", "--preset", "qcontrol-quantum", "--episodes", "2", "--out", str(out)],
+            "fisher": ["fisher", "--checkpoint", str(REFERENCE_RUN / "checkpoint.json"),
+                       "--env", "cartpole", "--rollouts", "2", "--out", str(out)],
+            "validate-hoeffding": ["validate-hoeffding", "--trials", "2"]}[command]
+    assert cli.main(argv + ["--seed", "-3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "seed" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_non_finite_normalizer_maxima_in_a_checkpoint_fail_with_an_error_line(tmp_path, capsys):
+    # NaN and inf pass through the maxima's floor; the Fisher eigen-solve then
+    # did not converge, and `compare` read the file without a word.
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    for artifact in ("manifest.json", "metrics.csv"):
+        (bad / artifact).write_text((REFERENCE_RUN / artifact).read_text())
+    checkpoint = json.loads((REFERENCE_RUN / "checkpoint.json").read_text())
+    checkpoint["norm_abs_max"] = [float("nan"), 1.0, float("inf"), 2.0]
+    (bad / "checkpoint.json").write_text(json.dumps(checkpoint))
+    out = tmp_path / "fisher"
+    for argv in (["fisher", "--checkpoint", str(bad / "checkpoint.json"), "--env", "cartpole",
+                  "--rollouts", "2", "--out", str(out)],
+                 ["compare", str(REFERENCE_RUN), str(bad)]):
+        capsys.readouterr()
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "finite" in captured.err
+        assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--epsilon", "nan", "--delta", "0.1", "--k", "4"],
+    ["bounds", "--epsilon", "inf", "--delta", "0.1", "--k", "4"],
+    ["bounds", "--epsilon", "0.1", "--delta", "0.1", "--k", "4", "--beta", "inf"],
+    ["bounds", "--epsilon", "0.1", "--delta", "0.1", "--k", "4", "--r-max", "nan"],
+    ["bounds", "--epsilon", "0.1", "--delta", "0.1", "--k", "4", "--n-samples", "-5"],
+    ["bounds", "--epsilon", "0.1", "--delta", "0.1", "--k", "4", "--n-samples", "nan"],
+    ["bounds", "--epsilon", "0.1", "--delta", "0.1", "--k", "4", "--n-samples", "inf"],
+    ["validate-hoeffding", "--epsilon", "nan", "--trials", "2"],
+])
+def test_non_finite_or_negative_bound_inputs_fail_with_an_error_line(capsys, argv):
+    # These printed NaN or Infinity, which are not JSON, or a negative shot
+    # total, and exited 0; validate-hoeffding died converting NaN to an int.
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""

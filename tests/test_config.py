@@ -93,6 +93,7 @@ def test_init_keys_unused_by_kind_rejected(tmp_path, preset, overrides):
                  id="init-gain-negative"),
     pytest.param("cartpole-classical", {"init": {"kind": "glorot_normal", "gain": 0.0}},
                  id="init-gain-zero"),
+    pytest.param("qcontrol-quantum", {"seed": -1}, id="seed-negative"),
 ])
 def test_wrongly_typed_values_rejected(tmp_path, preset, overrides):
     assert_rejected_before_any_artifact(tmp_path, preset, overrides)

@@ -6,8 +6,10 @@ import pytest
 
 from conftest import (
     SCALAR_ENVS,
+    batch_of,
     grad_log,
     init_zero,
+    loop_baseline,
     normalizer_copy,
     rollout,
     sequential_batch,
@@ -16,11 +18,12 @@ from conftest import (
     trained_policy,
 )
 from qpolgrad import config as cfg
-from qpolgrad import classical, cli, envs, qsim, reinforce, vqpolicy
+from qpolgrad import analysis, classical, cli, envs, qsim, reinforce, vqpolicy
 from qpolgrad.envs import discounted_returns
 from qpolgrad.errors import ConfigError, ContractError
 from qpolgrad.reinforce import (
     AdamState,
+    Batch,
     Trajectory,
     adam_step,
     baseline,
@@ -52,18 +55,18 @@ def make_traj(rewards, gamma=1.0, actions=None, observations=None):
 
 def test_baseline_single_trajectory_zeroes_advantages():
     traj = make_traj([1, 2, 3])
-    np.testing.assert_allclose(baseline([traj]), traj.returns)
+    np.testing.assert_allclose(baseline(batch_of([traj])), traj.returns)
 
 
 def test_baseline_is_mean_over_trajectories():
-    b = baseline([make_traj([2.0]), make_traj([4.0])])
+    b = baseline(batch_of([make_traj([2.0]), make_traj([4.0])]))
     np.testing.assert_allclose(b, [3.0])
 
 
 def test_baseline_ragged_lengths():
     short = make_traj([1, 1, 1])
     long = make_traj([1, 1, 1, 1, 1])
-    b = baseline([short, long])
+    b = baseline(batch_of([short, long]))
     # positions 0-2 average both, positions 3-4 only the longer one
     np.testing.assert_allclose(b[:3], (short.returns + long.returns[:3]) / 2)
     np.testing.assert_allclose(b[3:], long.returns[3:])
@@ -74,6 +77,27 @@ def test_empty_trajectory_rejected():
         Trajectory([], np.array([]), np.array([]), np.array([]))
     with pytest.raises(ContractError):  # one feature row per step
         Trajectory(np.zeros(2), np.zeros(2, dtype=int), np.zeros(2), np.zeros(2))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_baseline_gives_the_per_trajectory_loop_bits_on_ragged_batches(seed):
+    rng = np.random.default_rng(seed)
+    trajs = [make_traj(rng.normal(size=n), gamma=0.9) for n in rng.integers(1, 40, size=7)]
+    assert baseline(batch_of(trajs)).tobytes() == loop_baseline(trajs).tobytes()
+    config = cfg.preset_config("cartpole-quantum", {"seed": seed})
+    batch = reinforce.collect_batch(config, prepare(config).policy, 0, config.batch_size)
+    assert len(set(batch.lengths)) > 1
+    assert baseline(batch).tobytes() == loop_baseline(list(batch)).tobytes()
+
+
+def test_batch_lengths_must_cover_its_rows():
+    traj = make_traj([1.0, 2.0, 3.0])
+    with pytest.raises(ContractError):
+        Batch(traj.observations, traj.actions, traj.rewards, traj.returns, np.array([2]))
+    with pytest.raises(ContractError):
+        Batch(traj.observations, traj.actions, traj.rewards, traj.returns, np.array([], int))
+    with pytest.raises(ContractError):  # an episode cannot be empty
+        Batch(traj.observations, traj.actions, traj.rewards, traj.returns, np.array([3, 0]))
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +206,7 @@ def test_single_step_no_baseline_gradient_shape():
     obs = bandit_obs()
     traj = make_traj([2.0], actions=[1], observations=[obs])
     other = make_traj([0.0], actions=[0], observations=[obs])
-    g = policy_gradient([traj, other], policy)
+    g = policy_gradient(batch_of([traj, other]), policy)
     glog1 = grad_log(policy, obs, 1)
     glog0 = grad_log(policy, obs, 0)
     np.testing.assert_allclose(g, ((2.0 - 1.0) * glog1 + (0.0 - 1.0) * glog0) / 2, atol=1e-12)
@@ -191,7 +215,7 @@ def test_single_step_no_baseline_gradient_shape():
 def test_zero_advantages_give_zero_gradient():
     policy = bandit_policy()
     traj = make_traj([1.0, 1.0], actions=[0, 1], observations=[bandit_obs()] * 2)
-    g = policy_gradient([traj], policy)
+    g = policy_gradient(batch_of([traj]), policy)
     np.testing.assert_allclose(g, np.zeros(policy.n_trainable), atol=1e-12)
 
 
@@ -205,9 +229,9 @@ def test_baseline_invariance_under_return_shift():
                   observations=[obs] * 4)
         for _ in range(3)
     ]
-    g1 = policy_gradient(batch, policy)
+    g1 = policy_gradient(batch_of(batch), policy)
     shifted = [Trajectory(t.observations, t.actions, t.rewards, t.returns + 7.5) for t in batch]
-    g2 = policy_gradient(shifted, policy)
+    g2 = policy_gradient(batch_of(shifted), policy)
     np.testing.assert_allclose(g1, g2, atol=1e-10)
 
 
@@ -435,19 +459,19 @@ def test_training_forms_no_per_sample_gradients(monkeypatch, preset):
 def streamed_pass_bytes(policy, rows, sweep=False) -> int:
     """What a gradient's pass over T rows may hold beside its result: one
     block's encode gather of BLOCK_NUMBERS reals and three (CHUNK_ROWS, 2**n)
-    complex arrays, nothing of the previous chunk, plus O(T) reals (two
-    copies of the (T, n) features and a few (T,) vectors), never a
-    (T, 2**n) array. A `sweep` of per-sample gradients adds a block's
-    (2, rows, 2**n) row pairs and their update, BLOCK_NUMBERS complex
-    numbers each."""
+    complex arrays, nothing of the previous chunk, plus O(T) reals (one
+    (T, n) array, the widened maxima's `abs` temporary, and a few (T,)
+    vectors), never a (T, 2**n) array. A `sweep` of per-sample gradients
+    adds a block's (2, rows, 2**n) row pairs and their update,
+    BLOCK_NUMBERS complex numbers each."""
     n, chunk = policy.spec.n_qubits, vqpolicy.CHUNK_ROWS
     blocks = vqpolicy.BLOCK_NUMBERS * (8 + 2 * 16 * sweep)
-    return 3 * chunk * 2**n * 16 + blocks + rows * (2 * n + 8) * 8
+    return 3 * chunk * 2**n * 16 + blocks + rows * (n + 8) * 8
 
 
 def test_policy_gradient_memory_stays_within_chunks():
     # At acrobot-quantum's T = 5,000 rows one (T, 2**n) complex array is
-    # 5.1 MB, above the bound (1.85 MB); holding the whole batch's rows took
+    # 5.1 MB, above the bound (1.61 MB); holding the whole batch's rows took
     # 13 MB, and a whole chunk's (256, 6, 64) encode gather 1.93 MB.
     batch, policy, *_ = batch_inputs("acrobot-quantum")
     rows = sum(len(traj) for traj in batch)
@@ -520,6 +544,63 @@ def test_surrogate_ascent_after_one_small_adam_step():
     adam = AdamState.fresh(policy.n_trainable, 1e-3)
     policy.set_vector(adam_step(policy.get_vector(), grad, adam))
     assert surrogate() > before
+
+
+BATCH_ARRAYS = ("observations", "actions", "rewards", "returns")
+
+
+@pytest.mark.parametrize("preset", ["cartpole-quantum", "cartpole-classical"])
+def test_run_episodes_returns_one_flat_batch_of_trajectory_views(preset):
+    config = cfg.preset_config(preset, {"seed": 5})
+    rngs = [reinforce.keyed_stream(config.seed, 1, i) for i in range(10)]
+    batch = run_episodes(envs.make_env(config.environment), prepare(config).policy, rngs,
+                         config.gamma)
+    assert len(batch) == 10 and len(set(batch.lengths)) > 1
+    assert all(a is b for a, b in zip(batch, [batch[i] for i in range(10)]))
+    assert {len(getattr(batch, name)) for name in BATCH_ARRAYS} == {batch.lengths.sum()}
+    start = 0
+    for traj, steps in zip(batch, batch.lengths):
+        for name in BATCH_ARRAYS:
+            view, flat = getattr(traj, name), getattr(batch, name)
+            assert np.shares_memory(view, flat)
+            np.testing.assert_array_equal(view, flat[start:start + steps])
+        np.testing.assert_array_equal(traj.returns, discounted_returns(traj.rewards, config.gamma))
+        np.testing.assert_array_equal(batch.steps()[start:start + steps], np.arange(steps))
+        start += steps
+
+
+@pytest.mark.parametrize("preset", ["cartpole-quantum", "cartpole-classical"])
+def test_gradients_read_the_batch_arrays_in_place(monkeypatch, preset):
+    # Training and the Fisher spectrum hand the batch's own feature and
+    # action arrays to the policy, not concatenated copies.
+    config = cfg.preset_config(preset, {"seed": 0})
+    policy = prepare(config).policy
+    batch = reinforce.collect_batch(config, policy, 0, config.batch_size)
+    handed, batches = [], []
+    weighted, run, fisher = (type(policy).weighted_grad_log, reinforce.run_episodes,
+                             analysis.fisher_matrix)
+
+    def recording_weighted(self, observations, actions, *args, **kwargs):
+        handed.append((batch, observations, actions))
+        return weighted(self, observations, actions, *args, **kwargs)
+
+    def recording_run(*args, **kwargs):
+        batches.append(run(*args, **kwargs))
+        return batches[-1]
+
+    def recording_fisher(policy, states, actions, **kwargs):
+        handed.append((batches[-1], states, actions))
+        return fisher(policy, states, actions, **kwargs)
+
+    monkeypatch.setattr(type(policy), "weighted_grad_log", recording_weighted)
+    monkeypatch.setattr(reinforce, "run_episodes", recording_run)
+    monkeypatch.setattr(analysis, "fisher_matrix", recording_fisher)
+    policy_gradient(batch, policy)
+    cli.fisher_spectrum(policy, config.environment, 3, side_stream(0, 10), include_beta=True)
+    assert len(handed) == 2
+    for source, observations, actions in handed:
+        assert np.shares_memory(observations, source.observations)
+        assert np.shares_memory(actions, source.actions)
 
 
 def test_rollout_respects_episode_caps():

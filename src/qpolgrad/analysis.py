@@ -9,7 +9,8 @@ landscape. Eigenvalues come from LAPACK's symmetric solver
 The closed-form calculators bound (a) how many sampled trajectories make
 the policy-gradient estimate epsilon-accurate with probability 1 - delta,
 and (b) how many circuit repetitions the shot-based gradient needs; both
-grow only logarithmically in the parameter count. `hoeffding_validate`
+grow only logarithmically in the parameter count, and inputs whose bound
+overflows a float raise ContractError. `hoeffding_validate`
 checks bound (b) empirically against exact expectations.
 """
 from __future__ import annotations
@@ -80,6 +81,17 @@ class BoundInputs:
             raise ContractError("horizon, k, and n_actions must be >= 1")
 
 
+def _finite(bound: str, formula) -> float:
+    """`formula()`, or ContractError if that bound overflows a float."""
+    try:
+        value = formula()
+        if math.isfinite(value):
+            return value
+    except (OverflowError, ZeroDivisionError):  # a Python float raises where numpy gives inf
+        pass
+    raise ContractError(f"the {bound} overflows a float for these inputs")
+
+
 def lemma1_samples(b: BoundInputs) -> tuple[float, float]:
     """(trajectory bound N, sample bound N*T) for an epsilon-accurate gradient.
 
@@ -88,9 +100,10 @@ def lemma1_samples(b: BoundInputs) -> tuple[float, float]:
     """
     if b.gamma == 1.0:
         raise ContractError("the trajectory bound diverges at gamma = 1")
-    n = (8.0 * b.beta**2 * b.r_max**2 * b.horizon**2
-         / (b.epsilon**2 * (b.gamma - 1.0) ** 4) * math.log(2.0 * b.k / b.delta))
-    return n, n * b.horizon
+    n = _finite("trajectory bound", lambda: (
+        8.0 * b.beta**2 * b.r_max**2 * b.horizon**2
+        / (b.epsilon**2 * (b.gamma - 1.0) ** 4) * math.log(2.0 * b.k / b.delta)))
+    return n, _finite("sample bound", lambda: n * b.horizon)
 
 
 def lemma2_shots(b: BoundInputs, n_samples: float) -> tuple[float, float]:
@@ -100,8 +113,9 @@ def lemma2_shots(b: BoundInputs, n_samples: float) -> tuple[float, float]:
     shots (two shifted evaluations of n/2 each); the full estimator repeats
     this for |A| observables at each of `n_samples` visited states.
     """
-    per_observable = 4.0 / b.epsilon**2 * math.log(2.0 * b.k / b.delta)
-    return per_observable, b.n_actions * n_samples * per_observable
+    per_observable = _finite("shot bound", lambda: 4.0 / b.epsilon**2
+                             * math.log(2.0 * b.k / b.delta))
+    return per_observable, _finite("shot total", lambda: b.n_actions * n_samples * per_observable)
 
 
 # ---------------------------------------------------------------------------

@@ -64,15 +64,6 @@ def preset(name: str) -> MlpSpec:
     return MlpSpec(shapes[name])
 
 
-def _check_input(spec: MlpSpec, features: np.ndarray) -> np.ndarray:
-    features = np.asarray(features, dtype=float)
-    if features.shape[-1] != spec.layer_sizes[0]:
-        raise ContractError(
-            f"expected {spec.layer_sizes[0]} input features, got {features.shape[-1]}"
-        )
-    return features
-
-
 def _hidden_arrays(weights, rows: int) -> list[np.ndarray]:
     """One uninitialised (rows, width) float array per hidden layer."""
     return [np.empty((rows, len(w))) for w in weights[:-1]]
@@ -108,9 +99,9 @@ def _forward_cached(weights, x, dropout_p, rng, hidden, drops):
     return a, [x] + acts
 
 
-def forward(spec: MlpSpec, weights: list[np.ndarray], features) -> np.ndarray:
+def forward(weights: list[np.ndarray], features) -> np.ndarray:
     """Eval-mode (dropout-free) action preferences for one feature row or many."""
-    x = np.atleast_2d(_check_input(spec, features))
+    x = np.atleast_2d(np.asarray(features, dtype=float))
     out, _ = _forward_cached(weights, x, 0.0, None, _hidden_arrays(weights, len(x)), None)
     return out[0] if np.asarray(features).ndim == 1 else out
 
@@ -141,7 +132,8 @@ def _backward(weights, x, actions, dropout_p, rng, scale, hidden, drops, relu):
 
 
 class MlpPolicy:
-    """Trainable classical policy: softmax over bias-free ReLU-net preferences.
+    """The classical policy, under the policy contract of `reinforce`'s
+    docstring: softmax over bias-free ReLU-net preferences.
 
     Its state is the per-layer weight matrices, each of shape (n_out, n_in),
     which `set_vector` splits from the flat trainable vector layer by layer.
@@ -157,6 +149,10 @@ class MlpPolicy:
     @property
     def n_trainable(self) -> int:
         return self.spec.n_params
+
+    @property
+    def n_features(self) -> int:
+        return self.spec.layer_sizes[0]
 
     @property
     def n_actions(self) -> int:
@@ -175,14 +171,13 @@ class MlpPolicy:
     def probabilities(self, obs, rng=None, abs_max=None) -> np.ndarray:
         """(|A|,) for one feature row or (m, |A|) for m rows, from the eval-mode
         network (`rng`, `abs_max` unused); a row's bits do not depend on the others."""
-        return softmax_policy(forward(self.spec, self.weights, obs), self.beta)
+        return softmax_policy(forward(self.weights, obs), self.beta)
 
     def _batch(self, observations, actions, rng, weights=None):
-        """A gradient's `checked_batch`, its input width and dropout's rng checked."""
+        """A gradient's `checked_batch`, and dropout's rng checked."""
         if self.spec.dropout_p > 0.0 and rng is None:
             raise ContractError("train-mode dropout requires an rng")
-        x, actions, weights = checked_batch(observations, actions, self.n_actions, weights)
-        return _check_input(self.spec, x), actions, weights
+        return checked_batch(self, observations, actions, weights)
 
     def _backward_chunks(self, x, actions, rng, scale=None):
         """One pass over a checked batch's T rows and actions, CHUNK_ROWS rows

@@ -471,6 +471,8 @@ def _run_command(args) -> int:
 
 
 def _fisher_command(args) -> int:
+    if args.episode_label < 0:  # it names the spectrum's files
+        raise ConfigError(f"--episode-label must be an integer >= 0, got {args.episode_label}")
     policy = policy_from_checkpoint(args.checkpoint)
     report = fisher_spectrum(policy, args.env, args.rollouts,
                              reinforce.keyed_stream(args.seed, 2, 0),

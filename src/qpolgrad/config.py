@@ -16,16 +16,12 @@ from dataclasses import dataclass, field
 from .classical import MlpSpec, preset as mlp_preset
 from .envs import ENV_SPECS
 from .errors import ConfigError
+from .reinforce import BETA_INIT_DEFAULT, INIT_DEFAULTS
 from .vqpolicy import CircuitSpec
 
 POLICY_KINDS = ("quantum", "classical")
-INIT_KEYS = {
-    "glorot_normal": {"kind", "gain"},
-    "normal": {"kind", "mu", "sigma"},
-    "uniform": {"kind", "a", "b"},
-}
+INIT_KEYS = {kind: {"kind", *defaults} for kind, defaults in INIT_DEFAULTS.items()}
 INIT_KINDS = tuple(INIT_KEYS)
-BETA_INIT_DEFAULT = {"mean": 1.0, "std": 0.1}
 # Fields that say where and how a run reports, not what it computes.
 REPORTING_FIELDS = ("output_dir", "name", "dump_trajectories")
 
@@ -51,7 +47,8 @@ class ExperimentConfig:
     shots: int = 0  # 0 = exact expectations
     hidden_sizes: tuple[int, ...] | None = None
     dropout_p: float = 0.0
-    init: dict = field(default_factory=lambda: {"kind": "glorot_normal", "gain": 1.0})
+    init: dict = field(default_factory=lambda: {"kind": "glorot_normal",
+                                                **INIT_DEFAULTS["glorot_normal"]})
     beta_init: dict = field(default_factory=lambda: dict(BETA_INIT_DEFAULT))
     output_dir: str | None = None
     fisher_checkpoints: bool = False
@@ -196,17 +193,19 @@ def _validate(data: dict) -> list[str]:
             errors.append(f"init: {kind} takes no key(s) {unused}")
         elif not all(_is_number(v) for k, v in init.items() if k != "kind"):
             errors.append(f"init: {kind}'s values must be finite numbers")
-        elif kind == "normal" and not init.get("sigma", 1.0) > 0:
-            errors.append("init.sigma: must be positive")
-        elif kind == "glorot_normal" and not init.get("gain", 1.0) > 0:
-            errors.append("init.gain: must be positive")
-        elif kind == "uniform" and not init.get("a", -1.0) < init.get("b", 1.0):
-            errors.append("init: uniform bounds need a < b")
+        else:
+            filled = {**INIT_DEFAULTS[kind], **init}
+            if kind == "normal" and not filled["sigma"] > 0:
+                errors.append("init.sigma: must be positive")
+            elif kind == "glorot_normal" and not filled["gain"] > 0:
+                errors.append("init.gain: must be positive")
+            elif kind == "uniform" and not filled["a"] < filled["b"]:
+                errors.append("init: uniform bounds need a < b")
     beta_init = data.get("beta_init")
     if beta_init is not None and (not isinstance(beta_init, dict)
                                   or set(beta_init) - set(BETA_INIT_DEFAULT)
                                   or not all(_is_number(v) for v in beta_init.values())
-                                  or not beta_init.get("std", 0.1) >= 0):
+                                  or not {**BETA_INIT_DEFAULT, **beta_init}["std"] >= 0):
         errors.append("beta_init: expected {'mean': m, 'std': s >= 0}")
     return errors
 

@@ -13,10 +13,17 @@ rows once, flat in episode order, where every consumer reads them; each
 episode is a `Trajectory` of views into them. `train` yields one record
 per episode, with its trajectory.
 
-A policy's state is its flat trainable vector: Adam reads it with
-`get_vector` and writes it with `set_vector`, the one place a policy
-unpacks it. So a run's state (`RunState`) is that vector, inside the
-policy with its feature normalizer, and the Adam moments.
+A policy (`QuantumPolicy` or `MlpPolicy`) offers: `n_features` and
+`n_actions`, the feature-row width it reads and its action count;
+`n_trainable`, the length of its flat trainable vector, which Adam reads
+with `get_vector` and writes with `set_vector`, the one place a policy
+unpacks it; `normalizer`, its `FeatureNormalizer` or None; `beta`, its
+softmax inverse temperature; `probabilities(obs, rng, abs_max)` for one
+feature row or m; and the gradients `grad_log_batch` (T, n_trainable) and
+`weighted_grad_log` (n_trainable,). Its width and action count are checked
+once where data enters: `run_episodes` against the environment's, and
+`vqpolicy.checked_batch` against a gradient's batch. A run's state
+(`RunState`) is the policy and the Adam moments.
 """
 from __future__ import annotations
 
@@ -33,21 +40,12 @@ from .vqpolicy import CircuitSpec, QuantumPolicy
 @dataclass
 class Trajectory:
     """One episode: decision-time feature rows (T, n_features), actions,
-    rewards, cached returns."""
+    rewards, cached returns; a `Batch`'s views, which it checks."""
 
     observations: np.ndarray
     actions: np.ndarray
     rewards: np.ndarray
     returns: np.ndarray
-
-    def __post_init__(self):
-        if len(self.observations) == 0:
-            raise ContractError("a trajectory cannot be empty")
-        if np.ndim(self.observations) != 2:
-            raise ContractError("trajectory observations must be one feature row per step")
-        if not (len(self.observations) == len(self.actions) == len(self.rewards)
-                == len(self.returns)):
-            raise ContractError("trajectory fields must have equal length")
 
     def __len__(self):
         return len(self.actions)
@@ -60,8 +58,9 @@ class Trajectory:
 @dataclass
 class Batch:
     """A batch's episodes, flat in episode order: feature rows (T, n_features), actions,
-    rewards and returns (T,), and each episode's length. Indexing or iterating a
-    batch gives its episodes as `Trajectory` views into these arrays, built once."""
+    rewards and returns (T,), and each episode's length, all checked once here: one or
+    more nonempty episodes whose lengths sum to T. Indexing or iterating a batch gives
+    its episodes as `Trajectory` views into these arrays, built once."""
 
     observations: np.ndarray
     actions: np.ndarray
@@ -70,9 +69,13 @@ class Batch:
     lengths: np.ndarray
 
     def __post_init__(self):
+        rows = len(self.observations)
+        if not (len(self.lengths) and np.min(self.lengths) > 0 and np.sum(self.lengths) == rows
+                and np.ndim(self.observations) == 2
+                and len(self.actions) == len(self.rewards) == len(self.returns) == rows):
+            raise ContractError("a batch needs one or more nonempty episodes whose lengths sum "
+                                "to its T rows of features, actions, rewards and returns")
         ends = np.cumsum(self.lengths).tolist()
-        if not ends or ends[-1] != len(self.observations):
-            raise ContractError("a batch needs one or more episodes whose lengths sum to its rows")
         self._trajectories = tuple(
             Trajectory(self.observations[start:end], self.actions[start:end],
                        self.rewards[start:end], self.returns[start:end])
@@ -150,10 +153,20 @@ def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState) -> np.ndar
 # initialization
 # ---------------------------------------------------------------------------
 
+# Each init kind's parameters and their defaults; `config` validates against them.
+INIT_DEFAULTS = {
+    "glorot_normal": {"gain": 1.0},
+    "normal": {"mu": 0.0, "sigma": 1.0},
+    "uniform": {"a": -1.0, "b": 1.0},
+}
+BETA_INIT_DEFAULT = {"mean": 1.0, "std": 0.1}
+
+
 def sample_initial_weights(strategy: dict, size: int, fan_in: int, fan_out: int,
                            rng: np.random.Generator) -> np.ndarray:
     """`size` draws of an init strategy: "normal" N(mu, sigma), "uniform"
-    U(a, b), or "glorot_normal".
+    U(a, b), or "glorot_normal"; a parameter left out takes its
+    `INIT_DEFAULTS` value.
 
     "glorot_normal" draws from a normal whose standard deviation is
     gain * sqrt(6 / (fan_in + fan_out)). That is the limit of Glorot's
@@ -162,14 +175,14 @@ def sample_initial_weights(strategy: dict, size: int, fan_in: int, fan_out: int,
     Every recorded run was drawn this way.
     """
     kind = strategy.get("kind")
+    if kind not in INIT_DEFAULTS:
+        raise ConfigError(f"unknown init strategy {kind!r}")
+    p = {**INIT_DEFAULTS[kind], **strategy}
     if kind == "glorot_normal":
-        std = strategy.get("gain", 1.0) * np.sqrt(6.0 / (fan_in + fan_out))
-        return rng.normal(0.0, std, size=size)
+        return rng.normal(0.0, p["gain"] * np.sqrt(6.0 / (fan_in + fan_out)), size=size)
     if kind == "normal":
-        return rng.normal(strategy.get("mu", 0.0), strategy.get("sigma", 1.0), size=size)
-    if kind == "uniform":
-        return rng.uniform(strategy.get("a", -1.0), strategy.get("b", 1.0), size=size)
-    raise ConfigError(f"unknown init strategy {kind!r}")
+        return rng.normal(p["mu"], p["sigma"], size=size)
+    return rng.uniform(p["a"], p["b"], size=size)
 
 
 def init_params(strategy: dict, spec: CircuitSpec, rng: np.random.Generator,
@@ -181,8 +194,8 @@ def init_params(strategy: dict, spec: CircuitSpec, rng: np.random.Generator,
     initializer fans are n_in = n_out = n_qubits.
     """
     theta = sample_initial_weights(strategy, spec.n_params, spec.n_qubits, spec.n_qubits, rng)
-    beta_init = beta_init or {"mean": 1.0, "std": 0.1}
-    return np.append(theta, rng.normal(beta_init.get("mean", 1.0), beta_init.get("std", 0.1)))
+    beta_init = {**BETA_INIT_DEFAULT, **(beta_init or {})}
+    return np.append(theta, rng.normal(beta_init["mean"], beta_init["std"]))
 
 
 def init_mlp_params(strategy: dict, spec, rng: np.random.Generator) -> np.ndarray:
@@ -249,9 +262,13 @@ def run_episodes(env, policy, rngs, gamma: float) -> Batch:
     maxima, a row of a (B, n) array that starts from the normalizer's, so
     no episode sees what another observed. The padded (B, max_steps) arrays
     are compacted once, in place: the returned `Batch`'s arrays are their
-    leading rows.
+    leading rows. A policy that reads another width or action count than the
+    env's is refused before anything is drawn.
     """
     spec = env.spec
+    if (policy.n_features, policy.n_actions) != (spec.n_features, spec.n_actions):
+        raise ContractError(f"a policy of {policy.n_features} features and {policy.n_actions} "
+                            f"actions cannot act in {spec.name}")
     n = len(rngs)
     starts, blocks = zip(*[(env.reset([rng]), rng.random(spec.max_steps)) for rng in rngs])
     states, uniforms = np.concatenate(starts), np.stack(blocks)

@@ -120,23 +120,25 @@ def checked_vector(vec, size: int) -> np.ndarray:
     return vec
 
 
-def checked_batch(observations, actions, n_actions: int, weights=None):
-    """A gradient's batch: T >= 1 feature rows as a (T, n) float array, T
-    whole-number action indices in [0, n_actions) as ints and T float
-    weights, or None if none are given. Anything else raises ContractError;
-    a fractional action is refused, not truncated."""
+def checked_batch(policy, observations, actions, weights=None):
+    """A gradient's batch for `policy`: T >= 1 rows of its `n_features`
+    features as a (T, n_features) float array, T whole-number action indices
+    in [0, n_actions) as ints and T float weights, or None if none are given.
+    Anything else raises ContractError; a fractional action is refused, not
+    truncated. The one width check of a gradient's batch."""
     feats = np.atleast_2d(np.asarray(observations, dtype=float))
     actions = np.asarray(actions)
     weights = None if weights is None else np.asarray(weights, dtype=float)
     shapes = [np.shape(v) for v in (actions, weights) if v is not None]
-    if feats.size == 0 or any(shape != (len(feats),) for shape in shapes):
-        raise ContractError(f"a batch needs T >= 1 observations and T actions and weights, "
-                            f"got shapes {[feats.shape, *shapes]}")
-    valid = (actions >= 0) & (actions < n_actions)
+    if (feats.size == 0 or feats.shape[1:] != (policy.n_features,)
+            or any(shape != (len(feats),) for shape in shapes)):
+        raise ContractError(f"a batch needs T >= 1 rows of {policy.n_features} features and "
+                            f"T actions and weights, got shapes {[feats.shape, *shapes]}")
+    valid = (actions >= 0) & (actions < policy.n_actions)
     if actions.dtype.kind not in "biu":
         valid &= np.floor(actions) == actions
     if not np.all(valid):
-        raise ContractError(f"an action index must be a whole number in [0, {n_actions})")
+        raise ContractError(f"an action index must be a whole number in [0, {policy.n_actions})")
     return feats, actions.astype(int, copy=False), weights
 
 
@@ -145,7 +147,9 @@ class FeatureNormalizer:
 
     Keeps a per-feature running absolute maximum (floored at a small
     constant) that never decreases over a run. A training batch records its
-    rows (`reinforce.collect_batch`); everything else only reads it.
+    rows (`reinforce.collect_batch`); everything else only reads it. It
+    takes rows of its own width: `run_episodes` and `checked_batch` check
+    them before they get here.
     """
 
     def __init__(self, n_features: int, running_abs_max=None):
@@ -158,15 +162,9 @@ class FeatureNormalizer:
                 raise ContractError(f"running_abs_max must be {n_features} finite numbers, "
                                     f"got {self.running_abs_max.tolist()}")
 
-    @property
-    def n_features(self) -> int:
-        return len(self.running_abs_max)
-
     def widened(self, features: np.ndarray) -> np.ndarray:
         """The maxima widened to cover a row or (T, n) array, not recorded."""
         features = np.asarray(features, dtype=float)
-        if features.shape[-1] != self.n_features:
-            raise ContractError("feature count mismatch in normalizer")
         absmax = np.abs(features) if features.ndim == 1 else np.abs(features).max(axis=0)
         return np.maximum(self.running_abs_max, absmax)
 
@@ -416,12 +414,12 @@ def adjoint_gradients(spec: CircuitSpec, theta: np.ndarray, psi: np.ndarray,
 
 
 class QuantumPolicy:
-    """Trainable policy bundling circuit spec, parameters, and normalizer.
+    """The circuit policy, under the policy contract of `reinforce`'s docstring.
 
-    `set_vector` is the one place its state is set: `theta` and `beta` are
-    read from a private, read-only copy of the trainable vector (the angles,
-    then beta). The ansatz is a fixed unitary per vector, so inference reuses
-    its 2**n x 2**n row operator, built at first use after each `set_vector`.
+    `theta` and `beta` are read from a private, read-only copy of the
+    trainable vector (the angles, then beta). The ansatz is a fixed unitary
+    per vector, so inference reuses its 2**n x 2**n row operator, built at
+    first use after each `set_vector`.
     Every mode reads the rows' exact preferences out of the sign table; exact
     mode (shots = 0) is the training default and stops there, and shot mode
     draws `shots` measurements around them.
@@ -435,6 +433,14 @@ class QuantumPolicy:
         self.normalizer = normalizer
         self.shots = shots
         self.set_vector(vector)
+
+    @property
+    def n_features(self) -> int:  # an angle per qubit, or 2**n amplitudes as 2**(n+1) floats
+        return 2 ** (self.spec.n_qubits + 1) if self.spec.encoding == "none" else self.spec.n_qubits
+
+    @property
+    def n_actions(self) -> int:
+        return self.spec.n_actions
 
     # -- trainable vector ---------------------------------------------------
     @property
@@ -464,8 +470,6 @@ class QuantumPolicy:
         `abs_max`, by default the normalizer's `widened` to cover the rows."""
         feats = np.atleast_2d(np.asarray(observations, dtype=float))
         if self.spec.encoding == "none":
-            if feats.shape[-1] != 2 ** (self.spec.n_qubits + 1):
-                raise ContractError("input state qubit count does not match the circuit")
             return qsim.feature_amplitudes(feats)
         if abs_max is None:
             abs_max = self.normalizer.widened(feats)
@@ -523,7 +527,7 @@ class QuantumPolicy:
         from the adjoint sweep of each chunk in exact mode and parameter shift
         in shot mode; beta entry (analytic): <a> - sum_b pi_b <b>.
         """
-        feats, actions, _ = checked_batch(observations, actions, self.spec.n_actions)
+        feats, actions, _ = checked_batch(self, observations, actions)
         grads = np.empty((len(actions), self.n_trainable))
         for rows, enc, out, weights, gbeta in self._score_chunks(feats, actions, rng):
             if self.shots:
@@ -546,8 +550,7 @@ class QuantumPolicy:
         is the sum over j of Im<e_j|P M e_j>; walking both back keeps
         G^dag M G = sum_j |G^dag M e_j><G^dag e_j| exact.
         """
-        feats, actions, weights = checked_batch(observations, actions, self.spec.n_actions,
-                                                weights)
+        feats, actions, weights = checked_batch(self, observations, actions, weights)
         if self.shots:
             return weights @ self.grad_log_batch(feats, actions, rng)
         dim = 2**self.spec.n_qubits

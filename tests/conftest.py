@@ -663,7 +663,8 @@ def normalizer_copy(normalizer):
     """A separate normalizer with the same maxima, or None for None."""
     if normalizer is None:
         return None
-    return vqpolicy.FeatureNormalizer(normalizer.n_features, normalizer.running_abs_max.copy())
+    return vqpolicy.FeatureNormalizer(len(normalizer.running_abs_max),
+                                      normalizer.running_abs_max.copy())
 
 
 def trained_policy(preset, episodes):

@@ -82,6 +82,7 @@ BAD_BATCHES = {  # observations, actions, weights
     "negative action": (ROWS, [0, -1, 1], [1.0, 2.0, 3.0]),
     "fractional action": (ROWS, [0, 0.7, 1.9], [1.0, 2.0, 3.0]),
     "wrong-length weights": (ROWS, [0, 1, 1], [1.0, 2.0]),
+    "wrong width": (np.ones((3, 4)), [0, 1, 1], [1.0, 2.0, 3.0]),
 }
 
 

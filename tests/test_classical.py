@@ -42,7 +42,7 @@ def test_spec_validation():
 def test_zero_weights_give_uniform_policy():
     spec = MlpSpec((4, 8, 3))
     weights = MlpPolicy(spec, np.zeros(spec.n_params)).weights
-    prefs = forward(spec, weights, np.array([1.0, -2.0, 0.5, 3.0]))
+    prefs = forward(weights, np.array([1.0, -2.0, 0.5, 3.0]))
     np.testing.assert_allclose(prefs, np.zeros(3))
     np.testing.assert_allclose(softmax_policy(prefs, 1.0), np.full(3, 1 / 3))
 
@@ -51,7 +51,7 @@ def test_scalar_chain_hand_evaluation():
     # 1-1-1 net, hidden weight 2, output weight w: input 3 -> relu(6) -> 6w
     spec = MlpSpec((1, 1, 1))
     for w_out in (0.5, -1.25):
-        out = forward(spec, [np.array([[2.0]]), np.array([[w_out]])], np.array([3.0]))
+        out = forward([np.array([[2.0]]), np.array([[w_out]])], np.array([3.0]))
         assert out[0] == pytest.approx(6.0 * w_out)
 
 
@@ -133,7 +133,7 @@ def test_no_hidden_layer_matches_finite_differences_across_a_chunk_boundary():
     policy = MlpPolicy(spec, vec)
     t = CHUNK_ROWS + 7
     obs, actions, adv = rng.normal(size=(t, 4)), rng.integers(2, size=t), rng.normal(size=t)
-    np.testing.assert_allclose(forward(spec, policy.weights, obs), obs @ policy.weights[0].T,
+    np.testing.assert_allclose(forward(policy.weights, obs), obs @ policy.weights[0].T,
                                rtol=1e-14, atol=1e-15)
 
     def log_pi(v):
@@ -175,8 +175,8 @@ def test_eval_mode_is_deterministic_with_dropout_configured():
     spec = MlpSpec((4, 16, 2), dropout_p=0.2)
     weights = MlpPolicy(spec, glorot(spec, rng)).weights
     x = rng.normal(size=4)
-    a = forward(spec, weights, x)
-    b = forward(spec, weights, x)
+    a = forward(weights, x)
+    b = forward(weights, x)
     np.testing.assert_array_equal(a, b)
 
 
@@ -188,7 +188,7 @@ def test_dropout_expectation_matches_eval_forward():
     spec = MlpSpec((4, 16, 2), dropout_p=0.2)
     weights = MlpPolicy(spec, glorot(spec, rng)).weights
     x = rng.normal(size=4)
-    exact = forward(spec, weights, x)
+    exact = forward(weights, x)
     n = 10**4
     hidden, drops = classical._hidden_arrays(weights, 1), classical._hidden_arrays(weights, 1)
     draws = np.stack([classical._forward_cached(weights, x[None], spec.dropout_p, rng, hidden,

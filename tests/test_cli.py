@@ -290,6 +290,44 @@ def test_non_finite_normalizer_maxima_in_a_checkpoint_fail_with_an_error_line(tm
     assert not out.exists()
 
 
+def test_fisher_refuses_a_checkpoint_that_cannot_act_in_the_env(tmp_path, capsys):
+    # Cartpole policies of 4 features and 2 actions on acrobot's 6 and 3: the
+    # circuit died in a numpy broadcast after its rollouts had drawn.
+    classical = tmp_path / "classical"
+    assert cli.main(["run", "--preset", "cartpole-classical", "--episodes", "2",
+                     "--out", str(classical)]) == 0
+    out = tmp_path / "fisher"
+    for checkpoint in (REFERENCE_RUN / "checkpoint.json", classical / "checkpoint.json"):
+        capsys.readouterr()
+        assert cli.main(["fisher", "--checkpoint", str(checkpoint), "--env", "acrobot",
+                         "--rollouts", "2", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "acrobot" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--epsilon", "1e-300", "--delta", "0.1", "--k", "4"],
+    ["validate-hoeffding", "--epsilon", "1e-300", "--trials", "2"],
+    ["bounds", "--epsilon", "1", "--delta", "0.1", "--k", "4", "--beta", "1e200"],
+    ["validate-hoeffding", "--delta", "1e-320", "--trials", "2"],
+    ["bounds", "--epsilon", "0.1", "--delta", "0.1", "--k", "4", "--n-samples", "1e308"],
+    ["fisher", "--checkpoint", str(REFERENCE_RUN / "checkpoint.json"), "--env", "cartpole",
+     "--rollouts", "2", "--episode-label", "-5"],
+])
+def test_overflowing_bounds_and_a_negative_fisher_label_fail_with_an_error_line(
+        tmp_path, capsys, argv):
+    # The bounds raised ZeroDivisionError or OverflowError, or printed
+    # Infinity, which is not JSON; the label named a file fisher_ck_-5.csv.
+    out = tmp_path / "out"
+    assert cli.main(argv + (["--out", str(out)] if argv[0] == "fisher" else [])) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["bounds", "--epsilon", "nan", "--delta", "0.1", "--k", "4"],
     ["bounds", "--epsilon", "inf", "--delta", "0.1", "--k", "4"],

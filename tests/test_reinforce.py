@@ -73,10 +73,17 @@ def test_baseline_ragged_lengths():
 
 
 def test_empty_trajectory_rejected():
-    with pytest.raises(ContractError):
-        Trajectory([], np.array([]), np.array([]), np.array([]))
+    # `Batch` checks its arrays once; its trajectories are views it built.
+    traj = make_traj([1.0, 2.0, 3.0])
+    arrays = (traj.observations, traj.actions, traj.rewards, traj.returns)
+    with pytest.raises(ContractError):  # a batch of one empty episode
+        Batch(np.empty((0, 2)), np.empty(0, int), np.empty(0), np.empty(0), np.array([0]))
+    for short in range(4):  # one array a row short of the others
+        with pytest.raises(ContractError):
+            Batch(*(a[:-1] if i == short else a for i, a in enumerate(arrays)), np.array([3]))
     with pytest.raises(ContractError):  # one feature row per step
-        Trajectory(np.zeros(2), np.zeros(2, dtype=int), np.zeros(2), np.zeros(2))
+        Batch(np.zeros(3), *arrays[1:], np.array([3]))
+    assert [len(t) for t in Batch(*arrays, np.array([1, 2]))] == [1, 2]
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -745,6 +752,7 @@ class SilentPolicy:
     """Stub with row-dependent probabilities that draws nothing, as an
     exact readout or an MLP does."""
 
+    n_features, n_actions = 4, 2  # cartpole's
     normalizer = None
 
     def probabilities(self, obs, rng=None, abs_max=None):
@@ -786,6 +794,23 @@ def test_rollout_draws_one_schedule_whatever_the_readout():
         env.reset([replay])
         replay.random(env.spec.max_steps + 3 * len(b))
         assert stream.random() == replay.random()
+
+
+@pytest.mark.parametrize("preset", ["cartpole-quantum", "qcontrol-quantum",
+                                    "cartpole-classical", None])
+def test_rollout_refuses_a_mismatched_policy_before_any_draw(preset):
+    # An angle circuit, the single-U3 circuit and an MLP of 4 features and 2
+    # actions, and a 6-qubit circuit of 2 actions, on acrobot's 6 features
+    # and 3 actions: refused before the reset draws from any stream.
+    if preset is None:
+        policy = QuantumPolicy(CircuitSpec(6, 1, 2), np.ones(13))
+    else:
+        policy = prepare(cfg.preset_config(preset)).policy
+    rngs = [reinforce.keyed_stream(0, 1, i) for i in range(3)]
+    states = [rng.bit_generator.state for rng in rngs]
+    with pytest.raises(ContractError, match="cannot act in acrobot"):
+        run_episodes(envs.make_env("acrobot"), policy, rngs, 0.99)
+    assert [rng.bit_generator.state for rng in rngs] == states
 
 
 def test_train_counts_steps_through_module_collect_batch(monkeypatch):

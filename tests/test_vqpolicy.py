@@ -5,8 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qpolgrad import qsim, vqpolicy
+from qpolgrad import envs, qsim, vqpolicy
 from qpolgrad.errors import ContractError
+from qpolgrad.reinforce import run_episodes
 from qpolgrad.vqpolicy import (
     CircuitSpec,
     FeatureNormalizer,
@@ -126,17 +127,27 @@ def test_encoded_rows_match_the_kron_oracle_bit_for_bit(n, t, seed):
 
 
 def test_encode_rejects_length_mismatch():
+    # The width is checked where rows enter: a gradient's batch
+    # (`checked_batch`) and a rollout (`run_episodes`, on 4-feature cartpole).
     spec = layered(2, 1, 2)
     policy = QuantumPolicy(spec, np.append(np.zeros(spec.n_params), 1.0))
-    with pytest.raises(ContractError):
-        policy.probabilities(np.zeros(3))
+    assert policy.n_features == 2
     with pytest.raises(ContractError):
         policy.grad_log_batch(np.zeros((2, 3)), [0, 1])
+    with pytest.raises(ContractError):
+        policy.weighted_grad_log(np.zeros((2, 3)), [0, 1], [1.0, 1.0])
+    with pytest.raises(ContractError):
+        run_episodes(envs.make_env("cartpole"), policy, [np.random.default_rng(0)], 0.99)
     # an `encoding: none` policy reads a 1-qubit state as 4 floats
     u3_policy = QuantumPolicy(U3_SPEC, [0.0, 0.0, 0.0, 1.0])
+    assert u3_policy.n_features == 4
     for width in (2, 3, 8):
         with pytest.raises(ContractError):
-            u3_policy.probabilities(np.eye(width)[0])
+            u3_policy.grad_log_batch(np.eye(width)[:1], [0])
+        with pytest.raises(ContractError):
+            u3_policy.weighted_grad_log(np.eye(width)[:1], [0], [1.0])
+    with pytest.raises(ContractError):
+        run_episodes(envs.make_env("acrobot"), u3_policy, [np.random.default_rng(0)], 0.99)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,9 @@ Subpackages:
 - classical: bias-free ReLU network baselines with manual backprop
 - analysis: Fisher spectrum diagnostics and sample-complexity bounds
 - config / cli: experiment configuration, presets, and the command line
+  with its `run` subcommand
+- tools: every other subcommand: charts, run summaries, checkpoint
+  spectra and the bounds
 
 Importing the package pins numpy's OpenBLAS to one thread: a threaded product
 or eigen-solve rounds differently, so a run's bits would depend on the machine.

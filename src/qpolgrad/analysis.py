@@ -154,7 +154,8 @@ def hoeffding_validate(b: BoundInputs, trials: int,
     the shot estimator). A trial fails when any coordinate of the
     shot-based estimate deviates from the reference by more than epsilon;
     the bound promises a failure rate at most delta. The probe is
-    `_default_probe`'s state and its action 0.
+    `_default_probe`'s state and its action 0. A bound of more shots per
+    side than an int64 holds raises ContractError before any draw.
     """
     if trials < 0:
         raise ContractError(f"trials must be >= 0, got {trials}")
@@ -163,6 +164,9 @@ def hoeffding_validate(b: BoundInputs, trials: int,
     per_observable, _ = lemma2_shots(b, 1.0)
     shots_total = int(math.ceil(per_observable))
     shots_side = max(1, int(math.ceil(shots_total / 2)))
+    if shots_side > np.iinfo(np.int64).max:  # the most a binomial draw takes
+        raise ContractError(f"the shot bound asks {shots_side:.3g} shots per side, "
+                            "more than a generator can draw")
     reference = shift_gradients(spec, theta, enc)[0, :, 0]
 
     failures = 0

@@ -1,15 +1,23 @@
-"""Command line: run experiments, plot reward curves, compare runs, bounds.
+"""Command line: the parser of every subcommand, and `run`.
 
-Subcommands:
+Subcommands, and the module that serves each:
 
-- run                train one configuration, persisting manifest, metrics
-                     CSV, checkpoint, and (optionally) trajectories and
-                     Fisher spectra, all from `reinforce.train`'s records
-- plot               running-mean reward chart (SVG) from metrics CSVs
-- compare            side-by-side summary JSON of two completed runs
-- bounds             sample/shot-complexity calculators as a JSON object
-- fisher             Fisher spectrum from a checkpoint plus fresh rollouts
-- validate-hoeffding Monte-Carlo check of the shot bound
+- run                this module: train one configuration, persisting
+                     manifest, metrics CSV, checkpoint, and (optionally)
+                     trajectories and Fisher spectra, all from
+                     `reinforce.train`'s records
+- plot               `tools`: running-mean reward chart (SVG) from metrics CSVs
+- compare            `tools`: side-by-side summary JSON of two completed runs
+- bounds             `tools`: sample/shot-complexity calculators as JSON
+- fisher             `tools`: Fisher spectrum from a checkpoint plus fresh
+                     rollouts
+- validate-hoeffding `tools`: Monte-Carlo check of the shot bound
+
+Every experiment is many short `qpolgrad run` processes, and each compiles
+the modules it imports from source when no bytecode is cached, which raises
+its peak memory. So `run` imports only what training runs: `main` imports
+`tools` only to serve another subcommand, and `analysis` is imported only by
+a run that collects Fisher spectra.
 
 Exit codes: 0 success, 1 validation/contract failure, 2 I/O failure.
 All artifacts are plain JSON/CSV/SVG. `QPG_OUT_DIR` supplies the output
@@ -20,7 +28,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import dataclasses
 import json
 import os
 import platform
@@ -30,10 +37,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, blas_threads, config as cfg, envs, reinforce
-from .classical import MlpPolicy
+from . import blas_threads, config as cfg, envs, reinforce
 from .errors import ConfigError, ContractError
-from .vqpolicy import QuantumPolicy
 
 METRICS_COLUMNS = ("episode", "total_reward", "discounted_return",
                    "beta", "grad_norm", "elapsed_ms")
@@ -56,22 +61,6 @@ def running_mean(values: np.ndarray, window: int) -> np.ndarray:
     return out
 
 
-def read_metrics(path) -> dict[str, np.ndarray]:
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            columns, rows = reader.fieldnames or [], list(reader)
-    except (UnicodeDecodeError, csv.Error) as exc:  # bytes that are not UTF-8, or bad CSV
-        raise ContractError(f"{path}: metrics CSV is not readable text: {exc}") from exc
-    missing = [c for c in METRICS_COLUMNS if c not in columns]
-    if missing:
-        raise ContractError(f"{path}: metrics CSV missing column(s) {', '.join(missing)}")
-    try:
-        return {c: np.array([float(r[c]) for r in rows]) for c in METRICS_COLUMNS}
-    except (TypeError, ValueError) as exc:  # a short row gives None, a text cell ValueError
-        raise ContractError(f"{path}: metrics CSV holds a non-numeric cell: {exc}") from exc
-
-
 def _read_json_object(path, kind: str) -> dict:
     """The JSON object in the `kind` file `path`; anything else raises
     ContractError naming the file."""
@@ -84,30 +73,8 @@ def _read_json_object(path, kind: str) -> dict:
     return data
 
 
-def _series_name(csv_path: Path) -> str:
-    manifest = csv_path.parent / "manifest.json"
-    if manifest.exists():
-        try:
-            return _read_json_object(manifest, "manifest").get("name") or csv_path.parent.name
-        except ContractError:
-            pass
-    return csv_path.stem
-
-
 def _fmt(x: float) -> str:
     return repr(float(x))
-
-
-def policy_from_checkpoint(path):
-    """The quantum or classical policy that a `checkpoint.json` file holds; a
-    file that holds none raises ContractError naming it."""
-    data = _read_json_object(path, "checkpoint")
-    try:
-        return (QuantumPolicy if "theta" in data else MlpPolicy).from_checkpoint(data)
-    except KeyError as exc:
-        raise ContractError(f"checkpoint {path} is missing {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ContractError(f"checkpoint {path} holds no policy: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -115,8 +82,9 @@ def policy_from_checkpoint(path):
 # ---------------------------------------------------------------------------
 
 def fisher_spectrum(policy, environment: str, rollouts: int, rng: np.random.Generator,
-                    include_beta: bool) -> analysis.SpectrumReport:
-    """Fisher spectrum over fresh on-policy rollouts on a side stream.
+                    include_beta: bool):
+    """`analysis.SpectrumReport` of the Fisher matrix over fresh on-policy
+    rollouts on a side stream.
 
     The rollouts run as one lockstep batch of `run_episodes`, all on the
     one stream `rng`: rollout i draws its i-th consecutive block, its reset
@@ -128,14 +96,17 @@ def fisher_spectrum(policy, environment: str, rollouts: int, rng: np.random.Gene
     """
     if rollouts < 1:
         raise ContractError(f"a Fisher spectrum needs at least one rollout, got {rollouts}")
+    from . import analysis
+
     # gamma 1.0: it only sets the batch's returns, which no spectrum reads
     batch = reinforce.run_episodes(envs.make_env(environment), policy, [rng] * rollouts, 1.0)
     return analysis.spectrum(analysis.fisher_matrix(policy, batch.observations, batch.actions,
                                                     include_beta=include_beta, rng=rng))
 
 
-def _write_spectrum(report: analysis.SpectrumReport, out: Path, label: int) -> None:
-    """`fisher_ck_{label}.csv`, the eigenvalues, and its `.json` sidecar."""
+def _write_spectrum(report, out: Path, label: int) -> None:
+    """`fisher_ck_{label}.csv`, the eigenvalues of `fisher_spectrum`'s
+    report, and its `.json` sidecar."""
     with open(out / f"fisher_ck_{label}.csv", "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["eigenvalue"])
@@ -185,8 +156,11 @@ def run(config) -> int:
     One pass over `reinforce.train`'s per-episode records writes them all:
     each record's metrics row, its trajectory's rows with
     `dump_trajectories`, and with `fisher_checkpoints` a spectrum at each
-    record that completes another 10% of the budget.
+    record that completes another 10% of the budget. `checkpoint.json`
+    records the environment beside the policy.
     """
+    if config.fisher_checkpoints:
+        from . import analysis  # noqa: F401  loaded before training allocates
     out = resolve_output_dir(config)
     out.mkdir(parents=True, exist_ok=True)
     boundaries = checkpoint_episodes(config.episodes) if config.fisher_checkpoints else []
@@ -239,148 +213,10 @@ def run(config) -> int:
                                          include_beta=not config.fisher_theta_only)
                 _write_spectrum(report, out, episodes_done)
     with open(out / "checkpoint.json", "w") as fh:
-        json.dump(state.policy.to_checkpoint(), fh, indent=1)
+        json.dump({"environment": config.environment, **state.policy.to_checkpoint()}, fh,
+                  indent=1)
     print(out)
     return 0
-
-
-# ---------------------------------------------------------------------------
-# plot
-# ---------------------------------------------------------------------------
-
-_PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
-
-
-def _svg_line_chart(series, xlabel: str, ylabel: str) -> str:
-    import html  # here, not at the top: `qpolgrad run` never loads html.entities
-
-    width, height = 880, 520
-    left, right, top, bottom = 70, 190, 20, 50
-    plot_w, plot_h = width - left - right, height - top - bottom
-    xs_all = np.concatenate([s[1] for s in series])
-    ys_all = np.concatenate([s[2] for s in series])
-    x_lo, x_hi = float(xs_all.min()), float(xs_all.max())
-    y_lo, y_hi = float(ys_all.min()), float(ys_all.max())
-    if x_hi == x_lo:
-        x_hi = x_lo + 1
-    if y_hi == y_lo:
-        y_hi = y_lo + 1
-    pad = 0.05 * (y_hi - y_lo)
-    y_lo, y_hi = y_lo - pad, y_hi + pad
-
-    def sx(x):
-        return left + (x - x_lo) / (x_hi - x_lo) * plot_w
-
-    def sy(y):
-        return top + plot_h - (y - y_lo) / (y_hi - y_lo) * plot_h
-
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<line x1="{left}" y1="{top + plot_h}" x2="{left + plot_w}" y2="{top + plot_h}" '
-        'stroke="black"/>',
-        f'<line x1="{left}" y1="{top}" x2="{left}" y2="{top + plot_h}" stroke="black"/>',
-    ]
-    for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
-        xv = x_lo + frac * (x_hi - x_lo)
-        yv = y_lo + frac * (y_hi - y_lo)
-        parts.append(f'<line x1="{sx(xv):.1f}" y1="{top + plot_h}" x2="{sx(xv):.1f}" '
-                     f'y2="{top + plot_h + 5}" stroke="black"/>')
-        parts.append(f'<text x="{sx(xv):.1f}" y="{top + plot_h + 20}" font-size="12" '
-                     f'text-anchor="middle">{xv:.4g}</text>')
-        parts.append(f'<line x1="{left - 5}" y1="{sy(yv):.1f}" x2="{left}" '
-                     f'y2="{sy(yv):.1f}" stroke="black"/>')
-        parts.append(f'<text x="{left - 8}" y="{sy(yv) + 4:.1f}" font-size="12" '
-                     f'text-anchor="end">{yv:.5g}</text>')
-    parts.append(f'<text x="{left + plot_w / 2:.1f}" y="{height - 12}" font-size="14" '
-                 f'text-anchor="middle">{html.escape(xlabel, quote=False)}</text>')
-    parts.append(f'<text x="18" y="{top + plot_h / 2:.1f}" font-size="14" '
-                 f'text-anchor="middle" transform="rotate(-90 18 {top + plot_h / 2:.1f})">'
-                 f'{html.escape(ylabel, quote=False)}</text>')
-    for i, (name, xs, ys) in enumerate(series):
-        color = _PALETTE[i % len(_PALETTE)]
-        points = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))
-        parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
-                     f'points="{points}"/>')
-        ly = top + 16 + 18 * i
-        lx = left + plot_w + 12
-        parts.append(f'<line x1="{lx}" y1="{ly}" x2="{lx + 24}" y2="{ly}" '
-                     f'stroke="{color}" stroke-width="2"/>')
-        parts.append(f'<text x="{lx + 30}" y="{ly + 4}" font-size="12">'
-                     f'{html.escape(name, quote=False)}</text>')
-    parts.append("</svg>")
-    return "\n".join(parts)
-
-
-def plot(metrics_paths, out_svg, window: int = 50) -> int:
-    """Emit the smoothed reward chart plus the smoothed series as CSV."""
-    series = []
-    for path in metrics_paths:
-        path = Path(path)
-        data = read_metrics(path)
-        if not data["episode"].size:
-            raise ContractError(f"{path}: metrics CSV has no episodes to plot")
-        smoothed = running_mean(data["total_reward"], window)
-        series.append((_series_name(path), data["episode"], smoothed))
-    out_svg = Path(out_svg)
-    out_svg.parent.mkdir(parents=True, exist_ok=True)
-    out_svg.write_text(_svg_line_chart(series, "episode",
-                                       f"running-mean total reward (window {window})"))
-    smoothed_csv = out_svg.with_suffix("").parent / (out_svg.stem + "_smoothed.csv")
-    with open(smoothed_csv, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["series", "episode", "smoothed_total_reward"])
-        for name, xs, ys in series:
-            for x, y in zip(xs, ys):
-                writer.writerow([name, int(x), _fmt(y)])
-    print(out_svg)
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# compare
-# ---------------------------------------------------------------------------
-
-def _run_summary(run_dir: Path, threshold, window: int) -> dict:
-    metrics_path = run_dir / "metrics.csv"
-    checkpoint_path = run_dir / "checkpoint.json"
-    manifest_path = run_dir / "manifest.json"
-    for required in (metrics_path, checkpoint_path, manifest_path):
-        if not required.exists():
-            raise ContractError(f"incomplete run: {required} is missing")
-    manifest = _read_json_object(manifest_path, "manifest")
-    data = read_metrics(metrics_path)
-    smoothed = running_mean(data["total_reward"], window)
-    episodes_to_threshold = None
-    if threshold is not None:
-        crossed = np.nonzero(smoothed >= threshold)[0]
-        if crossed.size:
-            episodes_to_threshold = int(data["episode"][crossed[0]])
-    fisher_series = []
-    for sidecar in sorted(run_dir.glob("fisher_ck_*.json"),
-                          key=lambda p: int(p.stem.split("_")[-1])):
-        info = _read_json_object(sidecar, "Fisher sidecar")
-        try:
-            fisher_series.append({"episode": info["checkpoint_episode"], "trace": info["trace"]})
-        except KeyError as exc:
-            raise ContractError(f"Fisher sidecar {sidecar} is missing {exc}") from exc
-    return {
-        "name": manifest.get("name"),
-        "final_running_mean": float(smoothed[-1]) if smoothed.size else None,
-        "episodes_to_threshold": episodes_to_threshold,
-        "parameter_count": policy_from_checkpoint(checkpoint_path).n_trainable,
-        "fisher_trace_series": fisher_series or None,
-    }
-
-
-def compare(run_a, run_b, threshold=None, window: int = 50) -> dict:
-    return {
-        "window": window,
-        "threshold": threshold,
-        "run_a": _run_summary(Path(run_a), threshold, window),
-        "run_b": _run_summary(Path(run_b), threshold, window),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -470,53 +306,6 @@ def _run_command(args) -> int:
     return run(configuration)
 
 
-def _fisher_command(args) -> int:
-    if args.episode_label < 0:  # it names the spectrum's files
-        raise ConfigError(f"--episode-label must be an integer >= 0, got {args.episode_label}")
-    policy = policy_from_checkpoint(args.checkpoint)
-    report = fisher_spectrum(policy, args.env, args.rollouts,
-                             reinforce.keyed_stream(args.seed, 2, 0),
-                             include_beta=not args.theta_only)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_spectrum(report, out, args.episode_label)
-    print(json.dumps({"trace": report.trace, "k": int(len(report.eigenvalues)),
-                      "nonzero_eigenvalues": int(np.sum(report.eigenvalues > 1e-12))}))
-    return 0
-
-
-def _bounds_command(args) -> int:
-    inputs = analysis.BoundInputs(args.beta, args.r_max, args.horizon, args.gamma,
-                                  args.epsilon, args.delta, args.k, args.n_actions)
-    if args.n_samples is not None and not (np.isfinite(args.n_samples) and args.n_samples >= 0):
-        raise ContractError(f"--n-samples must be a finite number >= 0, got {args.n_samples}")
-    n_traj, n_samples = analysis.lemma1_samples(inputs)
-    effective_samples = args.n_samples if args.n_samples is not None else n_samples
-    per_obs, total = analysis.lemma2_shots(inputs, effective_samples)
-    print(json.dumps({
-        "inputs": {"beta": args.beta, "r_max": args.r_max, "horizon": args.horizon,
-                   "gamma": args.gamma, "epsilon": args.epsilon, "delta": args.delta,
-                   "k": args.k, "n_actions": args.n_actions},
-        "lemma1": {"n_trajectories": n_traj, "n_samples": n_samples},
-        "lemma2": {"shots_per_observable": per_obs, "total_shots": total,
-                   "n_samples_used": effective_samples},
-    }))
-    return 0
-
-
-def _hoeffding_command(args) -> int:
-    # the shot bound reads only epsilon, delta and k; the rest fill Lemma 1's slots
-    inputs = analysis.BoundInputs(1.0, 1.0, 1, 0.99, args.epsilon, args.delta, args.k)
-    rng = np.random.default_rng(args.seed)
-    report = analysis.hoeffding_validate(inputs, args.trials, rng)
-    payload = dataclasses.asdict(report)
-    if args.also_bernoulli:
-        payload["bernoulli_selftest_failure_rate"] = (
-            analysis.bernoulli_hoeffding_failure_rate(0.5, 0.1, 0.05, 2000, rng))
-    print(json.dumps(payload))
-    return 0 if report.passed else 1
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -524,22 +313,9 @@ def main(argv=None) -> int:
             raise ConfigError(f"--seed must be an integer >= 0, got {args.seed}")
         if args.command == "run":
             return _run_command(args)
-        if args.command == "plot":
-            return plot(args.metrics, args.out, args.window)
-        if args.command == "compare":
-            result = compare(args.run_a, args.run_b, args.threshold, args.window)
-            text = json.dumps(result, indent=1)
-            if args.out:
-                Path(args.out).write_text(text)
-            print(text)
-            return 0
-        if args.command == "bounds":
-            return _bounds_command(args)
-        if args.command == "fisher":
-            return _fisher_command(args)
-        if args.command == "validate-hoeffding":
-            return _hoeffding_command(args)
-        raise ConfigError(f"unknown command {args.command!r}")
+        from . import tools
+
+        return tools.main(args)
     except (ConfigError, ContractError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import QControl, rollout, side_stream, trained_policy
-from qpolgrad import cli, envs, reinforce
+from qpolgrad import cli, envs, reinforce, tools
 from qpolgrad import config as cfg
 
 REFERENCE_RUN = Path(__file__).resolve().parent.parent / "cp_s0"
@@ -22,8 +22,8 @@ def test_fisher_checkpoints_leave_training_unchanged(tmp_path):
     args = ["run", "--preset", "cartpole-quantum", "--seed", "0", "--episodes", "60"]
     assert cli.main(args + ["--out", str(plain)]) == 0
     assert cli.main(args + ["--out", str(observed), "--fisher"]) == 0
-    want = cli.read_metrics(plain / "metrics.csv")
-    got = cli.read_metrics(observed / "metrics.csv")
+    want = tools.read_metrics(plain / "metrics.csv")
+    got = tools.read_metrics(observed / "metrics.csv")
     for column in ("total_reward", "discounted_return", "beta", "grad_norm"):
         np.testing.assert_array_equal(got[column], want[column])
 
@@ -85,7 +85,7 @@ def test_dump_trajectories_has_one_row_per_step_and_replays_rollout(tmp_path):
 
     # Steps run 0..T-1 within each episode and `done` marks only the last one;
     # the rewards of an episode add up to its metrics row.
-    metrics = cli.read_metrics(out / "metrics.csv")
+    metrics = tools.read_metrics(out / "metrics.csv")
     episodes = [[row for row in rows if int(row["episode"]) == ep] for ep in range(20)]
     assert sum(len(ep) for ep in episodes) == len(rows)
     for ep, ep_rows in enumerate(episodes):
@@ -117,7 +117,7 @@ def test_a_network_with_no_hidden_layer_runs_from_a_config(tmp_path):
     checkpoint = json.loads((out / "checkpoint.json").read_text())
     assert checkpoint["spec"]["layer_sizes"] == [4, 2]
     assert [np.shape(w) for w in checkpoint["weights"]] == [(2, 4)]
-    assert len(cli.read_metrics(out / "metrics.csv")["total_reward"]) == 20
+    assert len(tools.read_metrics(out / "metrics.csv")["total_reward"]) == 20
     assert len(list(out.glob("fisher_ck_*.csv"))) == 10
 
 
@@ -140,7 +140,7 @@ def test_compare_and_fisher_read_both_checkpoint_kinds(tmp_path):
         assert cli.main(["fisher", "--checkpoint", str(runs[preset] / "checkpoint.json"),
                          "--env", "qcontrol", "--rollouts", "2",
                          "--out", str(tmp_path / f"fisher-{preset}")]) == 0
-    summary = cli.compare(runs["qcontrol-quantum"], runs["qcontrol-classical"])
+    summary = tools.compare(runs["qcontrol-quantum"], runs["qcontrol-classical"])
     assert summary["run_a"]["parameter_count"] == 3 + 1
     assert summary["run_b"]["parameter_count"] == 4 * 16 + 16 * 2
 
@@ -307,9 +307,39 @@ def test_fisher_refuses_a_checkpoint_that_cannot_act_in_the_env(tmp_path, capsys
         assert not out.exists()
 
 
+def test_fisher_refuses_a_checkpoint_trained_on_another_env(tmp_path, capsys):
+    # A qcontrol policy reads 4 floats as a 1-qubit state's amplitudes, as
+    # many as cartpole's features: the width check passed, and a spectrum of
+    # cartpole states read as amplitudes was printed.
+    run_dir, out = tmp_path / "run", tmp_path / "fisher"
+    assert cli.main(["run", "--preset", "qcontrol-quantum", "--episodes", "10",
+                     "--out", str(run_dir)]) == 0
+    checkpoint = run_dir / "checkpoint.json"
+    assert json.loads(checkpoint.read_text())["environment"] == "qcontrol"
+    capsys.readouterr()
+    assert cli.main(["fisher", "--checkpoint", str(checkpoint), "--env", "cartpole",
+                     "--rollouts", "2", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: checkpoint {checkpoint}")
+    assert "qcontrol" in captured.err and "cartpole" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_fisher_reads_a_checkpoint_that_records_no_env(tmp_path, capsys):
+    # `cp_s0` predates the recorded environment; it loads as before.
+    assert "environment" not in json.loads((REFERENCE_RUN / "checkpoint.json").read_text())
+    out = tmp_path / "fisher"
+    assert cli.main(["fisher", "--checkpoint", str(REFERENCE_RUN / "checkpoint.json"),
+                     "--env", "cartpole", "--rollouts", "2", "--out", str(out)]) == 0
+    assert json.loads(capsys.readouterr().out)["k"] == len(list(
+        (out / "fisher_ck_0.csv").read_text().splitlines())) - 1
+
+
 @pytest.mark.parametrize("argv", [
     ["bounds", "--epsilon", "1e-300", "--delta", "0.1", "--k", "4"],
     ["validate-hoeffding", "--epsilon", "1e-300", "--trials", "2"],
+    ["validate-hoeffding", "--epsilon", "1e-150", "--trials", "1"],
     ["bounds", "--epsilon", "1", "--delta", "0.1", "--k", "4", "--beta", "1e200"],
     ["validate-hoeffding", "--delta", "1e-320", "--trials", "2"],
     ["bounds", "--epsilon", "0.1", "--delta", "0.1", "--k", "4", "--n-samples", "1e308"],
@@ -319,7 +349,9 @@ def test_fisher_refuses_a_checkpoint_that_cannot_act_in_the_env(tmp_path, capsys
 def test_overflowing_bounds_and_a_negative_fisher_label_fail_with_an_error_line(
         tmp_path, capsys, argv):
     # The bounds raised ZeroDivisionError or OverflowError, or printed
-    # Infinity, which is not JSON; the label named a file fisher_ck_-5.csv.
+    # Infinity, which is not JSON; a finite shot bound of about 4e300 asked
+    # the generator for more draws than an int64 holds; the label named a
+    # file fisher_ck_-5.csv.
     out = tmp_path / "out"
     assert cli.main(argv + (["--out", str(out)] if argv[0] == "fisher" else [])) == 1
     captured = capsys.readouterr()

@@ -18,7 +18,7 @@ import pytest
 
 from qpolgrad import cli
 from qpolgrad import config as cfg
-from qpolgrad import reinforce
+from qpolgrad import reinforce, tools
 
 ROOT = Path(__file__).resolve().parent.parent
 REFERENCE = ROOT / "cp_s0" / "metrics.csv"
@@ -48,7 +48,7 @@ def replay(out: Path, ref: dict, args: list[str]) -> None:
     and Fisher files by the golden rule."""
     assert cli.main(["run", "--preset", ref["preset"], "--seed", str(ref["seed"]),
                      "--episodes", str(ref["episodes"]), "--out", str(out), *args]) == 0
-    got = cli.read_metrics(out / "metrics.csv")
+    got = tools.read_metrics(out / "metrics.csv")
     for column in ("total_reward", "discounted_return"):
         np.testing.assert_array_equal(got[column], ref["metrics"][column])
     for column in ("beta", "grad_norm"):

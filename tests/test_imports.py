@@ -1,5 +1,5 @@
 """Import hygiene: every top-level import in the package is used, and
-importing the command line loads no module that only `qpolgrad plot` needs."""
+`qpolgrad run` loads no module that only another subcommand needs."""
 import ast
 import os
 import subprocess
@@ -40,12 +40,45 @@ def test_no_unused_top_level_import(path):
     assert unused_imports(path.read_text()) == []
 
 
-def test_importing_the_cli_leaves_plot_modules_unloaded():
-    # html (and its html.entities table, 0.35 MB of Python objects) only
-    # escapes the SVG chart's labels; `qpolgrad run` imports this module.
-    code = "import sys, qpolgrad.cli; print(' '.join(m for m in sys.modules if m.startswith('html')))"
+def loaded_modules(code: str, prefix: str) -> list[str]:
+    """Modules named `prefix`... that a fresh interpreter holds after `code`."""
+    code += f"\nimport sys; print(' '.join(m for m in sys.modules if m.startswith({prefix!r})))"
     proc = subprocess.run([sys.executable, "-c", code],
                           env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == []
+    return proc.stdout.splitlines()[-1].split()
+
+
+def test_importing_the_cli_leaves_plot_modules_unloaded():
+    # html (and its html.entities table, 0.35 MB of Python objects) only
+    # escapes the SVG chart's labels; `qpolgrad run` imports this module.
+    assert loaded_modules("import qpolgrad.cli", "html") == []
+
+
+def test_importing_the_cli_leaves_analysis_and_tools_unloaded():
+    # Without bytecode caches every module a run imports is compiled from
+    # source, and the compiler's memory counts in the run's peak.
+    loaded = loaded_modules("import qpolgrad.cli", "qpolgrad.")
+    assert "qpolgrad.analysis" not in loaded and "qpolgrad.tools" not in loaded
+
+
+@pytest.mark.parametrize("fisher", [False, True], ids=["plain", "fisher"])
+def test_a_run_loads_analysis_only_for_fisher_spectra(tmp_path, fisher):
+    argv = ["run", "--preset", "cartpole-quantum", "--episodes", "1", "--seed", "0",
+            "--out", str(tmp_path / "run")] + (["--fisher"] if fisher else [])
+    loaded = loaded_modules(f"from qpolgrad import cli\nassert cli.main({argv!r}) == 0",
+                            "qpolgrad.")
+    assert ("qpolgrad.analysis" in loaded) == fisher
+    assert "qpolgrad.tools" not in loaded
+
+
+@pytest.mark.parametrize("command", [[], ["run"], ["plot"], ["compare"], ["bounds"], ["fisher"],
+                                     ["validate-hoeffding"]],
+                         ids=lambda command: " ".join(command) or "qpolgrad")
+def test_every_help_exits_zero(command):
+    proc = subprocess.run([sys.executable, "-m", "qpolgrad", *command, "--help"],
+                          env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: qpolgrad")

@@ -181,18 +181,3 @@ def hoeffding_validate(b: BoundInputs, trials: int,
     return HoeffdingReport(trials, failures, rate, b.epsilon, b.delta,
                            shots_total, max_dev, rate <= b.delta)
 
-
-def bernoulli_hoeffding_failure_rate(p: float, epsilon: float, delta: float,
-                                     trials: int, rng: np.random.Generator) -> float:
-    """Textbook sanity instance: estimate a coin's bias with the Hoeffding
-    sample size n = ln(2/delta) / (2 eps^2) and report how often the
-    estimate misses by more than epsilon."""
-    if trials < 0:
-        raise ContractError(f"trials must be >= 0, got {trials}")
-    n = int(math.ceil(math.log(2.0 / delta) / (2.0 * epsilon**2)))
-    failures = 0
-    for _ in range(trials):
-        estimate = rng.binomial(n, p) / n
-        if abs(estimate - p) > epsilon:
-            failures += 1
-    return failures / trials if trials else 0.0

@@ -99,13 +99,6 @@ def _forward_cached(weights, x, dropout_p, rng, hidden, drops):
     return a, [x] + acts
 
 
-def forward(weights: list[np.ndarray], features) -> np.ndarray:
-    """Eval-mode (dropout-free) action preferences for one feature row or many."""
-    x = np.atleast_2d(np.asarray(features, dtype=float))
-    out, _ = _forward_cached(weights, x, 0.0, None, _hidden_arrays(weights, len(x)), None)
-    return out[0] if np.asarray(features).ndim == 1 else out
-
-
 def _backward(weights, x, actions, dropout_p, rng, scale, hidden, drops, relu):
     """Per layer from the output down, yields the rows' (output delta, input
     activation) of the backward pass of log pi(a_t | x_t) through the
@@ -168,10 +161,12 @@ class MlpPolicy:
             self.weights.append(vec[pos:pos + n_in * n_out].reshape(n_out, n_in).copy())
             pos += n_in * n_out
 
-    def probabilities(self, obs, rng=None, abs_max=None) -> np.ndarray:
-        """(|A|,) for one feature row or (m, |A|) for m rows, from the eval-mode
-        network (`rng`, `abs_max` unused); a row's bits do not depend on the others."""
-        return softmax_policy(forward(self.weights, obs), self.beta)
+    def probabilities(self, obs, rngs, abs_max) -> np.ndarray:
+        """(m, |A|) for m feature rows, from the eval-mode (dropout-free)
+        network (`rngs`, `abs_max` unused); a row's bits do not depend on the others."""
+        prefs, _ = _forward_cached(self.weights, obs, 0.0, None,
+                                   _hidden_arrays(self.weights, len(obs)), None)
+        return softmax_policy(prefs, self.beta)
 
     def _batch(self, observations, actions, rng, weights=None):
         """A gradient's `checked_batch`, and dropout's rng checked."""

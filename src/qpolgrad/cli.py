@@ -281,8 +281,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_hoeff.add_argument("--trials", type=int, default=500)
     p_hoeff.add_argument("--seed", type=int, default=0)
     p_hoeff.add_argument("--k", type=int, default=4)
-    p_hoeff.add_argument("--also-bernoulli", action="store_true",
-                         help="include the textbook coin-estimation self-test")
     return parser
 
 

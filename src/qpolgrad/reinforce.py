@@ -18,9 +18,13 @@ A policy (`QuantumPolicy` or `MlpPolicy`) offers: `n_features` and
 `n_trainable`, the length of its flat trainable vector, which Adam reads
 with `get_vector` and writes with `set_vector`, the one place a policy
 unpacks it; `normalizer`, its `FeatureNormalizer` or None; `beta`, its
-softmax inverse temperature; `probabilities(obs, rng, abs_max)` for one
-feature row or m; and the gradients `grad_log_batch` (T, n_trainable) and
-`weighted_grad_log` (n_trainable,). Its width and action count are checked
+softmax inverse temperature; `probabilities(obs, rngs, abs_max)`, the
+(m, n_actions) action probabilities of the m running episodes, which takes
+one form: their (m, n_features) float rows, their m generators, and the
+(m, n_features) per-row maxima that scale angle encoding, or None without a
+normalizer; and the gradients `grad_log_batch` (T, n_trainable) and
+`weighted_grad_log` (n_trainable,) of a batch's (T, n_features) float rows
+and T actions. Its width and action count are checked
 once where data enters: `run_episodes` against the environment's, and
 `vqpolicy.checked_batch` against a gradient's batch. A run's state
 (`RunState`) is the policy and the Adam moments.

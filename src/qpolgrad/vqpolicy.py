@@ -28,7 +28,8 @@ with respect to the angles take one of two routes:
   walked back through the program together, and a rotation
   exp(-i theta P / 2) contributes Im<lambda|P psi>. The co-state of row psi_t is
   lambda_t = O_t psi_t, where O_t = sum_a w_ta Z_a. A gradient makes one
-  pass over its batch, CHUNK_ROWS rows at a time: each chunk is encoded,
+  pass over its batch, CHUNK_ROWS rows at a time (a lone last row joins
+  the chunk before it, as in `row_blocks`): each chunk is encoded,
   pushed through the row operator, read out and turned into co-state
   weights, so no (T, 2**n) array is ever held. Per-sample gradients
   (the Fisher matrix) sweep each chunk's pairs (psi_t, lambda_t). Training
@@ -113,9 +114,13 @@ def checked_vector(vec, size: int) -> np.ndarray:
     """A policy's trainable vector: a private, read-only float copy of `vec`,
     which must be `size` finite numbers."""
     vec = np.array(vec, dtype=float)
-    if vec.shape != (size,) or not np.all(np.isfinite(vec)):
+    if vec.shape != (size,):
         raise ContractError(f"a trainable vector must be {size} finite numbers, "
                             f"got shape {vec.shape}")
+    bad = np.flatnonzero(~np.isfinite(vec))
+    if bad.size:
+        raise ContractError(f"a trainable vector must be {size} finite numbers, got "
+                            f"{bad.size} non-finite, the first at index {bad[0]}")
     vec.flags.writeable = False
     return vec
 
@@ -125,8 +130,8 @@ def checked_batch(policy, observations, actions, weights=None):
     features as a (T, n_features) float array, T whole-number action indices
     in [0, n_actions) as ints and T float weights, or None if none are given.
     Anything else raises ContractError; a fractional action is refused, not
-    truncated. The one width check of a gradient's batch."""
-    feats = np.atleast_2d(np.asarray(observations, dtype=float))
+    truncated; so is a lone 1-D row. The one width check of a gradient's batch."""
+    feats = np.asarray(observations, dtype=float)
     actions = np.asarray(actions)
     weights = None if weights is None else np.asarray(weights, dtype=float)
     shapes = [np.shape(v) for v in (actions, weights) if v is not None]
@@ -163,10 +168,8 @@ class FeatureNormalizer:
                                     f"got {self.running_abs_max.tolist()}")
 
     def widened(self, features: np.ndarray) -> np.ndarray:
-        """The maxima widened to cover a row or (T, n) array, not recorded."""
-        features = np.asarray(features, dtype=float)
-        absmax = np.abs(features) if features.ndim == 1 else np.abs(features).max(axis=0)
-        return np.maximum(self.running_abs_max, absmax)
+        """The maxima widened to cover a (T, n) array of rows, not recorded."""
+        return np.maximum(self.running_abs_max, np.abs(features).max(axis=0))
 
     def observe(self, features: np.ndarray) -> None:
         self.running_abs_max = self.widened(features)
@@ -338,9 +341,10 @@ def row_preferences(spec: CircuitSpec, theta: np.ndarray, enc: np.ndarray,
 
 
 def softmax_policy(prefs: np.ndarray, beta: float) -> np.ndarray:
-    """Action probabilities exp(beta * pref) / sum, computed in log-space, in
-    place on the one new array beta * prefs."""
-    z = beta * np.asarray(prefs, dtype=float)
+    """Action probabilities exp(beta * pref) / sum of (T, |A|) float
+    preferences, computed in log-space, in place on the one new array
+    beta * prefs."""
+    z = beta * prefs
     z -= np.maximum.reduce(z, axis=-1, keepdims=True)
     np.exp(z, out=z)
     z /= np.add.reduce(z, axis=-1, keepdims=True)
@@ -464,39 +468,33 @@ class QuantumPolicy:
                                                     self.spec.n_qubits)
         return self._rowop
 
-    def _encode_batch(self, observations, abs_max=None) -> np.ndarray:
-        """Row-stacked input states, shape (T, 2**n), from one feature row or a
-        (T, n_features) array. Angle encoding divides by per-row maxima
-        `abs_max`, by default the normalizer's `widened` to cover the rows."""
-        feats = np.atleast_2d(np.asarray(observations, dtype=float))
+    def _encode_batch(self, feats: np.ndarray, abs_max: np.ndarray | None) -> np.ndarray:
+        """Row-stacked input states, shape (T, 2**n), from a (T, n_features)
+        float array. Angle encoding divides by the maxima `abs_max`, (T, n)
+        per row or (n,) for all rows; amplitude input reads none (None)."""
         if self.spec.encoding == "none":
             return qsim.feature_amplitudes(feats)
-        if abs_max is None:
-            abs_max = self.normalizer.widened(feats)
         return encoded_rows(feats * (np.pi / abs_max))
 
-    def probabilities(self, obs, rng=None, abs_max=None) -> np.ndarray:
-        """(|A|,) for one feature row or (m, |A|) for m rows, from one
-        `serial_matmul` and one readout; `abs_max` as in `_encode_batch`.
-        `rng` is one generator or a sequence of m: shot mode draws row i's
-        counts on the i-th, exact mode draws from none, so a rollout passes
-        them in either mode."""
-        single = np.ndim(obs) == 1
+    def probabilities(self, obs, rngs, abs_max) -> np.ndarray:
+        """(m, |A|) for m feature rows, from one `serial_matmul` and one
+        readout; `abs_max` as in `_encode_batch`. `rngs` holds m generators:
+        shot mode draws row i's counts on the i-th, exact mode draws from
+        none, so a rollout passes them in either mode."""
         prefs = _readout(self.spec, serial_matmul(self._encode_batch(obs, abs_max),
                                                   self.row_operator()))
         if self.shots:
-            rngs = [rng] if single else rng
-            if rngs is None or isinstance(rngs, np.random.Generator) or len(rngs) != len(prefs):
+            if rngs is None or len(rngs) != len(prefs):  # zip would drop rows silently
                 raise ContractError(f"a shot readout of {len(prefs)} rows needs a sequence "
                                     f"of {len(prefs)} generators, one per row")
             prefs = np.concatenate([_draw_shots(self.spec, row[None], self.shots, r)
                                     for row, r in zip(prefs, rngs)])
-        probs = softmax_policy(prefs, self.beta)
-        return probs[0] if single else probs
+        return softmax_policy(prefs, self.beta)
 
     def _score_chunks(self, feats, actions, rng):
         """One pass over a `checked_batch`'s T rows and actions, CHUNK_ROWS
-        rows at a time from row 0; shot mode takes all T as one chunk, so its
+        rows at a time from row 0 by `row_blocks`' rule, so a lone last row
+        joins the chunk before it; shot mode takes all T as one chunk, so its
         readout draws in batch order. Yields each chunk's row slice, input
         rows (None in exact mode, whose sweep starts from the output rows, so
         they are dropped once those exist), output rows, readout weights
@@ -505,9 +503,9 @@ class QuantumPolicy:
         chunk by the normalizer's maxima widened to cover all T observations,
         which after a training batch are the normalizer's own."""
         abs_max = self.normalizer.widened(feats) if self.spec.encoding == "angle_rx" else None
-        size = len(feats) if self.shots else CHUNK_ROWS
-        for lo in range(0, len(feats), size):
-            rows = slice(lo, lo + size)
+        chunks = ([slice(None)] if self.shots  # else blocks of CHUNK_ROWS rows
+                  else row_blocks(len(feats), BLOCK_NUMBERS // CHUNK_ROWS))
+        for rows in chunks:
             enc = self._encode_batch(feats[rows], abs_max)
             out = serial_matmul(enc, self.row_operator())
             if not self.shots:

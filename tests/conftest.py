@@ -267,7 +267,7 @@ def rescale(normalizer, features) -> np.ndarray:
 def encode_gates(features, normalizer) -> Statevector:
     """Angle-encode one feature vector gate by gate: RX(normalized feature) per qubit."""
     features = np.asarray(features, dtype=float)
-    normalizer.observe(features)
+    normalizer.observe(features[None])
     angles = rescale(normalizer, features)
     state = init_zero(len(angles))
     for i, angle in enumerate(angles):
@@ -294,9 +294,14 @@ def grad_log(policy, obs, action: int, rng=None) -> np.ndarray:
 def batch_score_terms(policy, observations, actions):
     """Input rows, output rows, readout weights and beta entries of T pairs
     under an exact-mode quantum policy, each formed over the whole batch at
-    once."""
+    once; angle encoding scales by the normalizer's maxima widened over all
+    T rows."""
+    observations = np.asarray(observations, dtype=float)
     actions = np.asarray(actions, dtype=int)
-    enc = policy._encode_batch(observations)
+    abs_max = None
+    if policy.spec.encoding == "angle_rx":
+        abs_max = policy.normalizer.widened(observations)
+    enc = policy._encode_batch(observations, abs_max)
     out_rows = vqpolicy.serial_matmul(enc, policy.row_operator())
     prefs = vqpolicy._readout(policy.spec, out_rows, 0, None)
     probs = vqpolicy.softmax_policy(prefs, policy.beta)
@@ -325,32 +330,28 @@ def whole_pair_gradients(spec, theta, psi, lam) -> np.ndarray:
 
 def batch_grad_log(policy, observations, actions) -> np.ndarray:
     """Exact-mode (T, k+1) log-policy gradients from the whole-batch terms:
-    the T output rows with their co-states are swept CHUNK_ROWS at a
-    time from row 0, each chunk as one whole pair. The chunks keep the bits
-    of a lone last row, which the sweep rounds apart from a row among others
-    (by about 1e-33 on near-zero entries)."""
+    all T output rows with their co-states are swept as one whole pair."""
     _, out_rows, weights, gbeta = batch_score_terms(policy, observations, actions)
     lam = out_rows * vqpolicy._observable_diagonals(policy.spec, weights)
-    step = vqpolicy.CHUNK_ROWS
-    gtheta = np.concatenate([
-        whole_pair_gradients(policy.spec, policy.theta, out_rows[lo:lo + step], lam[lo:lo + step])
-        for lo in range(0, len(out_rows), step)])
+    gtheta = whole_pair_gradients(policy.spec, policy.theta, out_rows, lam)
     return np.concatenate([gtheta, gbeta[:, None]], axis=1)
 
 
 def batch_weighted_grad_log(policy, observations, actions, weights) -> np.ndarray:
     """Exact-mode sum_t weights[t] * grad log pi(a_t | s_t) from the
     whole-batch terms: the output rows fold into M = sum_t |psi_t><O_t psi_t|
-    CHUNK_ROWS rows at a time from row 0, and M's rows are swept
-    against the identity's as one whole pair."""
+    CHUNK_ROWS rows at a time from row 0, a lone last row with the chunk
+    before it, since the fold's sum order follows the package's chunks, and
+    M's rows are swept against the identity's as one whole pair."""
     spec = policy.spec
     _, out_rows, readout, gbeta = batch_score_terms(policy, observations, actions)
     w = readout * weights[:, None]
     dim, step = 2**spec.n_qubits, vqpolicy.CHUNK_ROWS
+    stops = [*range(step, len(out_rows) - 1, step), len(out_rows)]
     m = np.zeros((dim, dim), dtype=complex)
-    for lo in range(0, len(out_rows), step):
-        psi = out_rows[lo:lo + step]
-        lam = psi * vqpolicy._observable_diagonals(spec, w[lo:lo + step])
+    for lo, hi in zip([0, *stops], stops):
+        psi = out_rows[lo:hi]
+        lam = psi * vqpolicy._observable_diagonals(spec, w[lo:hi])
         m += vqpolicy.serial_matmul(lam.conj().T, psi)
     gtheta = whole_pair_gradients(spec, policy.theta, m, np.eye(dim)).sum(axis=0)
     return np.append(gtheta, weights @ gbeta)
@@ -597,7 +598,9 @@ def sample_action(probs: np.ndarray, uniform: float) -> int:
 
 
 def rollout(env, policy, rng, gamma, normalizer=None):
-    """One episode on a scalar env, one 1-row inference per step.
+    """One episode on a scalar env, one 1-row inference per step: the row,
+    its one generator and its maxima (None without a normalizer), each as
+    the lockstep rollout's arrays of one row.
 
     `rng` draws the reset, then `max_steps` action uniforms; a shot readout
     draws from it after them, step by step. With a `normalizer`, each
@@ -611,9 +614,9 @@ def rollout(env, policy, rng, gamma, normalizer=None):
     while not done:
         abs_max = None
         if normalizer is not None:
-            normalizer.observe(obs)
-            abs_max = normalizer.running_abs_max
-        probs = policy.probabilities(obs, rng, abs_max)
+            normalizer.observe(obs[None])
+            abs_max = normalizer.running_abs_max[None]
+        probs = policy.probabilities(obs[None], [rng], abs_max)[0]
         action = sample_action(probs, uniforms[len(actions)])
         observations.append(obs)
         actions.append(action)
@@ -636,7 +639,7 @@ def sequential_batch(environment, policy, rngs, gamma):
                for rng, copy in zip(rngs, copies)]
     for copy in copies:
         if copy is not None:
-            master.observe(copy.running_abs_max)
+            master.observe(copy.running_abs_max[None])
     return [r[0] for r in results], [r[1] for r in results]
 
 

@@ -6,7 +6,6 @@ import pytest
 from qpolgrad import analysis
 from qpolgrad.analysis import (
     BoundInputs,
-    bernoulli_hoeffding_failure_rate,
     fisher_matrix,
     hoeffding_validate,
     lemma1_samples,
@@ -261,13 +260,6 @@ def test_bound_inputs_validation():
 # Hoeffding validation
 # ---------------------------------------------------------------------------
 
-def test_bernoulli_hoeffding_selftest():
-    rate = bernoulli_hoeffding_failure_rate(
-        0.5, epsilon=0.1, delta=0.05, trials=2000, rng=np.random.default_rng(6)
-    )
-    assert rate <= 0.05
-
-
 def test_hoeffding_validate_zero_trials():
     b = BoundInputs(1, 1, 10, 0.99, epsilon=0.2, delta=0.1, k=4)
     report = hoeffding_validate(b, 0, np.random.default_rng(0))
@@ -289,9 +281,6 @@ def test_hoeffding_rejects_negative_trials():
     b = BoundInputs(1, 1, 10, 0.99, epsilon=0.2, delta=0.1, k=4)
     with pytest.raises(ContractError):
         hoeffding_validate(b, -5, np.random.default_rng(0))
-    with pytest.raises(ContractError):
-        bernoulli_hoeffding_failure_rate(0.5, 0.1, 0.05, -5, np.random.default_rng(0))
-    assert bernoulli_hoeffding_failure_rate(0.5, 0.1, 0.05, 0, np.random.default_rng(0)) == 0.0
 
 
 def test_default_probe_is_three_pulse_free_steps_from_zero():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qpolgrad import classical
-from qpolgrad.classical import MlpPolicy, MlpSpec, forward, preset
+from qpolgrad.classical import MlpPolicy, MlpSpec, preset
 from qpolgrad.errors import ConfigError, ContractError
 from qpolgrad.reinforce import init_mlp_params
 from qpolgrad.vqpolicy import CHUNK_ROWS, softmax_policy
@@ -16,6 +16,13 @@ from conftest import (allocating_mlp_grad_log_batch, allocating_mlp_weighted_gra
 def glorot(spec, rng):
     """A Glorot-normal trainable vector, as the presets initialize it."""
     return init_mlp_params({"kind": "glorot_normal"}, spec, rng)
+
+
+def eval_preferences(weights, x):
+    """The eval-mode (dropout-free) forward's preferences of (T, n) rows, as
+    `MlpPolicy.probabilities` forms them."""
+    hidden = classical._hidden_arrays(weights, len(x))
+    return classical._forward_cached(weights, x, 0.0, None, hidden, None)[0]
 
 
 def test_preset_shapes_and_parameter_counts():
@@ -42,7 +49,7 @@ def test_spec_validation():
 def test_zero_weights_give_uniform_policy():
     spec = MlpSpec((4, 8, 3))
     weights = MlpPolicy(spec, np.zeros(spec.n_params)).weights
-    prefs = forward(weights, np.array([1.0, -2.0, 0.5, 3.0]))
+    prefs = eval_preferences(weights, np.array([[1.0, -2.0, 0.5, 3.0]]))[0]
     np.testing.assert_allclose(prefs, np.zeros(3))
     np.testing.assert_allclose(softmax_policy(prefs, 1.0), np.full(3, 1 / 3))
 
@@ -51,7 +58,7 @@ def test_scalar_chain_hand_evaluation():
     # 1-1-1 net, hidden weight 2, output weight w: input 3 -> relu(6) -> 6w
     spec = MlpSpec((1, 1, 1))
     for w_out in (0.5, -1.25):
-        out = forward([np.array([[2.0]]), np.array([[w_out]])], np.array([3.0]))
+        out = eval_preferences([np.array([[2.0]]), np.array([[w_out]])], np.array([[3.0]]))[0]
         assert out[0] == pytest.approx(6.0 * w_out)
 
 
@@ -92,8 +99,8 @@ def fd_log_policy(spec, flat, x, action, h=1e-5):
         up[j] += h
         dn = flat.copy()
         dn[j] -= h
-        lp_up = np.log(MlpPolicy(spec, up).probabilities(x)[action])
-        lp_dn = np.log(MlpPolicy(spec, dn).probabilities(x)[action])
+        lp_up = np.log(MlpPolicy(spec, up).probabilities(x[None], None, None)[0, action])
+        lp_dn = np.log(MlpPolicy(spec, dn).probabilities(x[None], None, None)[0, action])
         g[j] = (lp_up - lp_dn) / (2 * h)
     return g
 
@@ -133,11 +140,11 @@ def test_no_hidden_layer_matches_finite_differences_across_a_chunk_boundary():
     policy = MlpPolicy(spec, vec)
     t = CHUNK_ROWS + 7
     obs, actions, adv = rng.normal(size=(t, 4)), rng.integers(2, size=t), rng.normal(size=t)
-    np.testing.assert_allclose(forward(policy.weights, obs), obs @ policy.weights[0].T,
+    np.testing.assert_allclose(eval_preferences(policy.weights, obs), obs @ policy.weights[0].T,
                                rtol=1e-14, atol=1e-15)
 
     def log_pi(v):
-        return np.log(MlpPolicy(spec, v).probabilities(obs)[np.arange(t), actions])
+        return np.log(MlpPolicy(spec, v).probabilities(obs, None, None)[np.arange(t), actions])
 
     h, fd = 1e-5, np.empty((t, spec.n_params))
     for j in range(spec.n_params):
@@ -175,8 +182,8 @@ def test_eval_mode_is_deterministic_with_dropout_configured():
     spec = MlpSpec((4, 16, 2), dropout_p=0.2)
     weights = MlpPolicy(spec, glorot(spec, rng)).weights
     x = rng.normal(size=4)
-    a = forward(weights, x)
-    b = forward(weights, x)
+    a = eval_preferences(weights, x[None])
+    b = eval_preferences(weights, x[None])
     np.testing.assert_array_equal(a, b)
 
 
@@ -188,7 +195,7 @@ def test_dropout_expectation_matches_eval_forward():
     spec = MlpSpec((4, 16, 2), dropout_p=0.2)
     weights = MlpPolicy(spec, glorot(spec, rng)).weights
     x = rng.normal(size=4)
-    exact = forward(weights, x)
+    exact = eval_preferences(weights, x[None])[0]
     n = 10**4
     hidden, drops = classical._hidden_arrays(weights, 1), classical._hidden_arrays(weights, 1)
     draws = np.stack([classical._forward_cached(weights, x[None], spec.dropout_p, rng, hidden,
@@ -321,7 +328,7 @@ def test_score_identity_classical():
     for _ in range(25):
         policy = MlpPolicy(spec, glorot(spec, rng))
         x = rng.normal(size=4)
-        probs = policy.probabilities(x)
+        probs = policy.probabilities(x[None], None, None)[0]
         total = np.zeros(spec.n_params)
         for a in range(3):
             total += probs[a] * grad_log(policy, x, a)
@@ -338,7 +345,8 @@ def test_checkpoint_roundtrip():
     assert loaded.spec == policy.spec
     assert loaded.get_vector().tobytes() == policy.get_vector().tobytes()
     x = rng.normal(size=(3, 4))
-    assert loaded.probabilities(x).tobytes() == policy.probabilities(x).tobytes()
+    assert (loaded.probabilities(x, None, None).tobytes()
+            == policy.probabilities(x, None, None).tobytes())
     assert set(data) == {"weights", "spec"}
 
 
@@ -352,8 +360,9 @@ def test_checkpoint_with_use_bias_key_still_loads():
     data["spec"]["use_bias"] = False
     loaded = MlpPolicy.from_checkpoint(json.loads(json.dumps(data)))
     assert loaded.spec == spec
-    x = rng.normal(size=4)
-    np.testing.assert_array_equal(loaded.probabilities(x), policy.probabilities(x))
+    x = rng.normal(size=(1, 4))
+    np.testing.assert_array_equal(loaded.probabilities(x, None, None),
+                                  policy.probabilities(x, None, None))
 
 
 def test_checkpoint_with_misshapen_weights_is_rejected():

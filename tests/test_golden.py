@@ -8,8 +8,11 @@ rule is the benchmark gate's: `total_reward` and `discounted_return` match
 exactly, `beta` and `grad_norm` within abs 1e-9 + rel 1e-9, because batches
 whose advantages are zero give a gradient norm of about 1e-14 that is pure
 rounding noise, and Fisher eigenvalues within 1e-9 of the largest one.
+`tests/reference/record.py --check` replays all of them by that rule (the
+shot runs it records exactly), and its comparison is tested here.
 """
 import csv
+import importlib.util
 import json
 from pathlib import Path
 
@@ -77,3 +80,48 @@ def test_recorded_shot_runs_replay(tmp_path):
     for i, ref in enumerate(runs):
         assert "--shots" in ref["args"] and ref["fisher"]
         replay(tmp_path / str(i), ref, ref["args"])
+
+
+def load_record():
+    """`tests/reference/record.py` as a module (it is a script, not a package)."""
+    spec = importlib.util.spec_from_file_location("record", SHOTS.parent / "record.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_reference_check_reports_deviations_and_applies_each_rule():
+    # `record.py --check` reports each column's largest deviations and first
+    # differing episode and each spectrum's eigenvalue deviation over the
+    # largest eigenvalue; the golden rule forgives last-bit noise in beta,
+    # grad_norm and the spectra, the exact rule of the shot runs nothing.
+    record = load_record()
+    metrics = {name: [1.0, 2.0, 4.0] for name in record.COLUMNS}
+    spectrum = {"trace": 3.0, "k": 2, "eigenvalues": [2.0, 1.0]}
+    recorded = {"metrics": metrics, "fisher": {"10": spectrum}}
+
+    def fresh(column=None, episode=0, value=0.0, eigenvalue=0.0):
+        run = json.loads(json.dumps(recorded))
+        if column:
+            run["metrics"][column][episode] += value
+        run["fisher"]["10"]["eigenvalues"][1] += eigenvalue
+        return run
+
+    lines, ok = record.compare(recorded, fresh(), exact=True)
+    assert ok and lines[2].endswith(" beta              max abs 0, max rel 0, first differing "
+                                    "episode none")
+    lines, ok = record.compare(recorded, fresh("beta", 2, 4e-12), exact=False)
+    assert ok and lines[2].endswith("max abs 4e-12, max rel 1e-12, first differing episode 2")
+    assert not record.compare(recorded, fresh("beta", 2, 4e-12), exact=True)[1]
+    assert not record.compare(recorded, fresh("beta", 1, 1e-6), exact=False)[1]
+    assert not record.compare(recorded, fresh("total_reward", 1, 1e-12), exact=False)[1]
+    lines, ok = record.compare(recorded, fresh(eigenvalue=1e-12), exact=False)
+    assert ok and "eigenvalue deviation / largest eigenvalue 5e-13" in lines[-1]
+    assert not record.compare(recorded, fresh(eigenvalue=1e-8), exact=False)[1]
+    missing = fresh()
+    missing["fisher"] = {}
+    lines, ok = record.compare(recorded, missing, exact=False)
+    assert not ok and lines[-1] == "  Fisher 10: recorded only"
+    short = fresh()
+    short["metrics"]["grad_norm"].pop()
+    assert not record.compare(recorded, short, exact=False)[1]

@@ -259,7 +259,7 @@ def test_policy_gradient_matches_finite_difference_surrogate():
         for traj in batch:
             adv = traj.returns - b[: len(traj)]
             for obs, action, a_t in zip(traj.observations, traj.actions, adv):
-                total += a_t * np.log(policy.probabilities(obs)[action])
+                total += a_t * np.log(policy.probabilities(obs[None], None, None)[0, action])
         return total / len(batch)
 
     h = 1e-4
@@ -279,7 +279,7 @@ def test_estimator_direction_on_synthetic_bandit():
     rng = np.random.default_rng(7)
     policy = bandit_policy()
     obs = bandit_obs()
-    probs = policy.probabilities(obs)
+    probs = policy.probabilities(obs[None], None, None)[0]
     rewards = np.array([1.0, 0.0])
     analytic = sum(probs[a] * rewards[a] * grad_log(policy, obs, a) for a in range(2))
     glogs = np.stack([grad_log(policy, obs, a) for a in range(2)])
@@ -543,7 +543,7 @@ def test_surrogate_ascent_after_one_small_adam_step():
         for traj in batch:
             adv = traj.returns - b[: len(traj)]
             for obs, action, a_t in zip(traj.observations, traj.actions, adv):
-                total += a_t * np.log(policy.probabilities(obs)[action])
+                total += a_t * np.log(policy.probabilities(obs[None], None, None)[0, action])
         return total / len(batch)
 
     before = surrogate()
@@ -794,6 +794,57 @@ def test_rollout_draws_one_schedule_whatever_the_readout():
         env.reset([replay])
         replay.random(env.spec.max_steps + 3 * len(b))
         assert stream.random() == replay.random()
+
+
+class RowForm:
+    """A policy whose `probabilities` asserts the one input form and records
+    each call's row count: m float rows of its width, m generators, and m
+    rows of maxima if it has a normalizer, else None."""
+
+    def probabilities(self, obs, rngs, abs_max):
+        m = len(obs)
+        assert type(obs) is np.ndarray and obs.dtype == float
+        assert obs.shape == (m, self.n_features) and m >= 1
+        assert len(rngs) == m and all(isinstance(r, np.random.Generator) for r in rngs)
+        if self.normalizer is None:
+            assert abs_max is None
+        else:
+            assert type(abs_max) is np.ndarray and abs_max.dtype == float
+            assert abs_max.shape == (m, self.n_features)
+        self.rows.append(m)
+        return super().probabilities(obs, rngs, abs_max)
+
+
+class RowFormQuantum(RowForm, QuantumPolicy):
+    pass
+
+
+class RowFormMlp(RowForm, classical.MlpPolicy):
+    pass
+
+
+@pytest.mark.parametrize("preset, overrides", [
+    ("cartpole-quantum", {}), ("acrobot-quantum", {"n_layers": 1}), ("qcontrol-quantum", {}),
+    ("cartpole-quantum", {"shots": 100}), ("qcontrol-quantum", {"shots": 100}),
+    ("cartpole-classical", {}), ("qcontrol-classical", {}),
+])
+def test_rollout_hands_probabilities_only_the_row_form(preset, overrides):
+    # Each lockstep step passes the running episodes' rows, generators and
+    # maxima, for every policy kind; one call per step, one row per episode
+    # still running, and the batch is the plain policy's.
+    config = cfg.preset_config(preset, {"seed": 4, **overrides})
+    plain = prepare(config).policy
+    if isinstance(plain, QuantumPolicy):
+        policy = RowFormQuantum(plain.spec, plain.get_vector(),
+                                normalizer_copy(plain.normalizer), plain.shots)
+    else:
+        policy = RowFormMlp(plain.spec, plain.get_vector())
+    policy.rows = []
+    batch = reinforce.collect_batch(config, policy, 0, 10)
+    lengths = [len(traj) for traj in batch]
+    assert policy.rows == [sum(n > t for n in lengths) for t in range(max(lengths))]
+    expected = reinforce.collect_batch(config, plain, 0, 10)
+    assert list(map(trajectory_bits, batch)) == list(map(trajectory_bits, expected))
 
 
 @pytest.mark.parametrize("preset", ["cartpole-quantum", "qcontrol-quantum",

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qpolgrad import envs, qsim, vqpolicy
+from qpolgrad.classical import MlpPolicy, MlpSpec
 from qpolgrad.errors import ContractError
 from qpolgrad.reinforce import run_episodes
 from qpolgrad.vqpolicy import (
@@ -74,14 +75,14 @@ def test_encode_zero_features_is_ground_state():
 
 def test_encode_full_scale_feature_hits_pi():
     norm = FeatureNormalizer(1)
-    norm.observe(np.array([1.0]))
+    norm.observe(np.array([[1.0]]))
     rows = encoded_rows(rescale(norm, np.array([[1.0]])))
     assert oracle.expectation_z(oracle.Statevector(1, rows[0]), 0) == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_encode_two_features_product_state():
     norm = FeatureNormalizer(2)
-    norm.observe(np.array([1.0, 1.0]))
+    norm.observe(np.array([[1.0, 1.0]]))
     state = oracle.Statevector(2, encoded_rows(rescale(norm, np.array([[1.0, -1.0]])))[0])
     assert oracle.expectation_z(state, 0) == pytest.approx(-1.0, abs=1e-12)
     assert oracle.expectation_z(state, 1) == pytest.approx(-1.0, abs=1e-12)
@@ -93,7 +94,7 @@ def test_normalizer_keeps_angles_in_range_and_is_monotone():
     prev = norm.running_abs_max.copy()
     for _ in range(200):
         feats = rng.normal(scale=rng.uniform(0.01, 50), size=4)
-        norm.observe(feats)
+        norm.observe(feats[None])
         angles = rescale(norm, feats)
         assert np.all(np.abs(angles) <= np.pi + 1e-12)
         assert np.all(norm.running_abs_max >= prev)
@@ -148,6 +149,20 @@ def test_encode_rejects_length_mismatch():
             u3_policy.weighted_grad_log(np.eye(width)[:1], [0], [1.0])
     with pytest.raises(ContractError):
         run_episodes(envs.make_env("acrobot"), u3_policy, [np.random.default_rng(0)], 0.99)
+
+
+def test_a_gradient_batch_refuses_a_lone_row():
+    # A batch is a (T, n_features) array; one 1-D row is refused, not promoted.
+    spec = layered(2, 1, 2)
+    for policy in (QuantumPolicy(spec, np.append(np.zeros(spec.n_params), 1.0)),
+                   MlpPolicy(MlpSpec((2, 3, 2)), np.zeros(12))):
+        with pytest.raises(ContractError):
+            vqpolicy.checked_batch(policy, np.ones(2), [0])
+        with pytest.raises(ContractError):
+            policy.grad_log_batch(np.ones(2), [0])
+        with pytest.raises(ContractError):
+            policy.weighted_grad_log(np.ones(2), [0], [1.0])
+        assert vqpolicy.checked_batch(policy, np.ones((1, 2)), [0])[0].shape == (1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -342,22 +357,26 @@ def test_sample_z_rejects_zero_shots():
     with pytest.raises(ContractError):
         row_preferences(spec, np.zeros(2), rows, 10)  # shot mode without an rng
     vector = np.zeros(spec.n_params + 1)
+    row = np.ones((1, 1))
     with pytest.raises(ContractError):
-        QuantumPolicy(spec, vector, shots=-1).probabilities(np.ones(1), np.random.default_rng(0))
+        QuantumPolicy(spec, vector, shots=-1).probabilities(row, [np.random.default_rng(0)], row)
     with pytest.raises(ContractError):
-        QuantumPolicy(spec, vector, shots=10).probabilities(np.ones(1))
+        QuantumPolicy(spec, vector, shots=10).probabilities(row, None, row)
 
 
 def test_shot_probabilities_of_many_rows_need_one_generator_each():
-    # m rows draw on a sequence of m generators; no rng, a lone generator or
-    # too few of them is refused as a lone row without an rng is.
+    # m rows draw on a sequence of m generators; no rng or too few of them
+    # is refused, and a lone generator, which has no length, too.
     spec = layered(2, 1, 2)
     policy = QuantumPolicy(spec, np.zeros(spec.n_params + 1), shots=10)
     obs = np.ones((3, 2))
-    for rng in (None, np.random.default_rng(0), [np.random.default_rng(0)] * 2):
+    for rng in (None, [np.random.default_rng(0)] * 2):
         with pytest.raises(ContractError, match="3 generators"):
-            policy.probabilities(obs, rng)
-    assert policy.probabilities(obs, [np.random.default_rng(i) for i in range(3)]).shape == (3, 2)
+            policy.probabilities(obs, rng, obs)
+    with pytest.raises(TypeError):
+        policy.probabilities(obs, np.random.default_rng(0), obs)
+    rngs = [np.random.default_rng(i) for i in range(3)]
+    assert policy.probabilities(obs, rngs, obs).shape == (3, 2)
 
 
 def test_zero_shots_is_the_exact_readout():
@@ -473,7 +492,7 @@ def test_parameter_shift_matches_finite_differences(spec):
         if spec.encoding == "angle_rx":
             norm = FeatureNormalizer(spec.n_qubits)
             x = rng.normal(size=spec.n_qubits)
-            norm.observe(x)
+            norm.observe(x[None])
         else:
             norm, x = None, random_state(rng, 1)
         action = int(rng.integers(spec.n_actions))
@@ -490,7 +509,7 @@ def test_grad_log_policy_matches_finite_differences(spec):
         if spec.encoding == "angle_rx":
             norm = FeatureNormalizer(spec.n_qubits)
             x = rng.normal(size=spec.n_qubits)
-            norm.observe(x)
+            norm.observe(x[None])
         else:
             norm, x = None, random_state(rng, 1)
         action = int(rng.integers(spec.n_actions))
@@ -508,7 +527,7 @@ def test_score_identity(spec):
         if spec.encoding == "angle_rx":
             norm = FeatureNormalizer(spec.n_qubits)
             x = rng.normal(size=spec.n_qubits)
-            norm.observe(x)
+            norm.observe(x[None])
         else:
             norm, x = None, random_state(rng, 1)
         probs = softmax_policy(oracle_preferences(spec, vec[:-1], x, norm), vec[-1])
@@ -632,7 +651,9 @@ def test_streamed_gradients_give_the_whole_batch_bits(t, spec, seed):
     # normalizer has seen only the first rows and the last row is the widest,
     # so the encode scale must be widened over all T rows, not per chunk. At
     # 7 and 8 qubits the sweep walks its pairs in blocks of 128 or 64 rows,
-    # and T = 65 or 321 would leave a lone row after the last full block.
+    # and T = 65 or 321 would leave a lone row after the last full block;
+    # T = 257 or 513 would leave a lone last chunk, so it joins the chunk
+    # before it, and each row keeps the bits of one sweep over all T.
     rng = np.random.default_rng(seed)
     policy = QuantumPolicy(spec, random_vector(spec, rng))
     if spec.encoding == "angle_rx":
@@ -674,7 +695,7 @@ def test_policy_batch_grads_match_single():
     policy = QuantumPolicy(spec, random_vector(spec, rng))
     obs = [rng.normal(size=3) for _ in range(7)]
     for o in obs:
-        policy.normalizer.observe(o)
+        policy.normalizer.observe(o[None])
     actions = rng.integers(spec.n_actions, size=7)
     batch = policy.grad_log_batch(obs, actions)
     for i, (o, a) in enumerate(zip(obs, actions)):
@@ -687,7 +708,7 @@ def test_policy_probabilities_match_direct_evaluation():
     vec = random_vector(spec, rng)
     policy = QuantumPolicy(spec, vec)
     x = rng.normal(size=4)
-    probs = policy.probabilities(x)
+    probs = policy.probabilities(x[None], None, policy.normalizer.widened(x[None]))[0]
     direct = softmax_policy(oracle_preferences(spec, vec[:-1], x, policy.normalizer), vec[-1])
     np.testing.assert_allclose(probs, direct, atol=1e-12)
 
@@ -700,7 +721,7 @@ def test_final_rotations_on_unmeasured_qubits_are_irrelevant():
     theta = random_vector(spec, rng)[:-1]
     norm = FeatureNormalizer(4)
     x = rng.normal(size=4)
-    norm.observe(x)
+    norm.observe(x[None])
     base = row_preferences(spec, theta, input_rows(spec, x, norm))[0]
     state = oracle.apply_circuit(encode_gates(x, norm), ansatz_gates(spec, theta))
     for q in (2, 3):
@@ -716,7 +737,7 @@ def test_shot_mode_converges_to_exact():
     theta = random_vector(spec, rng)[:-1]
     norm = FeatureNormalizer(2)
     x = rng.normal(size=2)
-    norm.observe(x)
+    norm.observe(x[None])
     enc = input_rows(spec, x, norm)
     exact = row_preferences(spec, theta, enc)
     for seed in range(8):
@@ -753,15 +774,19 @@ def test_row_operator_cache_follows_theta(monkeypatch):
     spec = layered(3, 2, 2)
     policy = QuantumPolicy(spec, random_vector(spec, rng))
     x = rng.normal(size=3)
+
+    def probabilities():  # as a fresh normalizer's maxima widened over x
+        return policy.probabilities(x[None], None, policy.normalizer.widened(x[None]))[0]
+
     assert not builds
-    first = policy.probabilities(x)
-    policy.probabilities(x)
+    first = probabilities()
+    probabilities()
     assert len(builds) == 1
     source = random_vector(spec, rng)
     policy.set_vector(source)
     source[0] += 1.0  # the policy holds its own copy
     assert len(builds) == 1
-    replaced = policy.probabilities(x)
+    replaced = probabilities()
     policy.grad_log_batch([x], [0])
     policy.weighted_grad_log(np.array([x]), [1], np.ones(1))
     assert len(builds) == 2
@@ -771,8 +796,8 @@ def test_row_operator_cache_follows_theta(monkeypatch):
     assert not np.allclose(first, replaced)
     policy.set_vector(random_vector(spec, rng))
     policy.set_vector(random_vector(spec, rng))
-    policy.probabilities(x)
-    policy.probabilities(x)
+    probabilities()
+    probabilities()
     assert len(builds) == 3
 
 
@@ -806,6 +831,18 @@ def test_set_vector_rejects_bad_vectors(bad):
     assert policy.get_vector().tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
 
 
+def test_a_non_finite_vector_is_named_by_its_entries_not_its_shape():
+    # A wrong shape is named; a right shape with non-finite entries names
+    # how many there are and the first one's index.
+    with pytest.raises(ContractError, match=r"must be 5 finite numbers, got shape \(4,\)"):
+        vqpolicy.checked_vector(np.zeros(4), 5)
+    vec = np.zeros(9)
+    vec[[3, 7]] = np.inf, np.nan
+    with pytest.raises(ContractError, match="2 non-finite, the first at index 3$") as refused:
+        vqpolicy.checked_vector(vec, 9)
+    assert "shape" not in str(refused.value)
+
+
 def test_checkpoint_roundtrip():
     # through JSON text, as `qpolgrad run` writes checkpoint.json; a resumed
     # run needs the very bits back
@@ -820,7 +857,8 @@ def test_checkpoint_roundtrip():
             == policy.normalizer.running_abs_max.tobytes())
     assert loaded.spec == policy.spec
     x = rng.normal(size=(3, 4))
-    assert loaded.probabilities(x).tobytes() == policy.probabilities(x).tobytes()
+    assert (loaded.probabilities(x, None, loaded.normalizer.widened(x)).tobytes()
+            == policy.probabilities(x, None, policy.normalizer.widened(x)).tobytes())
 
 
 def test_checkpoint_field_names():

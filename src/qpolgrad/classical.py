@@ -3,7 +3,9 @@
 These networks produce action preferences that feed the same softmax used by
 the quantum policy, but with the inverse temperature fixed at 1 (their
 outputs are unbounded, so no extra scale is trained). Hidden layers apply
-ReLU and, optionally, inverted dropout; the output layer is linear.
+ReLU and, optionally, inverted dropout; the output layer is linear. Each
+environment's network shape sits in `config.POLICY_SHAPES`, and
+`config.ExperimentConfig.build_policy` builds it.
 
 `_forward_cached` is the one forward for inference and training; it gives a
 row the same bits in any batch, and it writes into arrays its caller
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError
+from .errors import ContractError
 from .vqpolicy import CHUNK_ROWS, checked_batch, checked_vector, serial_matmul, softmax_policy
 
 
@@ -54,14 +56,6 @@ class MlpSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "MlpSpec":
         return cls(tuple(d["layer_sizes"]), d.get("dropout_p", 0.0))
-
-
-def preset(name: str) -> MlpSpec:
-    """The winning baseline architecture for each environment."""
-    shapes = {"cartpole": (4, 128, 2), "acrobot": (6, 32, 3), "qcontrol": (4, 16, 2)}
-    if name not in shapes:
-        raise ConfigError(f"no classical preset named {name!r}")
-    return MlpSpec(shapes[name])
 
 
 def _hidden_arrays(weights, rows: int) -> list[np.ndarray]:

@@ -1,9 +1,12 @@
-"""Experiment configuration: declarative run descriptions and frozen presets.
+"""Experiment configuration: declarative run descriptions, frozen presets,
+and the one module that builds the policy a run trains.
 
 Configs are plain JSON objects with strict key checking; command-line flags
 override file values. The six named presets pin the hyperparameters used
-for the benchmark comparisons (learning rate, layer count, batch size) and
-the matching classical network shapes.
+for the benchmark comparisons (learning rate, layer count, batch size).
+`POLICY_SHAPES` gives each environment its circuit and its classical
+network; `ExperimentConfig.build_policy` builds one and draws its initial
+vector, and `reinforce` trains it.
 """
 from __future__ import annotations
 
@@ -13,23 +16,81 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .classical import MlpSpec, preset as mlp_preset
+import numpy as np
+
+from .classical import MlpPolicy, MlpSpec
 from .envs import ENV_SPECS
 from .errors import ConfigError
-from .reinforce import BETA_INIT_DEFAULT, INIT_DEFAULTS
-from .vqpolicy import CircuitSpec
+from .vqpolicy import CircuitSpec, QuantumPolicy
 
 POLICY_KINDS = ("quantum", "classical")
-INIT_KEYS = {kind: {"kind", *defaults} for kind, defaults in INIT_DEFAULTS.items()}
-INIT_KINDS = tuple(INIT_KEYS)
 # Fields that say where and how a run reports, not what it computes.
 REPORTING_FIELDS = ("output_dir", "name", "dump_trajectories")
 
+# What each environment trains: its circuit's qubits, architecture and
+# encoding, and the classical network's default hidden sizes. The layered
+# ansatz angle-encodes one feature per qubit; qcontrol's single U3 acts on
+# one qubit. Both read the environment's actions, and the network its
+# features, from `ENV_SPECS`.
+POLICY_SHAPES = {
+    "cartpole": (4, "layered", "angle_rx", (128,)),
+    "acrobot": (6, "layered", "angle_rx", (32,)),
+    "qcontrol": (1, "single_u3", "none", (16,)),
+}
 
-def _circuit_width(environment: str) -> int:
-    """Qubits of the quantum policy: qcontrol's single U3 acts on one, the
-    layered ansatz angle-encodes one feature per qubit."""
-    return 1 if environment == "qcontrol" else ENV_SPECS[environment].n_features
+# Each init kind's parameters and their defaults; `_validate` checks against them.
+INIT_DEFAULTS = {
+    "glorot_normal": {"gain": 1.0},
+    "normal": {"mu": 0.0, "sigma": 1.0},
+    "uniform": {"a": -1.0, "b": 1.0},
+}
+BETA_INIT_DEFAULT = {"mean": 1.0, "std": 0.1}
+INIT_KEYS = {kind: {"kind", *defaults} for kind, defaults in INIT_DEFAULTS.items()}
+INIT_KINDS = tuple(INIT_KEYS)
+
+
+def sample_initial_weights(strategy: dict, size: int, fan_in: int, fan_out: int,
+                           rng: np.random.Generator) -> np.ndarray:
+    """`size` draws of an init strategy: "normal" N(mu, sigma), "uniform"
+    U(a, b), or "glorot_normal"; a parameter left out takes its
+    `INIT_DEFAULTS` value.
+
+    "glorot_normal" draws from a normal whose standard deviation is
+    gain * sqrt(6 / (fan_in + fan_out)). That is the limit of Glorot's
+    uniform initializer; Glorot-normal's standard deviation is
+    sqrt(2 / (fan_in + fan_out)), so these draws have 3x its variance.
+    Every recorded run was drawn this way.
+    """
+    kind = strategy.get("kind")
+    if kind not in INIT_DEFAULTS:
+        raise ConfigError(f"unknown init strategy {kind!r}")
+    p = {**INIT_DEFAULTS[kind], **strategy}
+    if kind == "glorot_normal":
+        return rng.normal(0.0, p["gain"] * np.sqrt(6.0 / (fan_in + fan_out)), size=size)
+    if kind == "normal":
+        return rng.normal(p["mu"], p["sigma"], size=size)
+    return rng.uniform(p["a"], p["b"], size=size)
+
+
+def init_params(strategy: dict, spec: CircuitSpec, rng: np.random.Generator,
+                beta_init: dict | None = None) -> np.ndarray:
+    """Initial trainable vector: the circuit angles, then the inverse
+    temperature.
+
+    For the layered circuit a "layer" maps n wires to n wires, so the
+    initializer fans are n_in = n_out = n_qubits.
+    """
+    theta = sample_initial_weights(strategy, spec.n_params, spec.n_qubits, spec.n_qubits, rng)
+    beta_init = {**BETA_INIT_DEFAULT, **(beta_init or {})}
+    return np.append(theta, rng.normal(beta_init["mean"], beta_init["std"]))
+
+
+def init_mlp_params(strategy: dict, spec, rng: np.random.Generator) -> np.ndarray:
+    """Initial trainable vector of an MLP: each layer's (n_out, n_in) weights
+    drawn in one call, flattened, layer after layer."""
+    return np.concatenate([
+        sample_initial_weights(strategy, (n_out, n_in), n_in, n_out, rng).ravel()
+        for n_in, n_out in zip(spec.layer_sizes, spec.layer_sizes[1:])])
 
 
 @dataclass
@@ -61,26 +122,19 @@ class ExperimentConfig:
     def env_spec(self):
         return ENV_SPECS[self.environment]
 
-    @property
-    def architecture(self) -> str:
-        return "single_u3" if self.environment == "qcontrol" else "layered"
-
-    def circuit_spec(self) -> CircuitSpec:
-        if self.policy != "quantum":
-            raise ConfigError("circuit_spec is only defined for quantum policies")
-        if self.architecture == "single_u3":
-            return CircuitSpec(1, self.n_layers, 2, "single_u3", "none")
-        return CircuitSpec(_circuit_width(self.environment), self.n_layers,
-                           self.env_spec.n_actions, "layered", "angle_rx")
-
-    def mlp_spec(self) -> MlpSpec:
-        if self.policy != "classical":
-            raise ConfigError("mlp_spec is only defined for classical policies")
-        if self.hidden_sizes is None:
-            base = mlp_preset(self.environment)
-            return MlpSpec(base.layer_sizes, self.dropout_p)
-        sizes = (self.env_spec.n_features, *self.hidden_sizes, self.env_spec.n_actions)
-        return MlpSpec(sizes, self.dropout_p)
+    def build_policy(self, rng: np.random.Generator):
+        """The policy this run trains, the environment's circuit or network
+        in `POLICY_SHAPES`, with its initial vector drawn from `rng`."""
+        qubits, architecture, encoding, hidden = POLICY_SHAPES[self.environment]
+        env = self.env_spec
+        if self.policy == "quantum":
+            spec = CircuitSpec(qubits, self.n_layers, env.n_actions, architecture, encoding)
+            return QuantumPolicy(spec, init_params(self.init, spec, rng, self.beta_init),
+                                 shots=self.shots)
+        if self.hidden_sizes is not None:
+            hidden = self.hidden_sizes
+        spec = MlpSpec((env.n_features, *hidden, env.n_actions), self.dropout_p)
+        return MlpPolicy(spec, init_mlp_params(self.init, spec, rng))
 
     def label(self) -> str:
         return self.name or f"{self.environment}-{self.policy}-seed{self.seed}"
@@ -153,7 +207,8 @@ def _validate(data: dict) -> list[str]:
     check_range("batch_size", lambda v: isinstance(v, int) and v >= 1, "must be an integer >= 1")
     check_range("episodes", lambda v: isinstance(v, int) and v >= 0, "must be an integer >= 0")
     check_range("n_layers", lambda v: isinstance(v, int) and v >= 1, "must be an integer >= 1")
-    check_range("shots", lambda v: isinstance(v, int) and v >= 0, "must be an integer >= 0")
+    check_range("shots", lambda v: isinstance(v, int) and 0 <= v <= np.iinfo(np.int64).max,
+                "must be an integer in [0, 2**63 - 1], as a binomial draw takes")
     check_range("seed", lambda v: isinstance(v, int) and v >= 0, "must be an integer >= 0")
     check_range("dropout_p", lambda v: 0 <= v < 1, "must be a number in [0, 1)")
     for key in ("name", "output_dir"):
@@ -216,7 +271,7 @@ def from_dict(data: dict, overrides: dict | None = None) -> ExperimentConfig:
     if overrides:
         merged.update({k: v for k, v in overrides.items() if v is not None})
     # Legacy keys: episodes run one after another, so `parallel_rollouts`
-    # selects nothing; a quantum policy's width is `_circuit_width`, so
+    # selects nothing; a quantum policy's width sits in `POLICY_SHAPES`, so
     # `n_qubits` has one legal value; and `metrics.csv` records no wall
     # time, so `timing` has one too. Older manifests and config files carry
     # them, so a valid value is still accepted and dropped.
@@ -226,7 +281,7 @@ def from_dict(data: dict, overrides: dict | None = None) -> ExperimentConfig:
     errors = _validate(merged)
     if not (isinstance(legacy, int) and legacy >= 1):
         errors.append(f"parallel_rollouts: must be an integer >= 1 (got {legacy!r})")
-    width = (_circuit_width(merged["environment"]) if merged.get("policy") == "quantum"
+    width = (POLICY_SHAPES[merged["environment"]][0] if merged.get("policy") == "quantum"
              and merged.get("environment") in ENV_SPECS else None)
     if isinstance(n_qubits, bool) or n_qubits not in (None, width):
         allowed = "null" if width is None else f"null or the circuit width {width}"

@@ -13,7 +13,10 @@ rows once, flat in episode order, where every consumer reads them; each
 episode is a `Trajectory` of views into them. `train` yields one record
 per episode, with its trajectory.
 
-A policy (`QuantumPolicy` or `MlpPolicy`) offers: `n_features` and
+This module imports no policy: `config.ExperimentConfig.build_policy`
+builds the one a run trains, a `vqpolicy.QuantumPolicy` or a
+`classical.MlpPolicy`, and any object that keeps this contract trains
+alike. A policy offers: `n_features` and
 `n_actions`, the feature-row width it reads and its action count;
 `n_trainable`, the length of its flat trainable vector, which Adam reads
 with `get_vector` and writes with `set_vector`, the one place a policy
@@ -35,10 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import MlpPolicy
 from .envs import discounted_returns, make_env
-from .errors import ConfigError, ContractError
-from .vqpolicy import CircuitSpec, QuantumPolicy
+from .errors import ContractError
 
 
 @dataclass
@@ -150,73 +151,12 @@ def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState) -> np.ndar
     state.second_moment = ADAM_BETA2 * state.second_moment + (1 - ADAM_BETA2) * grad**2
     m_hat = state.first_moment / (1 - ADAM_BETA1**state.step_count)
     v_hat = state.second_moment / (1 - ADAM_BETA2**state.step_count)
-    return params + state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
-
-
-# ---------------------------------------------------------------------------
-# initialization
-# ---------------------------------------------------------------------------
-
-# Each init kind's parameters and their defaults; `config` validates against them.
-INIT_DEFAULTS = {
-    "glorot_normal": {"gain": 1.0},
-    "normal": {"mu": 0.0, "sigma": 1.0},
-    "uniform": {"a": -1.0, "b": 1.0},
-}
-BETA_INIT_DEFAULT = {"mean": 1.0, "std": 0.1}
-
-
-def sample_initial_weights(strategy: dict, size: int, fan_in: int, fan_out: int,
-                           rng: np.random.Generator) -> np.ndarray:
-    """`size` draws of an init strategy: "normal" N(mu, sigma), "uniform"
-    U(a, b), or "glorot_normal"; a parameter left out takes its
-    `INIT_DEFAULTS` value.
-
-    "glorot_normal" draws from a normal whose standard deviation is
-    gain * sqrt(6 / (fan_in + fan_out)). That is the limit of Glorot's
-    uniform initializer; Glorot-normal's standard deviation is
-    sqrt(2 / (fan_in + fan_out)), so these draws have 3x its variance.
-    Every recorded run was drawn this way.
-    """
-    kind = strategy.get("kind")
-    if kind not in INIT_DEFAULTS:
-        raise ConfigError(f"unknown init strategy {kind!r}")
-    p = {**INIT_DEFAULTS[kind], **strategy}
-    if kind == "glorot_normal":
-        return rng.normal(0.0, p["gain"] * np.sqrt(6.0 / (fan_in + fan_out)), size=size)
-    if kind == "normal":
-        return rng.normal(p["mu"], p["sigma"], size=size)
-    return rng.uniform(p["a"], p["b"], size=size)
-
-
-def init_params(strategy: dict, spec: CircuitSpec, rng: np.random.Generator,
-                beta_init: dict | None = None) -> np.ndarray:
-    """Initial trainable vector: the circuit angles, then the inverse
-    temperature.
-
-    For the layered circuit a "layer" maps n wires to n wires, so the
-    initializer fans are n_in = n_out = n_qubits.
-    """
-    theta = sample_initial_weights(strategy, spec.n_params, spec.n_qubits, spec.n_qubits, rng)
-    beta_init = {**BETA_INIT_DEFAULT, **(beta_init or {})}
-    return np.append(theta, rng.normal(beta_init["mean"], beta_init["std"]))
-
-
-def init_mlp_params(strategy: dict, spec, rng: np.random.Generator) -> np.ndarray:
-    """Initial trainable vector of an MLP: each layer's (n_out, n_in) weights
-    drawn in one call, flattened, layer after layer."""
-    return np.concatenate([
-        sample_initial_weights(strategy, (n_out, n_in), n_in, n_out, rng).ravel()
-        for n_in, n_out in zip(spec.layer_sizes, spec.layer_sizes[1:])])
-
-
-def build_policy(config, rng: np.random.Generator):
-    if config.policy == "quantum":
-        spec = config.circuit_spec()
-        return QuantumPolicy(spec, init_params(config.init, spec, rng, config.beta_init),
-                             shots=config.shots)
-    spec = config.mlp_spec()
-    return MlpPolicy(spec, init_mlp_params(config.init, spec, rng))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, with its cause
+        stepped = params + state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
+    if not np.all(np.isfinite(stepped)):
+        raise ContractError(f"Adam step {state.step_count} at learning rate "
+                            f"{state.learning_rate} leaves the parameters not finite")
+    return stepped
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +275,7 @@ class RunState:
 
 
 def prepare(config) -> RunState:
-    policy = build_policy(config, keyed_stream(config.seed, 0))
+    policy = config.build_policy(keyed_stream(config.seed, 0))
     return RunState(policy, AdamState.fresh(policy.n_trainable, config.learning_rate))
 
 

@@ -161,11 +161,11 @@ class FeatureNormalizer:
         if running_abs_max is None:
             self.running_abs_max = np.full(n_features, NORM_FLOOR)
         else:
-            self.running_abs_max = np.maximum(np.asarray(running_abs_max, dtype=float), NORM_FLOOR)
-            if self.running_abs_max.shape != (n_features,) or not np.all(
-                    np.isfinite(self.running_abs_max)):
-                raise ContractError(f"running_abs_max must be {n_features} finite numbers, "
-                                    f"got {self.running_abs_max.tolist()}")
+            stored = np.asarray(running_abs_max, dtype=float)
+            if stored.shape != (n_features,) or not np.all(np.isfinite(stored) & (stored >= 0)):
+                raise ContractError(f"running_abs_max must be {n_features} finite numbers >= 0, "
+                                    f"got {stored.tolist()}")
+            self.running_abs_max = np.maximum(stored, NORM_FLOOR)
 
     def widened(self, features: np.ndarray) -> np.ndarray:
         """The maxima widened to cover a (T, n) array of rows, not recorded."""

@@ -13,8 +13,8 @@ from qpolgrad.analysis import (
     spectrum,
 )
 from qpolgrad.classical import MlpPolicy, MlpSpec
+from qpolgrad.config import init_mlp_params
 from qpolgrad.errors import ContractError
-from qpolgrad.reinforce import init_mlp_params
 from qpolgrad.vqpolicy import CircuitSpec, QuantumPolicy
 
 from conftest import evolve_hamiltonian, init_zero

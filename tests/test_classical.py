@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from qpolgrad import classical
-from qpolgrad.classical import MlpPolicy, MlpSpec, preset
-from qpolgrad.errors import ConfigError, ContractError
-from qpolgrad.reinforce import init_mlp_params
+from qpolgrad import config as cfg
+from qpolgrad.classical import MlpPolicy, MlpSpec
+from qpolgrad.config import init_mlp_params
+from qpolgrad.errors import ContractError
 from qpolgrad.vqpolicy import CHUNK_ROWS, softmax_policy
 
 from conftest import (allocating_mlp_grad_log_batch, allocating_mlp_weighted_grad_log, grad_log,
@@ -25,18 +26,30 @@ def eval_preferences(weights, x):
     return classical._forward_cached(weights, x, 0.0, None, hidden, None)[0]
 
 
+def preset_spec(environment):
+    """The network spec that `environment`'s classical preset trains."""
+    config = cfg.preset_config(f"{environment}-classical")
+    return config.build_policy(np.random.default_rng(0)).spec
+
+
 def test_preset_shapes_and_parameter_counts():
-    assert preset("cartpole").layer_sizes == (4, 128, 2)
-    assert preset("acrobot").layer_sizes == (6, 32, 3)
-    assert preset("qcontrol").layer_sizes == (4, 16, 2)
-    assert preset("cartpole").n_params == 768
-    assert preset("acrobot").n_params == 288
-    assert preset("qcontrol").n_params == 96
-
-
-def test_preset_unknown_name():
-    with pytest.raises(ConfigError):
-        preset("lunarlander")
+    # The paper's comparison: each circuit trains a fraction of the
+    # parameters of the network it is set against.
+    for name, shape, n_trainable in (
+            ("cartpole-classical", (4, 128, 2), 768),
+            ("acrobot-classical", (6, 32, 3), 288),
+            ("qcontrol-classical", (4, 16, 2), 96),
+            ("cartpole-quantum", (4, 3, 2, "layered", "angle_rx"), 25),
+            ("acrobot-quantum", (6, 4, 3, "layered", "angle_rx"), 49),
+            ("qcontrol-quantum", (1, 1, 2, "single_u3", "none"), 4)):
+        policy = cfg.preset_config(name).build_policy(np.random.default_rng(0))
+        spec = policy.spec
+        if isinstance(policy, MlpPolicy):
+            assert (spec.layer_sizes, spec.dropout_p) == (shape, 0.0)
+        else:
+            assert (spec.n_qubits, spec.n_layers, spec.n_actions, spec.architecture,
+                    spec.encoding) == shape
+        assert policy.n_trainable == len(policy.get_vector()) == n_trainable
 
 
 def test_spec_validation():
@@ -66,7 +79,7 @@ def test_flatten_roundtrip():
     # `set_vector` splits the flat vector layer by layer into (n_out, n_in)
     # matrices, and `get_vector` flattens them back
     rng = np.random.default_rng(0)
-    spec = preset("acrobot")
+    spec = preset_spec("acrobot")
     vec = glorot(spec, rng)
     policy = MlpPolicy(spec, vec)
     assert [w.shape for w in policy.weights] == [(32, 6), (3, 32)]
@@ -121,7 +134,7 @@ def test_backward_matches_finite_differences_small_net():
 @pytest.mark.parametrize("name", ["cartpole", "acrobot", "qcontrol"])
 def test_backward_matches_finite_differences_presets(name):
     rng = np.random.default_rng(2)
-    spec = preset(name)
+    spec = preset_spec(name)
     for _ in range(3):
         vec = glorot(spec, rng)
         x = rng.normal(size=spec.layer_sizes[0])
@@ -214,7 +227,7 @@ def test_train_mode_requires_rng_with_dropout():
 
 def test_policy_batch_grads_match_single():
     rng = np.random.default_rng(8)
-    spec = preset("qcontrol")
+    spec = preset_spec("qcontrol")
     policy = MlpPolicy(spec, glorot(spec, rng))
     obs = [rng.normal(size=4) for _ in range(6)]
     actions = rng.integers(2, size=6)
@@ -338,7 +351,7 @@ def test_score_identity_classical():
 def test_checkpoint_roundtrip():
     # through JSON text, as `qpolgrad run` writes checkpoint.json
     rng = np.random.default_rng(10)
-    spec = preset("cartpole")
+    spec = preset_spec("cartpole")
     policy = MlpPolicy(spec, glorot(spec, rng))
     data = json.loads(json.dumps(policy.to_checkpoint(), indent=1))
     loaded = MlpPolicy.from_checkpoint(data)
@@ -354,7 +367,7 @@ def test_checkpoint_with_use_bias_key_still_loads():
     # Checkpoints written before MlpSpec dropped its never-supported
     # use_bias field carry "use_bias": false in their spec.
     rng = np.random.default_rng(11)
-    spec = preset("qcontrol")
+    spec = preset_spec("qcontrol")
     policy = MlpPolicy(spec, glorot(spec, rng))
     data = policy.to_checkpoint()
     data["spec"]["use_bias"] = False

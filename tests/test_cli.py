@@ -270,24 +270,27 @@ def test_a_negative_seed_fails_with_an_error_line_and_writes_nothing(tmp_path, c
 
 def test_non_finite_normalizer_maxima_in_a_checkpoint_fail_with_an_error_line(tmp_path, capsys):
     # NaN and inf pass through the maxima's floor; the Fisher eigen-solve then
-    # did not converge, and `compare` read the file without a word.
+    # did not converge, and `compare` read the file without a word. A maximum
+    # of |x| cannot be negative, but the floor lifted -5 to 1e-8 and both
+    # commands ran on.
     bad = tmp_path / "bad"
     bad.mkdir()
     for artifact in ("manifest.json", "metrics.csv"):
         (bad / artifact).write_text((REFERENCE_RUN / artifact).read_text())
     checkpoint = json.loads((REFERENCE_RUN / "checkpoint.json").read_text())
-    checkpoint["norm_abs_max"] = [float("nan"), 1.0, float("inf"), 2.0]
-    (bad / "checkpoint.json").write_text(json.dumps(checkpoint))
     out = tmp_path / "fisher"
-    for argv in (["fisher", "--checkpoint", str(bad / "checkpoint.json"), "--env", "cartpole",
-                  "--rollouts", "2", "--out", str(out)],
-                 ["compare", str(REFERENCE_RUN), str(bad)]):
-        capsys.readouterr()
-        assert cli.main(argv) == 1
-        captured = capsys.readouterr()
-        assert captured.err.startswith("error: ") and "finite" in captured.err
-        assert captured.out == ""
-    assert not out.exists()
+    for maxima in ([float("nan"), 1.0, float("inf"), 2.0], [-5, 1, 1, 1]):
+        checkpoint["norm_abs_max"] = maxima
+        (bad / "checkpoint.json").write_text(json.dumps(checkpoint))
+        for argv in (["fisher", "--checkpoint", str(bad / "checkpoint.json"), "--env",
+                      "cartpole", "--rollouts", "2", "--out", str(out)],
+                     ["compare", str(REFERENCE_RUN), str(bad)]):
+            capsys.readouterr()
+            assert cli.main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: ") and "finite" in captured.err
+            assert captured.out == ""
+        assert not out.exists()
 
 
 def test_fisher_refuses_a_checkpoint_that_cannot_act_in_the_env(tmp_path, capsys):

@@ -4,6 +4,7 @@ any artifact. The config hash covers only the fields that determine results."""
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qpolgrad import cli
@@ -94,6 +95,11 @@ def test_init_keys_unused_by_kind_rejected(tmp_path, preset, overrides):
     pytest.param("cartpole-classical", {"init": {"kind": "glorot_normal", "gain": 0.0}},
                  id="init-gain-zero"),
     pytest.param("qcontrol-quantum", {"seed": -1}, id="seed-negative"),
+    # a count no binomial draw takes: the run died at its first readout
+    pytest.param("cartpole-quantum", {"shots": 10**20}, id="shots-beyond-int64"),
+    pytest.param("cartpole-quantum", {"environment": "lunarlander"}, id="environment-unknown"),
+    pytest.param("cartpole-classical", {"environment": "lunarlander"},
+                 id="environment-unknown-classical"),
 ])
 def test_wrongly_typed_values_rejected(tmp_path, preset, overrides):
     assert_rejected_before_any_artifact(tmp_path, preset, overrides)
@@ -130,6 +136,7 @@ def test_default_and_matching_values_still_accepted():
                                              "beta_init": {"mean": 1.0, "std": 0.1}})
     cfg.preset_config("cartpole-quantum", {"beta_init": {"mean": 0.5}})
     cfg.preset_config("qcontrol-quantum", {"beta_init": {"mean": 2.0, "std": 0.0}})
+    cfg.preset_config("cartpole-quantum", {"shots": 2**63 - 1})
     for init in ({"kind": "glorot_normal", "gain": 2.0},
                  {"kind": "normal", "mu": 0.0, "sigma": 0.5},
                  {"kind": "uniform", "a": -0.5, "b": 0.5}):
@@ -145,7 +152,7 @@ def test_legacy_n_qubits_is_accepted_and_dropped():
     assert reference == cfg.from_dict({k: v for k, v in data.items() if k != "n_qubits"})
     assert reference == cfg.from_dict({**data, "n_qubits": 4})
     assert "n_qubits" not in reference.to_dict()
-    assert reference.circuit_spec().n_qubits == 4
+    assert reference.build_policy(np.random.default_rng(0)).spec.n_qubits == 4
 
 
 def test_legacy_timing_false_is_accepted_and_dropped():

@@ -1,5 +1,6 @@
-"""Import hygiene: every top-level import in the package is used, and
-`qpolgrad run` loads no module that only another subcommand needs."""
+"""Import hygiene: every top-level import in the package is used, the
+training loop imports no policy module, and `qpolgrad run` loads no module
+that only another subcommand needs."""
 import ast
 import os
 import subprocess
@@ -38,6 +39,39 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
 def test_no_unused_top_level_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def package_imports(source: str) -> set[str]:
+    """The `qpolgrad` modules that a module's imports name anywhere in its
+    source: `from . import a` and `import qpolgrad.a` name a, and so does
+    `from .a import b`."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            if module in (".", "qpolgrad"):
+                names |= {f"qpolgrad.{alias.name}" for alias in node.names}
+            else:
+                names.add(module)
+    return {name.removeprefix("qpolgrad.").removeprefix(".") for name in names
+            if name.startswith(("qpolgrad.", "."))}
+
+
+def test_package_imports_are_found():
+    source = ("from . import a, b as c\nfrom .d import e\nimport qpolgrad.f\nimport numpy\n"
+              "from qpolgrad import g\nfrom qpolgrad.h import i\nfrom json import j\n"
+              "def f():\n    from .k import m\n")
+    assert package_imports(source) == {"a", "b", "d", "f", "g", "h", "k"}
+
+
+def test_the_training_loop_imports_no_policy_and_config_no_training_loop():
+    # `config` builds the policy a run trains; `reinforce` trains any policy
+    # that keeps the contract in its docstring.
+    reinforce = package_imports((PACKAGE / "reinforce.py").read_text())
+    assert reinforce & {"classical", "vqpolicy"} == set()
+    assert "reinforce" not in package_imports((PACKAGE / "config.py").read_text())
 
 
 def loaded_modules(code: str, prefix: str) -> list[str]:

@@ -19,6 +19,7 @@ from conftest import (
 )
 from qpolgrad import config as cfg
 from qpolgrad import analysis, classical, cli, envs, qsim, reinforce, vqpolicy
+from qpolgrad.config import init_params
 from qpolgrad.envs import discounted_returns
 from qpolgrad.errors import ConfigError, ContractError
 from qpolgrad.reinforce import (
@@ -27,7 +28,6 @@ from qpolgrad.reinforce import (
     Trajectory,
     adam_step,
     baseline,
-    init_params,
     policy_gradient,
     prepare,
     run_episodes,
@@ -152,6 +152,20 @@ def test_adam_shape_mismatch():
     state = AdamState.fresh(2, 0.1)
     with pytest.raises(ContractError):
         adam_step(np.zeros(3), np.zeros(3), state)
+
+
+def test_an_overflowing_adam_step_fails_with_one_error_line(tmp_path, capsys):
+    # A learning rate of 1e308 carries the first step past the largest float:
+    # numpy printed its overflow warning before the error line, and under
+    # warnings-as-errors the warning escaped `cli.main` as an exception.
+    with pytest.raises(ContractError, match="Adam step 1 at learning rate 1e\\+308"):
+        adam_step(np.zeros(1), np.array([2.0]), AdamState.fresh(1, 1e308))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"environment": "cartpole", "policy": "quantum",
+                                "learning_rate": 1e308, "episodes": 20}))
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Adam step 1 at learning rate 1e+308") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------
